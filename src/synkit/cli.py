@@ -499,8 +499,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k-max", type=int, default=None)
         p.add_argument("--timeout", type=float, default=None)
         p.add_argument("--solver-cmd", default=None,
-                       help="SMT solver executable (default: SOLVER_CMD "
-                            "env, then z3, then the bundled fallback)")
+                       help="SMT solver command, run as a child process "
+                            "(default: SOLVER_CMD env, then z3; with "
+                            "neither, the bundled solver runs in process)")
         p.add_argument("--invariants", action="store_true",
                        help="mine auxiliary invariants before k-induction")
         p.add_argument("--oracle-mode", action="store_true",

@@ -1,18 +1,19 @@
 """Verification engine: BMC and k-induction over transition systems
-through an SMT solver subprocess, an exhaustive search oracle for
+through an SMT-LIB2 solver session, an exhaustive search oracle for
 boolean systems, and template invariant strengthening."""
 
 from .codegen import CompiledSystem, compile_system, eval_formula
-from .core import (EngineConfig, Falsified, InvariantCandidate, Unknown,
-                   UnknownReason, Valid, VerifyResult, bmc,
-                   generate_invariants, kinduction, make_replayer,
-                   result_to_json, simulate_system, verify_all)
+from .core import (EngineConfig, Falsified, InternalError,
+                   InvariantCandidate, Unknown, UnknownReason, Valid,
+                   VerifyResult, bmc, generate_invariants, kinduction,
+                   make_replayer, result_to_json, simulate_system,
+                   verify_all)
 from .encode import Unroller, logic_for
 
 __all__ = [
     "CompiledSystem", "compile_system", "eval_formula",
-    "EngineConfig", "Falsified", "InvariantCandidate", "Unknown",
-    "UnknownReason", "Valid", "VerifyResult", "bmc",
+    "EngineConfig", "Falsified", "InternalError", "InvariantCandidate",
+    "Unknown", "UnknownReason", "Valid", "VerifyResult", "bmc",
     "generate_invariants", "kinduction", "make_replayer",
     "result_to_json", "simulate_system", "verify_all",
     "Unroller", "logic_for",

@@ -1,7 +1,8 @@
 """Property verification over transition systems.
 
 Two proof paths share one result vocabulary: bounded model checking plus
-k-induction through an SMT solver subprocess, and an exhaustive
+k-induction through an SMT-LIB2 solver session (a configured solver's
+child process, or the bundled solver in process), and an exhaustive
 breadth-first search for systems whose inputs and state are all boolean.
 Optional template invariants (mined from simulation, proved by Houdini-
 style iterative weakening) strengthen the induction step.
@@ -20,15 +21,15 @@ from typing import Callable, Optional, Sequence, Union
 from ..interp import Trace, Value
 from ..lang import (Binary, Expr, IntLit, LangError, RealLit, Type, Var,
                     pretty_expr)
-from ..smt import SmtSession, SolverFailure, resolve_solver_command
+from ..smt import SmtSession, SolverFailure
 from ..tsys import INIT_FLAG, TransitionSystem
 from .codegen import CompiledSystem, compile_system, eval_formula
 from .encode import Unroller, logic_for
 
 __all__ = [
     "EngineConfig", "Valid", "Falsified", "Unknown", "UnknownReason",
-    "VerifyResult", "InvariantCandidate", "bmc", "kinduction",
-    "generate_invariants", "verify_all", "simulate_system",
+    "VerifyResult", "InvariantCandidate", "InternalError", "bmc",
+    "kinduction", "generate_invariants", "verify_all", "simulate_system",
     "make_replayer", "result_to_json",
 ]
 
@@ -39,7 +40,6 @@ class EngineConfig:
     timeout: float = 300.0
     solver_command: Optional[str] = None
     use_invariants: bool = False
-    parallel_properties: bool = False
     oracle_mode: bool = False
     incremental: bool = False  # one solver session with push/pop
     unique_states: bool = False  # path compression in the step check
@@ -49,6 +49,11 @@ class EngineConfig:
             raise ValueError("k_max must be at least 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+
+
+class InternalError(Exception):
+    """The engine contradicted itself: a bug, not a verdict. Nothing in
+    the engine turns it into a result."""
 
 
 class UnknownReason(Enum):
@@ -93,7 +98,7 @@ class _Deadline:
 
 
 def _new_session(cfg: EngineConfig, ts: TransitionSystem) -> SmtSession:
-    s = SmtSession(resolve_solver_command(cfg.solver_command))
+    s = SmtSession(cfg.solver_command)
     s.set_logic(logic_for(ts))
     return s
 
@@ -453,7 +458,8 @@ def generate_invariants(ts: TransitionSystem,
                         deadline: Optional[_Deadline] = None) -> list[Expr]:
     """Template candidates that survive the simulation rows, then a
     joint 2-induction proof with iterative removal. Solver trouble
-    degrades to no invariants."""
+    degrades to no invariants; a model that violates no candidate is an
+    InternalError."""
     if not sim_rows:
         raise ValueError("need at least one simulation row")
     alive = _mine_candidates(ts, sim_rows)
@@ -485,7 +491,9 @@ def _houdini(un: Unroller, alive: list[InvariantCandidate],
                 alive.remove(c)
                 dropped = True
         if not dropped:
-            raise ValueError("model violates no candidate")
+            raise InternalError(
+                f"the solver's model at instant {t} violates none of the "
+                f"{len(alive)} candidates it was asked to violate")
         return True
 
     changed = True
@@ -558,27 +566,20 @@ def verify_all(tasks: Sequence[tuple[TransitionSystem, str]],
                cfg: EngineConfig,
                replays: Optional[dict[str, Replayer]] = None
                ) -> dict[str, VerifyResult]:
-    """kinduction over each (system, property) task; results keyed by
-    property id in task order, independent of scheduling."""
+    """kinduction over each (system, property) task, one after another;
+    results keyed by property id in task order."""
     ids = [prop for _, prop in tasks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate property ids in task list")
     replays = replays or {}
-
-    def run(item: tuple[TransitionSystem, str]) -> VerifyResult:
-        ts, prop = item
+    results: dict[str, VerifyResult] = {}
+    for ts, prop in tasks:
         try:
-            return kinduction(ts, prop, cfg, replay=replays.get(prop))
+            results[prop] = kinduction(ts, prop, cfg,
+                                       replay=replays.get(prop))
         except (LangError, KeyError, ValueError, SolverFailure) as e:
-            return Unknown(UnknownReason.SOLVER_ERROR, str(e))
-
-    if cfg.parallel_properties and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(8, len(tasks))) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    return dict(zip(ids, results))
+            results[prop] = Unknown(UnknownReason.SOLVER_ERROR, str(e))
+    return results
 
 
 def make_replayer(tp, node: str, prop_id: str,

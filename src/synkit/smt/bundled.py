@@ -1,6 +1,8 @@
-"""SMT-LIB2 read-eval-print loop over stdin/stdout.
+"""SMT-LIB2 read-eval-print loop of the bundled solver.
 
-Run as `synkit-smt` or `python -m synkit.smt.bundled`. Understands the
+Run as `synkit-smt` or `python -m synkit.smt.bundled` to talk over
+stdin/stdout; `SmtSession` feeds a `Session` the same lines in its own
+process when no other solver is configured. Understands the
 command subset the verification engine emits: declarations, assert,
 check-sat, get-value, get-model, push/pop, reset, echo, exit. Replies
 with `(error "...")` on bad input and keeps going.
@@ -31,8 +33,13 @@ def format_value(v, sort: str) -> str:
 
 
 class Session:
+    """The solver's side of one conversation. Replies go to ``out``
+    (anything with ``write`` and ``flush``), one line each except for
+    get-model."""
+
     def __init__(self, out):
         self.out = out
+        self.pending = ""  # input lines of a command not yet complete
         self.reset()
 
     def reset(self):
@@ -46,6 +53,22 @@ class Session:
 
     def error(self, msg: str) -> None:
         self.reply(f'(error "{msg}")')
+
+    def feed(self, line: str) -> bool:
+        """Take one input line and run every command it completes.
+        Returns False on exit."""
+        if not self.pending and not line.strip():
+            return True
+        self.pending += line
+        if not balanced(self.pending):
+            return True
+        text, self.pending = self.pending, ""
+        try:
+            commands = parse_all(text)
+        except SExprError as e:
+            self.error(str(e))
+            return True
+        return all(self.run(sx) for sx in commands)
 
     def run(self, sx: SExpr) -> bool:
         """Execute one command. Returns False on exit."""
@@ -150,24 +173,9 @@ class Session:
 
 def main(argv: Optional[list[str]] = None) -> int:
     session = Session(sys.stdout)
-    buf = ""
     for line in sys.stdin:
-        stripped = line.strip()
-        if not buf and not stripped:
-            continue
-        buf += line
-        if not balanced(buf):
-            continue
-        try:
-            commands = parse_all(buf)
-        except SExprError as e:
-            session.error(str(e))
-            buf = ""
-            continue
-        buf = ""
-        for sx in commands:
-            if not session.run(sx):
-                return 0
+        if not session.feed(line):
+            break
     return 0
 
 

@@ -1,7 +1,8 @@
 """Client side of the solver interface: a line-oriented SMT-LIB2
-conversation with an external process. The process is z3 when one is on
-PATH, any command named by ``SOLVER_CMD`` or configuration, or the
-bundled solver as the fallback."""
+conversation. A configured solver (an explicit command, the
+``SOLVER_CMD`` environment variable, or z3 on PATH) runs as a child
+process and talks over pipes; with none configured, the bundled solver
+answers the same lines in this process."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ import shlex
 import shutil
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .sexpr import SExpr, balanced, format_atom, parse_all
 
@@ -19,23 +21,34 @@ Value = Union[bool, int, Fraction]
 
 
 class SolverFailure(Exception):
-    """The solver process died, replied with an error, or spoke
+    """The solver died or crashed, replied with an error, or spoke
     something unparseable."""
 
 
-def resolve_solver_command(explicit: Optional[str] = None) -> list[str]:
-    """Pick the solver command line: explicit setting, then the
-    SOLVER_CMD environment variable, then z3 on PATH, then the bundled
-    solver."""
+def _external_command(
+        explicit: Union[str, Sequence[str], None] = None
+) -> Optional[list[str]]:
+    """The configured solver command line: explicit setting, then the
+    SOLVER_CMD environment variable, then z3 on PATH. None when no
+    solver is configured."""
     if explicit:
-        return shlex.split(explicit)
+        return (shlex.split(explicit) if isinstance(explicit, str)
+                else list(explicit))
     env = os.environ.get("SOLVER_CMD")
     if env:
         return shlex.split(env)
     z3 = shutil.which("z3")
     if z3:
         return [z3, "-in"]
-    return [sys.executable, "-m", "synkit.smt.bundled"]
+    return None
+
+
+def resolve_solver_command(explicit: Optional[str] = None) -> list[str]:
+    """The solver command line a session uses: the configured one, else
+    the bundled solver's. A session runs the bundled solver in process
+    unless its command is given explicitly."""
+    return (_external_command(explicit)
+            or [sys.executable, "-m", "synkit.smt.bundled"])
 
 
 def parse_value(sx: SExpr) -> Value:
@@ -58,11 +71,65 @@ def parse_value(sx: SExpr) -> Value:
     raise SolverFailure(f"unrecognized value term: {sx!r}")
 
 
-class SmtSession:
-    """One running solver process and the conversation with it."""
+class _InProcess:
+    """The bundled solver in this process, behind the same line
+    interface as a child's pipes. Sent lines wait until a reply is read,
+    so the solver works while the caller waits for a reply, as a child
+    does."""
 
-    def __init__(self, command: Optional[list[str]] = None):
-        self.command = list(command) if command else resolve_solver_command()
+    def __init__(self):
+        from . import bundled  # deferred: runs without a session skip it
+        self._inbox: deque[str] = deque()
+        self._replies: deque[str] = deque()
+        self._session: Optional[bundled.Session] = bundled.Session(self)
+
+    @property
+    def running(self) -> bool:
+        return self._session is not None
+
+    def send(self, line: str) -> None:
+        if not self.running:
+            raise SolverFailure("solver session is closed")
+        self._inbox.append(line + "\n")
+
+    def readline(self) -> str:
+        """The next reply line, after running sent lines until one comes.
+        An exception the solver does not answer with an error reply is a
+        crash, as a dying child would be; the session is over after it."""
+        while not self._replies and self._inbox and self.running:
+            try:
+                if not self._session.feed(self._inbox.popleft()):  # (exit)
+                    self.close()
+            except Exception as e:
+                self.close()
+                raise SolverFailure(f"bundled solver crashed: {e!r}") from e
+        return self._replies.popleft() if self._replies else ""
+
+    def close(self) -> None:
+        self._session = None  # releases the solver and its last model
+        self._inbox.clear()
+
+    # the solver's output stream
+
+    def write(self, text: str) -> None:
+        self._replies.extend(text.splitlines(keepends=True))
+
+    def flush(self) -> None:
+        pass
+
+
+class SmtSession:
+    """One conversation with a solver: a child process running the
+    configured command (``command``, else SOLVER_CMD, else z3), or the
+    bundled solver in this process when none is configured."""
+
+    def __init__(self, command: Union[str, Sequence[str], None] = None):
+        self.command = _external_command(command)
+        self.proc: Optional[subprocess.Popen] = None
+        self._local: Optional[_InProcess] = None
+        if self.command is None:
+            self._local = _InProcess()
+            return
         try:
             self.proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE,
@@ -75,6 +142,9 @@ class SmtSession:
     # plumbing
 
     def send(self, line: str) -> None:
+        if self._local is not None:
+            self._local.send(line)
+            return
         if self.proc.stdin is None or self.proc.poll() is not None:
             raise SolverFailure("solver process is gone")
         try:
@@ -83,18 +153,22 @@ class SmtSession:
         except (BrokenPipeError, OSError) as e:
             raise SolverFailure(f"solver pipe broke: {e}") from e
 
-    def _read_reply(self) -> str:
-        out = self.proc.stdout
-        if out is None:
+    def _readline(self) -> str:
+        if self._local is not None:
+            return self._local.readline()
+        if self.proc.stdout is None:
             raise SolverFailure("solver has no stdout")
+        return self.proc.stdout.readline()
+
+    def _read_reply(self) -> str:
         buf = ""
         while True:
-            line = out.readline()
+            line = self._readline()
             if not line:
+                code = self.proc.poll() if self.proc is not None else None
                 raise SolverFailure(
                     "solver closed its output"
-                    + (f" (exit {self.proc.poll()})"
-                       if self.proc.poll() is not None else ""))
+                    + (f" (exit {code})" if code is not None else ""))
             buf += line
             if buf.strip() and balanced(buf):
                 reply = buf.strip()
@@ -149,6 +223,11 @@ class SmtSession:
         return out
 
     def close(self) -> None:
+        if self._local is not None:
+            if self._local.running:
+                self.send("(exit)")  # the transcript ends as a child's
+            self._local.close()
+            return
         if self.proc.poll() is None:
             try:
                 self.send("(exit)")

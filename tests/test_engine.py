@@ -1,14 +1,16 @@
+import shlex
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
 from synkit import tsys
-from synkit.engine import (EngineConfig, Falsified, Unknown, UnknownReason,
-                           Valid, bmc, compile_system, eval_formula,
-                           generate_invariants, kinduction, logic_for,
-                           make_replayer, result_to_json, simulate_system,
-                           verify_all)
+from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
+                           UnknownReason, Valid, bmc, compile_system, core,
+                           eval_formula, generate_invariants, kinduction,
+                           logic_for, make_replayer, result_to_json,
+                           simulate_system, verify_all)
 from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
 from synkit.lang import LangError, parse, pretty_expr, typecheck
@@ -212,6 +214,34 @@ def test_nonlinear_without_replayer_surfaces_trace():
     assert isinstance(r, Falsified)  # spurious, but nothing to screen with
 
 
+# solver transports ----------------------------------------------------------
+
+BUNDLED_CMD = shlex.join([sys.executable, "-m", "synkit.smt.bundled"])
+
+
+@pytest.mark.parametrize("src,node,prop,opts,verdict,k", [
+    (COUNTER, "Counter", "ok", {}, "falsified", 3),
+    (TOGGLE, "Toggle", "p", {}, "valid", 1),
+    (SAT_CHAIN, "Chain", "ok", {"use_invariants": True}, "valid", None),
+    (NONLIN, "Square", "ok", {}, "falsified", 0),
+], ids=["Counter", "Toggle", "Chain-invariants", "Square-nonlinear"])
+def test_in_process_and_child_solver_agree(monkeypatch, src, node, prop,
+                                           opts, verdict, k):
+    # the same SMT-LIB text gets the same answers in process and from a
+    # child running the bundled solver
+    monkeypatch.delenv("SOLVER_CMD", raising=False)
+    monkeypatch.setattr("shutil.which", lambda name: None)
+    _, ts = _ts(src, node)
+    here = kinduction(ts, prop, EngineConfig(k_max=8, timeout=120, **opts))
+    child = kinduction(ts, prop, EngineConfig(
+        k_max=8, timeout=120, solver_command=BUNDLED_CMD, **opts))
+    out = result_to_json(prop, here)
+    assert out == result_to_json(prop, child)
+    assert out["verdict"] == verdict
+    if k is not None:
+        assert out["k"] == k
+
+
 # oracle ---------------------------------------------------------------------
 
 def test_oracle_matches_solver_on_counterexample():
@@ -312,6 +342,17 @@ def test_invariants_unlock_proof():
     assert any("z5" in t for t in strong.invariants_used)
 
 
+def test_houdini_model_candidate_disagreement_is_internal_error(
+        monkeypatch):
+    # a model that violates none of the candidates it was asked to
+    # violate is a bug, and must not read as "no invariants"
+    monkeypatch.setattr(core, "eval_formula", lambda expr, env: True)
+    _, ts = _ts(SAT_CHAIN, "Chain")
+    with pytest.raises(InternalError):
+        kinduction(ts, "ok",
+                   EngineConfig(k_max=3, timeout=120, use_invariants=True))
+
+
 def test_valid_survives_random_simulation():
     # soundness spot-check at reduced scale
     import random as _random
@@ -338,13 +379,10 @@ def test_verify_all_empty_and_determinism():
     _, ts1 = _ts(TOGGLE, "Toggle")
     _, ts2 = _ts(COUNTER, "Counter")
     serial = verify_all([(ts1, "p"), (ts2, "ok")], CFG)
-    par = verify_all([(ts1, "p"), (ts2, "ok")],
-                     EngineConfig(k_max=8, timeout=120,
-                                  parallel_properties=True))
     assert list(serial) == ["p", "ok"]
-    assert isinstance(serial["p"], Valid) and isinstance(par["p"], Valid)
+    assert isinstance(serial["p"], Valid)
     assert isinstance(serial["ok"], Falsified)
-    assert serial["ok"].step == par["ok"].step == 3
+    assert serial["ok"].step == 3
 
 
 def test_verify_all_duplicate_ids_rejected():

@@ -417,21 +417,40 @@ def test_resolve_solver_command(monkeypatch):
     assert resolve_solver_command() == ["/opt/z3", "-in"]
 
 
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Neither SOLVER_CMD nor z3: sessions run the bundled solver in
+    process unless given a command."""
+    monkeypatch.delenv("SOLVER_CMD", raising=False)
+    monkeypatch.setattr("shutil.which", lambda name: None)
+
+
+def _round_trip(s: SmtSession) -> None:
+    s.set_logic("QF_LIRA")
+    s.declare_const("n@0", "Int")
+    s.declare_const("ok", "Bool")
+    s.assert_text("(= |n@0| 41)")
+    s.assert_text("(= ok (< |n@0| 42))")
+    assert s.check_sat() == "sat"
+    vals = s.get_values(["n@0", "ok"])
+    assert vals == {"n@0": 41, "ok": True}
+    s.push()
+    s.assert_text("(not ok)")
+    assert s.check_sat() == "unsat"
+    s.pop()
+    assert s.check_sat() == "sat"
+
+
 def test_session_round_trip():
     with SmtSession(BUNDLED) as s:
-        s.set_logic("QF_LIRA")
-        s.declare_const("n@0", "Int")
-        s.declare_const("ok", "Bool")
-        s.assert_text("(= |n@0| 41)")
-        s.assert_text("(= ok (< |n@0| 42))")
-        assert s.check_sat() == "sat"
-        vals = s.get_values(["n@0", "ok"])
-        assert vals == {"n@0": 41, "ok": True}
-        s.push()
-        s.assert_text("(not ok)")
-        assert s.check_sat() == "unsat"
-        s.pop()
-        assert s.check_sat() == "sat"
+        assert s.proc is not None and s.proc.poll() is None
+        _round_trip(s)
+
+
+def test_session_in_process_round_trip(no_solver):
+    with SmtSession() as s:
+        assert s.proc is None
+        _round_trip(s)
 
 
 def test_session_uf_and_error():
@@ -454,3 +473,51 @@ def test_session_reports_dead_process():
         s.send("(check-sat)")
         s.check_sat()
     s.close()
+
+
+def test_session_in_process_error_reply(no_solver):
+    with SmtSession() as s:
+        s.declare_const("a", "Int")
+        with pytest.raises(SolverFailure, match="solver error"):
+            s.send("(assert (= a (* a a)))")
+            s.check_sat()
+
+
+def test_session_in_process_crash_is_solver_failure(no_solver,
+                                                    monkeypatch):
+    boom = RuntimeError("boom")
+
+    def crash(self):
+        raise boom
+
+    monkeypatch.setattr(Solver, "check", crash)
+    s = SmtSession()
+    s.declare_const("p", "Bool")
+    with pytest.raises(SolverFailure) as info:
+        s.check_sat()
+    assert info.value.__cause__ is boom
+    with pytest.raises(SolverFailure):  # as after a child died
+        s.check_sat()
+    s.close()
+
+
+@pytest.mark.parametrize("command", [None, BUNDLED],
+                         ids=["in-process", "child"])
+def test_session_close_is_idempotent(no_solver, command):
+    s = SmtSession(command)
+    s.declare_const("p", "Bool")
+    s.close()
+    s.close()
+    with pytest.raises(SolverFailure):
+        s.check_sat()
+    if command is not None:
+        assert s.proc.returncode == 0
+
+
+def test_bundled_solver_is_imported_by_sessions_only():
+    script = ("import sys, synkit.cli, synkit.engine, synkit.benchlib, "
+              "synkit.safetycase\n"
+              "print('synkit.smt.bundled' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120)
+    assert out.stdout.strip() == "False", out.stderr
