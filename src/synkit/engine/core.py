@@ -1,11 +1,15 @@
 """Property verification over transition systems.
 
 Two proof paths share one result vocabulary: bounded model checking plus
-k-induction through an SMT-LIB2 solver session (a configured solver's
+k-induction through SMT-LIB2 solver sessions (a configured solver's
 child process, or the bundled solver in process), and an exhaustive
 breadth-first search for systems whose inputs and state are all boolean.
+A check talks to the solver in at most two conversations, one base
+unrolling from the initial states and one step unrolling from any
+state; each grows instant by instant and pushes only a query's goal.
 Optional template invariants (mined from simulation, proved by Houdini-
-style iterative weakening) strengthen the induction step.
+style iterative weakening over the same two kinds of unrolling)
+strengthen the induction step.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from ..interp import Trace, Value
 from ..lang import (Binary, Expr, IntLit, LangError, RealLit, Type, Var,
                     pretty_expr)
 from ..smt import SmtSession, SolverFailure
-from ..tsys import INIT_FLAG, TransitionSystem
+from ..tsys import TransitionSystem
 from .codegen import CompiledSystem, compile_system, eval_formula
 from .encode import Unroller, logic_for
 
@@ -41,8 +45,6 @@ class EngineConfig:
     solver_command: Optional[str] = None
     use_invariants: bool = False
     oracle_mode: bool = False
-    incremental: bool = False  # one solver session with push/pop
-    unique_states: bool = False  # path compression in the step check
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -97,93 +99,75 @@ class _Deadline:
         return time.monotonic() >= self.end
 
 
-def _new_session(cfg: EngineConfig, ts: TransitionSystem) -> SmtSession:
-    s = SmtSession(cfg.solver_command)
-    s.set_logic(logic_for(ts))
-    return s
+# solver conversations ---------------------------------------------------------
+
+class _Unrolling:
+    """One solver conversation over an unrolling that only grows.
+
+    ``extend(n)`` declares and asserts each instant once: its transition
+    from the previous instant (the initial condition instead at instant 0
+    of a base unrolling; a step unrolling starts anywhere), its
+    definitions and assumptions, and the fixed invariants. Each query
+    pushes its goals, checks, reads the model if there is one, and pops,
+    so the unrolling serves every depth of a check (Een & Sorensson,
+    "Temporal induction by incremental SAT solving", BMC 2003)."""
+
+    def __init__(self, un: Unroller, cfg: EngineConfig, *, base: bool,
+                 invs: Sequence[Expr] = ()):
+        self.un = un
+        self.base = base
+        self.invs = list(invs)
+        self.depth = -1  # last instant asserted
+        self.session = SmtSession(cfg.solver_command)
+        try:
+            self.session.set_logic(logic_for(un.ts))
+            un.declare_externs(self.session)
+        except SolverFailure:  # a child that died at once
+            self.session.close()
+            raise
+
+    def __enter__(self) -> "_Unrolling":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.session.close()
+
+    def extend(self, n: int) -> None:
+        s, un = self.session, self.un
+        while self.depth < n:
+            self.depth += 1
+            t = self.depth
+            un.declare_step(s, t)
+            if t > 0:
+                un.assert_trans(s, t - 1)
+            elif self.base:
+                un.assert_init(s)
+            un.assert_instant(s, t)
+            for inv in self.invs:
+                s.assert_text(un.formula(inv, t))
+
+    def hold(self, e: Expr, t: int) -> None:
+        """Assert e at instant t for every later query."""
+        self.extend(t)
+        self.session.assert_text(self.un.formula(e, t))
+
+    def query(self, n: int, goals: Sequence[str],
+              decode: Optional[Callable[[SmtSession], object]] = None):
+        """Check the unrolling up to instant n together with the goals:
+        'unsat', 'unknown', or on 'sat' what decode reads from the model
+        ('sat' without decode)."""
+        self.extend(n)
+        s = self.session
+        s.push()
+        for g in goals:
+            s.assert_text(g)
+        verdict = s.check_sat()
+        out = decode(s) if verdict == "sat" and decode else verdict
+        s.pop()
+        return out
 
 
 # bounded search --------------------------------------------------------------
-
-class _BaseChecker:
-    """Base-case queries at increasing depths, optionally sharing one
-    incremental solver session."""
-
-    def __init__(self, un: Unroller, prop: Expr, invs: Sequence[Expr],
-                 cfg: EngineConfig):
-        self.un = un
-        self.prop = prop
-        self.invs = list(invs)
-        self.cfg = cfg
-        self.session: Optional[SmtSession] = None
-        self.depth = -1  # last instant already asserted incrementally
-
-    def close(self) -> None:
-        if self.session is not None:
-            self.session.close()
-            self.session = None
-
-    def _extend(self, s: SmtSession, t: int) -> None:
-        self.un.declare_step(s, t)
-        if t == 0:
-            self.un.assert_init(s)
-        else:
-            self.un.assert_trans(s, t - 1)
-        self.un.assert_instant(s, t)
-        for inv in self.invs:
-            s.assert_text(self.un.formula(inv, t))
-
-    def check_depth(self, n: int) -> Union[str, Trace]:
-        """'unsat', 'unknown', or a violating input trace of length n+1."""
-        if self.cfg.incremental:
-            if self.session is None:
-                self.session = _new_session(self.cfg, self.un.ts)
-                self.un.declare_externs(self.session)
-            s = self.session
-            while self.depth < n:
-                self.depth += 1
-                self._extend(s, self.depth)
-            s.push()
-            try:
-                s.assert_text(f"(not {self.un.formula(self.prop, n)})")
-                verdict = s.check_sat()
-                if verdict == "sat":
-                    return self.un.decode_inputs(s, n)
-                return verdict
-            finally:
-                s.pop()
-        with _new_session(self.cfg, self.un.ts) as s:
-            self.un.declare_externs(s)
-            for t in range(n + 1):
-                self._extend(s, t)
-            s.assert_text(f"(not {self.un.formula(self.prop, n)})")
-            verdict = s.check_sat()
-            if verdict == "sat":
-                return self.un.decode_inputs(s, n)
-            return verdict
-
-
-def _step_check(un: Unroller, prop: Expr, invs: Sequence[Expr], k: int,
-                cfg: EngineConfig) -> str:
-    """Induction step at depth k: k property-satisfying instants and one
-    transition force the property at instant k. Returns the verdict of
-    the satisfiability query (unsat means the step holds)."""
-    with _new_session(cfg, un.ts) as s:
-        un.declare_externs(s)
-        for t in range(k + 1):
-            un.declare_step(s, t)
-            un.assert_instant(s, t)
-            if t > 0:
-                un.assert_trans(s, t - 1)
-            if t < k:
-                s.assert_text(un.formula(prop, t))
-            for inv in invs:
-                s.assert_text(un.formula(inv, t))
-        if cfg.unique_states:
-            un.assert_distinct_states(s, k)
-        s.assert_text(f"(not {un.formula(prop, k)})")
-        return s.check_sat()
-
 
 def _screen_cex(ts: TransitionSystem, trace: Trace, step: int,
                 replay: Optional[Replayer]) -> VerifyResult:
@@ -197,39 +181,51 @@ def _screen_cex(ts: TransitionSystem, trace: Trace, step: int,
     return Falsified(trace, step)
 
 
+def _base_case(base: _Unrolling, prop: Expr, n: int,
+               replay: Optional[Replayer]) -> Optional[VerifyResult]:
+    """The verdict of a violation at depth n from an initial state, or
+    None when there is none."""
+    un = base.un
+    outcome = base.query(n, [f"(not {un.formula(prop, n)})"],
+                         lambda s: un.decode_inputs(s, n))
+    if isinstance(outcome, Trace):
+        return _screen_cex(un.ts, outcome, n, replay)
+    if outcome == "unknown":
+        return Unknown(UnknownReason.SOLVER_ERROR,
+                       f"solver answered unknown at depth {n}")
+    return None
+
+
 def bmc(ts: TransitionSystem, prop_id: str, k: int, cfg: EngineConfig,
         replay: Optional[Replayer] = None) -> VerifyResult:
     """Search for an assumption-satisfying path of length <= k ending in
-    a property violation. Falsified carries the shortest such path;
-    Unknown(KMaxReached) means clean up to k."""
+    a property violation, in one base conversation. Falsified carries the
+    shortest such path; Unknown(KMaxReached) means clean up to k."""
     prop = ts.property_formula(prop_id)
     if cfg.oracle_mode:
         return _oracle_search(ts, prop_id, max_depth=k)
     deadline = _Deadline(cfg.timeout)
-    checker = _BaseChecker(Unroller(ts), prop, [], cfg)
     try:
-        for n in range(k + 1):
-            if deadline.expired:
-                return Unknown(UnknownReason.TIMEOUT,
-                               f"timed out before depth {n}")
-            outcome = checker.check_depth(n)
-            if isinstance(outcome, Trace):
-                return _screen_cex(ts, outcome, n, replay)
-            if outcome == "unknown":
-                return Unknown(UnknownReason.SOLVER_ERROR,
-                               f"solver answered unknown at depth {n}")
+        with _Unrolling(Unroller(ts), cfg, base=True) as base:
+            for n in range(k + 1):
+                if deadline.expired:
+                    return Unknown(UnknownReason.TIMEOUT,
+                                   f"timed out before depth {n}")
+                verdict = _base_case(base, prop, n, replay)
+                if verdict is not None:
+                    return verdict
     except SolverFailure as e:
         return Unknown(UnknownReason.SOLVER_ERROR, str(e))
-    finally:
-        checker.close()
     return Unknown(UnknownReason.KMAX_REACHED, f"no violation within {k}")
 
 
 def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
                replay: Optional[Replayer] = None,
                invariants: Optional[Sequence[Expr]] = None) -> VerifyResult:
-    """k-induction sweep for k = 1..k_max with base cases checked
-    incrementally along the way."""
+    """k-induction sweep for k = 1..k_max over two conversations: a base
+    unrolling from the initial states, checked clean up to depth k, and
+    a step unrolling from any state, where the property holds at the
+    instants before k and its violation at k is queried."""
     prop = ts.property_formula(prop_id)
     if cfg.oracle_mode:
         return _oracle_search(ts, prop_id, max_depth=None)
@@ -238,31 +234,27 @@ def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
     if cfg.use_invariants and invariants is None:
         invs = _mine_invariants_for(ts, cfg, deadline)
     inv_texts = tuple(pretty_expr(e) for e in invs)
-    checker = _BaseChecker(Unroller(ts), prop, invs, cfg)
-    next_base = 0
+    un = Unroller(ts)
     try:
-        for k in range(1, cfg.k_max + 1):
-            for n in range(next_base, k + 1):  # base: clean up to depth k
+        with _Unrolling(un, cfg, base=True, invs=invs) as base, \
+                _Unrolling(un, cfg, base=False, invs=invs) as step:
+            for k in range(1, cfg.k_max + 1):
+                for n in range(base.depth + 1, k + 1):  # clean up to k
+                    if deadline.expired:
+                        return Unknown(UnknownReason.TIMEOUT,
+                                       f"timed out in base at depth {n}")
+                    verdict = _base_case(base, prop, n, replay)
+                    if verdict is not None:
+                        return verdict
                 if deadline.expired:
                     return Unknown(UnknownReason.TIMEOUT,
-                                   f"timed out in base at depth {n}")
-                outcome = checker.check_depth(n)
-                if isinstance(outcome, Trace):
-                    return _screen_cex(ts, outcome, n, replay)
-                if outcome == "unknown":
-                    return Unknown(UnknownReason.SOLVER_ERROR,
-                                   f"solver answered unknown at depth {n}")
-            next_base = k + 1
-            if deadline.expired:
-                return Unknown(UnknownReason.TIMEOUT,
-                               f"timed out before step check k={k}")
-            step = _step_check(Unroller(ts), prop, invs, k, cfg)
-            if step == "unsat":
-                return Valid(k, inv_texts)
+                                   f"timed out before step check k={k}")
+                step.hold(prop, k - 1)
+                goal = f"(not {un.formula(prop, k)})"
+                if step.query(k, [goal]) == "unsat":
+                    return Valid(k, inv_texts)
     except SolverFailure as e:
         return Unknown(UnknownReason.SOLVER_ERROR, str(e))
-    finally:
-        checker.close()
     return Unknown(UnknownReason.KMAX_REACHED,
                    f"not inductive for any k <= {cfg.k_max}")
 
@@ -480,69 +472,51 @@ def generate_invariants(ts: TransitionSystem,
 def _houdini(un: Unroller, alive: list[InvariantCandidate],
              cfg: EngineConfig,
              deadline: _Deadline) -> list[InvariantCandidate]:
+    """The largest subset of the candidates that holds jointly at depths
+    below k from the initial states and is k-inductive, by iterative
+    removal over two conversations. A base unrolling asks for a violation
+    of some alive candidate at each depth d < k; dropping candidates
+    never revives a base case, so each depth is done once. A step
+    unrolling then pushes the alive candidates at the instants before k
+    with a violation of one at k, until no candidate is violated."""
     k = _HOUDINI_K
 
-    def drop_violated(s: SmtSession, t: int) -> bool:
-        env = _model_env(un, s, t)
-        dropped = False
-        for c in alive[:]:
-            if not eval_formula(c.expr, env):
-                c.status = "rejected"
-                alive.remove(c)
-                dropped = True
+    def violation(t: int) -> str:
+        bad = " ".join(f"(not {un.formula(c.expr, t)})" for c in alive)
+        return f"(or {bad})" if len(alive) > 1 else bad
+
+    def drop_violated(env, t: int) -> None:
+        if not isinstance(env, dict):
+            raise ValueError("solver unknown")
+        dropped = [c for c in alive if not eval_formula(c.expr, env)]
         if not dropped:
             raise InternalError(
                 f"the solver's model at instant {t} violates none of the "
                 f"{len(alive)} candidates it was asked to violate")
-        return True
+        for c in dropped:
+            c.status = "rejected"
+            alive.remove(c)
 
-    changed = True
-    while alive and changed:
-        changed = False
-        for d in range(k):  # base cases
+    with _Unrolling(un, cfg, base=True) as base, \
+            _Unrolling(un, cfg, base=False) as step:
+        for d in range(k):
             while alive:
                 if deadline.expired:
                     raise ValueError("deadline")
-                with _new_session(cfg, un.ts) as s:
-                    un.declare_externs(s)
-                    for t in range(d + 1):
-                        un.declare_step(s, t)
-                        if t == 0:
-                            un.assert_init(s)
-                        else:
-                            un.assert_trans(s, t - 1)
-                        un.assert_instant(s, t)
-                    bad = " ".join(f"(not {un.formula(c.expr, d)})"
-                                   for c in alive)
-                    s.assert_text(f"(or {bad})" if len(alive) > 1 else bad)
-                    verdict = s.check_sat()
-                    if verdict == "unsat":
-                        break
-                    if verdict != "sat":
-                        raise ValueError("solver unknown")
-                    changed |= drop_violated(s, d)
-        while alive:  # induction step
+                env = base.query(d, [violation(d)],
+                                 lambda s: _model_env(un, s, d))
+                if env == "unsat":
+                    break
+                drop_violated(env, d)
+        while alive:
             if deadline.expired:
                 raise ValueError("deadline")
-            with _new_session(cfg, un.ts) as s:
-                un.declare_externs(s)
-                for t in range(k + 1):
-                    un.declare_step(s, t)
-                    un.assert_instant(s, t)
-                    if t > 0:
-                        un.assert_trans(s, t - 1)
-                    if t < k:
-                        for c in alive:
-                            s.assert_text(un.formula(c.expr, t))
-                bad = " ".join(f"(not {un.formula(c.expr, k)})"
-                               for c in alive)
-                s.assert_text(f"(or {bad})" if len(alive) > 1 else bad)
-                verdict = s.check_sat()
-                if verdict == "unsat":
-                    break
-                if verdict != "sat":
-                    raise ValueError("solver unknown")
-                changed |= drop_violated(s, k)
+            held = [un.formula(c.expr, t) for t in range(k) for c in alive]
+            env = step.query(k, held + [violation(k)],
+                             lambda s: _model_env(un, s, k))
+            if env == "unsat":
+                break
+            drop_violated(env, k)
     return alive
 
 

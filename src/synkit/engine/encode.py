@@ -73,6 +73,7 @@ class Unroller:
             s.assert_text(
                 f"(= {self.at(name, t + 1)} {self.formula(rhs, t)})")
 
+    # no engine path calls this; perfbench/tracing.py patches it by name
     def assert_distinct_states(self, s: SmtSession, upto: int) -> None:
         names = [n for n, _ in self.ts.state_vars]
         if not names:

@@ -427,21 +427,3 @@ def simulate(tp: TypedProgram, node: str, input_trace: Trace, n: int, *,
         ordered[name] = columns[name]
     return Trace(ordered, aok, warnings)
 
-
-def check_observer(tp: TypedProgram, observer_node: str, input_trace: Trace,
-                   *, externs: Optional[dict[str, ExternFn]] = None,
-                   n: Optional[int] = None) -> Optional[int]:
-    """Least step where an annotated property signal is false with all
-    assertions holding up to and including that step; None otherwise."""
-    info = tp.info(observer_node)
-    props = info.decl.properties
-    if not props:
-        raise InterpError(f"{observer_node!r} has no property annotation")
-    steps = input_trace.length if n is None else n
-    trace = simulate(tp, observer_node, input_trace, steps, externs=externs)
-    for t in range(steps):
-        if not trace.assertion_ok[t]:
-            return None
-        if any(not trace.signals[p][t] for p in props):
-            return t
-    return None

@@ -4,8 +4,9 @@ Run as `synkit-smt` or `python -m synkit.smt.bundled` to talk over
 stdin/stdout; `SmtSession` feeds a `Session` the same lines in its own
 process when no other solver is configured. Understands the
 command subset the verification engine emits: declarations, assert,
-check-sat, get-value, get-model, push/pop, reset, echo, exit. Replies
-with `(error "...")` on bad input and keeps going.
+check-sat, get-value, push/pop, reset, echo, exit. Replies with
+`(error "...")` on bad input and keeps going. A model lasts until the
+assertion stack changes.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .sexpr import (SExpr, SExprError, balanced, format_atom, format_sexpr,
-                    parse_all)
+from .sexpr import SExpr, SExprError, balanced, format_sexpr, parse_all
 from .solver import BOOL, INT, REAL, SmtError, Solver, sort_of, term_of
 
 _SORTS = {"Bool", "Int", "Real"}
+_STACK_COMMANDS = {"declare-const", "declare-fun", "assert", "push", "pop"}
 
 
 def format_value(v, sort: str) -> str:
@@ -34,8 +35,7 @@ def format_value(v, sort: str) -> str:
 
 class Session:
     """The solver's side of one conversation. Replies go to ``out``
-    (anything with ``write`` and ``flush``), one line each except for
-    get-model."""
+    (anything with ``write`` and ``flush``), one line each."""
 
     def __init__(self, out):
         self.out = out
@@ -76,6 +76,10 @@ class Session:
             self.error("expected a command")
             return True
         cmd, args = sx[0], sx[1:]
+        # a model holds only for the assertion stack it was found on
+        # (reset() drops it too)
+        if cmd in _STACK_COMMANDS:
+            self.solver = None
         try:
             return self._dispatch(cmd, args)
         except SmtError as e:
@@ -100,15 +104,14 @@ class Session:
             self.frames[-1].append(t)
             return True
         if cmd == "check-sat":
-            terms = [t for frame in self.frames for t in frame]
-            self.solver = Solver(terms)
-            self.reply(self.solver.check())
+            solver = Solver([t for frame in self.frames for t in frame])
+            verdict = solver.check()
+            # without a model to read, the solver is freed at once
+            self.solver = solver if verdict == "sat" else None
+            self.reply(verdict)
             return True
         if cmd == "get-value":
             self._get_value(args[0])
-            return True
-        if cmd == "get-model":
-            self._get_model()
             return True
         if cmd == "push":
             for _ in range(int(args[0]) if args else 1):
@@ -145,8 +148,9 @@ class Session:
         self.decls[name] = new
 
     def _get_value(self, sxs) -> None:
-        if self.solver is None or self.solver.result != "sat":
-            raise SmtError("no model: last check-sat was not sat")
+        if self.solver is None:
+            raise SmtError("no model: no sat check-sat since the "
+                           "assertions last changed")
         if not isinstance(sxs, list):
             raise SmtError("get-value takes a term list")
         parts = []
@@ -156,19 +160,6 @@ class Session:
             parts.append(f"({format_sexpr(sx)} "
                          f"{format_value(v, sort_of(t))})")
         self.reply("(" + " ".join(parts) + ")")
-
-    def _get_model(self) -> None:
-        if self.solver is None or self.solver.result != "sat":
-            raise SmtError("no model: last check-sat was not sat")
-        lines = []
-        for name, kind in sorted(self.decls.items()):
-            if kind[0] != "const":
-                continue
-            t = ("var", name, kind[1])
-            v = self.solver.model_value(t)
-            lines.append(f"  (define-fun {format_atom(name)} () "
-                         f"{kind[1]} {format_value(v, kind[1])})")
-        self.reply("(\n" + "\n".join(lines) + "\n)")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

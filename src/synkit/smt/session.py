@@ -173,6 +173,10 @@ class SmtSession:
             if buf.strip() and balanced(buf):
                 reply = buf.strip()
                 if reply.startswith("(error"):
+                    # the error may answer an earlier line that expects no
+                    # reply, so later replies would be out of step: the
+                    # conversation ends here
+                    self.close()
                     raise SolverFailure(f"solver error: {reply}")
                 return reply
 

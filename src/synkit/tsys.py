@@ -17,11 +17,11 @@ the reciprocal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .interp import Trace, Value
+from .interp import Value
 from .lang import (Arrow, Binary, BoolLit, Call, Expr, IntLit, Ite,
                    LangError, Pre, RealLit, Type, TypedProgram, Unary, Var,
                    walk)
@@ -417,52 +417,7 @@ def slice(ts: TransitionSystem, prop_id: str) -> TransitionSystem:  # noqa: A001
     return sliced
 
 
-# trace decoding -------------------------------------------------------------
-
-def concretize(ts: TransitionSystem,
-               assignments: list[dict[str, Value]]) -> Trace:
-    """Turn per-step solver assignments into a Trace over system names."""
-    order = ([n for n, _ in ts.input_vars]
-             + [n for n, _ in ts.defined_vars]
-             + [n for n, _ in ts.state_vars])
-    signals: dict[str, list[Value]] = {n: [] for n in order}
-    for t, step_vals in enumerate(assignments):
-        for n in order:
-            if n not in step_vals:
-                raise KeyError(f"assignment at step {t} lacks {n!r}")
-            signals[n].append(step_vals[n])
-    return Trace(signals)
-
-
-def seed_state(tp: TypedProgram, node: str, step0: dict[str, Value]):
-    """Build an interpreter NodeState whose Pre cells and Arrow flags
-    take the transition-system state values at step 0 (dotted naming)."""
-    from .interp import init_state
-
-    st = init_state(tp, node)
-    flag = step0.get(INIT_FLAG, True)
-
-    def fill(state, info, prefix: str):
-        p = prefix + "." if prefix else ""
-        for i in range(info.n_pre):
-            name = f"{p}_pre{i}"
-            if name in step0:
-                state.pre_vals[i] = step0[name]
-        state.arrow_first = [bool(flag)] * info.n_arrow
-        names = instance_names(info)
-        for c in info.calls:
-            if not c.is_extern:
-                child_prefix = p + names[c.site]
-                fill(state.children[c.site], tp.info(c.callee), child_prefix)
-
-    fill(st, tp.info(node), "")
-    return st
-
-
-# debug dump ------------------------------------------------------------------
-
-_SORT = {Type.BOOL: "Bool", Type.INT: "Int", Type.REAL: "Real"}
-
+# SMT-LIB text ----------------------------------------------------------------
 
 def to_sexpr(e: Expr, var_fn: Callable[[str], str]) -> str:
     """Render a formula as SMT-LIB2 text; var_fn maps variable names to
@@ -494,30 +449,3 @@ def to_sexpr(e: Expr, var_fn: Callable[[str], str]) -> str:
         args = " ".join(to_sexpr(a, var_fn) for a in e.args)
         return f"({e.callee} {args})"
     raise LangError("compile", f"cannot render {type(e).__name__}")
-
-
-def dump(ts: TransitionSystem) -> str:
-    """SMT-LIB2-styled inspection text; not a stable interchange format."""
-    q = lambda n: f"|{n}|"
-    lines = [f"; transition system for node {ts.node}"]
-    for name, ps, ret in ts.extern_symbols:
-        args = " ".join(_SORT[p] for p in ps)
-        lines.append(f"(declare-fun {q(name)} ({args}) {_SORT[ret]})")
-    for section, pairs in (("input", ts.input_vars),
-                           ("state", ts.state_vars),
-                           ("defined", ts.defined_vars)):
-        for name, ty in pairs:
-            lines.append(f"(declare-const {q(name)} {_SORT[ty]}) ; {section}")
-    for f in ts.init:
-        lines.append(f"(assert (! {to_sexpr(f, q)} :named init))")
-    for name, rhs in ts.definitions:
-        lines.append(f"(assert (! (= {q(name)} {to_sexpr(rhs, q)}) "
-                     f":named def.{name}))")
-    for name, rhs in ts.trans:
-        lines.append(f"(assert (! (= {q(name + chr(39))} "
-                     f"{to_sexpr(rhs, q)}) :named trans.{name}))")
-    for i, a in enumerate(ts.assumptions):
-        lines.append(f"(assert (! {to_sexpr(a, q)} :named assume.{i}))")
-    for pid, f in ts.properties:
-        lines.append(f"; property {pid}: {to_sexpr(f, q)}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
 from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
 from synkit.lang import LangError, parse, pretty_expr, typecheck
+from synkit.smt import SmtSession
 
 from _random_systems import random_bool_system
 
@@ -150,24 +152,50 @@ def test_kinduction_kmax_exhaustion():
     assert r.reason is UnknownReason.KMAX_REACHED
 
 
-def test_kinduction_incremental_matches_stateless():
-    for src, node, prop in ((COUNTER, "Counter", "ok"),
-                            (TOGGLE, "Toggle", "p")):
-        _, ts = _ts(src, node)
-        inc = EngineConfig(k_max=8, timeout=120, incremental=True)
-        a = kinduction(ts, prop, CFG)
-        b = kinduction(ts, prop, inc)
-        assert type(a) is type(b)
-        if isinstance(a, Falsified):
-            assert a.step == b.step
-        if isinstance(a, Valid):
-            assert a.k == b.k
+@pytest.fixture
+def sessions(monkeypatch):
+    """Solver sessions opened and closed while a test runs."""
+    opened, closed = [], set()
+    init, close = SmtSession.__init__, SmtSession.close
+
+    def counting_init(self, *args, **kwargs):
+        opened.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_close(self):
+        closed.add(id(self))
+        close(self)
+
+    monkeypatch.setattr(SmtSession, "__init__", counting_init)
+    monkeypatch.setattr(SmtSession, "close", counting_close)
+    return opened, closed
 
 
-def test_unique_states_flag_still_proves():
-    _, ts = _ts(TOGGLE, "Toggle")
-    cfg = EngineConfig(k_max=8, timeout=120, unique_states=True)
-    assert isinstance(kinduction(ts, "p", cfg), Valid)
+def _chain_invariants():
+    _, ts = _ts(SAT_CHAIN, "Chain")
+    return generate_invariants(ts, simulate_system(ts, 60, seed=0), CFG)
+
+
+@pytest.mark.parametrize("check,verdict,most", [
+    (lambda: kinduction(_ts(TOGGLE, "Toggle")[1], "p", CFG), Valid, 2),
+    (lambda: kinduction(_ts(COUNTER, "Counter")[1], "ok", CFG),
+     Falsified, 2),
+    (lambda: kinduction(_ts(SAT_CHAIN, "Chain")[1], "ok",
+                        EngineConfig(k_max=3, timeout=120)), Unknown, 2),
+    (lambda: kinduction(_ts(SAT_CHAIN, "Chain")[1], "ok",
+                        EngineConfig(k_max=20, timeout=1e-9)), Unknown, 2),
+    (lambda: bmc(_ts(COUNTER, "Counter")[1], "ok", 5, CFG), Falsified, 1),
+    (_chain_invariants, list, 2),
+], ids=["kinduction-valid", "kinduction-falsified", "kinduction-kmax",
+        "kinduction-timeout", "bmc", "houdini"])
+def test_each_check_holds_its_sessions_and_closes_them(sessions, check,
+                                                       verdict, most):
+    # a check is one base and at most one step conversation, however
+    # deep it goes
+    opened, closed = sessions
+    assert isinstance(check(), verdict)
+    assert 1 <= len(opened) <= most
+    assert {id(s) for s in opened} <= closed
 
 
 def test_timeout_reported():
@@ -184,6 +212,25 @@ def test_solver_launch_failure_reported():
     r = kinduction(ts, "p", cfg)
     assert isinstance(r, Unknown)
     assert r.reason is UnknownReason.SOLVER_ERROR
+
+
+def test_solver_gone_before_first_line_is_closed(sessions, monkeypatch):
+    popen = subprocess.Popen
+
+    def exited(*args, **kwargs):
+        proc = popen(*args, **kwargs)
+        proc.wait()
+        return proc
+
+    monkeypatch.setattr("synkit.smt.session.subprocess.Popen", exited)
+    _, ts = _ts(TOGGLE, "Toggle")
+    cfg = EngineConfig(k_max=2, timeout=30, solver_command=shlex.join(
+        [sys.executable, "-c", "pass"]))
+    r = kinduction(ts, "p", cfg)
+    assert isinstance(r, Unknown)
+    assert r.reason is UnknownReason.SOLVER_ERROR
+    opened, closed = sessions
+    assert len(opened) == 1 and id(opened[0]) in closed
 
 
 # nonlinear handling --------------------------------------------------------

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synkit.interp import (InterpError, NodeState, Trace, check_observer,
-                           init_state, simulate, step)
+from synkit.interp import (InterpError, NodeState, Trace, init_state,
+                           simulate, step)
 from synkit.lang import parse, typecheck
 
 F = Fraction
@@ -123,8 +123,6 @@ tel
     tp = typecheck(parse(src))
     tr = simulate(tp, "Gate", const_trace(3, eng=False, cmd=F(7)), 3)
     assert tr.signals["ok"] == [True] * 3
-    assert check_observer(tp, "Gate",
-                          const_trace(5, eng=False, cmd=F(7))) is None
 
 
 def test_assertion_violation_recorded_not_fatal():
@@ -157,39 +155,6 @@ tel
     tp = typecheck(parse(src))
     tr = simulate(tp, "Outer", Trace({"x": [F(2), F(0)]}), 2)
     assert tr.assertion_ok == [True, False]
-
-
-def test_check_observer_counter_bound():
-    src = """
-node Low(reset : bool) returns (ok : bool);
-var c : int;
-let
-  --!PROPERTY: ok = true;
-  c = 0 -> if reset then 0 else pre c + 1;
-  ok = c < 3;
-tel
-"""
-    tp = typecheck(parse(src))
-    assert check_observer(tp, "Low", const_trace(6, reset=False)) == 3
-    assert check_observer(tp, "Low", const_trace(3, reset=False)) is None
-
-
-def test_check_observer_ignores_assumption_violating_suffix():
-    src = """
-node Obs(x : int) returns (ok : bool);
-let
-  --!PROPERTY: ok = true;
-  assert x >= 0;
-  ok = x < 5;
-tel
-"""
-    tp = typecheck(parse(src))
-    # assumption breaks at step 1, before the would-be violation
-    tr = Trace({"x": [0, -1, 7]})
-    assert check_observer(tp, "Obs", tr) is None
-    # violation at step 1 counts: assumptions hold through step 1
-    tr2 = Trace({"x": [0, 7, -1]})
-    assert check_observer(tp, "Obs", tr2) == 1
 
 
 def test_simulate_zero_steps():

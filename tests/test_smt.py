@@ -372,13 +372,25 @@ def test_bundled_error_then_continue():
 (declare-const x Int)
 (assert (= x 2))
 (check-sat)
-(get-model)
 (exit)
 """)
     lines = out.strip().splitlines()
     assert lines[0].startswith('(error')
     assert lines[1] == "sat"
-    assert "(define-fun x () Int 2)" in out
+
+
+def test_bundled_model_ends_with_its_assertion_stack():
+    out = _pipe("""(declare-const n Int)
+(push)
+(assert (= n 7))
+(check-sat)
+(pop)
+(get-value (n))
+(exit)
+""")
+    lines = out.strip().splitlines()
+    assert lines[0] == "sat"
+    assert lines[1].startswith('(error "no model')
 
 
 def test_bundled_quoted_symbols_and_negatives():
@@ -480,6 +492,21 @@ def test_session_in_process_error_reply(no_solver):
         s.declare_const("a", "Int")
         with pytest.raises(SolverFailure, match="solver error"):
             s.send("(assert (= a (* a a)))")
+            s.check_sat()
+
+
+@pytest.mark.parametrize("command", [None, BUNDLED],
+                         ids=["in-process", "child"])
+def test_session_error_reply_ends_the_session(no_solver, command):
+    # the error answers the assert, not the check-sat; a session that
+    # went on would hand each later check-sat the reply of the one before
+    with SmtSession(command) as s:
+        s.declare_const("p", "Bool")
+        s.assert_text("(= p q)")
+        with pytest.raises(SolverFailure, match="solver error"):
+            s.check_sat()
+        with pytest.raises(SolverFailure):
+            s.assert_text("(and p (not p))")
             s.check_sat()
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from synkit import tsys
-from synkit.interp import Trace, init_state, simulate, step
+from synkit.interp import Trace, simulate
 from synkit.lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
                          RealLit, Type, Unary, Var, parse, typecheck)
 
@@ -207,43 +207,6 @@ tel
     sl = tsys.slice(ts, "ok")
     assert len(sl.assumptions) == 1
     assert {n for n, _ in sl.input_vars} == {"x"}
-
-
-def test_concretize_and_errors():
-    ts = tsys.compile(COUNTER, "Counter")
-    steps = [
-        {"reset": False, "_init": True, "_pre0": 0, "c": 0},
-        {"reset": False, "_init": False, "_pre0": 0, "c": 1},
-    ]
-    tr = tsys.concretize(ts, steps)
-    assert tr.signals["c"] == [0, 1]
-    assert tr.length == 2
-    assert tsys.concretize(ts, []).length == 0
-    with pytest.raises(KeyError):
-        tsys.concretize(ts, [{"reset": False}])
-
-
-def test_seed_state_reproduces_midstream_run():
-    # drive the counter two steps, then seed a fresh state from the
-    # transition-system view of that instant and compare continuations
-    st = init_state(COUNTER, "Counter")
-    st, _, _ = step(COUNTER, "Counter", st, {"reset": False})
-    st, out, _ = step(COUNTER, "Counter", st, {"reset": False})
-    assert out["c"] == 1
-    seeded = tsys.seed_state(COUNTER, "Counter",
-                             {"_init": False, "_pre0": 1})
-    s2, out2, _ = step(COUNTER, "Counter", seeded, {"reset": False})
-    assert out2["c"] == 2
-    st3, out3, _ = step(COUNTER, "Counter", st, {"reset": False})
-    assert out3 == out2
-
-
-def test_dump_mentions_every_variable():
-    ts = tsys.compile(COUNTER, "Counter")
-    text = tsys.dump(ts)
-    for name in ("|reset|", "|_init|", "|_pre0|", "|c|"):
-        assert name in text
-    assert "trans._pre0" in text
 
 
 # independent formula evaluator for the bisimulation check ---------------
