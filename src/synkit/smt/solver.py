@@ -4,12 +4,14 @@ DPLL(T) glue between the SAT core and the simplex theory.
 Supported fragment: quantifier-free boolean structure over linear
 Int/Real arithmetic atoms, if-then-else, and uninterpreted functions
 (eliminated up front by Ackermann expansion). Nonlinear terms are
-rejected with an error.
+rejected with an error. Every sat model is checked against the asserted
+terms before it is answered.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Union
 
 from . import sat
@@ -21,6 +23,12 @@ F = Fraction
 
 class SmtError(Exception):
     pass
+
+
+class ModelCheckError(Exception):
+    """A sat model that violates an asserted term or gives an Int
+    variable a fractional value: a solver bug, never answered as an
+    ordinary error reply."""
 
 
 # terms: nested tuples, last slot is the sort ------------------------------
@@ -528,14 +536,9 @@ class Solver:
                                     -rhs)
             return sat.neg(inner)
         # normalize to integer coefficients, gcd 1
-        denom_lcm = 1
-        for v in combo.values():
-            denom_lcm = denom_lcm * v.denominator \
-                // _gcd(denom_lcm, v.denominator)
+        denom_lcm = lcm(*(v.denominator for v in combo.values()))
         scaled = {k: v * denom_lcm for k, v in combo.items()}
-        g = 0
-        for v in scaled.values():
-            g = _gcd(g, abs(v.numerator))
+        g = gcd(*(v.numerator for v in scaled.values()))
         scaled = {k: F(v.numerator // g) for k, v in scaled.items()}
         rhs = rhs * denom_lcm / g
         if len(scaled) == 1:
@@ -580,7 +583,17 @@ class Solver:
         self.result = self.cdcl.solve(theory)
         if self.result == "sat":
             self._num_model = self.simplex.model()
+            self._check_model()
         return self.result
+
+    def _check_model(self) -> None:
+        for v in self.int_vars:
+            if self._num_model[v].denominator != 1:
+                raise ModelCheckError(f"Int variable {v} has the value "
+                                      f"{self._num_model[v]} in the model")
+        for i, t in enumerate(self.terms):
+            if self._eval(t) is not True:
+                raise ModelCheckError(f"the model violates asserted term {i}")
 
     def model_value(self, t: Term) -> Union[bool, Fraction]:
         if self.result != "sat":
@@ -648,8 +661,3 @@ class Solver:
                     ">": a > b, ">=": a >= b}[tag]
         raise SmtError(f"cannot evaluate {tag}")
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1

@@ -12,7 +12,7 @@ from synkit.smt import sat
 from synkit.smt.sexpr import SExprError, balanced, format_atom, \
     format_sexpr, parse_all, parse_one
 from synkit.smt.simplex import Conflict, Delta, Simplex
-from synkit.smt.solver import SmtError, Solver, term_of
+from synkit.smt.solver import ModelCheckError, SmtError, Solver, term_of
 
 F = Fraction
 
@@ -158,6 +158,115 @@ def test_simplex_undo_restores_bounds():
     assert sx.model()[x] <= 0
 
 
+def _tableau(nvars, combos):
+    """A Simplex over nvars variables with one slack row per combo; the
+    slack of combos[i] is variable nvars + i."""
+    sx = Simplex()
+    for _ in range(nvars):
+        sx.new_var()
+    for combo in combos:
+        sx.add_row(combo)
+    return sx
+
+
+def _explanation_conflicts(nvars, combos, asserted, reasons):
+    """Whether the bounds named in reasons alone are infeasible."""
+    sx = _tableau(nvars, combos)
+    try:
+        for reason in reasons:
+            v, is_lower, val = asserted[reason]
+            sx.assert_bound(v, is_lower, val, reason)
+        sx.check()
+    except Conflict:
+        return True
+    return False
+
+
+def _assert_sound(sx, nvars, combos, bounds):
+    """After a passing check(): beta is in bounds and solves every row,
+    each row follows from the original definitions, and the model
+    satisfies the definitions and bounds."""
+    def expand(v):  # v as a combination of the original variables
+        return combos[v - nvars] if v >= nvars else {v: F(1)}
+
+    for v, is_lower, val in bounds:
+        assert val <= sx.beta[v] if is_lower else sx.beta[v] <= val
+    for b, (nums, den) in sx.rows.items():
+        row = {k: F(n, den) for k, n in nums.items()}
+        assert not set(row) & set(sx.rows)
+        a = sum((c * sx.beta[k].a for k, c in row.items()), F(0))
+        d = sum((c * sx.beta[k].d for k, c in row.items()), F(0))
+        assert sx.beta[b] == Delta(a, d)
+        implied = {}
+        for k, c in row.items():
+            for x, cx in expand(k).items():
+                implied[x] = implied.get(x, F(0)) + c * cx
+        assert expand(b) == {x: c for x, c in implied.items() if c}
+    m = sx.model()
+    for i, combo in enumerate(combos):
+        assert m[nvars + i] == sum(c * m[x] for x, c in combo.items())
+    # lower bounds here are (a, 0) or (a, 1), upper ones (a, 0) or (a, -1)
+    for v, is_lower, val in bounds:
+        if is_lower:
+            assert m[v] > val.a if val.d else m[v] >= val.a
+        else:
+            assert m[v] < val.a if val.d else m[v] <= val.a
+
+
+def test_simplex_random_tableau_invariants():
+    rng = random.Random(5)
+    passed = conflicts = 0
+    for _ in range(150):
+        nvars = rng.randint(3, 6)
+        combos = [{x: F(rng.choice((-3, -2, -1, 1, 2, 3)),
+                        rng.choice((1, 1, 2)))
+                   for x in rng.sample(range(nvars), rng.randint(2, nvars))}
+                  for _ in range(rng.randint(1, 4))]
+        sx = _tableau(nvars, combos)
+        asserted = {}  # reason -> (var, is_lower, bound)
+        active = []    # reasons of the bounds in force, oldest first
+        marks = [(sx.mark(), 0)]
+        for _ in range(40):
+            op = rng.random()
+            if op < 0.5:
+                v = rng.randrange(sx.n)
+                is_lower = rng.random() < 0.5
+                d = rng.choice((0, 1 if is_lower else -1))
+                reason = len(asserted)
+                asserted[reason] = (v, is_lower,
+                                    Delta(F(rng.randint(-4, 4)), F(d)))
+                try:
+                    sx.assert_bound(*asserted[reason], reason)
+                except Conflict as c:
+                    conflicts += 1
+                    assert reason in c.reasons
+                    assert _explanation_conflicts(nvars, combos, asserted,
+                                                  c.reasons)
+                    continue
+                active.append(reason)
+            elif op < 0.65:
+                marks.append((sx.mark(), len(active)))
+            elif op < 0.8:
+                i = rng.randrange(len(marks))
+                mark, kept = marks[i]
+                del marks[i + 1:]
+                sx.undo_to(mark)
+                del active[kept:]
+            else:
+                try:
+                    sx.check()
+                except Conflict as c:
+                    conflicts += 1
+                    assert set(c.reasons) <= set(active)
+                    assert _explanation_conflicts(nvars, combos, asserted,
+                                                  c.reasons)
+                    continue
+                passed += 1
+                _assert_sound(sx, nvars, combos,
+                              [asserted[r] for r in active])
+    assert passed > 500 and conflicts > 200
+
+
 # solver ----------------------------------------------------------------------
 
 DECLS = {"x": ("const", "Int"), "y": ("const", "Int"),
@@ -239,6 +348,32 @@ def test_solver_rejects_nonlinear():
         _solve("(= r (* x x))")
     with pytest.raises(SmtError):
         _solve("(= r (/ 1 x))")
+
+
+def test_solver_model_is_pinned_by_the_pivot_order():
+    # many models satisfy these; Bland's rule over the tableau picks one,
+    # and counterexample traces are read from such models
+    decls = {v: ("const", "Real") for v in "rqs"}
+    s = Solver([term_of(parse_one(
+        "(and (>= (+ r q s) 5) (<= (- r q) 1) (>= (+ q (* 2 s)) 4) "
+        "(< (+ r (* 3 s)) 8) (>= r 0) (>= q 0) (>= s 0))"), decls)])
+    assert s.check() == "sat"
+    assert [s.model_value(("var", v, "Real")) for v in "rqs"] == \
+        [F(7, 3), F(4, 3), F(4, 3)]
+
+
+@pytest.mark.parametrize("shift", [F(1), F(1, 2)], ids=["real", "fraction"])
+def test_solver_rejects_a_model_that_fails_its_terms(monkeypatch, shift):
+    good = Simplex.model
+
+    def perturbed(self):
+        return [v + shift for v in good(self)]
+
+    monkeypatch.setattr(Simplex, "model", perturbed)
+    with pytest.raises(ModelCheckError):
+        Solver([_t("(= (+ x y) 10)"), _t("(= (- x y) 4)")]).check()
+    with pytest.raises(ModelCheckError):
+        Solver([_t("(< r 2.0)"), _t("(> r 1.5)")]).check()
 
 
 def test_solver_let_and_distinct():
@@ -508,6 +643,17 @@ def test_session_error_reply_ends_the_session(no_solver, command):
         with pytest.raises(SolverFailure):
             s.assert_text("(and p (not p))")
             s.check_sat()
+
+
+def test_session_bad_model_is_solver_failure(no_solver, monkeypatch):
+    monkeypatch.setattr(Simplex, "model",
+                        lambda self: [F(-1)] * self.n)
+    with SmtSession() as s:
+        s.declare_const("x", "Int")
+        s.assert_text("(> x 0)")
+        with pytest.raises(SolverFailure) as info:
+            s.check_sat()
+        assert isinstance(info.value.__cause__, ModelCheckError)
 
 
 def test_session_in_process_crash_is_solver_failure(no_solver,
