@@ -84,7 +84,11 @@ class GsnLink:
 class GsnGraph:
     """Element store plus links and designated root goals.  Construction
     only enforces id uniqueness; structural health is ``validate``'s
-    job, so defective graphs can be loaded and diagnosed."""
+    job, so defective graphs can be loaded and diagnosed.
+
+    Links are fixed at construction and indexed by source, so
+    ``out_links`` costs the out-degree of one element, not a scan of
+    every link; every walk over the argument goes through it."""
 
     def __init__(self, elements: Iterable[GsnElement] = (),
                  links: Iterable[GsnLink] = (),
@@ -96,6 +100,9 @@ class GsnGraph:
             self.elements[el.id] = el
         self.links: tuple[GsnLink, ...] = tuple(links)
         self.roots: tuple[str, ...] = tuple(roots)
+        self._out: dict[str, list[GsnLink]] = {}
+        for l in self.links:
+            self._out.setdefault(l.src, []).append(l)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -105,8 +112,9 @@ class GsnGraph:
 
     def out_links(self, eid: str,
                   kind: Optional[LinkKind] = None) -> list[GsnLink]:
-        return [l for l in self.links
-                if l.src == eid and (kind is None or l.kind is kind)]
+        """Links leaving eid, optionally of one kind, in link order."""
+        return [l for l in self._out.get(eid, ())
+                if kind is None or l.kind is kind]
 
     def solutions_of(self, goal_id: str) -> list[GsnElement]:
         out = []
@@ -470,12 +478,10 @@ class Defect:
     detail: str
 
 
-def validate(g: GsnGraph) -> list[Defect]:
-    """Structural health report: bad link kinds (including dangling
-    endpoints), SupportedBy cycles, undeveloped goals, and elements no
-    root can reach.  Defects are data, not exceptions."""
+def _link_kind_defects(g: GsnGraph) -> list[Defect]:
+    """Links whose endpoint kinds GSN forbids or that dangle, then roots
+    that name no element."""
     out: list[Defect] = []
-
     for l in g.links:
         name = f"{l.src}->{l.dst}"
         src = g.elements.get(l.src)
@@ -500,32 +506,44 @@ def validate(g: GsnGraph) -> list[Defect]:
         if r not in g.elements:
             out.append(Defect("link-kind", r,
                               "root references a missing element"))
+    return out
+
+
+def _support_children(g: GsnGraph, eid: str) -> list[str]:
+    return [l.dst for l in g.out_links(eid, LinkKind.SUPPORTED_BY)
+            if l.dst in g.elements]
+
+
+def validate(g: GsnGraph) -> list[Defect]:
+    """Structural health report: bad link kinds (including dangling
+    endpoints), SupportedBy cycles, undeveloped goals, and elements no
+    root can reach.  Defects are data, not exceptions."""
+    out = _link_kind_defects(g)
 
     # SupportedBy cycles via iterative three-color DFS
     color: dict[str, int] = {}
     for start in g.elements:
         if color.get(start):
             continue
-        stack: list[tuple[str, int]] = [(start, 0)]
+        color[start] = 1
+        # frames: [node, children, next child index]
+        stack = [[start, _support_children(g, start), 0]]
         while stack:
-            node, i = stack.pop()
-            if i == 0:
-                if color.get(node) == 2:
-                    continue
-                color[node] = 1
-            succ = [l.dst for l in g.out_links(node, LinkKind.SUPPORTED_BY)
-                    if l.dst in g.elements]
-            if i < len(succ):
-                stack.append((node, i + 1))
-                nxt = succ[i]
-                if color.get(nxt) == 1:
-                    out.append(Defect("cycle", nxt,
-                                      "SupportedBy cycle through this "
-                                      "element"))
-                elif not color.get(nxt):
-                    stack.append((nxt, 0))
-            else:
+            frame = stack[-1]
+            node, succ, i = frame
+            if i == len(succ):
                 color[node] = 2
+                stack.pop()
+                continue
+            frame[2] = i + 1
+            nxt = succ[i]
+            if color.get(nxt) == 1:
+                out.append(Defect("cycle", nxt,
+                                  "SupportedBy cycle through this "
+                                  "element"))
+            elif not color.get(nxt):
+                color[nxt] = 1
+                stack.append([nxt, _support_children(g, nxt), 0])
 
     for el in g.elements.values():
         if el.kind is Kind.GOAL:
@@ -633,30 +651,55 @@ def query(g: GsnGraph,
     return out
 
 
+def _support_depths(g: GsnGraph) -> Iterable[int]:
+    """Longest SupportedBy path (in edges) below each root that exists.
+
+    An explicit-stack DFS with a memo shared across roots.  A child
+    already on the current path counts 0 (the cycle guard; validate
+    reports the cycle), and a node's depth is memoized when its walk
+    ends, so on a cyclic graph the value depends on the path that
+    reached the node first, exactly as a recursive walk would give."""
+    memo: dict[str, int] = {}
+    for root in g.roots:
+        if root not in g.elements:
+            continue
+        if root not in memo:
+            on_path = {root}
+            # frames: [node, children, next child index, best so far]
+            stack = [[root, _support_children(g, root), 0, 0]]
+            while stack:
+                frame = stack[-1]
+                node, succ, i, best = frame
+                if i == len(succ):
+                    memo[node] = best
+                    on_path.remove(node)
+                    stack.pop()
+                    if stack:
+                        stack[-1][3] = max(stack[-1][3], 1 + best)
+                    continue
+                frame[2] = i + 1
+                nxt = succ[i]
+                if nxt in memo:
+                    frame[3] = max(best, 1 + memo[nxt])
+                elif nxt in on_path:
+                    frame[3] = max(best, 1)
+                else:
+                    on_path.add(nxt)
+                    stack.append([nxt, _support_children(g, nxt), 0, 0])
+        yield memo[root]
+
+
 def metrics(g: GsnGraph) -> dict:
     """Counts per kind, total, longest SupportedBy path from a root (in
     edges), undeveloped goal count, and the fraction of solutions that
-    are formal."""
+    are formal.  The depth walk is iterative, so a deep argument needs
+    no recursion, and it keeps the cycle guard: on a SupportedBy cycle
+    the path stops where it meets itself."""
     counts = {k.value: 0 for k in Kind}
     for el in g.elements.values():
         counts[el.kind.value] += 1
 
-    depth_memo: dict[str, int] = {}
-
-    def depth(eid: str, trail: frozenset) -> int:
-        if eid in depth_memo:
-            return depth_memo[eid]
-        if eid in trail:
-            return 0  # cycle guard; validate reports it
-        best = 0
-        for l in g.out_links(eid, LinkKind.SUPPORTED_BY):
-            if l.dst in g.elements:
-                best = max(best, 1 + depth(l.dst, trail | {eid}))
-        depth_memo[eid] = best
-        return best
-
-    max_depth = max((depth(r, frozenset()) for r in g.roots
-                     if r in g.elements), default=0)
+    max_depth = max(_support_depths(g), default=0)
     undeveloped = sum(
         1 for el in g.elements.values()
         if el.kind is Kind.GOAL
@@ -729,7 +772,7 @@ def _dot_escape(s: str) -> str:
 def export_dot(g: GsnGraph) -> str:
     """Graphviz rendering with the usual GSN shapes.  Refuses graphs
     whose links are structurally wrong; run validate first."""
-    bad = [d for d in validate(g) if d.kind == "link-kind"]
+    bad = _link_kind_defects(g)
     if bad:
         raise SafetyCaseError(
             f"cannot export: {len(bad)} link-kind defect(s), first is "

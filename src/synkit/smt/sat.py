@@ -301,7 +301,9 @@ class CDCL:
                 continue
             t_confl = self._theory_sync(theory)
             if t_confl is None:
-                full = all(a >= 0 for a in self.assign)
+                # only _enqueue assigns (and appends to the trail) and
+                # only _cancel_until unassigns (and truncates it)
+                full = len(self.trail) == len(self.assign)
                 t_confl = theory.check(final=full)
                 if t_confl == "unknown":
                     return "unknown"

@@ -338,6 +338,13 @@ def test_safety_case_synthetic_metrics(capsys):
     assert m["undeveloped"] == 0
 
 
+def test_safety_case_synthetic_5000_validates(capsys):
+    rc, out, _ = run(capsys, "safety-case", "validate", "--synthetic",
+                     "5000", "--json")
+    assert rc == 0
+    assert json.loads(out) == {"defects": [], "ok": True}
+
+
 def test_safety_case_custom_pattern(capsys, req_files, tmp_path):
     rp, vp = req_files
     pattern = {

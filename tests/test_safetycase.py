@@ -430,6 +430,135 @@ def test_dot_export_refuses_defective_links():
         export_dot(g)
 
 
+# --- the link index against a full scan -----------------------------------------
+
+class _ScanGraph(GsnGraph):
+    """Reference graph: out_links scans every link, as before the index."""
+
+    def out_links(self, eid, kind=None):
+        return [l for l in self.links
+                if l.src == eid and (kind is None or l.kind is kind)]
+
+
+def _recursive_max_depth(g):
+    """The recursive depth walk that metrics used to run, kept as the
+    reference for its cycle semantics."""
+    memo = {}
+
+    def depth(eid, trail):
+        if eid in memo:
+            return memo[eid]
+        if eid in trail:
+            return 0
+        best = 0
+        for l in g.out_links(eid, LinkKind.SUPPORTED_BY):
+            if l.dst in g.elements:
+                best = max(best, 1 + depth(l.dst, trail | {eid}))
+        memo[eid] = best
+        return best
+
+    return max((depth(r, frozenset()) for r in g.roots
+                if r in g.elements), default=0)
+
+
+def _rescan_cycle_defects(g):
+    """The cycle pass that validate used to run, which rebuilds a node's
+    children each time its frame is popped; the reference for the order
+    of cycle defects."""
+    out = []
+    color = {}
+    for start in g.elements:
+        if color.get(start):
+            continue
+        stack = [(start, 0)]
+        while stack:
+            node, i = stack.pop()
+            if i == 0:
+                if color.get(node) == 2:
+                    continue
+                color[node] = 1
+            succ = [l.dst for l in g.out_links(node, LinkKind.SUPPORTED_BY)
+                    if l.dst in g.elements]
+            if i < len(succ):
+                stack.append((node, i + 1))
+                nxt = succ[i]
+                if color.get(nxt) == 1:
+                    out.append(nxt)
+                elif not color.get(nxt):
+                    stack.append((nxt, 0))
+            else:
+                color[node] = 2
+    return out
+
+
+_IDS = ("a", "b", "c", "d", "e", "f")
+_GHOSTS = ("x", "y")  # ids that name no element
+
+
+@st.composite
+def small_graphs(draw):
+    """Small graphs of any shape: both link kinds, duplicate links,
+    self-loops, cycles, dangling endpoints and missing roots."""
+    present = draw(st.lists(st.sampled_from(_IDS), unique=True,
+                            min_size=2, max_size=6))
+    elements = [GsnElement(i, draw(st.sampled_from(list(Kind))),
+                           f"element {i}",
+                           {"formalized": draw(st.booleans())})
+                for i in present]
+    # endpoints among the present ids make cycles common
+    ends = st.sampled_from(tuple(present) + _GHOSTS)
+    links = draw(st.lists(st.builds(GsnLink, st.sampled_from(list(LinkKind)),
+                                    ends, ends), min_size=3, max_size=20))
+    roots = draw(st.lists(ends, max_size=3))
+    return elements, links, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_link_index_matches_a_full_scan(graph):
+    elements, links, roots = graph
+    g = GsnGraph(elements, links, roots)
+    ref = _ScanGraph(elements, links, roots)
+    for eid in _IDS + _GHOSTS:
+        for kind in (None, *LinkKind):
+            assert g.out_links(eid, kind) == ref.out_links(eid, kind)
+        assert g.support_closure(eid) == ref.support_closure(eid)
+        assert query(g, related_to=eid) == query(ref, related_to=eid)
+    assert query(g, related_to="") == query(ref, related_to="")
+    assert validate(g) == validate(ref)
+    assert [d.subject for d in validate(g) if d.kind == "cycle"] \
+        == _rescan_cycle_defects(ref)
+    assert metrics(g) == metrics(ref)
+    assert metrics(g)["max_depth"] == _recursive_max_depth(ref)
+    for goal in g.by_kind(Kind.GOAL):
+        assert check_leaf_support(g, goal.id) \
+            == check_leaf_support(ref, goal.id)
+    # export_dot refuses exactly the graphs whose validate report has a
+    # link-kind defect, and names the first one
+    bad = [d for d in validate(ref) if d.kind == "link-kind"]
+    if bad:
+        with pytest.raises(SafetyCaseError) as exc:
+            export_dot(g)
+        assert str(exc.value) == (
+            f"cannot export: {len(bad)} link-kind defect(s), first is "
+            f"{bad[0].subject}: {bad[0].detail}")
+    else:
+        assert export_dot(g).count(" -> ") == len(links)
+
+
+def test_deep_support_chain_needs_no_recursion():
+    n = 1200
+    goals = [GsnElement(f"g{i}", Kind.GOAL, f"step {i}") for i in range(n)]
+    sol = GsnElement("sn", Kind.SOLUTION, "proved", {"formalized": True})
+    links = [GsnLink(LinkKind.SUPPORTED_BY, f"g{i}", f"g{i + 1}")
+             for i in range(n - 1)]
+    links.append(GsnLink(LinkKind.SUPPORTED_BY, f"g{n - 1}", "sn"))
+    g = GsnGraph(goals + [sol], links, ["g0"])
+    assert metrics(g)["max_depth"] == n
+    assert validate(g) == []
+    assert check_leaf_support(g, "g0").formal == (f"g{n - 1}",)
+
+
 # --- synthetic scale and the count law -----------------------------------------
 
 def test_synthetic_tree_hits_the_closed_form():
@@ -449,6 +578,20 @@ def test_synthetic_tree_hits_the_closed_form():
     assert len(g) / len(DEFAULT_PATTERN.nodes) >= 100
     assert g.elements["strategy:REQ-000"].metadata["label"] \
         == LABEL_FORMAL_COMP
+
+
+def test_synthetic_case_at_5000_requirements():
+    root, results = synthetic_requirements(5000)
+    g = instantiate_pattern(DEFAULT_PATTERN, root, results)
+    leaves = sum(1 for r in root.walk() if not r.children)
+    assert leaves == 3750
+    assert len(g) == count_law(DEFAULT_PATTERN, root, results) \
+        == 3 * 5000 + leaves == 18750
+    assert validate(g) == []
+    m = metrics(g)
+    assert m["max_depth"] == 13
+    assert m["undeveloped"] == 0
+    assert export_dot(g).count(" -> ") == len(g.links)
 
 
 def shape_strategy(depth=0):
