@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from ..compose import Contract, contract_from_text
@@ -231,9 +232,12 @@ def _parse_value(text: str, ty: Type):
 
 def _compile_driver(driver: dict, types: dict[str, Type]):
     """Pre-parse driver pools so the hot loop only draws and indexes.
-    Returns (samplers, copies); sampler pools keep the same length and
-    rng call pattern as direct sampling, so seeds stay compatible."""
-    samplers: list[tuple[str, list]] = []
+    Returns (samplers, copies).  A sampler is (name, pool, scale): a real
+    pool holds the ints value*scale, scale being the lcm of the values'
+    denominators; any other pool holds the values, with scale None.
+    Pools keep the same length and rng call pattern as direct sampling,
+    so seeds stay compatible."""
+    samplers: list[tuple[str, list, Optional[int]]] = []
     copies: list[tuple[str, str]] = []
     for name, spec in driver.items():
         if "copy" in spec:
@@ -242,20 +246,28 @@ def _compile_driver(driver: dict, types: dict[str, Type]):
         ty = types[name]
         if "choice" in spec:
             pool = [_parse_value(t, ty) for t in spec["choice"]]
+            scale = None
+            if ty is Type.REAL:
+                scale = lcm(*(v.denominator for v in pool))
+                pool = [v.numerator * (scale // v.denominator) for v in pool]
         elif "uniform" in spec:
+            if ty is not Type.REAL:
+                raise BenchmarkError(f"{name}: uniform pools are real")
             lo, hi, den = spec["uniform"]
             lo_n = Fraction(lo) * den
             hi_n = Fraction(hi) * den
             if lo_n.denominator != 1 or hi_n.denominator != 1:
                 raise BenchmarkError(
                     f"{name}: uniform bounds do not land on the 1/{den} grid")
-            pool = [Fraction(i, den)
-                    for i in range(int(lo_n), int(hi_n) + 1)]
+            pool = list(range(int(lo_n), int(hi_n) + 1))
+            g = gcd(den, *pool)
+            pool = [i // g for i in pool]
+            scale = den // g
         else:
             raise BenchmarkError(f"{name}: unknown driver form {spec}")
-        samplers.append((name, pool))
+        samplers.append((name, pool, scale))
     for name, src in copies:
-        if not any(n == src for n, _ in samplers):
+        if not any(n == src for n, _, _ in samplers):
             raise BenchmarkError(f"{name}: copy source {src!r} not sampled")
     return samplers, copies
 
@@ -265,7 +277,10 @@ def sample_step(driver: dict, types: dict[str, Type],
     """One instant of driver inputs.  Copies resolve against the signals
     sampled in the same instant."""
     samplers, copies = _compile_driver(driver, types)
-    row = {name: rng.choice(pool) for name, pool in samplers}
+    row = {}
+    for name, pool, scale in samplers:
+        v = rng.choice(pool)
+        row[name] = v if scale is None else Fraction(v, scale)
     for name, src in copies:
         row[name] = row[src]
     return row
@@ -285,30 +300,43 @@ class DriverRun:
 def driver_harness(tp: TypedProgram, spec: PropertySpec,
                    externs: Optional[dict] = None):
     """Compile the observer and driver pools once; the returned callable
-    runs (steps, seed) campaigns against the same compiled system."""
+    runs (steps, seed) campaigns against the same compiled system.  Each
+    real input is compiled at its pool's scale and drawn from the pool
+    of ints, so the observer steps on plain ints wherever the rest of its
+    arithmetic allows."""
     if spec.driver is None:
         raise BenchmarkError(f"{spec.id}: not a modeled property")
     ts = tsys.compile(tp, spec.observer_node)
-    cs = compile_system(ts, externs)
     samplers, copies = _compile_driver(spec.driver, dict(ts.input_vars))
+    scales = {name: scale for name, _, scale in samplers
+              if scale is not None}
+    scales.update((name, scales[src]) for name, src in copies
+                  if src in scales)
+    cs = compile_system(ts, externs, input_scales=scales)
+    at = {name: i for i, name in enumerate(cs.input_names)}
+    draws = [(at[name], pool) for name, pool, _ in samplers]
+    links = [(at[name], at[src]) for name, src in copies]
 
     def run(steps: int, seed: int) -> DriverRun:
-        rng = random.Random(seed)
+        choice = random.Random(seed).choice
+        step = cs.step
+        buf = [None] * len(cs.input_names)
         state = cs.default_state
         violations: list[tuple[int, str]] = []
         for t in range(steps):
-            row = {name: rng.choice(pool) for name, pool in samplers}
-            for name, src in copies:
-                row[name] = row[src]
-            inp = tuple(row[n] for n in cs.input_names)
-            state, asm_ok, props, _ = cs.step(state, inp)
+            for i, pool in draws:
+                buf[i] = choice(pool)
+            for i, j in links:
+                buf[i] = buf[j]
+            state, asm_ok, props, _ = step(state, tuple(buf))
             if not asm_ok:
                 raise BenchmarkError(
                     f"{spec.id}: driver violated an environment assert at "
                     f"step {t}")
-            for pid, val in zip(cs.prop_ids, props):
-                if val is False:
-                    violations.append((t, pid))
+            if not all(props):
+                violations.extend((t, pid)
+                                  for pid, val in zip(cs.prop_ids, props)
+                                  if val is False)
         return DriverRun(list(cs.prop_ids), steps, violations)
 
     return run

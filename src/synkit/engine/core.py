@@ -333,36 +333,48 @@ def _oracle_trace(cs: CompiledSystem, parent: dict, state: tuple,
 
 # simulation and template invariants -------------------------------------------
 
+# Real inputs of simulate_system are n/d with d one of these, so every
+# one is a whole number of hundredths
+_SIM_DENOMINATORS = (1, 2, 4, 100)
+_SIM_SCALE = 100
+
+
 def simulate_system(ts: TransitionSystem, steps: int, seed: int,
                     externs: Optional[dict[str, Callable]] = None,
                     retries: int = 40) -> list[dict[str, Value]]:
     """Random run of the compiled system from the default initial state.
     Inputs are resampled a bounded number of times to satisfy the
     assumptions; rows map every system variable to its value."""
-    cs = compile_system(ts, externs)
-    rng = random.Random(seed)
     types = ts.var_types()
+    reals = {n: _SIM_SCALE for n, ty in ts.input_vars if ty is Type.REAL}
+    cs = compile_system(ts, externs, input_scales=reals)
+    rng = random.Random(seed)
 
-    def sample(name: str) -> Value:
+    def sample(name: str) -> tuple[Value, Value]:
+        """A public input value and its compiled form."""
         ty = types[name]
         if ty is Type.BOOL:
-            return rng.random() < 0.5
+            v = rng.random() < 0.5
+            return v, v
         if ty is Type.INT:
-            return rng.randint(-8, 8)
-        return Fraction(rng.randint(-800, 800), rng.choice((1, 2, 4, 100)))
+            v = rng.randint(-8, 8)
+            return v, v
+        n, d = rng.randint(-800, 800), rng.choice(_SIM_DENOMINATORS)
+        return Fraction(n, d), n * (_SIM_SCALE // d)
 
     rows: list[dict[str, Value]] = []
     state = cs.default_state
     for _ in range(steps):
         for _ in range(retries):
-            inp = tuple(sample(n) for n in cs.input_names)
-            s2, asm, _, defs = cs.step(state, inp)
+            drawn = [sample(n) for n in cs.input_names]
+            s2, asm, _, defs = cs.step(state, tuple(c for _, c in drawn))
             if asm:
                 break
+        public_state, public_defs = cs.decode(state, defs)
         row: dict[str, Value] = {}
-        row.update(zip(cs.state_names, state))
-        row.update(zip(cs.input_names, inp))
-        row.update(zip(cs.defined_names, defs))
+        row.update(zip(cs.state_names, public_state))
+        row.update(zip(cs.input_names, (v for v, _ in drawn)))
+        row.update(zip(cs.defined_names, public_defs))
         rows.append(row)
         state = s2
     return rows
@@ -560,14 +572,19 @@ def make_replayer(tp, node: str, prop_id: str,
                   externs: Optional[dict] = None) -> Replayer:
     """Concrete-semantics validation of counterexample traces via the
     interpreter: true when the property is really false at the step and
-    no assumption failed up to it."""
-    from ..interp import simulate
+    no assumption failed up to it. A trace the interpreter rejects
+    (InterpError) does not replay; any other exception, from the
+    interpreter or an extern, is an InternalError."""
+    from ..interp import InterpError, simulate
 
     def replay(trace: Trace, step: int) -> bool:
         try:
             sim = simulate(tp, node, trace, trace.length, externs=externs)
-        except Exception:
+        except InterpError:
             return False
+        except Exception as exc:
+            raise InternalError(
+                f"replaying {prop_id} of {node} raised {exc!r}") from exc
         if step >= sim.length:
             return False
         ok = sim.assertion_ok or [True] * sim.length

@@ -124,11 +124,12 @@ class GsnGraph:
                 out.append(el)
         return out
 
-    def support_closure(self, start: str) -> list[str]:
-        """Ids reachable from start along SupportedBy edges, start
-        included, in BFS order."""
-        seen = [start]
-        seen_set = {start}
+    def support_closure(self, *starts: str) -> list[str]:
+        """Ids reachable from the starts along SupportedBy edges, starts
+        included, in BFS order: one walk with one seen set, so each id
+        is visited once however many starts reach it."""
+        seen = list(dict.fromkeys(starts))
+        seen_set = set(seen)
         i = 0
         while i < len(seen):
             for l in self.out_links(seen[i], LinkKind.SUPPORTED_BY):
@@ -634,10 +635,9 @@ def query(g: GsnGraph,
     substring."""
     pool: Iterable[GsnElement] = g.elements.values()
     if related_to is not None:
-        anchor: set[str] = set()
-        for el in g.elements.values():
-            if el.kind is Kind.GOAL and related_to in el.text:
-                anchor.update(g.support_closure(el.id))
+        anchor = set(g.support_closure(
+            *(el.id for el in g.elements.values()
+              if el.kind is Kind.GOAL and related_to in el.text)))
         pool = [g.elements[i] for i in g.elements if i in anchor]
     out = []
     for el in pool:

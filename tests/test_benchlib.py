@@ -331,6 +331,7 @@ def test_autopilot_matches_boolean_twin_exhaustively(bench):
             row["ElevStick"] = F(0)
             inp = tuple(row[n] for n in cs.input_names)
             state, _, _, defs = cs.step(state, inp)
+            _, defs = cs.decode(state, defs)
             got.append((defs[i_alt], defs[i_fpa]))
         assert got == _twin(word), word
         raw_seen = raw_seen or any(

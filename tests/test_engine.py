@@ -255,6 +255,28 @@ def test_nonlinear_spurious_flagged():
     assert r.reason is UnknownReason.NONLINEAR_SPURIOUS
 
 
+def test_replay_crash_is_an_internal_error():
+    # an extern that raises is a bug in the run, not a spurious trace
+    src = """
+extern lift(x: real) returns (y: real);
+node Lifted(a: real) returns (ok: bool);
+let
+  ok = lift(a) >= 0.0;
+  --!PROPERTY: ok = true;
+tel
+"""
+    tp, ts = _ts(src, "Lifted")
+
+    def lift(x):
+        raise TypeError("lift is broken")
+
+    rep = make_replayer(tp, "Lifted", "ok", externs={"lift": lift})
+    with pytest.raises(InternalError, match="lift is broken"):
+        kinduction(ts, "ok", CFG, replay=rep)
+    with pytest.raises(InternalError):
+        rep(Trace({"a": [F(1)]}), 0)
+
+
 def test_nonlinear_without_replayer_surfaces_trace():
     _, ts = _ts(NONLIN, "Square")
     r = bmc(ts, "ok", 3, CFG)
@@ -481,7 +503,7 @@ def test_compiled_system_bisimulates_interpreter():
     state = cs.default_state
     for t in range(60):
         s2, asm, props, defs = cs.step(state, (resets[t],))
-        byname = dict(zip(cs.defined_names, defs))
+        byname = dict(zip(cs.defined_names, cs.decode(s2, defs)[1]))
         assert byname["c"] == sim.signals["c"][t]
         assert byname["ok"] == sim.signals["ok"][t]
         assert asm is True
@@ -498,7 +520,27 @@ tel
     _, ts = _ts(src, "Mean")
     cs = compile_system(ts)
     s2, _, _, defs = cs.step(cs.default_state, (F(1, 3),))
-    assert dict(zip(cs.defined_names, defs))["m"] == F(1, 6)
+    m = dict(zip(cs.defined_names, cs.decode(s2, defs)[1]))["m"]
+    assert m == F(1, 6) and isinstance(m, F)
+
+
+def test_compiled_definitions_run_in_causal_order():
+    # equations are free to come in any order; the step function
+    # computes each definition after the ones it reads
+    src = """
+node Late(x: real) returns (y: real);
+var z: real;
+let
+  y = z + 1.0;
+  z = x * 2.0;
+tel
+"""
+    tp, ts = _ts(src, "Late")
+    cs = compile_system(ts)
+    s2, _, _, defs = cs.step(cs.default_state, (F(1, 3),))
+    got = dict(zip(cs.defined_names, cs.decode(s2, defs)[1]))
+    want = simulate(tp, "Late", Trace({"x": [F(1, 3)]}), 1).signals
+    assert got["y"] == want["y"][0] == F(5, 3)
 
 
 def test_compile_system_needs_extern_semantics():
@@ -513,8 +555,8 @@ tel
     with pytest.raises(LangError):
         compile_system(ts)
     cs = compile_system(ts, {"mystery": lambda v: v * 2})
-    _, _, _, defs = cs.step(cs.default_state, (21,))
-    assert defs[cs.defined_names.index("b")] == 42
+    s2, _, _, defs = cs.step(cs.default_state, (21,))
+    assert cs.decode(s2, defs)[1][cs.defined_names.index("b")] == 42
 
 
 def test_eval_formula_matches_python():

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -557,6 +559,35 @@ def test_deep_support_chain_needs_no_recursion():
     assert metrics(g)["max_depth"] == n
     assert validate(g) == []
     assert check_leaf_support(g, "g0").formal == (f"g{n - 1}",)
+
+
+def test_related_to_query_is_linear_on_a_long_chain():
+    # every goal of the chain matches and each one's closure holds the
+    # rest of the chain, so a union of per-goal closures is quadratic
+    n = 2000
+    elements = [GsnElement(f"g{i}", Kind.GOAL, f"hold {i}") for i in range(n)]
+    elements += [GsnElement(f"sn{i}", Kind.SOLUTION, f"proof {i}")
+                 for i in range(n)]
+    elements += [GsnElement("x", Kind.GOAL, "other"),
+                 GsnElement("snx", Kind.SOLUTION, "proof x")]
+    random.Random(4).shuffle(elements)
+    sb = LinkKind.SUPPORTED_BY
+    links = [GsnLink(sb, f"g{i}", f"g{i + 1}") for i in range(n - 1)]
+    links += [GsnLink(sb, f"g{i}", f"sn{i}") for i in range(n)]
+    links += [GsnLink(sb, "x", "snx"), GsnLink(sb, "x", "g0")]
+    g = GsnGraph(elements, links, ["x"])
+    # the union of the matching goals' closures; a goal already in it
+    # adds nothing, since its closure lies in the one that reached it
+    want: set[str] = set()
+    for el in g.elements.values():
+        if el.kind is Kind.GOAL and "hold" in el.text and el.id not in want:
+            want.update(g.support_closure(el.id))
+    t0 = perf_counter()
+    got = query(g, related_to="hold")
+    took = perf_counter() - t0
+    assert [el.id for el in got] == [i for i in g.elements if i in want]
+    assert len(got) == 2 * n
+    assert took < 1.0, took
 
 
 # --- synthetic scale and the count law -----------------------------------------
