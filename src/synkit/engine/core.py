@@ -58,6 +58,11 @@ class InternalError(Exception):
     the engine turns it into a result."""
 
 
+class _HoudiniGaveUp(Exception):
+    """Houdini ran out of time or the solver answered unknown: no
+    invariants, not a bug."""
+
+
 class UnknownReason(Enum):
     KMAX_REACHED = "KMaxReached"
     TIMEOUT = "Timeout"
@@ -461,9 +466,9 @@ def generate_invariants(ts: TransitionSystem,
                         cfg: EngineConfig,
                         deadline: Optional[_Deadline] = None) -> list[Expr]:
     """Template candidates that survive the simulation rows, then a
-    joint 2-induction proof with iterative removal. Solver trouble
-    degrades to no invariants; a model that violates no candidate is an
-    InternalError."""
+    joint 2-induction proof with iterative removal. The deadline, an
+    unknown answer and solver failure degrade to no invariants; a model
+    that violates no candidate is an InternalError."""
     if not sim_rows:
         raise ValueError("need at least one simulation row")
     alive = _mine_candidates(ts, sim_rows)
@@ -474,7 +479,7 @@ def generate_invariants(ts: TransitionSystem,
     un = Unroller(ts)
     try:
         alive = _houdini(un, alive, cfg, deadline)
-    except (SolverFailure, ValueError):
+    except (SolverFailure, _HoudiniGaveUp):
         return []
     for c in alive:
         c.status = "proved"
@@ -499,7 +504,7 @@ def _houdini(un: Unroller, alive: list[InvariantCandidate],
 
     def drop_violated(env, t: int) -> None:
         if not isinstance(env, dict):
-            raise ValueError("solver unknown")
+            raise _HoudiniGaveUp("solver unknown")
         dropped = [c for c in alive if not eval_formula(c.expr, env)]
         if not dropped:
             raise InternalError(
@@ -514,7 +519,7 @@ def _houdini(un: Unroller, alive: list[InvariantCandidate],
         for d in range(k):
             while alive:
                 if deadline.expired:
-                    raise ValueError("deadline")
+                    raise _HoudiniGaveUp("deadline")
                 env = base.query(d, [violation(d)],
                                  lambda s: _model_env(un, s, d))
                 if env == "unsat":
@@ -522,7 +527,7 @@ def _houdini(un: Unroller, alive: list[InvariantCandidate],
                 drop_violated(env, d)
         while alive:
             if deadline.expired:
-                raise ValueError("deadline")
+                raise _HoudiniGaveUp("deadline")
             held = [un.formula(c.expr, t) for t in range(k) for c in alive]
             env = step.query(k, held + [violation(k)],
                              lambda s: _model_env(un, s, k))
@@ -540,10 +545,7 @@ def _mine_invariants_for(ts: TransitionSystem, cfg: EngineConfig,
             rows.extend(simulate_system(ts, steps=60, seed=seed))
     except (LangError, ZeroDivisionError):
         return []  # no concrete semantics for some extern; skip mining
-    try:
-        return generate_invariants(ts, rows, cfg, deadline)
-    except ValueError:
-        return []
+    return generate_invariants(ts, rows, cfg, deadline)
 
 
 # batch driver ------------------------------------------------------------------
@@ -553,18 +555,26 @@ def verify_all(tasks: Sequence[tuple[TransitionSystem, str]],
                replays: Optional[dict[str, Replayer]] = None
                ) -> dict[str, VerifyResult]:
     """kinduction over each (system, property) task, one after another;
-    results keyed by property id in task order."""
+    results keyed by property id in task order. A language error or a
+    solver failure is an Unknown result; a KeyError or ValueError from
+    kinduction is an InternalError."""
     ids = [prop for _, prop in tasks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate property ids in task list")
+    if cfg.oracle_mode:  # a system the search cannot take is a usage error
+        for ts, _ in tasks:
+            _oracle_system(ts)
     replays = replays or {}
     results: dict[str, VerifyResult] = {}
     for ts, prop in tasks:
         try:
             results[prop] = kinduction(ts, prop, cfg,
                                        replay=replays.get(prop))
-        except (LangError, KeyError, ValueError, SolverFailure) as e:
+        except (LangError, SolverFailure) as e:
             results[prop] = Unknown(UnknownReason.SOLVER_ERROR, str(e))
+        except (KeyError, ValueError) as e:
+            raise InternalError(
+                f"verifying {prop} raised {e!r}") from e
     return results
 
 

@@ -219,6 +219,11 @@ class _Eval:
                     env[t] = outs[o.name]
             else:
                 env[eq.targets[0]] = self._eval(eq.rhs, ctx)
+        # every instance steps at every instant, as in tsys.compile, also
+        # one under an `if` branch that was not taken
+        for call in info.calls:
+            if not call.is_extern and call.site not in call_cache:
+                self._eval_call(call, ctx)
 
         assertion_ok = True
         for a in info.decl.assertions:

@@ -8,27 +8,39 @@ pivoting, and conflict explanations read off the infeasible row. Strict
 inequalities are encoded as bounds with an infinitesimal component
 (value a + d*delta).
 
+Every value the simplex computes on is one integer triple (a, d, q),
+read as (a + d*delta)/q, with q > 0 and gcd(a, d, q) == 1, so equal
+values are equal tuples. The assignment beta holds triples, and so do
+the bounds. Two functions on tuples do the arithmetic: `_lt` compares by
+cross-multiplying, and `_addmul` computes x + y*n/m and brings it to
+lowest terms with one 3-argument gcd. `Delta` is the public value type:
+callers build bounds as Deltas, each computes its triple once, when it
+is made, and `value(v)` reads beta back as a Delta. Asserting a bound,
+checking and pivoting make no Fraction and no Delta; `model()` makes the
+Fractions it returns.
+
 Each row holds integer numerators over one positive row denominator, in
-lowest terms, so a pivot substitutes by integer cross-multiplication; a
-coefficient becomes a Fraction only where the assignment beta moves.
-Beta and the bounds stay exact Deltas. `check()` visits only the basic
-variables in `violated`, which holds every basic variable whose bounds
-may fail on beta. A basic variable enters it when its bound tightens,
-when a variable its row reads moves, or when it is pivoted into the
-basis; `check()` drops those it finds in bounds. The leaving variable
-is the smallest violated basic and the entering one the smallest
-eligible column (Bland's rule), the same choice a scan of every row
-makes.
+lowest terms, so a pivot substitutes by integer cross-multiplication.
+`check()` visits only the basic variables in `violated`, which holds
+every basic variable whose bounds may fail on beta. A basic variable
+enters it when its bound tightens, when a variable its row reads moves,
+or when it is pivoted into the basis; `check()` drops those it finds in
+bounds. The leaving variable is the smallest violated basic and the
+entering one the smallest eligible column (Bland's rule), the same
+choice a scan of every row makes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
 ZERO = Fraction(0)
+
+Triple = tuple[int, int, int]  # (a + d*delta)/q in lowest terms, q > 0
+_ZERO: Triple = (0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -37,6 +49,16 @@ class Delta:
 
     a: Fraction
     d: Fraction = ZERO
+    triple: Triple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # over q = lcm of the two denominators the triple is in lowest
+        # terms: a prime power dividing q divides one denominator fully,
+        # so it leaves that side's numerator
+        qa, qd = self.a.denominator, self.d.denominator
+        q = lcm(qa, qd)
+        object.__setattr__(self, "triple", (self.a.numerator * (q // qa),
+                                            self.d.numerator * (q // qd), q))
 
     def __le__(self, other):
         return (self.a, self.d) <= (other.a, other.d)
@@ -44,26 +66,28 @@ class Delta:
     def __lt__(self, other):
         return (self.a, self.d) < (other.a, other.d)
 
-    def __add__(self, other):
-        return Delta(self.a + other.a, self.d + other.d)
 
-    def __sub__(self, other):
-        return Delta(self.a - other.a, self.d - other.d)
-
-    def scale(self, k: Fraction) -> "Delta":
-        return Delta(self.a * k, self.d * k)
-
-    def value(self, delta: Fraction) -> Fraction:
-        return self.a + self.d * delta
+def _lt(x: Triple, y: Triple) -> bool:
+    xa, xd, xq = x
+    ya, yd, yq = y
+    if xq != yq:
+        xa, xd, ya, yd = xa * yq, xd * yq, ya * xq, yd * xq
+    return xa < ya or (xa == ya and xd < yd)
 
 
-D0 = Delta(ZERO)
-
-
-@dataclass
-class _Bound:
-    val: Delta
-    reason: Optional[int]  # asserting SAT literal; None = solver-internal
+def _addmul(x: Triple, y: Triple, n: int, m: int) -> Triple:
+    """x + y*n/m in lowest terms, for m > 0."""
+    xa, xd, xq = x
+    ya, yd, yq = y
+    yq *= m
+    if xq == yq:
+        a, d, q = xa + ya * n, xd + yd * n, xq
+    else:
+        a, d, q = xa * yq + ya * n * xq, xd * yq + yd * n * xq, xq * yq
+    g = gcd(a, d, q)
+    if g != 1:
+        return a // g, d // g, q // g
+    return a, d, q
 
 
 class Conflict(Exception):
@@ -72,12 +96,17 @@ class Conflict(Exception):
         super().__init__("theory conflict")
 
 
+# a bound in force: its value and the asserting SAT literal (None for a
+# solver-internal bound)
+_Bound = tuple[Triple, Optional[int]]
+
+
 class Simplex:
     def __init__(self):
         self.n = 0
         self.lower: list[Optional[_Bound]] = []
         self.upper: list[Optional[_Bound]] = []
-        self.beta: list[Delta] = []
+        self.beta: list[Triple] = []
         # basic -> (integer numerators by variable, positive denominator)
         self.rows: dict[int, tuple[dict[int, int], int]] = {}
         self.cols: dict[int, set[int]] = {}  # var -> basics whose row uses it
@@ -89,7 +118,7 @@ class Simplex:
         self.n += 1
         self.lower.append(None)
         self.upper.append(None)
-        self.beta.append(D0)
+        self.beta.append(_ZERO)
         self.cols[v] = set()
         return v
 
@@ -102,20 +131,19 @@ class Simplex:
         den = lcm(*(c.denominator for c in row.values()))
         nums = {j: c.numerator * (den // c.denominator)
                 for j, c in row.items()}
-        self.rows[s] = _normalized(nums, den)
-        for j in nums:
+        nums, den = _normalized(nums, den)
+        self.rows[s] = (nums, den)
+        val = _ZERO
+        for j, c in nums.items():
             self.cols[j].add(s)
-        self.beta[s] = self._row_value(row)
+            val = _addmul(val, self.beta[j], c, den)
+        self.beta[s] = val
         return s
 
-    def _row_value(self, row: dict[int, Fraction]) -> Delta:
-        a = ZERO
-        d = ZERO
-        for j, c in row.items():
-            b = self.beta[j]
-            a += c * b.a
-            d += c * b.d
-        return Delta(a, d)
+    def value(self, v: int) -> Delta:
+        """beta of v."""
+        a, d, q = self.beta[v]
+        return Delta(Fraction(a, q), Fraction(d, q))
 
     # bound assertion ----------------------------------------------------
 
@@ -134,49 +162,51 @@ class Simplex:
     def assert_bound(self, v: int, is_lower: bool, val: Delta,
                      reason: Optional[int]) -> None:
         """Tighten a bound; raises Conflict if it crosses the other side."""
+        t = val.triple
         if is_lower:
             cur = self.lower[v]
-            if cur is not None and val <= cur.val:
+            if cur is not None and not _lt(cur[0], t):
                 return
             up = self.upper[v]
-            if up is not None and up.val < val:
-                raise Conflict([up.reason, reason])
+            if up is not None and _lt(up[0], t):
+                raise Conflict([up[1], reason])
             self.trail.append((v, True, cur))
-            self.lower[v] = _Bound(val, reason)
+            self.lower[v] = (t, reason)
             if v in self.rows:
                 self.violated.add(v)
-            elif self.beta[v] < val:
-                self._update(v, val)
+            elif _lt(self.beta[v], t):
+                self._update(v, t)
         else:
             cur = self.upper[v]
-            if cur is not None and cur.val <= val:
+            if cur is not None and not _lt(t, cur[0]):
                 return
             lo = self.lower[v]
-            if lo is not None and val < lo.val:
-                raise Conflict([lo.reason, reason])
+            if lo is not None and _lt(t, lo[0]):
+                raise Conflict([lo[1], reason])
             self.trail.append((v, False, cur))
-            self.upper[v] = _Bound(val, reason)
+            self.upper[v] = (t, reason)
             if v in self.rows:
                 self.violated.add(v)
-            elif val < self.beta[v]:
-                self._update(v, val)
+            elif _lt(t, self.beta[v]):
+                self._update(v, t)
 
-    def _update(self, x: int, v: Delta) -> None:
-        diff = v - self.beta[x]
+    def _update(self, x: int, v: Triple) -> None:
+        beta = self.beta
+        diff = _addmul(v, beta[x], -1, 1)
         for b in self.cols[x]:
             nums, den = self.rows[b]
-            self.beta[b] = self.beta[b] + diff.scale(Fraction(nums[x], den))
-        self.beta[x] = v
+            beta[b] = _addmul(beta[b], diff, nums[x], den)
+        beta[x] = v
         self.violated |= self.cols[x]
 
     # pivoting -------------------------------------------------------------
 
     def _pivot(self, b: int, j: int) -> None:
-        row, den = self.rows.pop(b)
+        rows, cols = self.rows, self.cols
+        row, den = rows.pop(b)
         a_bj = row.pop(j)
         for k in row:
-            self.cols[k].discard(b)
-        self.cols[j].discard(b)
+            cols[k].discard(b)
         # x_j = (den*x_b - sum_k row[k]*x_k) / a_bj, over |a_bj|; it is in
         # lowest terms because row b was
         sign = 1 if a_bj > 0 else -1
@@ -185,42 +215,47 @@ class Simplex:
             new_row[k] = -sign * c
         new_den = abs(a_bj)
         # substitute x_j in every other row, over the common denominator
-        # iden * new_den / gcd(a_ij, new_den)
-        for i in list(self.cols[j]):
-            irow, iden = self.rows[i]
+        # iden * new_den / gcd(a_ij, new_den); no row reads x_j afterwards
+        col_j = cols[j]
+        col_j.discard(b)
+        for i in col_j:
+            irow, iden = rows[i]
             a_ij = irow.pop(j)
-            self.cols[j].discard(i)
             g = gcd(a_ij, new_den)
             scale = new_den // g
             a_ij //= g
             if scale != 1:
-                for k in irow:
-                    irow[k] *= scale
+                irow = {k: c * scale for k, c in irow.items()}
             for k, c in new_row.items():
-                nc = irow.get(k, 0) + a_ij * c
-                if nc == 0:
-                    if k in irow:
-                        del irow[k]
-                        self.cols[k].discard(i)
+                old = irow.get(k)
+                if old is None:  # a_ij * c is not 0
+                    irow[k] = a_ij * c
+                    cols[k].add(i)
                 else:
-                    if k not in irow:
-                        self.cols[k].add(i)
-                    irow[k] = nc
-            self.rows[i] = _normalized(irow, iden * scale)
-        self.rows[j] = (new_row, new_den)
+                    nc = old + a_ij * c
+                    if nc:
+                        irow[k] = nc
+                    else:
+                        del irow[k]
+                        cols[k].discard(i)
+            rows[i] = _normalized(irow, iden * scale)
+        col_j.clear()
+        rows[j] = (new_row, new_den)
         for k in new_row:
-            self.cols[k].add(j)
+            cols[k].add(j)
 
-    def _pivot_and_update(self, b: int, j: int, v: Delta) -> None:
+    def _pivot_and_update(self, b: int, j: int, v: Triple) -> None:
+        beta = self.beta
         row, den = self.rows[b]
-        theta = (v - self.beta[b]).scale(Fraction(den, row[j]))
-        self.beta[b] = v
-        self.beta[j] = self.beta[j] + theta
+        # theta = (v - beta[b]) * den / row[j], the move of x_j
+        n, m = (den, row[j]) if row[j] > 0 else (-den, -row[j])
+        theta = _addmul(_ZERO, _addmul(v, beta[b], -1, 1), n, m)
+        beta[b] = v
+        beta[j] = _addmul(beta[j], theta, 1, 1)
         for i in self.cols[j]:
             if i != b:
                 irow, iden = self.rows[i]
-                self.beta[i] = self.beta[i] + \
-                    theta.scale(Fraction(irow[j], iden))
+                beta[i] = _addmul(beta[i], theta, irow[j], iden)
         self.violated |= self.cols[j]
         self.violated.discard(b)
         self.violated.add(j)
@@ -228,15 +263,16 @@ class Simplex:
 
     def check(self) -> None:
         """Restore bound satisfaction; raises Conflict when impossible."""
+        beta = self.beta
         while True:
             broken = None
             for b in sorted(self.violated):
                 lo = self.lower[b]
-                if lo is not None and self.beta[b] < lo.val:
+                if lo is not None and _lt(beta[b], lo[0]):
                     broken = (b, True, lo)
                     break
                 up = self.upper[b]
-                if up is not None and up.val < self.beta[b]:
+                if up is not None and _lt(up[0], beta[b]):
                     broken = (b, False, up)
                     break
                 self.violated.discard(b)
@@ -257,44 +293,49 @@ class Simplex:
                     entering = j
                     break
             if entering is None:
-                reasons = [bnd.reason]
+                reasons = [bnd[1]]
                 for j, c in row.items():
                     if need_up:
                         side = self.upper[j] if c > 0 else self.lower[j]
                     else:
                         side = self.lower[j] if c > 0 else self.upper[j]
-                    reasons.append(side.reason)
+                    reasons.append(side[1])
                 raise Conflict(reasons)
-            self._pivot_and_update(b, entering, bnd.val)
+            self._pivot_and_update(b, entering, bnd[0])
 
     def _slack_up(self, j: int) -> bool:
         up = self.upper[j]
-        return up is None or self.beta[j] < up.val
+        return up is None or _lt(self.beta[j], up[0])
 
     def _slack_down(self, j: int) -> bool:
         lo = self.lower[j]
-        return lo is None or lo.val < self.beta[j]
+        return lo is None or _lt(lo[0], self.beta[j])
 
     # model ------------------------------------------------------------------
 
     def model(self) -> list[Fraction]:
         """Concrete rational values; call only after a passing check()."""
-        delta = Fraction(1)
-        while not self._delta_ok(delta):
-            delta /= 2
-        return [self.beta[v].value(delta) for v in range(self.n)]
+        t = 1  # delta = 1/t
+        while not self._delta_ok(t):
+            t *= 2
+        return [Fraction(a * t + d, q * t) for a, d, q in self.beta]
 
-    def _delta_ok(self, delta: Fraction) -> bool:
-        # concretizing delta must keep every bound numerically satisfied;
-        # halving converges because beta satisfies the bounds lexically
+    def _delta_ok(self, t: int) -> bool:
+        # concretizing delta = 1/t must keep every bound numerically
+        # satisfied; halving converges because beta satisfies the bounds
+        # lexically. x <= y at delta = 1/t iff (xa*t + xd)*yq <= (ya*t + yd)*xq
         for v in range(self.n):
-            val = self.beta[v].value(delta)
+            a, d, q = self.beta[v]
             lo = self.lower[v]
-            if lo is not None and val < lo.val.value(delta):
-                return False
+            if lo is not None:
+                la, ld, lq = lo[0]
+                if (a * t + d) * lq < (la * t + ld) * q:
+                    return False
             up = self.upper[v]
-            if up is not None and up.val.value(delta) < val:
-                return False
+            if up is not None:
+                ua, ud, uq = up[0]
+                if (ua * t + ud) * q < (a * t + d) * uq:
+                    return False
         return True
 
 

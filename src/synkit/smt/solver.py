@@ -300,7 +300,7 @@ class ArithTheory(sat.Theory):
 
     def _split_var(self) -> Optional[int]:
         for v in self.int_vars:
-            b = self.simplex.beta[v]
+            b = self.simplex.value(v)
             if b.d != 0 or b.a.denominator != 1:
                 return v
         return None
@@ -313,7 +313,7 @@ class ArithTheory(sat.Theory):
         v = self._split_var()
         if v is None:
             return "sat", None
-        b = self.simplex.beta[v]
+        b = self.simplex.value(v)
         if b.a.denominator != 1:
             f = b.a.__floor__()
         else:

@@ -110,16 +110,9 @@ def test_scaled_observer_matches_interpreter(monkeypatch, bench, pid):
                 continue
             assert val == pres[name], (pid, t, name, val, pres[name])
             assert name not in reals or type(val) is F, (pid, name)
-    # the interpreter records an instance called under an untaken branch
-    # only at the steps the branch ran, where the compiled system runs
-    # every instance at every step: such a column is a subsequence
+    # both run every instance at every step, under untaken branches too
     for name, vals in compiled.items():
-        recorded = sim.signals.get(name, [])
-        if len(recorded) == steps:
-            assert recorded == vals, (pid, name)
-        else:
-            pending = iter(vals)
-            assert all(v in pending for v in recorded), (pid, name)
+        assert sim.signals[name] == vals, (pid, name)
 
 
 # --- the harness draws what it always drew ------------------------------------

@@ -468,6 +468,36 @@ def test_verify_all_records_errors():
     assert isinstance(out["p"], Unknown)
 
 
+def test_verify_all_stray_key_error_is_internal_error(monkeypatch):
+    # a KeyError out of kinduction is a bug, not an Unknown verdict
+    def stray(*args, **kwargs):
+        raise KeyError("stray")
+
+    monkeypatch.setattr(core, "_base_case", stray)
+    _, ts = _ts(TOGGLE, "Toggle")
+    with pytest.raises(InternalError):
+        verify_all([(ts, "p")], CFG)
+
+
+def test_houdini_stray_value_error_is_internal_error(monkeypatch):
+    # only the deadline, an unknown answer and solver failure mean "no
+    # invariants"; any other ValueError out of Houdini is a bug
+    def stray(expr, env):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(core, "eval_formula", stray)
+    _, ts = _ts(SAT_CHAIN, "Chain")
+    with pytest.raises(InternalError):
+        verify_all([(ts, "ok")],
+                   EngineConfig(k_max=3, timeout=120, use_invariants=True))
+
+
+def test_verify_all_oracle_on_non_boolean_is_a_usage_error():
+    _, ts = _ts(COUNTER, "Counter")
+    with pytest.raises(ValueError, match="boolean"):
+        verify_all([(ts, "ok")], ORACLE)
+
+
 def test_replayer_rejects_wrong_step():
     tp, ts = _ts(COUNTER, "Counter")
     rep = make_replayer(tp, "Counter", "ok")

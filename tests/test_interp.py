@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synkit import tsys
+from synkit.engine import compile_system
 from synkit.interp import (InterpError, NodeState, Trace, init_state,
                            simulate, step)
 from synkit.lang import parse, typecheck
@@ -236,6 +238,29 @@ let y = Delay(x) + Delay(x + 1); tel
     assert tr.signals["y"] == [0, 3, 5]
     shallow = simulate(tp, "Top", Trace({"x": [1, 2, 3]}), 3)
     assert set(shallow.signals) == {"x", "y"}
+
+
+def test_instance_under_untaken_branch_still_steps():
+    # every instance steps at every instant, as tsys.compile (and so the
+    # SMT encoding and the compiled step) has it
+    src = """
+node Acc(x : int) returns (s : int);
+let s = x -> pre s + x; tel
+node Top(c : bool) returns (y : int);
+let y = if c then Acc(1) else 0; tel
+"""
+    tp = typecheck(parse(src))
+    conds = [True, False, True, True]
+    tr = simulate(tp, "Top", Trace({"c": conds}), 4, deep=True)
+    assert tr.signals["y"] == [1, 0, 3, 4]
+    assert tr.signals["Acc.s"] == [1, 2, 3, 4]
+    assert tr.signals["Acc.x"] == [1, 1, 1, 1]
+    cs = compile_system(tsys.compile(tp, "Top"))
+    state, ys = cs.default_state, []
+    for c in conds:
+        state, _, _, defs = cs.step(state, (c,))
+        ys.append(defs[cs.defined_names.index("y")])
+    assert ys == tr.signals["y"]
 
 
 def test_trace_csv_round_trip():

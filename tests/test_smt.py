@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -190,13 +191,13 @@ def _assert_sound(sx, nvars, combos, bounds):
         return combos[v - nvars] if v >= nvars else {v: F(1)}
 
     for v, is_lower, val in bounds:
-        assert val <= sx.beta[v] if is_lower else sx.beta[v] <= val
+        assert val <= sx.value(v) if is_lower else sx.value(v) <= val
     for b, (nums, den) in sx.rows.items():
         row = {k: F(n, den) for k, n in nums.items()}
         assert not set(row) & set(sx.rows)
-        a = sum((c * sx.beta[k].a for k, c in row.items()), F(0))
-        d = sum((c * sx.beta[k].d for k, c in row.items()), F(0))
-        assert sx.beta[b] == Delta(a, d)
+        a = sum((c * sx.value(k).a for k, c in row.items()), F(0))
+        d = sum((c * sx.value(k).d for k, c in row.items()), F(0))
+        assert sx.value(b) == Delta(a, d)
         implied = {}
         for k, c in row.items():
             for x, cx in expand(k).items():
@@ -265,6 +266,64 @@ def test_simplex_random_tableau_invariants():
                 _assert_sound(sx, nvars, combos,
                               [asserted[r] for r in active])
     assert passed > 500 and conflicts > 200
+
+
+def test_simplex_pivot_path_is_pinned(monkeypatch):
+    # a seeded run over random tableaux, with fractional and strict
+    # bounds: the (leaving, entering) pair of every pivot, beta and the
+    # model after every passing check(), and the ordered reasons of every
+    # conflict, hashed; the digest was taken with beta and the bounds as
+    # Fraction pairs, so a change of value representation must leave the
+    # whole path byte-identical
+    log = []
+    pivot = Simplex._pivot
+
+    def logged(self, b, j):
+        log.append(("pivot", b, j))
+        pivot(self, b, j)
+
+    monkeypatch.setattr(Simplex, "_pivot", logged)
+    rng = random.Random(11)
+    for _ in range(200):
+        nvars = rng.randint(3, 6)
+        combos = [{x: F(rng.choice((-3, -2, -1, 1, 2, 3)),
+                        rng.choice((1, 2, 3)))
+                   for x in rng.sample(range(nvars), rng.randint(2, nvars))}
+                  for _ in range(rng.randint(2, 5))]
+        sx = _tableau(nvars, combos)
+        marks = [sx.mark()]
+        for reason in range(60):
+            op = rng.random()
+            if op < 0.5:
+                v = rng.randrange(sx.n)
+                is_lower = rng.random() < 0.5
+                a = F(rng.randint(-8, 8), rng.choice((1, 2, 3)))
+                d = F(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 2)))
+                val = Delta(a, d)
+                try:
+                    sx.assert_bound(v, is_lower, val, reason)
+                except Conflict as c:
+                    log.append(("conflict", tuple(c.reasons)))
+            elif op < 0.65:
+                marks.append(sx.mark())
+            elif op < 0.8:
+                i = rng.randrange(len(marks))
+                sx.undo_to(marks[i])
+                del marks[i + 1:]
+            else:
+                try:
+                    sx.check()
+                except Conflict as c:
+                    log.append(("conflict", tuple(c.reasons)))
+                    continue
+                log.append(("beta", tuple((sx.value(v).a, sx.value(v).d)
+                                          for v in range(sx.n))))
+                log.append(("model", tuple(sx.model())))
+    counts = {kind: sum(e[0] == kind for e in log)
+              for kind in ("pivot", "beta", "conflict")}
+    assert counts == {"pivot": 669, "beta": 2257, "conflict": 743}
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == \
+        "4f75bc09b0ef7e5e4b265ba6bee03c417f8336ee6b939417b293d109b1dc2f61"
 
 
 # solver ----------------------------------------------------------------------
