@@ -33,6 +33,16 @@ def format_value(v, sort: str) -> str:
     return mag if v >= 0 else f"(- {mag})"
 
 
+def _count(args: list) -> int:
+    """The numeral argument of push/pop, 1 when absent."""
+    if not args:
+        return 1
+    n = args[0]
+    if not isinstance(n, str) or not (n.isascii() and n.isdigit()):
+        raise SmtError("push and pop take a numeral")
+    return int(n)
+
+
 class Session:
     """The solver's side of one conversation. Replies go to ``out``
     (anything with ``write`` and ``flush``), one line each."""
@@ -114,11 +124,10 @@ class Session:
             self._get_value(args[0])
             return True
         if cmd == "push":
-            for _ in range(int(args[0]) if args else 1):
-                self.frames.append([])
+            self.frames.extend([] for _ in range(_count(args)))
             return True
         if cmd == "pop":
-            n = int(args[0]) if args else 1
+            n = _count(args)
             if n >= len(self.frames):
                 raise SmtError("pop below the bottom frame")
             del self.frames[len(self.frames) - n:]

@@ -6,6 +6,22 @@ Int/Real arithmetic atoms, if-then-else, and uninterpreted functions
 (eliminated up front by Ackermann expansion). Nonlinear terms are
 rejected with an error. Every sat model is checked against the asserted
 terms before it is answered.
+
+Definitions are substituted at encode time instead of becoming slack
+rows. An asserted term `(= v e)` whose left side is a variable is the
+definition of v if it is the first such term for v; after Ackermann
+expansion this includes `(= (f x) e)`. A defined v gets no simplex
+variable and no SAT literal of its own: a numeric v stands for the
+linear form of e, a Bool v for the literal of e, and its defining term
+adds no clause. The model gives v the value of e. Two kinds of defined
+variable keep their own variable, and their defining term is encoded
+like any other:
+- one reached again while its own definition is being expanded (a cycle
+  such as r = q + 1, q = r - 1);
+- an Int one whose definition is not an integer combination of Int
+  variables plus an integer constant, so its value could be fractional.
+A later equality for an already defined variable is an ordinary
+constraint.
 """
 
 from __future__ import annotations
@@ -19,6 +35,7 @@ from .sexpr import SExpr
 from .simplex import Conflict, Delta, Simplex
 
 F = Fraction
+ZERO, ONE, MINUS_ONE = F(0), F(1), F(-1)
 
 
 class SmtError(Exception):
@@ -225,7 +242,7 @@ def ackermannize(terms: list[Term]) -> tuple[list[Term], dict]:
                 per_fun.setdefault(t[1], []).append((args, fresh))
             return instances[key]
         if tag in ("not", "and", "or", "=>", "xor", "=", "ite",
-                   "to_real", "-", "ite") or tag in _ARITH or tag in _CMP:
+                   "to_real") or tag in _ARITH or tag in _CMP:
             return (tag, tuple(rewrite(a) for a in t[1]), t[-1])
         raise SmtError(f"unexpected term {tag}")
 
@@ -342,7 +359,10 @@ class ArithTheory(sat.Theory):
 
 
 class Solver:
-    """One-shot solver for a list of asserted terms."""
+    """One-shot solver for a list of asserted terms. Definitions are
+    substituted (see the module docstring); every other term is
+    Tseitin-encoded, and each distinct linear combination its arithmetic
+    atoms compare becomes one slack row."""
 
     def __init__(self, terms: list[Term]):
         self.cdcl = sat.CDCL()
@@ -354,16 +374,39 @@ class Solver:
         self._num_sort: dict[int, str] = {}
         self._slack: dict[tuple, int] = {}
         self._atom_key: dict[tuple, int] = {}
+        self._defs: dict[Term, Term] = {}  # defined var -> its definition
+        self._def_linear: dict[Term, tuple] = {}  # substituted numeric var
+        self._expanding: set[Term] = set()  # defined vars being expanded
+        self._kept: set[Term] = set()  # defined vars with their own variable
+        self._def_value: dict[Term, Union[bool, Fraction]] = {}
         self._true = self.cdcl.new_var()
         self.cdcl.add_clause([self._true << 1])
         terms, self.fun_table = ackermannize(terms)
         self.terms = terms
+        defining = []
         for t in terms:
             if sort_of(t) != BOOL:
                 raise SmtError("assert needs a boolean term")
+            v = t[1][0] if t[0] == "=" else None
+            is_def = v is not None and v[0] == "var" and v not in self._defs
+            if is_def:
+                self._defs[v] = t[1][1]
+            defining.append(is_def)
+        for t, is_def in zip(terms, defining):
+            if is_def and self._substituted(t[1][0]):
+                continue
             self.cdcl.add_clause([self._lit(t)])
         self.result: Optional[str] = None
         self._num_model: Optional[list[Fraction]] = None
+
+    def _substituted(self, v: Term) -> bool:
+        """Expand the defined var v; True unless it keeps its own
+        variable, in which case its defining term must be encoded."""
+        if sort_of(v) == BOOL:
+            self._lit(v)
+        else:
+            self._linear(v)
+        return v not in self._kept
 
     # literal of a boolean term (Tseitin)
 
@@ -375,7 +418,18 @@ class Solver:
         if tag == "bool":
             lit = (self._true << 1) | (0 if t[1] else 1)
         elif tag == "var":
-            lit = self.cdcl.new_var() << 1
+            e = self._defs.get(t)
+            if e is None:
+                lit = self.cdcl.new_var() << 1
+            elif t in self._expanding:  # a cycle: t keeps its own literal
+                self._kept.add(t)
+                lit = self.cdcl.new_var() << 1
+            else:
+                self._expanding.add(t)
+                lit = self._lit(e)
+                self._expanding.discard(t)
+                if t in self._kept:  # got its literal inside the cycle
+                    return self._bool_lit[t]
         elif tag == "not":
             lit = sat.neg(self._lit(t[1][0]))
         elif tag in ("and", "or"):
@@ -453,7 +507,8 @@ class Solver:
             c = self._lit(t[1][0])
             for guard, branch in ((c, t[1][1]), (sat.neg(c), t[1][2])):
                 combo, const = self._linear(branch)
-                combo[v] = combo.get(v, F(0)) - 1
+                combo = dict(combo)
+                combo[v] = combo.get(v, ZERO) - 1
                 combo = {k: x for k, x in combo.items() if x != 0}
                 le = self._form_atom(dict(combo), "<=", -const)
                 ge = sat.neg(self._form_atom(dict(combo), "<", -const))
@@ -462,12 +517,23 @@ class Solver:
         return v
 
     def _linear(self, t: Term) -> tuple[dict[int, Fraction], Fraction]:
-        """t as (combo over simplex vars, constant)."""
+        """t as (combo over simplex vars, constant). The combo may be
+        shared with a cache: callers copy it before changing it."""
         tag = t[0]
         if tag == "num":
             return {}, t[1]
-        if tag == "var" or tag == "ite":
-            return {self._svar(t): F(1)}, F(0)
+        if tag == "var":
+            hit = self._def_linear.get(t)
+            if hit is not None:
+                return hit
+            e = self._defs.get(t)
+            if e is not None and t not in self._kept:
+                if t not in self._expanding:
+                    return self._define(t, e)
+                self._kept.add(t)  # a cycle: t keeps its own variable
+            return {self._svar(t): ONE}, ZERO
+        if tag == "ite":
+            return {self._svar(t): ONE}, ZERO
         if tag == "to_real":
             return self._linear(t[1][0])
         if tag == "-" and len(t[1]) == 1:
@@ -480,7 +546,7 @@ class Solver:
                 c2, k2 = self._linear(arg)
                 s = 1 if tag == "+" else -1
                 for k, v in c2.items():
-                    combo[k] = combo.get(k, F(0)) + s * v
+                    combo[k] = combo.get(k, ZERO) + s * v
                 const += s * k2
             return combo, const
         if tag == "*":
@@ -488,7 +554,7 @@ class Solver:
             unknowns = [a for a, c in zip(t[1], consts) if c is None]
             if len(unknowns) > 1:
                 raise SmtError("nonlinear product")
-            scale = F(1)
+            scale = ONE
             for c in consts:
                 if c is not None:
                     scale *= c
@@ -503,18 +569,34 @@ class Solver:
             if any(d == 0 for d in divisors):
                 raise SmtError("division by zero")
             combo, const = self._linear(t[1][0])
-            scale = F(1)
+            scale = ONE
             for d in divisors:
                 scale /= d
             return {k: v * scale for k, v in combo.items()}, const * scale
         raise SmtError(f"not a numeric term: {tag}")
+
+    def _define(self, v: Term, e: Term) -> tuple[dict[int, Fraction],
+                                                  Fraction]:
+        """Linear form of the defined numeric var v: that of e, unless v
+        turns out to keep its own variable."""
+        self._expanding.add(v)
+        combo, const = self._linear(e)
+        self._expanding.discard(v)
+        if sort_of(v) == INT and not (const.denominator == 1 and all(
+                c.denominator == 1 and self._num_sort[k] == INT
+                for k, c in combo.items())):
+            self._kept.add(v)
+        if v in self._kept:
+            return {self._svar(v): ONE}, ZERO
+        self._def_linear[v] = combo, const
+        return combo, const
 
     def _cmp_lit(self, op: str, x: Term, y: Term) -> int:
         cx, kx = self._linear(x)
         cy, ky = self._linear(y)
         combo = dict(cx)
         for k, v in cy.items():
-            combo[k] = combo.get(k, F(0)) - v
+            combo[k] = combo.get(k, ZERO) - v
         combo = {k: v for k, v in combo.items() if v != 0}
         rhs = ky - kx
         if op == ">":
@@ -565,8 +647,8 @@ class Solver:
             ub = Delta(F(b))
             lb = Delta(F(b + 1))
         else:
-            ub = Delta(bound, F(0) if op == "<=" else F(-1))
-            lb = Delta(bound, F(1) if op == "<=" else F(0))
+            ub = Delta(bound, ZERO if op == "<=" else MINUS_ONE)
+            lb = Delta(bound, ONE if op == "<=" else ZERO)
         key = (svar, ub.a, ub.d)
         hit = self._atom_key.get(key)
         if hit is not None:
@@ -594,6 +676,10 @@ class Solver:
         for i, t in enumerate(self.terms):
             if self._eval(t) is not True:
                 raise ModelCheckError(f"the model violates asserted term {i}")
+        for v in self._defs:
+            if sort_of(v) == INT and self._eval(v).denominator != 1:
+                raise ModelCheckError(f"Int variable {v[1]} has the value "
+                                      f"{self._eval(v)} in the model")
 
     def model_value(self, t: Term) -> Union[bool, Fraction]:
         if self.result != "sat":
@@ -607,6 +693,11 @@ class Solver:
         if tag == "num":
             return t[1]
         if tag == "var":
+            if t in self._defs and t not in self._kept:
+                val = self._def_value.get(t)
+                if val is None:
+                    val = self._def_value[t] = self._eval(self._defs[t])
+                return val
             if sort_of(t) == BOOL:
                 lit = self._bool_lit.get(t)
                 if lit is None:
@@ -615,14 +706,14 @@ class Solver:
                 return val == 1
             sv = self._num_var.get(t)
             if sv is None:
-                return F(0)
+                return ZERO
             return self._num_model[sv]
         if tag == "app":
             args = tuple(self._eval(a) for a in t[2])
             for inst_args, var in self.fun_table.get(t[1], []):
                 if tuple(self._eval(a) for a in inst_args) == args:
                     return self._eval(var)
-            return False if sort_of(t) == BOOL else F(0)
+            return False if sort_of(t) == BOOL else ZERO
         if tag == "not":
             return not self._eval(t[1][0])
         if tag == "and":

@@ -357,66 +357,6 @@ def compile(tp: TypedProgram, node: str) -> TransitionSystem:  # noqa: A001
     return _Compiler(tp).compile(node)
 
 
-# slicing -------------------------------------------------------------------
-
-def slice(ts: TransitionSystem, prop_id: str) -> TransitionSystem:  # noqa: A001
-    """Cone of influence for one property.
-
-    Keeps the variables the property formula reaches through definitions
-    and next-state equations; an assumption is kept (and its variables
-    pulled in) as soon as it mentions a kept variable, or mentions no
-    variable at all.
-    """
-    target = ts.property_formula(prop_id)
-    def_rhs = dict(ts.definitions)
-    trans_rhs = dict(ts.trans)
-    keep: set[str] = set(vars_of(target))
-    keep.add(INIT_FLAG)
-    used_assumptions: set[int] = set()
-    work = True
-    while work:
-        work = False
-        for name in list(keep):
-            for rhs_map in (def_rhs, trans_rhs):
-                if name in rhs_map:
-                    new = vars_of(rhs_map[name]) - keep
-                    if new:
-                        keep |= new
-                        work = True
-        for i, a in enumerate(ts.assumptions):
-            if i in used_assumptions:
-                continue
-            mentioned = vars_of(a)
-            if not mentioned or mentioned & keep:
-                used_assumptions.add(i)
-                new = mentioned - keep
-                if new:
-                    keep |= new
-                work = True
-
-    sliced = TransitionSystem(
-        ts.node,
-        [(n, t) for n, t in ts.input_vars if n in keep],
-        [(n, t) for n, t in ts.state_vars if n in keep],
-        [(n, t) for n, t in ts.defined_vars if n in keep],
-        list(ts.init),
-        [(n, rhs) for n, rhs in ts.trans if n in keep],
-        [(n, rhs) for n, rhs in ts.definitions if n in keep],
-        [a for i, a in enumerate(ts.assumptions) if i in used_assumptions],
-        [(prop_id, target)],
-        [],
-    )
-    sliced.extern_symbols = [
-        (n, ps, r) for n, ps, r in ts.extern_symbols
-        if any(isinstance(s, Call) and s.callee == n
-               for f in ([rhs for _, rhs in sliced.definitions]
-                         + [rhs for _, rhs in sliced.trans]
-                         + sliced.assumptions + sliced.init
-                         + [f for _, f in sliced.properties])
-               for s in walk(f))]
-    return sliced
-
-
 # SMT-LIB text ----------------------------------------------------------------
 
 def to_sexpr(e: Expr, var_fn: Callable[[str], str]) -> str:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from synkit.smt import SmtSession, SolverFailure, parse_value, \
     resolve_solver_command
-from synkit.smt import sat
+from synkit.smt import bundled, sat
 from synkit.smt.sexpr import SExprError, balanced, format_atom, \
     format_sexpr, parse_all, parse_one
 from synkit.smt.simplex import Conflict, Delta, Simplex
@@ -441,6 +442,119 @@ def test_solver_let_and_distinct():
     assert _solve("(distinct x y)", "(= x y)")[1] == "unsat"
 
 
+# definitions substituted at encode time --------------------------------------
+
+def test_definitions_get_no_variable_or_row():
+    s, verdict = _solve("(= r (+ q 1))", "(= q (* 2 r))", "(> r 0.0)")
+    # r keeps its variable (a cycle); q is 2r, and r = 2r + 1 is its row
+    assert verdict == "unsat"
+    s, verdict = _solve("(= r q)", "(= p (> r 1.0))", "p", "(< q 3.0)")
+    assert verdict == "sat"
+    assert s.simplex.n == 1  # q only: r is q, and p is the atom q > 1
+    assert 1 < s.model_value(_t("r")) == s.model_value(_t("q")) < 3
+
+
+def test_definition_of_int_keeps_its_variable_when_it_could_be_fractional():
+    assert _solve("(= x (* (/ 1 2) y))", "(= y 1)")[1] == "unsat"
+    assert _solve("(= x (* 0.5 y))", "(= y 1)")[1] == "unsat"
+    s, verdict = _solve("(= x (* (/ 1 2) y))", "(= y 2)")
+    assert verdict == "sat" and s.model_value(_t("x")) == 1
+
+
+def test_definition_cycles_keep_one_variable():
+    s, verdict = _solve("(= r (+ q 1))", "(= q (- r 1))")
+    assert verdict == "sat"
+    assert s.model_value(_t("r")) == s.model_value(_t("q")) + 1
+    s, verdict = _solve("(= p (not b))", "(= b (not p))")
+    assert verdict == "sat"
+    assert s.model_value(_t("p")) is not s.model_value(_t("b"))
+    assert _solve("(= p (not b))", "(= b p)")[1] == "unsat"
+    assert _solve("(= r r)", "(= q (+ r 1))", "(> q 5.0)")[1] == "sat"
+
+
+def test_second_equality_is_a_constraint():
+    assert _solve("(= r 1)", "(= r 2)")[1] == "unsat"
+    assert _solve("(= p true)", "(= p false)")[1] == "unsat"
+    assert _solve("(= x (+ y 1))", "(= x 3)", "(= y 2)")[1] == "sat"
+    assert _solve("(= x (+ y 1))", "(= x 3)", "(= y 3)")[1] == "unsat"
+
+
+def test_use_before_definition():
+    s, verdict = _solve("(> r 3.0)", "(= r (+ q 1))", "(= q (* 2 x))",
+                        "(< x 3)")
+    assert verdict == "sat"
+    assert s.model_value(_t("r")) == 2 * s.model_value(_t("x")) + 1 == 5
+    assert _solve("(not p)", "(= p (> r 1.0))", "(= r 2.0)")[1] == "unsat"
+
+
+def test_get_value_reads_a_substituted_variable():
+    out = io.StringIO()
+    session = bundled.Session(out)
+    for line in ["(declare-const r Real)", "(declare-const q Real)",
+                 "(declare-const p Bool)", "(assert (= r (* 2 q)))",
+                 "(assert (= p (> r 5.0)))", "(assert (= q 3.0))",
+                 "(check-sat)", "(get-value (r q p (+ r q)))"]:
+        session.feed(line)
+    assert out.getvalue().splitlines() == [
+        "sat", "((r 6.0) (q 3.0) (p true) ((+ r q) 9.0))"]
+
+
+def test_substitution_matches_the_unsubstituted_encoding():
+    # (and true (= v e)) is not a definition, so it takes the plain
+    # encoding: a row, two bound atoms and an iff per equality
+    rng = random.Random(31)
+    names = {"x0": "Int", "x1": "Int", "x2": "Int", "r0": "Real",
+             "r1": "Real", "r2": "Real", "p0": "Bool", "p1": "Bool"}
+    decls = {n: ("const", s) for n, s in names.items()}
+    ints = [n for n, s in names.items() if s == "Int"]
+    nums = [n for n, s in names.items() if s != "Bool"]
+    bools = [n for n, s in names.items() if s == "Bool"]
+
+    def num(c):
+        return str(c) if c >= 0 else f"(- {-c})"
+
+    def linear(pool, fractional):
+        terms = []
+        for v in rng.sample(pool, rng.randint(1, 2)):
+            c = rng.choice([-2, -1, 1, 1, 2, 3])
+            if fractional and rng.random() < 0.3:
+                terms.append(f"(* (/ {num(c)} 2) {v})")
+            else:
+                terms.append(f"(* {num(c)} {v})")
+        terms.append(num(rng.randint(-3, 3)))
+        return f"(+ {' '.join(terms)})"
+
+    def rhs(v):
+        if names[v] == "Bool":
+            pick = rng.random()
+            if pick < 0.4:
+                return f"(not {rng.choice(bools)})"
+            if pick < 0.7:
+                return f"(< {rng.choice(nums)} {num(rng.randint(-2, 2))})"
+            return f"(or {rng.choice(bools)} (= {rng.choice(nums)} 0))"
+        pool = ints if names[v] == "Int" and rng.random() < 0.5 else nums
+        e = linear(pool, True)
+        if rng.random() < 0.2:
+            e = f"(ite {rng.choice(bools)} {e} {linear(pool, False)})"
+        return e
+
+    box = " ".join(f"(<= (- 4) {n} 4)" for n in nums)
+    verdicts = set()
+    for _ in range(120):
+        eqs = [f"(= {v} {rhs(v)})" for v in rng.choices(list(names),
+                                                         k=rng.randint(2, 7))]
+        extra = [f"(> {linear(nums, True)} 0)", rng.choice(bools)]
+        extra = rng.sample(extra, rng.randint(0, 2))
+        answers = []
+        for wrap in (lambda e: e, lambda e: f"(and true {e})"):
+            texts = [wrap(e) for e in eqs] + extra + [f"(and {box})"]
+            s = Solver([term_of(parse_all(x)[0], decls) for x in texts])
+            answers.append(s.check())
+        assert answers[0] == answers[1], eqs + extra
+        verdicts.add(answers[0])
+    assert verdicts == {"sat", "unsat"}
+
+
 def _eval_bool(sx, env):
     if isinstance(sx, str):
         if sx in env:
@@ -571,6 +685,22 @@ def test_bundled_error_then_continue():
     lines = out.strip().splitlines()
     assert lines[0].startswith('(error')
     assert lines[1] == "sat"
+
+
+@pytest.mark.parametrize("command", ["(pop -1)", "(push -2)", "(pop x)",
+                                     "(push (+ 1 1))", "(pop 1.5)"])
+def test_bundled_push_pop_count_must_be_a_numeral(command):
+    out = io.StringIO()
+    session = bundled.Session(out)
+    for line in ["(declare-const p Bool)", "(push 1)", "(assert p)",
+                 "(assert (not p))", command]:
+        session.feed(line)
+    assert out.getvalue().startswith("(error ")
+    assert len(session.frames) == 2 and len(session.frames[1]) == 2
+    session.feed("(pop 1)")
+    session.feed("(check-sat)")
+    assert out.getvalue().splitlines()[1:] == ["sat"]
+    assert session.frames == [[]]
 
 
 def test_bundled_model_ends_with_its_assertion_stack():

@@ -154,61 +154,6 @@ tel
     assert [pid for pid, _ in ts.properties] == ["good"]
 
 
-def test_slice_to_isolated_boolean():
-    tp = build("""
-node A(p, q : bool) returns (ok : bool; junk : bool);
-let
-  --!PROPERTY: ok = true;
-  ok = p or not p;
-  junk = q and q;
-tel
-""")
-    ts = tsys.compile(tp, "A")
-    sl = tsys.slice(ts, "ok")
-    kept = {n for n, _ in sl.input_vars + sl.defined_vars}
-    assert kept == {"p", "ok"}
-    assert [pid for pid, _ in sl.properties] == ["ok"]
-    with pytest.raises(KeyError):
-        tsys.slice(ts, "nope")
-
-
-def test_slice_idempotent():
-    tp = build("""
-node B(x : real) returns (ok : bool; y : real);
-var acc : real;
-let
-  --!PROPERTY: ok = true;
-  assert x >= 0.0;
-  acc = 0.0 -> pre acc + x;
-  y = acc * 2.0;
-  ok = acc >= 0.0;
-tel
-""")
-    ts = tsys.compile(tp, "B")
-    s1 = tsys.slice(ts, "ok")
-    s2 = tsys.slice(s1, "ok")
-    assert [n for n, _ in s1.defined_vars] == [n for n, _ in s2.defined_vars]
-    assert [n for n, _ in s1.state_vars] == [n for n, _ in s2.state_vars]
-    assert len(s1.assumptions) == len(s2.assumptions) == 1
-    assert all("y" != n for n, _ in s1.defined_vars)
-
-
-def test_slice_keeps_assumptions_touching_cone():
-    tp = build("""
-node C(x, z : real) returns (ok : bool);
-let
-  --!PROPERTY: ok = true;
-  assert x > 0.0;
-  assert z > 0.0;
-  ok = x > 0.0;
-tel
-""")
-    ts = tsys.compile(tp, "C")
-    sl = tsys.slice(ts, "ok")
-    assert len(sl.assumptions) == 1
-    assert {n for n, _ in sl.input_vars} == {"x"}
-
-
 # independent formula evaluator for the bisimulation check ---------------
 
 _DEFAULT = {Type.BOOL: False, Type.INT: 0, Type.REAL: F(0)}
