@@ -7,6 +7,12 @@ command subset the verification engine emits: declarations, assert,
 check-sat, get-value, push/pop, reset, echo, exit. Replies with
 `(error "...")` on bad input and keeps going. A model lasts until the
 assertion stack changes.
+
+Each input line is parsed once, together with the lines before it that
+did not yet complete a command. Text that ends inside an expression is
+`Incomplete`: the session keeps it and waits for the next line. A ')'
+that closes nothing is an error: the session answers it with one error
+reply, drops the pending text, and reads the next command afresh.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .sexpr import SExpr, SExprError, balanced, format_sexpr, parse_all
+from .sexpr import Incomplete, SExpr, SExprError, format_sexpr, parse_all
 from .solver import BOOL, INT, REAL, SmtError, Solver, sort_of, term_of
 
 _SORTS = {"Bool", "Int", "Real"}
@@ -69,13 +75,13 @@ class Session:
         Returns False on exit."""
         if not self.pending and not line.strip():
             return True
-        self.pending += line
-        if not balanced(self.pending):
-            return True
-        text, self.pending = self.pending, ""
+        text, self.pending = self.pending + line, ""
         try:
             commands = parse_all(text)
-        except SExprError as e:
+        except Incomplete:
+            self.pending = text
+            return True
+        except SExprError as e:  # a stray ')': drop the text, answer once
             self.error(str(e))
             return True
         return all(self.run(sx) for sx in commands)

@@ -15,7 +15,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .sexpr import SExpr, balanced, format_atom, parse_all
+from .sexpr import Incomplete, SExpr, SExprError, format_atom, parse_all
 
 Value = Union[bool, int, Fraction]
 
@@ -160,7 +160,9 @@ class SmtSession:
             raise SolverFailure("solver has no stdout")
         return self.proc.stdout.readline()
 
-    def _read_reply(self) -> str:
+    def _read_reply(self) -> SExpr:
+        """The next reply, read up to the line that completes it and
+        parsed once."""
         buf = ""
         while True:
             line = self._readline()
@@ -170,15 +172,25 @@ class SmtSession:
                     "solver closed its output"
                     + (f" (exit {code})" if code is not None else ""))
             buf += line
-            if buf.strip() and balanced(buf):
-                reply = buf.strip()
-                if reply.startswith("(error"):
-                    # the error may answer an earlier line that expects no
-                    # reply, so later replies would be out of step: the
-                    # conversation ends here
-                    self.close()
-                    raise SolverFailure(f"solver error: {reply}")
-                return reply
+            try:
+                exprs = parse_all(buf)
+            except Incomplete:
+                continue
+            except SExprError as e:  # out of step too, as below
+                self.close()
+                raise SolverFailure(f"unparseable reply {buf.strip()!r}: "
+                                    f"{e}") from e
+            if not exprs:
+                continue
+            if isinstance(exprs[0], list) and exprs[0][:1] == ["error"]:
+                # the error may answer an earlier line that expects no
+                # reply, so later replies would be out of step: the
+                # conversation ends here
+                self.close()
+                raise SolverFailure(f"solver error: {buf.strip()}")
+            if len(exprs) != 1:
+                raise SolverFailure(f"unexpected reply: {buf.strip()}")
+            return exprs[0]
 
     # commands
 
@@ -206,7 +218,7 @@ class SmtSession:
         self.send("(check-sat)")
         reply = self._read_reply()
         if reply not in ("sat", "unsat", "unknown"):
-            raise SolverFailure(f"unexpected check-sat reply: {reply}")
+            raise SolverFailure(f"unexpected check-sat reply: {reply!r}")
         return reply
 
     def get_values(self, names: list[str]) -> dict[str, Value]:
@@ -215,11 +227,10 @@ class SmtSession:
         listing = " ".join(format_atom(n) for n in names)
         self.send(f"(get-value ({listing}))")
         reply = self._read_reply()
-        parsed = parse_all(reply)
-        if len(parsed) != 1 or not isinstance(parsed[0], list):
-            raise SolverFailure(f"unexpected get-value reply: {reply}")
+        if not isinstance(reply, list):
+            raise SolverFailure(f"unexpected get-value reply: {reply!r}")
         out: dict[str, Value] = {}
-        for pair in parsed[0]:
+        for pair in reply:
             if not (isinstance(pair, list) and len(pair) == 2
                     and isinstance(pair[0], str)):
                 raise SolverFailure(f"unexpected get-value pair: {pair!r}")

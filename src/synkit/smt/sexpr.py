@@ -2,10 +2,19 @@
 
 An expression is a str (atom, with |..| quoting preserved verbatim
 minus the bars) or a list of expressions.
+
+`parse_all` is the one reader of both sides of a conversation: the
+bundled solver reads commands with it and the client reads replies. It
+tokenizes the text once, with one compiled regex, and tells two failures
+apart. Text that ends inside an expression (an open '(', '|' or '"')
+raises `Incomplete`, and the reader waits for more lines and parses
+again. A ')' that closes nothing raises a plain `SExprError`: no more
+input can mend it.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 SExpr = Union[str, list]
@@ -15,63 +24,45 @@ class SExprError(ValueError):
     pass
 
 
-def tokenize(text: str):
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch
-            i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SExprError("unterminated |...| symbol")
-            yield text[i:j + 1]
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                raise SExprError("unterminated string literal")
-            yield text[i:j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();|\"":
-                j += 1
-            yield text[i:j]
-            i = j
+class Incomplete(SExprError):
+    """The text ends inside an expression: an open '(', '|' or '"'.
+    More input may complete it."""
+
+
+# One token per match: a paren, a |quoted| symbol, a string literal or a
+# plain symbol. A comment matches with the group empty, and whitespace
+# matches nothing, so findall skips both. A '|' or '"' that nothing
+# closes matches alone.
+_TOKEN = re.compile(r';[^\n]*|([()]|\|[^|]*\||"[^"]*(?:""[^"]*)*"'
+                    r'|[^ \t\r\n();|"]+|["|])')
 
 
 def parse_all(text: str) -> list[SExpr]:
-    """Parse a sequence of s-expressions."""
-    stack: list[list] = []
+    """Parse a sequence of s-expressions. Raises Incomplete when the
+    text ends inside one, and SExprError on a ')' that closes nothing."""
     top: list[SExpr] = []
-    for tok in tokenize(text):
+    cur = top
+    stack: list[list] = []
+    for tok in _TOKEN.findall(text):
         if tok == "(":
-            stack.append([])
+            stack.append(cur)
+            cur = []
         elif tok == ")":
             if not stack:
                 raise SExprError("unbalanced ')'")
-            done = stack.pop()
-            (stack[-1] if stack else top).append(done)
-        else:
-            atom = tok[1:-1] if tok.startswith("|") else tok
-            (stack[-1] if stack else top).append(atom)
+            done = cur
+            cur = stack.pop()
+            cur.append(done)
+        elif tok:
+            if tok[0] == "|":
+                if len(tok) == 1:
+                    raise Incomplete("unterminated |...| symbol")
+                tok = tok[1:-1]
+            elif tok == '"':
+                raise Incomplete("unterminated string literal")
+            cur.append(tok)
     if stack:
-        raise SExprError("unbalanced '('")
+        raise Incomplete("unclosed '('")
     return top
 
 
@@ -99,19 +90,3 @@ def format_sexpr(e: SExpr) -> str:
     if isinstance(e, str):
         return format_atom(e)
     return "(" + " ".join(format_sexpr(x) for x in e) + ")"
-
-
-def balanced(text: str) -> bool:
-    """True when the text closes every paren it opens (quote-aware)."""
-    depth = 0
-    try:
-        for tok in tokenize(text):
-            if tok == "(":
-                depth += 1
-            elif tok == ")":
-                depth -= 1
-                if depth < 0:
-                    return False
-    except SExprError:
-        return False
-    return depth == 0

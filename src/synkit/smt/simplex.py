@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from typing import Optional, Union
 
 ZERO = Fraction(0)
 
@@ -122,10 +122,10 @@ class Simplex:
         self.cols[v] = set()
         return v
 
-    def add_row(self, combo: dict[int, Fraction]) -> int:
+    def add_row(self, combo: dict[int, Union[int, Fraction]]) -> int:
         """Introduce slack s with s = sum(combo); returns s (basic).
         combo names nonbasic variables only, as every variable is before
-        the first check()."""
+        the first check(), with int or Fraction coefficients."""
         s = self.new_var()
         row = {j: c for j, c in combo.items() if c != 0}
         den = lcm(*(c.denominator for c in row.values()))

@@ -22,6 +22,14 @@ like any other:
   variables plus an integer constant, so its value could be fractional.
 A later equality for an already defined variable is an ordinary
 constraint.
+
+Linear forms are computed on plain ints: `_linear` gives a numeric term
+as integer numerators over one positive denominator, in lowest terms.
+An atom compares such forms over their common denominator, so it reaches
+`_form_atom` with integer coefficients and an integer right side, and
+only their gcd is divided out. The coprime row with a positive first
+coefficient is unique, so every slack row and bound atom is the one a
+computation over Fractions gives.
 """
 
 from __future__ import annotations
@@ -216,6 +224,23 @@ def eval_const(t: Term) -> Optional[Fraction]:
     if tag == "to_real":
         return eval_const(t[1][0])
     return None
+
+
+def _lowest(nums: dict[int, int], const: int,
+            den: int) -> tuple[dict[int, int], int, int]:
+    """A linear form (nums, const, den) in lowest terms."""
+    g = gcd(den, const, *nums.values())
+    if g == 1:
+        return nums, const, den
+    return {k: v // g for k, v in nums.items()}, const // g, den // g
+
+
+def _scaled(form: tuple[dict[int, int], int, int],
+            scale: Fraction) -> tuple[dict[int, int], int, int]:
+    """A linear form in lowest terms times a constant."""
+    nums, const, den = form
+    p, q = scale.numerator, scale.denominator
+    return _lowest({k: v * p for k, v in nums.items()}, const * p, den * q)
 
 
 # Ackermann expansion --------------------------------------------------------
@@ -506,22 +531,26 @@ class Solver:
         if t[0] == "ite":
             c = self._lit(t[1][0])
             for guard, branch in ((c, t[1][1]), (sat.neg(c), t[1][2])):
-                combo, const = self._linear(branch)
-                combo = dict(combo)
-                combo[v] = combo.get(v, ZERO) - 1
+                # branch <= v and branch >= v, over the branch's
+                # denominator: nums.x - den*v <= -const and >= -const
+                nums, const, den = self._linear(branch)
+                combo = dict(nums)
+                combo[v] = combo.get(v, 0) - den
                 combo = {k: x for k, x in combo.items() if x != 0}
-                le = self._form_atom(dict(combo), "<=", -const)
-                ge = sat.neg(self._form_atom(dict(combo), "<", -const))
+                le = self._form_atom(combo, "<=", -const)
+                ge = sat.neg(self._form_atom(combo, "<", -const))
                 self.cdcl.add_clause([sat.neg(guard), le])
                 self.cdcl.add_clause([sat.neg(guard), ge])
         return v
 
-    def _linear(self, t: Term) -> tuple[dict[int, Fraction], Fraction]:
-        """t as (combo over simplex vars, constant). The combo may be
-        shared with a cache: callers copy it before changing it."""
+    def _linear(self, t: Term) -> tuple[dict[int, int], int, int]:
+        """t as (nums, const, den): (sum of nums[k] * k + const) / den
+        over simplex vars k, with den > 0 and the gcd of den, const and
+        every num 1. The nums may be shared with a cache: callers copy
+        them before changing them."""
         tag = t[0]
         if tag == "num":
-            return {}, t[1]
+            return {}, t[1].numerator, t[1].denominator
         if tag == "var":
             hit = self._def_linear.get(t)
             if hit is not None:
@@ -531,24 +560,33 @@ class Solver:
                 if t not in self._expanding:
                     return self._define(t, e)
                 self._kept.add(t)  # a cycle: t keeps its own variable
-            return {self._svar(t): ONE}, ZERO
+            return {self._svar(t): 1}, 0, 1
         if tag == "ite":
-            return {self._svar(t): ONE}, ZERO
+            return {self._svar(t): 1}, 0, 1
         if tag == "to_real":
             return self._linear(t[1][0])
         if tag == "-" and len(t[1]) == 1:
-            combo, c = self._linear(t[1][0])
-            return {k: -v for k, v in combo.items()}, -c
+            nums, const, den = self._linear(t[1][0])
+            return {k: -v for k, v in nums.items()}, -const, den
         if tag == "+" or tag == "-":
-            combo, const = self._linear(t[1][0])
-            combo = dict(combo)
+            nums, const, den = self._linear(t[1][0])
+            nums = dict(nums)
+            s = 1 if tag == "+" else -1
             for arg in t[1][1:]:
-                c2, k2 = self._linear(arg)
-                s = 1 if tag == "+" else -1
-                for k, v in c2.items():
-                    combo[k] = combo.get(k, ZERO) + s * v
-                const += s * k2
-            return combo, const
+                n2, k2, d2 = self._linear(arg)
+                f2 = s
+                if d2 != den:
+                    m = lcm(den, d2)
+                    if m != den:
+                        f = m // den
+                        nums = {k: v * f for k, v in nums.items()}
+                        const *= f
+                        den = m
+                    f2 = s * (m // d2)
+                for k, v in n2.items():
+                    nums[k] = nums.get(k, 0) + f2 * v
+                const += f2 * k2
+            return _lowest(nums, const, den)
         if tag == "*":
             consts = [eval_const(a) for a in t[1]]
             unknowns = [a for a, c in zip(t[1], consts) if c is None]
@@ -559,55 +597,60 @@ class Solver:
                 if c is not None:
                     scale *= c
             if not unknowns:
-                return {}, scale
-            combo, const = self._linear(unknowns[0])
-            return {k: v * scale for k, v in combo.items()}, const * scale
+                return {}, scale.numerator, scale.denominator
+            return _scaled(self._linear(unknowns[0]), scale)
         if tag == "/":
             divisors = [eval_const(a) for a in t[1][1:]]
             if any(d is None for d in divisors):
                 raise SmtError("nonlinear division")
             if any(d == 0 for d in divisors):
                 raise SmtError("division by zero")
-            combo, const = self._linear(t[1][0])
             scale = ONE
             for d in divisors:
                 scale /= d
-            return {k: v * scale for k, v in combo.items()}, const * scale
+            return _scaled(self._linear(t[1][0]), scale)
         raise SmtError(f"not a numeric term: {tag}")
 
-    def _define(self, v: Term, e: Term) -> tuple[dict[int, Fraction],
-                                                  Fraction]:
+    def _define(self, v: Term, e: Term) -> tuple[dict[int, int], int, int]:
         """Linear form of the defined numeric var v: that of e, unless v
         turns out to keep its own variable."""
         self._expanding.add(v)
-        combo, const = self._linear(e)
+        form = self._linear(e)
         self._expanding.discard(v)
-        if sort_of(v) == INT and not (const.denominator == 1 and all(
-                c.denominator == 1 and self._num_sort[k] == INT
-                for k, c in combo.items())):
+        # in lowest terms, den == 1 exactly when every coefficient and
+        # the constant are integers
+        if sort_of(v) == INT and not (form[2] == 1 and all(
+                self._num_sort[k] == INT for k in form[0])):
             self._kept.add(v)
         if v in self._kept:
-            return {self._svar(v): ONE}, ZERO
-        self._def_linear[v] = combo, const
-        return combo, const
+            return {self._svar(v): 1}, 0, 1
+        self._def_linear[v] = form
+        return form
 
     def _cmp_lit(self, op: str, x: Term, y: Term) -> int:
-        cx, kx = self._linear(x)
-        cy, ky = self._linear(y)
-        combo = dict(cx)
-        for k, v in cy.items():
-            combo[k] = combo.get(k, ZERO) - v
+        nx, kx, dx = self._linear(x)
+        ny, ky, dy = self._linear(y)
+        # x op y over the common denominator m > 0:
+        # (nx*fx - ny*fy).vars op ky*fy - kx*fx
+        if dx == dy:
+            fx = fy = 1
+        else:
+            m = lcm(dx, dy)
+            fx, fy = m // dx, m // dy
+        combo = {k: v * fx for k, v in nx.items()}
+        for k, v in ny.items():
+            combo[k] = combo.get(k, 0) - v * fy
         combo = {k: v for k, v in combo.items() if v != 0}
-        rhs = ky - kx
+        rhs = ky * fy - kx * fx
         if op == ">":
             return sat.neg(self._form_atom(combo, "<=", rhs))
         if op == ">=":
             return sat.neg(self._form_atom(combo, "<", rhs))
         return self._form_atom(combo, op, rhs)
 
-    def _form_atom(self, combo: dict[int, Fraction], op: str,
-                   rhs: Fraction) -> int:
-        """Literal for (combo <= rhs) or (combo < rhs)."""
+    def _form_atom(self, combo: dict[int, int], op: str, rhs: int) -> int:
+        """Literal for (combo <= rhs) or (combo < rhs), over integer
+        coefficients, none of them zero."""
         if not combo:
             holds = rhs >= 0 if op == "<=" else rhs > 0
             return (self._true << 1) | (0 if holds else 1)
@@ -617,42 +660,42 @@ class Solver:
             inner = self._form_atom(flipped, "<" if op == "<=" else "<=",
                                     -rhs)
             return sat.neg(inner)
-        # normalize to integer coefficients, gcd 1
-        denom_lcm = lcm(*(v.denominator for v in combo.values()))
-        scaled = {k: v * denom_lcm for k, v in combo.items()}
-        g = gcd(*(v.numerator for v in scaled.values()))
-        scaled = {k: F(v.numerator // g) for k, v in scaled.items()}
-        rhs = rhs * denom_lcm / g
-        if len(scaled) == 1:
-            ((var, coeff),) = scaled.items()
-            bound = rhs / coeff
-            return self._var_atom(var, op, bound)
-        key = tuple(sorted(scaled.items()))
+        # coprime coefficients; the bound becomes rhs / g
+        g = gcd(*combo.values())
+        if g != 1:
+            combo = {k: v // g for k, v in combo.items()}
+        if len(combo) == 1:
+            return self._var_atom(first, op, rhs, g)
+        key = tuple(sorted(combo.items()))
         svar = self._slack.get(key)
         if svar is None:
-            svar = self.simplex.add_row(dict(scaled))
+            svar = self.simplex.add_row(combo)
             self._slack[key] = svar
             self._num_sort[svar] = INT if all(
-                self._num_sort[v] == INT for v in scaled) else REAL
+                self._num_sort[v] == INT for v in combo) else REAL
             if self._num_sort[svar] == INT:
                 self.int_vars.append(svar)
-        return self._var_atom(svar, op, rhs)
+        return self._var_atom(svar, op, rhs, g)
 
-    def _var_atom(self, svar: int, op: str, bound: Fraction) -> int:
+    def _var_atom(self, svar: int, op: str, num: int, den: int) -> int:
+        """Literal for (svar <= num/den) or (svar < num/den), den > 0."""
         if self._num_sort.get(svar) == INT:
-            if op == "<=":
-                b = bound.__floor__()
-            else:  # strict
-                b = bound.__ceil__() - 1
-            ub = Delta(F(b))
-            lb = Delta(F(b + 1))
+            # the largest integer that satisfies the bound
+            b = num // den if op == "<=" else -(-num // den) - 1
+            key = (svar, b, 0)
+            hit = self._atom_key.get(key)
+            if hit is not None:
+                return hit << 1
+            ub, lb = Delta(F(b)), Delta(F(b + 1))
         else:
-            ub = Delta(bound, ZERO if op == "<=" else MINUS_ONE)
-            lb = Delta(bound, ONE if op == "<=" else ZERO)
-        key = (svar, ub.a, ub.d)
-        hit = self._atom_key.get(key)
-        if hit is not None:
-            return hit << 1
+            bound = F(num, den)
+            d = 0 if op == "<=" else -1
+            key = (svar, bound, d)
+            hit = self._atom_key.get(key)
+            if hit is not None:
+                return hit << 1
+            ub = Delta(bound, MINUS_ONE if d else ZERO)
+            lb = Delta(bound, ZERO if d else ONE)
         v = self.cdcl.new_var()
         self._atom_key[key] = v
         self.atom_of_var[v] = (svar, ub, lb)

@@ -5,16 +5,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 
 from synkit.smt import SmtSession, SolverFailure, parse_value, \
     resolve_solver_command
 from synkit.smt import bundled, sat
-from synkit.smt.sexpr import SExprError, balanced, format_atom, \
+from synkit.smt.sexpr import Incomplete, SExprError, format_atom, \
     format_sexpr, parse_all, parse_one
 from synkit.smt.simplex import Conflict, Delta, Simplex
-from synkit.smt.solver import ModelCheckError, SmtError, Solver, term_of
+from synkit.smt.solver import ModelCheckError, SmtError, Solver, \
+    eval_const, sort_of, term_of
 
 F = Fraction
 
@@ -32,9 +34,11 @@ def test_sexpr_round_trip():
 
 def test_sexpr_comments_and_balance():
     assert parse_all("; hi\n(a b) ; bye\n(c)") == [["a", "b"], ["c"]]
-    assert balanced("(a (b c))")
-    assert not balanced("(a (b c)")
-    assert not balanced("(a |unclosed")
+    assert parse_all("(a (b c))") == [["a", ["b", "c"]]]
+    with pytest.raises(Incomplete):
+        parse_all("(a (b c)")
+    with pytest.raises(Incomplete):
+        parse_all("(a |unclosed")
 
 
 def test_sexpr_errors():
@@ -42,6 +46,42 @@ def test_sexpr_errors():
         parse_one("(a))")
     with pytest.raises(SExprError):
         parse_all("(a")
+
+
+def _feed(lines):
+    """A bundled session fed ``lines``; returns it and its output."""
+    out = io.StringIO()
+    session = bundled.Session(out)
+    for line in lines:
+        session.feed(line)
+    return session, out.getvalue()
+
+
+@pytest.mark.parametrize("lines, output", [
+    # a command split over several lines
+    (["(declare-const\n", "  n Int)\n", "(assert (>\n", "n 3)\n",
+      ") (check-sat\n", ")\n"], "sat\n"),
+    # two commands on one line
+    (['(echo "a") (echo "b")\n'], "a\nb\n"),
+    # a quoted symbol holding a paren and a newline, in a command and in
+    # the get-value reply
+    (["(declare-const |a )\n", "b| Int)\n", "(assert (= |a )\n",
+      "b| 2))\n", "(check-sat)\n", "(get-value (|a )\n", "b|))\n"],
+     "sat\n((|a )\nb| 2))\n"),
+    # a string with an escaped quote
+    (['(echo "x "" y")\n'], 'x " y\n'),
+    # a paren in a comment
+    (["(echo ; )\n", '"c")\n'], "c\n"),
+    # an unterminated quoted symbol waits for its closing line
+    (["(echo |abc\n", "def|)\n"], "abc\ndef\n"),
+], ids=["split", "two-on-a-line", "symbol-with-paren", "string",
+        "comment", "open-symbol"])
+def test_reader_runs_each_command_once_complete(lines, output):
+    session, _ = _feed(lines[:-1])
+    assert bool(session.pending) == (len(lines) > 1)
+    session.feed(lines[-1])
+    assert session.pending == ""
+    assert session.out.getvalue() == output
 
 
 def test_format_atom_quotes_when_needed():
@@ -555,6 +595,228 @@ def test_substitution_matches_the_unsubstituted_encoding():
     assert verdicts == {"sat", "unsat"}
 
 
+class _FractionEncoding(Solver):
+    """Reference encoder: linear forms as Fraction combinations, atoms
+    scaled to coprime integer rows by lcm and gcd. Solver must produce
+    the same rows and bound atoms from its integer forms."""
+
+    def _svar(self, t):
+        hit = self._num_var.get(t)
+        if hit is not None:
+            return hit
+        v = self.simplex.new_var()
+        self._num_var[t] = v
+        self._num_sort[v] = sort_of(t)
+        if sort_of(t) == "Int":
+            self.int_vars.append(v)
+        if t[0] == "ite":
+            c = self._lit(t[1][0])
+            for guard, branch in ((c, t[1][1]), (sat.neg(c), t[1][2])):
+                combo, const = self._linear(branch)
+                combo = dict(combo)
+                combo[v] = combo.get(v, F(0)) - 1
+                combo = {k: x for k, x in combo.items() if x != 0}
+                le = self._form_atom(dict(combo), "<=", -const)
+                ge = sat.neg(self._form_atom(dict(combo), "<", -const))
+                self.cdcl.add_clause([sat.neg(guard), le])
+                self.cdcl.add_clause([sat.neg(guard), ge])
+        return v
+
+    def _linear(self, t):
+        tag = t[0]
+        if tag == "num":
+            return {}, t[1]
+        if tag == "var":
+            hit = self._def_linear.get(t)
+            if hit is not None:
+                return hit
+            e = self._defs.get(t)
+            if e is not None and t not in self._kept:
+                if t not in self._expanding:
+                    return self._define(t, e)
+                self._kept.add(t)
+            return {self._svar(t): F(1)}, F(0)
+        if tag == "ite":
+            return {self._svar(t): F(1)}, F(0)
+        if tag == "to_real":
+            return self._linear(t[1][0])
+        if tag == "-" and len(t[1]) == 1:
+            combo, c = self._linear(t[1][0])
+            return {k: -v for k, v in combo.items()}, -c
+        if tag in ("+", "-"):
+            combo, const = self._linear(t[1][0])
+            combo = dict(combo)
+            for arg in t[1][1:]:
+                c2, k2 = self._linear(arg)
+                s = 1 if tag == "+" else -1
+                for k, v in c2.items():
+                    combo[k] = combo.get(k, F(0)) + s * v
+                const += s * k2
+            return combo, const
+        scale = F(1)
+        if tag == "*":
+            consts = [eval_const(a) for a in t[1]]
+            unknowns = [a for a, c in zip(t[1], consts) if c is None]
+            for c in consts:
+                if c is not None:
+                    scale *= c
+            if not unknowns:
+                return {}, scale
+            arg = unknowns[0]
+        else:  # "/"
+            for a in t[1][1:]:
+                scale /= eval_const(a)
+            arg = t[1][0]
+        combo, const = self._linear(arg)
+        return {k: v * scale for k, v in combo.items()}, const * scale
+
+    def _define(self, v, e):
+        self._expanding.add(v)
+        combo, const = self._linear(e)
+        self._expanding.discard(v)
+        if sort_of(v) == "Int" and not (const.denominator == 1 and all(
+                c.denominator == 1 and self._num_sort[k] == "Int"
+                for k, c in combo.items())):
+            self._kept.add(v)
+        if v in self._kept:
+            return {self._svar(v): F(1)}, F(0)
+        self._def_linear[v] = combo, const
+        return combo, const
+
+    def _cmp_lit(self, op, x, y):
+        cx, kx = self._linear(x)
+        cy, ky = self._linear(y)
+        combo = dict(cx)
+        for k, v in cy.items():
+            combo[k] = combo.get(k, F(0)) - v
+        combo = {k: v for k, v in combo.items() if v != 0}
+        rhs = ky - kx
+        if op == ">":
+            return sat.neg(self._form_atom(combo, "<=", rhs))
+        if op == ">=":
+            return sat.neg(self._form_atom(combo, "<", rhs))
+        return self._form_atom(combo, op, rhs)
+
+    def _form_atom(self, combo, op, rhs):
+        if not combo:
+            holds = rhs >= 0 if op == "<=" else rhs > 0
+            return (self._true << 1) | (0 if holds else 1)
+        first = min(combo)
+        if combo[first] < 0:
+            flipped = {k: -v for k, v in combo.items()}
+            return sat.neg(self._form_atom(
+                flipped, "<" if op == "<=" else "<=", -rhs))
+        denom_lcm = lcm(*(v.denominator for v in combo.values()))
+        scaled = {k: v * denom_lcm for k, v in combo.items()}
+        g = gcd(*(v.numerator for v in scaled.values()))
+        scaled = {k: F(v.numerator // g) for k, v in scaled.items()}
+        rhs = rhs * denom_lcm / g
+        if len(scaled) == 1:
+            ((var, coeff),) = scaled.items()
+            return self._var_atom(var, op, rhs / coeff)
+        key = tuple(sorted(scaled.items()))
+        svar = self._slack.get(key)
+        if svar is None:
+            svar = self.simplex.add_row(dict(scaled))
+            self._slack[key] = svar
+            self._num_sort[svar] = "Int" if all(
+                self._num_sort[v] == "Int" for v in scaled) else "Real"
+            if self._num_sort[svar] == "Int":
+                self.int_vars.append(svar)
+        return self._var_atom(svar, op, rhs)
+
+    def _var_atom(self, svar, op, bound):
+        if self._num_sort.get(svar) == "Int":
+            b = bound.__floor__() if op == "<=" else bound.__ceil__() - 1
+            ub, lb = Delta(F(b)), Delta(F(b + 1))
+        else:
+            ub = Delta(bound, F(0) if op == "<=" else F(-1))
+            lb = Delta(bound, F(1) if op == "<=" else F(0))
+        key = (svar, ub.a, ub.d)
+        hit = self._atom_key.get(key)
+        if hit is not None:
+            return hit << 1
+        v = self.cdcl.new_var()
+        self._atom_key[key] = v
+        self.atom_of_var[v] = (svar, ub, lb)
+        return v << 1
+
+
+def _same_encoding(texts, decls):
+    terms = [term_of(parse_all(x)[0], decls) for x in texts]
+    new, ref = Solver(terms), _FractionEncoding(terms)
+    assert list(new._slack.items()) == list(ref._slack.items()), texts
+    assert list(new._atom_key.items()) == list(ref._atom_key.items()), texts
+    assert new.atom_of_var == ref.atom_of_var, texts
+    assert new.simplex.rows == ref.simplex.rows, texts
+    assert new._kept == ref._kept, texts
+    return new
+
+
+def test_integer_forms_encode_as_the_fraction_reference():
+    rng = random.Random(47)
+    ints, reals, bools = ["i0", "i1", "i2"], ["r0", "r1", "r2"], ["b0", "b1"]
+    decls = {n: ("const", "Int") for n in ints}
+    decls.update({n: ("const", "Real") for n in reals})
+    decls.update({n: ("const", "Bool") for n in bools})
+    consts = ["2", "3", "(- 1)", "0.5", "(/ 1 3)", "(/ (- 3) 4)", "1.25",
+              "(* 2 (/ 5 6))"]
+
+    def num(depth, int_only):
+        pick = rng.random()
+        if depth == 0 or pick < 0.25:
+            if int_only or rng.random() < 0.4:
+                return rng.choice(ints + ["0", "4", "(- 2)"])
+            return rng.choice(reals + ["(to_real i0)", "(to_real i2)"]
+                              + consts)
+        a = num(depth - 1, int_only)
+        b = num(depth - 1, int_only)
+        if pick < 0.45:
+            return f"(+ {a} {b}" + (f" {num(0, int_only)})"
+                                    if rng.random() < 0.3 else ")")
+        if pick < 0.6:
+            return f"(- {a} {b})"
+        if pick < 0.68:
+            return f"(- {a})"
+        if pick < 0.84:
+            c = rng.choice(["3", "(- 2)"] if int_only else consts)
+            return f"(* {c} {a})" if rng.random() < 0.5 else f"(* {a} {c})"
+        if pick < 0.92 and not int_only:
+            return f"(/ {a} {rng.choice(['2', '3', '(- 4)', '0.75'])})"
+        return f"(ite {rng.choice(bools)} {a} {b})"
+
+    def comparison():
+        op = rng.choice(["<", "<=", ">", ">=", "="])
+        int_only = rng.random() < 0.4
+        return f"({op} {num(3, int_only)} {num(2, int_only)})"
+
+    def definition():
+        v = rng.choice(ints + reals)
+        return f"(= {v} {num(2, v in ints and rng.random() < 0.5)})"
+
+    rows = 0
+    for _ in range(200):
+        texts = [comparison() for _ in range(rng.randint(1, 3))]
+        texts += [definition() for _ in range(rng.randint(0, 2))]
+        rng.shuffle(texts)
+        rows += len(_same_encoding(texts, decls)._slack)
+    assert rows > 200  # most comparisons become rows, not bare bounds
+
+
+def test_int_definition_with_an_integer_form_is_substituted():
+    s = _same_encoding(["(= x (/ (+ (* 2 y) 2) 2))", "(> x 3)"], DECLS)
+    x = _t("x")
+    assert x not in s._kept and x not in s._num_var
+    assert s.simplex.n == 1  # y only: x > 3 is the bound y > 2
+    assert s.check() == "sat"
+    assert s.model_value(x) == s.model_value(_t("y")) + 1 > 3
+
+
+def test_int_definition_with_a_fractional_form_keeps_its_variable():
+    s = _same_encoding(["(= x (/ y 2))", "(> x 3)"], DECLS)
+    assert _t("x") in s._kept and _t("x") in s._num_var
+
+
 def _eval_bool(sx, env):
     if isinstance(sx, str):
         if sx in env:
@@ -685,6 +947,22 @@ def test_bundled_error_then_continue():
     lines = out.strip().splitlines()
     assert lines[0].startswith('(error')
     assert lines[1] == "sat"
+
+
+# the assert on the stray paren's line is dropped with it: n < 3 holds
+STRAY_PAREN = ["(declare-const n Int)\n", "(assert (> n 3)))\n",
+               "(assert (< n 3))\n", "(check-sat)\n", '(echo "hi")\n']
+STRAY_REPLIES = ["(error \"unbalanced ')'\")", "sat", "hi"]
+
+
+def test_bundled_stray_paren_is_one_error():
+    session, out = _feed(STRAY_PAREN)
+    assert out.splitlines() == STRAY_REPLIES
+    assert session.pending == ""
+
+
+def test_bundled_child_answers_after_a_stray_paren():
+    assert _pipe("".join(STRAY_PAREN)).splitlines() == STRAY_REPLIES
 
 
 @pytest.mark.parametrize("command", ["(pop -1)", "(push -2)", "(pop x)",
@@ -861,6 +1139,23 @@ def test_session_in_process_crash_is_solver_failure(no_solver,
     with pytest.raises(SolverFailure):  # as after a child died
         s.check_sat()
     s.close()
+
+
+@pytest.mark.parametrize("command", [None, BUNDLED],
+                         ids=["in-process", "child"])
+def test_session_reads_a_reply_over_several_lines(no_solver, command):
+    with SmtSession(command) as s:
+        s.declare_const("a )\nb", "Int")
+        s.assert_text("(= |a )\nb| 5)")
+        assert s.check_sat() == "sat"
+        assert s.get_values(["a )\nb"]) == {"a )\nb": 5}
+
+
+def test_session_unparseable_reply_is_solver_failure():
+    script = "import sys; print('sat)', flush=True); sys.stdin.readline()"
+    with SmtSession([sys.executable, "-c", script]) as s:
+        with pytest.raises(SolverFailure, match="unparseable"):
+            s.check_sat()
 
 
 @pytest.mark.parametrize("command", [None, BUNDLED],
