@@ -17,32 +17,26 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import tsys
 from .engine import EngineConfig, Valid, VerifyResult, verify_all
 from .lang import (
-    Arrow,
-    Binary,
-    BoolLit,
     Call,
     Equation,
     Expr,
-    IntLit,
-    Ite,
     LangError,
     NodeDecl,
-    Pre,
     Program,
-    RealLit,
     Type,
-    Unary,
     Var,
     VarDecl,
     instance_names,
     parse_expression,
+    rebuild,
     type_expression,
     typecheck,
+    walk,
 )
 from .lang.typecheck import TypedProgram
 
@@ -210,46 +204,10 @@ def check_noncircular(contracts: Sequence[Contract],
                     "circular contract dependency: " + " -> ".join(cyc))
 
 
-def _clone(e: Expr, sub: Optional[Mapping[str, Expr]] = None) -> Expr:
-    """Rebuild an expression tree, optionally substituting variables."""
-    if isinstance(e, BoolLit):
-        return BoolLit(e.value, pos=e.pos)
-    if isinstance(e, IntLit):
-        return IntLit(e.value, pos=e.pos)
-    if isinstance(e, RealLit):
-        return RealLit(e.value, pos=e.pos)
-    if isinstance(e, Var):
-        if sub is not None and e.name in sub:
-            return _clone(sub[e.name])
-        return Var(e.name, pos=e.pos)
-    if isinstance(e, Unary):
-        return Unary(e.op, _clone(e.operand, sub), pos=e.pos)
-    if isinstance(e, Binary):
-        return Binary(e.op, _clone(e.left, sub), _clone(e.right, sub),
-                      pos=e.pos)
-    if isinstance(e, Ite):
-        return Ite(_clone(e.cond, sub), _clone(e.then, sub),
-                   _clone(e.orelse, sub), pos=e.pos)
-    if isinstance(e, Pre):
-        return Pre(_clone(e.operand, sub), pos=e.pos)
-    if isinstance(e, Arrow):
-        return Arrow(_clone(e.left, sub), _clone(e.right, sub), pos=e.pos)
-    if isinstance(e, Call):
-        return Call(e.callee, [_clone(a, sub) for a in e.args], pos=e.pos)
-    raise LangError("compose", f"unsupported expression {type(e).__name__}")
-
-
 def _called_nodes(e: Expr) -> set[str]:
     """Names of the non-extern nodes an expression calls, at any depth."""
-    out: set[str] = set()
-
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, Call) and not x.is_extern:
-            out.add(x.callee)
-        return _clone_via(x, walk)
-
-    walk(e)
-    return out
+    return {x.callee for x in walk(e)
+            if isinstance(x, Call) and not x.is_extern}
 
 
 def _san(fid: str) -> str:
@@ -323,40 +281,40 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
         extra_props: list[str] = []
 
         def fix(e: Expr) -> Expr:
-            if isinstance(e, Call) and not e.is_extern:
-                args = [fix(a) for a in e.args]
-                inst = inames[e.site]
-                for v in added.get(e.callee, []):
-                    nm = _ORACLE + inst + "__" + v.name[len(_ORACLE):]
-                    extra_in.append(VarDecl(nm, v.type))
-                    args.append(Var(nm))
-                ct = by_node.get(e.callee)
-                if ct is not None and ct.assumptions:
-                    if not is_root:
-                        raise LangError(
-                            "compose",
-                            f"assumptions of {e.callee!r} cannot be "
-                            f"discharged at its call site in {name!r}; only "
-                            f"calls in the root node {root!r} are supported")
-                    params = tp.info(e.callee).decl.inputs
-                    sub = {p.name: a for p, a in zip(params, args)}
-                    for aid, a in ct.assumptions:
-                        pid = _ASMCHK + inst + "__" + _san(aid)
-                        extra_loc.append(VarDecl(pid, Type.BOOL))
-                        extra_eqs.append(Equation([pid], _clone(a, sub)))
-                        extra_props.append(pid)
-                        result.obligations.append(
-                            _Obligation(pid, e.callee, aid, inst))
-                return Call(e.callee, args, pos=e.pos)
-            return _clone_via(e, fix)
+            c = rebuild(e, fix)
+            if not isinstance(c, Call) or c.is_extern:
+                return c
+            inst = inames[c.site]
+            for v in added.get(c.callee, []):
+                nm = _ORACLE + inst + "__" + v.name[len(_ORACLE):]
+                extra_in.append(VarDecl(nm, v.type))
+                c.args.append(Var(nm))
+            ct = by_node.get(c.callee)
+            if ct is not None and ct.assumptions:
+                if not is_root:
+                    raise LangError(
+                        "compose",
+                        f"assumptions of {c.callee!r} cannot be "
+                        f"discharged at its call site in {name!r}; only "
+                        f"calls in the root node {root!r} are supported")
+                params = tp.info(c.callee).decl.inputs
+                sub = {p.name: a for p, a in zip(params, c.args)}
+                for aid, a in ct.assumptions:
+                    pid = _ASMCHK + inst + "__" + _san(aid)
+                    extra_loc.append(VarDecl(pid, Type.BOOL))
+                    extra_eqs.append(Equation(
+                        [pid], tsys.map_vars(a, lambda v: sub.get(v.name, v))))
+                    extra_props.append(pid)
+                    result.obligations.append(
+                        _Obligation(pid, c.callee, aid, inst))
+            return c
 
         eqs = [Equation(list(eq.targets), fix(eq.rhs), pos=eq.pos)
                for eq in d.equations]
         asserts = [fix(a) for a in d.assertions]
         props = list(d.properties)
         if is_root:
-            for _, a in inject_assumes:
-                asserts.append(_clone(a))
+            asserts += [a for _, a in inject_assumes]
             taken = set(props) | {v.name for v in d.declared()}
             for gid, g in inject_props:
                 pid = base = "g_" + _san(gid)
@@ -366,7 +324,7 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
                     pid = f"{base}_{n}"
                 taken.add(pid)
                 extra_loc.append(VarDecl(pid, Type.BOOL))
-                extra_eqs.append(Equation([pid], _clone(g)))
+                extra_eqs.append(Equation([pid], g))
                 props.append(pid)
                 result.guarantee_props[pid] = gid
         if not (extra_in or extra_loc or extra_eqs or is_root):
@@ -394,7 +352,7 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
                 [],
                 [Equation([o.name], Var(_ORACLE + o.name))
                  for o in d.outputs],
-                [_clone(g) for _, g in ct.guarantees],
+                [g for _, g in ct.guarantees],
                 [], pos=d.pos)
             added[name] = oracles
         else:
@@ -407,25 +365,6 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
              if n.name in keep]
     result.tp = typecheck(Program(nodes, list(tp.program.externs)))
     return result
-
-
-def _clone_via(e: Expr, fix) -> Expr:
-    """One-level rebuild that recurses through fix (for call rewriting)."""
-    if isinstance(e, (BoolLit, IntLit, RealLit, Var)):
-        return _clone(e)
-    if isinstance(e, Unary):
-        return Unary(e.op, fix(e.operand), pos=e.pos)
-    if isinstance(e, Binary):
-        return Binary(e.op, fix(e.left), fix(e.right), pos=e.pos)
-    if isinstance(e, Ite):
-        return Ite(fix(e.cond), fix(e.then), fix(e.orelse), pos=e.pos)
-    if isinstance(e, Pre):
-        return Pre(fix(e.operand), pos=e.pos)
-    if isinstance(e, Arrow):
-        return Arrow(fix(e.left), fix(e.right), pos=e.pos)
-    if isinstance(e, Call):  # extern call: untouched callee, fixed args
-        return Call(e.callee, [fix(a) for a in e.args], pos=e.pos)
-    raise LangError("compose", f"unsupported expression {type(e).__name__}")
 
 
 def abstract_with_contracts(tp: TypedProgram, top_node: str,

@@ -2,6 +2,11 @@
 
 Nodes compare structurally: positions, inferred types, and site indices
 are excluded from equality so that parse(pretty(p)) == p can hold.
+
+children() and rebuild() are the one place that knows each variant's
+subexpressions and the fields a copy keeps (pos, ty, site, is_extern).
+Tree transforms handle their own cases and hand every other node to
+rebuild().
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 
 class Type(Enum):
@@ -120,6 +125,7 @@ class Call(Expr):
 
 
 Literal = Union[BoolLit, IntLit, RealLit]
+_LEAVES = (BoolLit, IntLit, RealLit, Var)
 
 
 @dataclass
@@ -176,22 +182,48 @@ class Program:
         return [n.name for n in self.nodes]
 
 
+def children(e: Expr) -> tuple[Expr, ...]:
+    """Direct subexpressions of e, left to right; () for leaves."""
+    if isinstance(e, _LEAVES):  # first: most nodes of a tree are leaves
+        return ()
+    if isinstance(e, (Unary, Pre)):
+        return (e.operand,)
+    if isinstance(e, (Binary, Arrow)):
+        return (e.left, e.right)
+    if isinstance(e, Ite):
+        return (e.cond, e.then, e.orelse)
+    if isinstance(e, Call):
+        return tuple(e.args)
+    return ()
+
+
+def rebuild(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """A new composite node with fn applied to each direct subexpression,
+    left to right, keeping pos, ty, site and is_extern. Literals and
+    variables come back unchanged."""
+    if isinstance(e, _LEAVES):
+        return e
+    if isinstance(e, Unary):
+        return Unary(e.op, fn(e.operand), pos=e.pos, ty=e.ty)
+    if isinstance(e, Binary):
+        return Binary(e.op, fn(e.left), fn(e.right), pos=e.pos, ty=e.ty)
+    if isinstance(e, Ite):
+        return Ite(fn(e.cond), fn(e.then), fn(e.orelse), pos=e.pos, ty=e.ty)
+    if isinstance(e, Pre):
+        return Pre(fn(e.operand), pos=e.pos, ty=e.ty, site=e.site)
+    if isinstance(e, Arrow):
+        return Arrow(fn(e.left), fn(e.right), pos=e.pos, ty=e.ty,
+                     site=e.site)
+    if isinstance(e, Call):
+        return Call(e.callee, [fn(a) for a in e.args], pos=e.pos, ty=e.ty,
+                    site=e.site, is_extern=e.is_extern)
+    return e
+
+
 def walk(e: Expr):
     """Yield e and all subexpressions, preorder."""
     stack = [e]
     while stack:
         cur = stack.pop()
         yield cur
-        if isinstance(cur, Unary):
-            stack.append(cur.operand)
-        elif isinstance(cur, (Binary, Arrow)):
-            stack.append(cur.right)
-            stack.append(cur.left)
-        elif isinstance(cur, Ite):
-            stack.append(cur.orelse)
-            stack.append(cur.then)
-            stack.append(cur.cond)
-        elif isinstance(cur, Pre):
-            stack.append(cur.operand)
-        elif isinstance(cur, Call):
-            stack.extend(reversed(cur.args))
+        stack.extend(reversed(children(cur)))

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .ast import (Arrow, Binary, BoolLit, Call, Equation, Expr, ExternDecl,
                   IntLit, Ite, NodeDecl, Pre, Program, RealLit, Type, Unary,
-                  Var, VarDecl, walk)
+                  Var, children, walk)
 from .errors import LangError
 
 _NUMERIC = (Type.INT, Type.REAL)
@@ -60,7 +60,7 @@ def type_expression(tp: TypedProgram, env: dict[str, Type], e: Expr,
     """
     checker = _Checker(tp.program)
     typed = checker.infer(e, env, expected)
-    _assign_sites_expr(typed)
+    _assign_sites([typed])
     return typed
 
 
@@ -180,7 +180,8 @@ class _Checker:
                         list(n.locals), typed_eqs, typed_asserts,
                         list(n.properties), pos=n.pos)
         schedule = self._schedule(decl, inputs)
-        n_pre, n_arrow, calls = _assign_sites(decl)
+        n_pre, n_arrow, calls = _assign_sites(
+            [eq.rhs for eq in decl.equations] + decl.assertions)
         return NodeInfo(decl, env, schedule, n_pre, n_arrow, calls)
 
     def _type_equation(self, n: NodeDecl, env: dict[str, Type],
@@ -423,24 +424,16 @@ def _current_deps(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
     deps: set[str] = set()
-    if isinstance(e, Unary):
-        deps |= _current_deps(e.operand)
-    elif isinstance(e, (Binary, Arrow)):
-        deps |= _current_deps(e.left) | _current_deps(e.right)
-    elif isinstance(e, Ite):
-        deps |= (_current_deps(e.cond) | _current_deps(e.then)
-                 | _current_deps(e.orelse))
-    elif isinstance(e, Call):
-        for a in e.args:
-            deps |= _current_deps(a)
+    for c in children(e):
+        deps |= _current_deps(c)
     return deps
 
 
-def _assign_sites(decl: NodeDecl) -> tuple[int, int, list[Call]]:
+def _assign_sites(exprs: list[Expr]) -> tuple[int, int, list[Call]]:
+    """Number Pre, Arrow and node-call sites across exprs in preorder."""
     n_pre = 0
     n_arrow = 0
     calls: list[Call] = []
-    exprs = [eq.rhs for eq in decl.equations] + list(decl.assertions)
     for root in exprs:
         for sub in walk(root):
             if isinstance(sub, Pre):
@@ -453,19 +446,3 @@ def _assign_sites(decl: NodeDecl) -> tuple[int, int, list[Call]]:
                 sub.site = len(calls)
                 calls.append(sub)
     return n_pre, n_arrow, calls
-
-
-def _assign_sites_expr(e: Expr) -> None:
-    n_pre = 0
-    n_arrow = 0
-    n_call = 0
-    for sub in walk(e):
-        if isinstance(sub, Pre):
-            sub.site = n_pre
-            n_pre += 1
-        elif isinstance(sub, Arrow):
-            sub.site = n_arrow
-            n_arrow += 1
-        elif isinstance(sub, Call) and not sub.is_extern:
-            sub.site = n_call
-            n_call += 1

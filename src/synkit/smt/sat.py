@@ -17,10 +17,6 @@ def neg(lit: int) -> int:
     return lit ^ 1
 
 
-def lit_var(lit: int) -> int:
-    return lit >> 1
-
-
 class Theory:
     """Do-nothing theory; pure SAT when used directly."""
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .interp import Value
 from .lang import (Arrow, Binary, BoolLit, Call, Expr, IntLit, Ite,
                    LangError, Pre, RealLit, Type, TypedProgram, Unary, Var,
-                   walk)
+                   rebuild, walk)
 from .lang.typecheck import instance_names
 
 INIT_FLAG = "_init"
@@ -59,25 +59,10 @@ class TransitionSystem:
 # expression utilities ----------------------------------------------------
 
 def map_vars(e: Expr, fn: Callable[[Var], Expr]) -> Expr:
-    if isinstance(e, Var):
-        return fn(e)
-    if isinstance(e, (BoolLit, IntLit, RealLit)):
-        return e
-    if isinstance(e, Unary):
-        return Unary(e.op, map_vars(e.operand, fn), pos=e.pos, ty=e.ty)
-    if isinstance(e, Binary):
-        return Binary(e.op, map_vars(e.left, fn), map_vars(e.right, fn),
-                      pos=e.pos, ty=e.ty)
-    if isinstance(e, Ite):
-        return Ite(map_vars(e.cond, fn), map_vars(e.then, fn),
-                   map_vars(e.orelse, fn), pos=e.pos, ty=e.ty)
-    if isinstance(e, Call):
-        c = Call(e.callee, [map_vars(a, fn) for a in e.args],
-                 pos=e.pos, ty=e.ty)
-        c.is_extern = e.is_extern
-        c.site = e.site
-        return c
-    raise LangError("compile", f"unexpected {type(e).__name__} in formula")
+    def go(sub: Expr) -> Expr:
+        return fn(sub) if isinstance(sub, Var) else rebuild(sub, go)
+
+    return go(e)
 
 
 def vars_of(e: Expr) -> set[str]:
@@ -100,18 +85,13 @@ def _mk_lit(v: Value, ty: Type) -> Expr:
 
 def fold_consts(e: Expr) -> Expr:
     """Bottom-up constant folding; exact arithmetic, no reassociation."""
-    if isinstance(e, (BoolLit, IntLit, RealLit, Var)):
-        return e
+    e = rebuild(e, fold_consts)
     if isinstance(e, Unary):
-        opnd = fold_consts(e.operand)
-        v = _lit_value(opnd)
+        v = _lit_value(e.operand)
         if v is not None:
             return _mk_lit((not v) if e.op == "not" else -v, e.ty)
-        return Unary(e.op, opnd, pos=e.pos, ty=e.ty)
-    if isinstance(e, Binary):
-        left = fold_consts(e.left)
-        right = fold_consts(e.right)
-        a, b = _lit_value(left), _lit_value(right)
+    elif isinstance(e, Binary):
+        a, b = _lit_value(e.left), _lit_value(e.right)
         if a is not None and b is not None:
             op = e.op
             if op == "/" and b == 0:
@@ -127,22 +107,11 @@ def fold_consts(e: Expr) -> Expr:
                 "=>": lambda: (not a) or bool(b),
             }
             return _mk_lit(table[op](), e.ty)
-        return Binary(e.op, left, right, pos=e.pos, ty=e.ty)
-    if isinstance(e, Ite):
-        cond = fold_consts(e.cond)
-        then = fold_consts(e.then)
-        orelse = fold_consts(e.orelse)
-        cv = _lit_value(cond)
+    elif isinstance(e, Ite):
+        cv = _lit_value(e.cond)
         if cv is not None:
-            return then if cv else orelse
-        return Ite(cond, then, orelse, pos=e.pos, ty=e.ty)
-    if isinstance(e, Call):
-        c = Call(e.callee, [fold_consts(a) for a in e.args],
-                 pos=e.pos, ty=e.ty)
-        c.is_extern = e.is_extern
-        c.site = e.site
-        return c
-    raise LangError("compile", f"cannot fold {type(e).__name__}")
+            return e.then if cv else e.orelse
+    return e
 
 
 # compilation --------------------------------------------------------------
@@ -183,65 +152,41 @@ class _Compiler:
         for vd in info.decl.outputs + info.decl.locals:
             self.defined.append((p + vd.name, vd.type))
         names = instance_names(info)
+
+        def call(c: Call) -> list[Expr]:
+            """Inline a node call; its outputs as variables."""
+            child_prefix = p + names[c.site]
+            callee = self.tp.info(c.callee)
+            self._inline(callee, child_prefix, [tx(a) for a in c.args])
+            return [Var(f"{child_prefix}.{out.name}", ty=out.type)
+                    for out in callee.decl.outputs]
+
+        def tx(e: Expr) -> Expr:
+            # Inlined definitions and state variables are appended as tx
+            # goes, so rebuild's left-to-right order fixes their order.
+            if isinstance(e, Var):
+                return Var(p + e.name, pos=e.pos, ty=e.ty)
+            if isinstance(e, Pre):
+                sv = f"{p}_pre{e.site}"
+                if all(sv != n for n, _ in self.state):
+                    self.state.append((sv, e.ty))
+                    self.trans.append((sv, tx(e.operand)))
+                return Var(sv, ty=e.ty)
+            if isinstance(e, Arrow):
+                return Ite(Var(INIT_FLAG, ty=Type.BOOL), tx(e.left),
+                           tx(e.right), pos=e.pos, ty=e.ty)
+            if isinstance(e, Call) and not e.is_extern:
+                return call(e)[0]
+            return rebuild(e, tx)
+
         for eq in info.decl.equations:
             if len(eq.targets) > 1:
-                call = eq.rhs
-                child_prefix = p + names[call.site]
-                args = [self._tx(a, info, prefix, names) for a in call.args]
-                callee = self.tp.info(call.callee)
-                self._inline(callee, child_prefix, args)
-                for t, out in zip(eq.targets, callee.decl.outputs):
-                    self.def_eqs.append(
-                        (p + t, Var(f"{child_prefix}.{out.name}",
-                                    ty=out.type)))
+                for t, out in zip(eq.targets, call(eq.rhs)):
+                    self.def_eqs.append((p + t, out))
             else:
-                rhs = self._tx(eq.rhs, info, prefix, names)
-                self.def_eqs.append((p + eq.targets[0], rhs))
+                self.def_eqs.append((p + eq.targets[0], tx(eq.rhs)))
         for a in info.decl.assertions:
-            self.assumptions.append(self._tx(a, info, prefix, names))
-
-    def _tx(self, e: Expr, info, prefix: str, names) -> Expr:
-        p = prefix + "." if prefix else ""
-        if isinstance(e, (BoolLit, IntLit, RealLit)):
-            return e
-        if isinstance(e, Var):
-            return Var(p + e.name, pos=e.pos, ty=e.ty)
-        if isinstance(e, Unary):
-            return Unary(e.op, self._tx(e.operand, info, prefix, names),
-                         pos=e.pos, ty=e.ty)
-        if isinstance(e, Binary):
-            return Binary(e.op, self._tx(e.left, info, prefix, names),
-                          self._tx(e.right, info, prefix, names),
-                          pos=e.pos, ty=e.ty)
-        if isinstance(e, Ite):
-            return Ite(self._tx(e.cond, info, prefix, names),
-                       self._tx(e.then, info, prefix, names),
-                       self._tx(e.orelse, info, prefix, names),
-                       pos=e.pos, ty=e.ty)
-        if isinstance(e, Pre):
-            sv = f"{p}_pre{e.site}"
-            if all(sv != n for n, _ in self.state):
-                self.state.append((sv, e.ty))
-                self.trans.append((sv, self._tx(e.operand, info, prefix,
-                                                names)))
-            return Var(sv, ty=e.ty)
-        if isinstance(e, Arrow):
-            return Ite(Var(INIT_FLAG, ty=Type.BOOL),
-                       self._tx(e.left, info, prefix, names),
-                       self._tx(e.right, info, prefix, names),
-                       pos=e.pos, ty=e.ty)
-        if isinstance(e, Call):
-            args = [self._tx(a, info, prefix, names) for a in e.args]
-            if e.is_extern:
-                c = Call(e.callee, args, pos=e.pos, ty=e.ty)
-                c.is_extern = True
-                return c
-            child_prefix = p + names[e.site]
-            callee = self.tp.info(e.callee)
-            self._inline(callee, child_prefix, args)
-            out = callee.decl.outputs[0]
-            return Var(f"{child_prefix}.{out.name}", ty=out.type)
-        raise LangError("compile", f"unexpected {type(e).__name__}")
+            self.assumptions.append(tx(a))
 
 
 def _propagate_constants(ts: TransitionSystem) -> None:
@@ -279,40 +224,26 @@ def _subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 def _lower_nonlinear(ts: TransitionSystem) -> None:
     def lower(e: Expr) -> Expr:
-        if isinstance(e, (BoolLit, IntLit, RealLit, Var)):
+        e = rebuild(e, lower)
+        if not isinstance(e, Binary):
             return e
-        if isinstance(e, Unary):
-            return Unary(e.op, lower(e.operand), pos=e.pos, ty=e.ty)
-        if isinstance(e, Ite):
-            return Ite(lower(e.cond), lower(e.then), lower(e.orelse),
-                       pos=e.pos, ty=e.ty)
-        if isinstance(e, Call):
-            c = Call(e.callee, [lower(a) for a in e.args], pos=e.pos, ty=e.ty)
-            c.is_extern = e.is_extern
-            return c
-        if isinstance(e, Binary):
-            left = lower(e.left)
-            right = lower(e.right)
-            if e.op == "*" and _lit_value(left) is None \
-                    and _lit_value(right) is None:
-                name = "_nlmul_int" if e.ty is Type.INT else "_nlmul_real"
-                c = Call(name, [left, right], pos=e.pos, ty=e.ty)
-                c.is_extern = True
-                return c
-            if e.op == "/":
-                dv = _lit_value(right)
-                if dv is None:
-                    c = Call("_nldiv_real", [left, right], pos=e.pos,
-                             ty=Type.REAL)
-                    c.is_extern = True
-                    return c
-                if dv == 0:
-                    raise LangError("compile", "division by constant zero",
-                                    e.pos)
-                recip = RealLit(Fraction(1) / Fraction(dv), ty=Type.REAL)
-                return Binary("*", left, recip, pos=e.pos, ty=Type.REAL)
-            return Binary(e.op, left, right, pos=e.pos, ty=e.ty)
-        raise LangError("compile", f"cannot lower {type(e).__name__}")
+        left, right = e.left, e.right
+        if e.op == "*" and _lit_value(left) is None \
+                and _lit_value(right) is None:
+            name = "_nlmul_int" if e.ty is Type.INT else "_nlmul_real"
+            return Call(name, [left, right], pos=e.pos, ty=e.ty,
+                        is_extern=True)
+        if e.op == "/":
+            dv = _lit_value(right)
+            if dv is None:
+                return Call("_nldiv_real", [left, right], pos=e.pos,
+                            ty=Type.REAL, is_extern=True)
+            if dv == 0:
+                raise LangError("compile", "division by constant zero",
+                                e.pos)
+            recip = RealLit(Fraction(1) / Fraction(dv), ty=Type.REAL)
+            return Binary("*", left, recip, pos=e.pos, ty=Type.REAL)
+        return e
 
     ts.definitions = [(n, lower(rhs)) for n, rhs in ts.definitions]
     ts.trans = [(n, lower(rhs)) for n, rhs in ts.trans]

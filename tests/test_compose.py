@@ -22,7 +22,8 @@ from synkit.engine import (
     Valid,
     simulate_system,
 )
-from synkit.lang import LangError, parse, pretty, typecheck
+from synkit.lang import (LangError, Pre, Type, parse, parse_expression,
+                         pretty, type_expression, typecheck, walk)
 from synkit.lang.ast import Program
 
 CFG = EngineConfig(k_max=4)
@@ -188,6 +189,56 @@ def test_abstract_installs_assumption_obligations(pipeline):
     top = out.program.node("Top")
     assert "_asmchk__Gain__A1" in top.properties
     assert "ok" in top.properties
+
+
+def _slots(exprs):
+    """(variant, ty, site, is_extern) of every node under exprs."""
+    return [(type(x).__name__, x.ty, getattr(x, "site", None),
+             getattr(x, "is_extern", None))
+            for e in exprs for x in walk(e)]
+
+
+def _program_exprs(program):
+    return [e for n in program.nodes
+            for e in [eq.rhs for eq in n.equations] + n.assertions]
+
+
+def test_abstractions_leave_program_and_contracts_untouched():
+    tp = typecheck(parse(PIPELINE))
+    cs, cg = contracts_for(tp)
+    # a guarantee typed on its own, so its ty and site slots are filled in
+    typed = type_expression(tp, {"u": Type.INT, "w": Type.INT},
+                            parse_expression("true -> w - u = pre (w - u)"),
+                            Type.BOOL)
+    cg = Contract("Gain", cg.assumptions, cg.guarantees + (("GM", typed),))
+    contracts = [cs, cg]
+    formulas = [f for c in contracts for _, f in (*c.assumptions,
+                                                   *c.guarantees)]
+    program_text = pretty(tp.program)
+    program_slots = _slots(_program_exprs(tp.program))
+    formula_slots = _slots(formulas)
+
+    def build():
+        system = abstract_with_contracts(tp, "Top", contracts)
+        parts = [compose._abstract(tp, c.node, [],
+                                   inject_assumes=c.assumptions,
+                                   inject_props=c.guarantees).tp
+                 for c in contracts]
+        return [system] + parts
+
+    first = build()
+    second = build()
+    assert [pretty(t.program) for t in first] == \
+        [pretty(t.program) for t in second]
+    assert pretty(tp.program) == program_text
+    assert _slots(_program_exprs(tp.program)) == program_slots
+    assert _slots(formulas) == formula_slots
+    # the guarantee was retyped in context on a copy: behind Gain's own
+    # `pre s` its pre is site 1 there, and still site 0 in the contract
+    gain = first[2].info("Gain")
+    assert [p.site for p in walk(gain.decl.equations[-1].rhs)
+            if isinstance(p, Pre)] == [1]
+    assert [p.site for p in walk(typed) if isinstance(p, Pre)] == [0]
 
 
 def test_abstract_unknown_or_uncalled_node(pipeline):

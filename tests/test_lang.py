@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synkit.lang import (Arrow, Binary, BoolLit, Call, Equation, IntLit,
-                         Ite, LangError, Pre, Program, RealLit, Type, Unary,
-                         Var, parse, parse_expression, pretty, pretty_expr,
-                         real_text, type_expression, typecheck)
+                         Ite, LangError, Pos, Pre, Program, RealLit, Type,
+                         Unary, Var, children, parse, parse_expression,
+                         pretty, pretty_expr, real_text, rebuild,
+                         type_expression, typecheck, walk)
 
 COUNTER = """
 node Counter(reset : bool) returns (n : int);
@@ -341,6 +342,58 @@ def test_type_expression_for_standalone_formulas():
     assert e.ty is Type.BOOL
     with pytest.raises(LangError):
         type_expression(tp, env, parse_expression("n and ok"))
+
+
+def test_rebuild_keeps_fields_and_visits_children_left_to_right():
+    at = Pos(3, 4)
+    a, b, c = Var("a"), Var("b"), Var("c")
+    cases = [
+        (Unary("-", a, pos=at, ty=Type.INT), ["a"]),
+        (Binary("+", a, b, pos=at, ty=Type.INT), ["a", "b"]),
+        (Ite(a, b, c, pos=at, ty=Type.REAL), ["a", "b", "c"]),
+        (Pre(a, pos=at, ty=Type.INT, site=2), ["a"]),
+        (Arrow(a, b, pos=at, ty=Type.BOOL, site=5), ["a", "b"]),
+        (Call("f", [a, b, c], pos=at, ty=Type.REAL, site=7,
+              is_extern=True), ["a", "b", "c"]),
+    ]
+    for e, order in cases:
+        seen = []
+
+        def fn(x):
+            seen.append(x.name)
+            return Var(x.name + "1")
+
+        out = rebuild(e, fn)
+        assert out is not e and type(out) is type(e)
+        assert seen == order
+        assert children(out) == tuple(Var(n + "1") for n in order)
+        assert children(e) == tuple(Var(n) for n in order)  # input intact
+        for slot in ("pos", "ty", "site", "is_extern", "op", "callee"):
+            assert getattr(out, slot, None) == getattr(e, slot, None), slot
+
+
+def test_rebuild_returns_leaves_unchanged():
+    def boom(x):
+        raise AssertionError("a leaf has no children")
+
+    for leaf in (BoolLit(True), IntLit(3), RealLit(Fraction(1, 2)),
+                 Var("x")):
+        assert rebuild(leaf, boom) is leaf
+        assert children(leaf) == ()
+
+
+def test_walk_is_preorder():
+    e = parse_expression("if a then -b else f(pre c -> d + 1, 2)")
+
+    def label(x):
+        for slot in ("name", "op", "callee", "value"):
+            if hasattr(x, slot):
+                return f"{type(x).__name__}:{getattr(x, slot)}"
+        return type(x).__name__
+
+    assert [label(x) for x in walk(e)] == [
+        "Ite", "Var:a", "Unary:-", "Var:b", "Call:f", "Arrow", "Pre",
+        "Var:c", "Binary:+", "Var:d", "IntLit:1", "IntLit:2"]
 
 
 # round-trip property: generate ASTs, print, reparse, compare -----------
