@@ -6,8 +6,7 @@ from .codegen import CompiledSystem, compile_system, eval_formula
 from .core import (EngineConfig, Falsified, InternalError,
                    InvariantCandidate, Unknown, UnknownReason, Valid,
                    VerifyResult, bmc, generate_invariants, kinduction,
-                   make_replayer, result_to_json, simulate_system,
-                   verify_all)
+                   make_replayer, simulate_system, verify_all)
 from .encode import Unroller, logic_for
 
 __all__ = [
@@ -15,6 +14,6 @@ __all__ = [
     "EngineConfig", "Falsified", "InternalError", "InvariantCandidate",
     "Unknown", "UnknownReason", "Valid", "VerifyResult", "bmc",
     "generate_invariants", "kinduction", "make_replayer",
-    "result_to_json", "simulate_system", "verify_all",
+    "simulate_system", "verify_all",
     "Unroller", "logic_for",
 ]

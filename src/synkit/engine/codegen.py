@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional
 from ..interp import Value
 from ..lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
                     RealLit, Type, Unary, Var, walk)
-from ..tsys import INIT_FLAG, TransitionSystem
+from ..tsys import INIT_FLAG, TransitionSystem, causal_order
 
 _TYPE_DEFAULT = {Type.BOOL: False, Type.INT: 0, Type.REAL: Fraction(0)}
 
@@ -241,38 +241,6 @@ class _Emitter:
         return _Code(text, n // g)
 
 
-def _causal_order(definitions: list[tuple[str, Expr]]
-                  ) -> list[tuple[str, Expr]]:
-    """The definitions with each one after those it reads, otherwise in
-    the given order (which the inliner emits in source order)."""
-    rhs = dict(definitions)
-    reads = {n: [v.name for v in walk(e)
-                 if isinstance(v, Var) and v.name in rhs]
-             for n, e in definitions}
-    mark: dict[str, bool] = {}  # False while on the path, True once placed
-    order: list[tuple[str, Expr]] = []
-    for root, _ in definitions:
-        if root in mark:
-            continue
-        mark[root] = False
-        stack = [(root, iter(reads[root]))]
-        while stack:
-            name, pending = stack[-1]
-            for dep in pending:
-                if dep not in mark:
-                    mark[dep] = False
-                    stack.append((dep, iter(reads[dep])))
-                    break
-                if not mark[dep]:
-                    raise LangError("compile",
-                                    f"definitions of {dep} form a cycle")
-            else:
-                stack.pop()
-                mark[name] = True
-                order.append((name, rhs[name]))
-    return order
-
-
 def _analyse_scales(ts: TransitionSystem, order: list[tuple[str, Expr]],
                     slot: dict[str, str], types: dict[str, Type],
                     input_scales: dict[str, int]
@@ -343,7 +311,7 @@ def compile_system(ts: TransitionSystem,
     for i, n in enumerate(defined_names):
         slot[n] = f"d{i}"
 
-    order = _causal_order(ts.definitions)
+    order = causal_order(ts.definitions)
     scales = _analyse_scales(ts, order, slot, types, input_scales)
     em = _Emitter(slot, types, scales)
     unpack = []

@@ -34,7 +34,7 @@ __all__ = [
     "EngineConfig", "Valid", "Falsified", "Unknown", "UnknownReason",
     "VerifyResult", "InvariantCandidate", "InternalError", "bmc",
     "kinduction", "generate_invariants", "verify_all", "simulate_system",
-    "make_replayer", "result_to_json",
+    "make_replayer",
 ]
 
 
@@ -602,24 +602,3 @@ def make_replayer(tp, node: str, prop_id: str,
                 and all(ok[: step + 1]))
 
     return replay
-
-
-def result_to_json(prop_id: str, result: VerifyResult,
-                   time_ms: Optional[float] = None) -> dict:
-    out: dict = {"property": prop_id}
-    if isinstance(result, Valid):
-        out["verdict"] = "valid"
-        out["k"] = result.k
-        out["invariants_used"] = list(result.invariants_used)
-    elif isinstance(result, Falsified):
-        out["verdict"] = "falsified"
-        out["k"] = result.step
-        out["trace"] = result.trace.to_json_obj()
-    else:
-        out["verdict"] = "unknown"
-        out["reason"] = result.reason.value
-        if result.detail:
-            out["detail"] = result.detail
-    if time_ms is not None:
-        out["time_ms"] = round(time_ms, 3)
-    return out

@@ -26,7 +26,7 @@ __all__ = [
     "instantiate_pattern", "count_law", "validate", "check_leaf_support",
     "query", "metrics", "export_dot",
     "graph_to_json", "graph_from_json",
-    "pattern_to_json_obj", "pattern_from_json_obj",
+    "pattern_from_json_obj",
     "requirements_from_json", "requirements_to_json",
     "synthetic_requirements",
 ]
@@ -285,16 +285,6 @@ DEFAULT_PATTERN = GsnPattern(
         PatternLink(LinkKind.SUPPORTED_BY, "goal", "solution"),
     ),
 )
-
-
-def pattern_to_json_obj(p: GsnPattern) -> dict:
-    return {
-        "name": p.name,
-        "nodes": [{"role": n.role, "kind": n.kind.value, "text": n.text,
-                   "per": n.per} for n in p.nodes],
-        "links": [{"kind": l.kind.value, "from": l.src, "to": l.dst}
-                  for l in p.links],
-    }
 
 
 def pattern_from_json_obj(obj: Mapping) -> GsnPattern:

@@ -50,13 +50,13 @@ class CDCL:
 
     # variables ------------------------------------------------------
 
-    def new_var(self, phase: bool = False) -> int:
+    def new_var(self) -> int:
         v = len(self.assign)
         self.assign.append(-1)
         self.level.append(0)
         self.reason.append(-1)
         self.activity.append(0.0)
-        self.phase.append(phase)
+        self.phase.append(False)
         self.watches.append([])
         self.watches.append([])
         heapq.heappush(self.heap, (0.0, v))
@@ -67,10 +67,6 @@ class CDCL:
         if a < 0:
             return -1
         return a ^ (lit & 1)
-
-    def model_value(self, v: int) -> bool:
-        a = self.assign[v]
-        return a == 1
 
     # clauses ----------------------------------------------------------
 
@@ -97,12 +93,11 @@ class CDCL:
             return False
         if len(out) == 1:
             self._enqueue(out[0], -1)
-            return self._propagate() is None or not self._set_unsat()
+            if self._propagate() is not None:
+                self.ok = False
+                return False
+            return True
         self._attach(out)
-        return True
-
-    def _set_unsat(self) -> bool:
-        self.ok = False
         return True
 
     def _attach(self, lits: list[int]) -> int:

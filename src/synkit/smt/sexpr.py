@@ -66,13 +66,6 @@ def parse_all(text: str) -> list[SExpr]:
     return top
 
 
-def parse_one(text: str) -> SExpr:
-    exprs = parse_all(text)
-    if len(exprs) != 1:
-        raise SExprError(f"expected one expression, got {len(exprs)}")
-    return exprs[0]
-
-
 _PLAIN_FIRST = set("abcdefghijklmnopqrstuvwxyz"
                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
                    "~!@$%^&*_-+=<>.?/")

@@ -10,14 +10,12 @@ inequalities are encoded as bounds with an infinitesimal component
 
 Every value the simplex computes on is one integer triple (a, d, q),
 read as (a + d*delta)/q, with q > 0 and gcd(a, d, q) == 1, so equal
-values are equal tuples. The assignment beta holds triples, and so do
-the bounds. Two functions on tuples do the arithmetic: `_lt` compares by
+values are equal tuples. Callers pass bounds as triples and read beta
+as triples; the assignment beta and the bounds in force hold them too.
+Two functions on tuples do the arithmetic: `_lt` compares by
 cross-multiplying, and `_addmul` computes x + y*n/m and brings it to
-lowest terms with one 3-argument gcd. `Delta` is the public value type:
-callers build bounds as Deltas, each computes its triple once, when it
-is made, and `value(v)` reads beta back as a Delta. Asserting a bound,
-checking and pivoting make no Fraction and no Delta; `model()` makes the
-Fractions it returns.
+lowest terms with one 3-argument gcd. Asserting a bound, checking and
+pivoting make no Fraction; `model()` makes the Fractions it returns.
 
 Each row holds integer numerators over one positive row denominator, in
 lowest terms, so a pivot substitutes by integer cross-multiplication.
@@ -32,39 +30,12 @@ choice a scan of every row makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-ZERO = Fraction(0)
-
 Triple = tuple[int, int, int]  # (a + d*delta)/q in lowest terms, q > 0
 _ZERO: Triple = (0, 0, 1)
-
-
-@dataclass(frozen=True)
-class Delta:
-    """a + d*delta for an infinitesimal positive delta."""
-
-    a: Fraction
-    d: Fraction = ZERO
-    triple: Triple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # over q = lcm of the two denominators the triple is in lowest
-        # terms: a prime power dividing q divides one denominator fully,
-        # so it leaves that side's numerator
-        qa, qd = self.a.denominator, self.d.denominator
-        q = lcm(qa, qd)
-        object.__setattr__(self, "triple", (self.a.numerator * (q // qa),
-                                            self.d.numerator * (q // qd), q))
-
-    def __le__(self, other):
-        return (self.a, self.d) <= (other.a, other.d)
-
-    def __lt__(self, other):
-        return (self.a, self.d) < (other.a, other.d)
 
 
 def _lt(x: Triple, y: Triple) -> bool:
@@ -140,11 +111,6 @@ class Simplex:
         self.beta[s] = val
         return s
 
-    def value(self, v: int) -> Delta:
-        """beta of v."""
-        a, d, q = self.beta[v]
-        return Delta(Fraction(a, q), Fraction(d, q))
-
     # bound assertion ----------------------------------------------------
 
     def mark(self) -> int:
@@ -159,10 +125,9 @@ class Simplex:
             else:
                 self.upper[v] = old
 
-    def assert_bound(self, v: int, is_lower: bool, val: Delta,
+    def assert_bound(self, v: int, is_lower: bool, t: Triple,
                      reason: Optional[int]) -> None:
         """Tighten a bound; raises Conflict if it crosses the other side."""
-        t = val.triple
         if is_lower:
             cur = self.lower[v]
             if cur is not None and not _lt(cur[0], t):

@@ -30,6 +30,12 @@ An atom compares such forms over their common denominator, so it reaches
 only their gcd is divided out. The coprime row with a positive first
 coefficient is unique, so every slack row and bound atom is the one a
 computation over Fractions gives.
+
+`_var_atom` writes each atom's two bounds as the simplex's triples
+(a, d, q), meaning (a + d*delta)/q: the upper bound for the atom and
+the lower bound for its negation. An Int atom x <= b has (b, 0, 1) and
+(b + 1, 0, 1). A Real atom compares x with p/q in lowest terms: x <= p/q
+has (p, 0, q) and (p, q, q), x < p/q has (p, -q, q) and (p, 0, q).
 """
 
 from __future__ import annotations
@@ -40,10 +46,10 @@ from typing import Optional, Union
 
 from . import sat
 from .sexpr import SExpr
-from .simplex import Conflict, Delta, Simplex
+from .simplex import Conflict, Simplex
 
 F = Fraction
-ZERO, ONE, MINUS_ONE = F(0), F(1), F(-1)
+ZERO, ONE = F(0), F(1)
 
 
 class SmtError(Exception):
@@ -294,7 +300,7 @@ class ArithTheory(sat.Theory):
     def __init__(self, simplex: Simplex, atom_of_var: dict,
                  int_vars: list[int]):
         self.simplex = simplex
-        self.atom_of_var = atom_of_var  # sat var -> (svar, ub Delta, lb Delta)
+        self.atom_of_var = atom_of_var  # sat var -> (svar, ub, lb triples)
         self.int_vars = int_vars
         self.stack: list[tuple[int, int]] = []  # (sat trail pos, mark)
 
@@ -341,9 +347,10 @@ class ArithTheory(sat.Theory):
         return expl
 
     def _split_var(self) -> Optional[int]:
+        beta = self.simplex.beta
         for v in self.int_vars:
-            b = self.simplex.value(v)
-            if b.d != 0 or b.a.denominator != 1:
+            _, d, q = beta[v]
+            if d != 0 or q != 1:
                 return v
         return None
 
@@ -355,13 +362,12 @@ class ArithTheory(sat.Theory):
         v = self._split_var()
         if v is None:
             return "sat", None
-        b = self.simplex.value(v)
-        if b.a.denominator != 1:
-            f = b.a.__floor__()
-        else:
-            f = b.a - 1 if b.d < 0 else b.a
+        a, d, q = self.simplex.beta[v]
+        f = a // q  # the floor of beta, one less if beta is an integer - delta
+        if a % q == 0 and d < 0:
+            f -= 1
         results = []
-        for is_lower, val in ((False, Delta(F(f))), (True, Delta(F(f + 1)))):
+        for is_lower, val in ((False, (f, 0, 1)), (True, (f + 1, 0, 1))):
             if budget[0] <= 0:
                 return "unknown", None
             budget[0] -= 1
@@ -682,20 +688,19 @@ class Solver:
         if self._num_sort.get(svar) == INT:
             # the largest integer that satisfies the bound
             b = num // den if op == "<=" else -(-num // den) - 1
-            key = (svar, b, 0)
-            hit = self._atom_key.get(key)
-            if hit is not None:
-                return hit << 1
-            ub, lb = Delta(F(b)), Delta(F(b + 1))
+            ub, lb = (b, 0, 1), (b + 1, 0, 1)
         else:
-            bound = F(num, den)
-            d = 0 if op == "<=" else -1
-            key = (svar, bound, d)
-            hit = self._atom_key.get(key)
-            if hit is not None:
-                return hit << 1
-            ub = Delta(bound, MINUS_ONE if d else ZERO)
-            lb = Delta(bound, ZERO if d else ONE)
+            # num/den as p/q in lowest terms; delta's part is scaled by q
+            g = gcd(num, den)
+            p, q = num // g, den // g
+            if op == "<=":
+                ub, lb = (p, 0, q), (p, q, q)
+            else:
+                ub, lb = (p, -q, q), (p, 0, q)
+        key = (svar,) + ub
+        hit = self._atom_key.get(key)
+        if hit is not None:
+            return hit << 1
         v = self.cdcl.new_var()
         self._atom_key[key] = v
         self.atom_of_var[v] = (svar, ub, lb)

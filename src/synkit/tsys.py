@@ -65,10 +65,6 @@ def map_vars(e: Expr, fn: Callable[[Var], Expr]) -> Expr:
     return go(e)
 
 
-def vars_of(e: Expr) -> set[str]:
-    return {s.name for s in walk(e) if isinstance(s, Var)}
-
-
 def _lit_value(e: Expr) -> Optional[Value]:
     if isinstance(e, (BoolLit, IntLit, RealLit)):
         return e.value
@@ -189,29 +185,55 @@ class _Compiler:
             self.assumptions.append(tx(a))
 
 
+def causal_order(definitions: list[tuple[str, Expr]]
+                 ) -> list[tuple[str, Expr]]:
+    """The definitions with each one after those it reads, otherwise in
+    the given order (which the inliner emits in source order)."""
+    rhs = dict(definitions)
+    reads = {n: [v.name for v in walk(e)
+                 if isinstance(v, Var) and v.name in rhs]
+             for n, e in definitions}
+    mark: dict[str, bool] = {}  # False while on the path, True once placed
+    order: list[tuple[str, Expr]] = []
+    for root, _ in definitions:
+        if root in mark:
+            continue
+        mark[root] = False
+        stack = [(root, iter(reads[root]))]
+        while stack:
+            name, pending = stack[-1]
+            for dep in pending:
+                if dep not in mark:
+                    mark[dep] = False
+                    stack.append((dep, iter(reads[dep])))
+                    break
+                if not mark[dep]:
+                    raise LangError("compile",
+                                    f"definitions of {dep} form a cycle")
+            else:
+                stack.pop()
+                mark[name] = True
+                order.append((name, rhs[name]))
+    return order
+
+
 def _propagate_constants(ts: TransitionSystem) -> None:
     """Bind defined variables whose equations fold to literals, then
-    substitute them everywhere. Keeps products like gain*dt linear."""
+    substitute them everywhere. Keeps products like gain*dt linear.
+    Each definition is folded once, after the definitions it reads."""
     consts: dict[str, Expr] = {}
-    changed = True
-    while changed:
-        changed = False
-        for i, (name, rhs) in enumerate(ts.definitions):
-            if name in consts:
-                continue
-            folded = fold_consts(_subst(rhs, consts))
-            if _lit_value(folded) is not None:
-                consts[name] = folded
-                ts.definitions[i] = (name, folded)
-                changed = True
+    folded: dict[str, Expr] = {}
+    for name, rhs in causal_order(ts.definitions):
+        e = folded[name] = fold_consts(_subst(rhs, consts))
+        if _lit_value(e) is not None:
+            consts[name] = e
     if not consts:
         return
+    ts.definitions = [(n, folded[n]) for n, _ in ts.definitions]
 
     def apply(e: Expr) -> Expr:
         return fold_consts(_subst(e, consts))
 
-    ts.definitions = [(n, rhs if n in consts else apply(rhs))
-                      for n, rhs in ts.definitions]
     ts.trans = [(n, apply(rhs)) for n, rhs in ts.trans]
     ts.assumptions = [apply(a) for a in ts.assumptions]
     ts.init = [apply(f) for f in ts.init]

@@ -10,8 +10,8 @@ from synkit import tsys
 from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
                            UnknownReason, Valid, bmc, compile_system, core,
                            eval_formula, generate_invariants, kinduction,
-                           logic_for, make_replayer, result_to_json,
-                           simulate_system, verify_all)
+                           logic_for, make_replayer, simulate_system,
+                           verify_all)
 from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
 from synkit.lang import LangError, parse, pretty_expr, typecheck
@@ -289,10 +289,10 @@ BUNDLED_CMD = shlex.join([sys.executable, "-m", "synkit.smt.bundled"])
 
 
 @pytest.mark.parametrize("src,node,prop,opts,verdict,k", [
-    (COUNTER, "Counter", "ok", {}, "falsified", 3),
-    (TOGGLE, "Toggle", "p", {}, "valid", 1),
-    (SAT_CHAIN, "Chain", "ok", {"use_invariants": True}, "valid", None),
-    (NONLIN, "Square", "ok", {}, "falsified", 0),
+    (COUNTER, "Counter", "ok", {}, Falsified, 3),
+    (TOGGLE, "Toggle", "p", {}, Valid, 1),
+    (SAT_CHAIN, "Chain", "ok", {"use_invariants": True}, Valid, None),
+    (NONLIN, "Square", "ok", {}, Falsified, 0),
 ], ids=["Counter", "Toggle", "Chain-invariants", "Square-nonlinear"])
 def test_in_process_and_child_solver_agree(monkeypatch, src, node, prop,
                                            opts, verdict, k):
@@ -304,11 +304,10 @@ def test_in_process_and_child_solver_agree(monkeypatch, src, node, prop,
     here = kinduction(ts, prop, EngineConfig(k_max=8, timeout=120, **opts))
     child = kinduction(ts, prop, EngineConfig(
         k_max=8, timeout=120, solver_command=BUNDLED_CMD, **opts))
-    out = result_to_json(prop, here)
-    assert out == result_to_json(prop, child)
-    assert out["verdict"] == verdict
+    assert here == child  # results and their traces are dataclasses
+    assert type(here) is verdict
     if k is not None:
-        assert out["k"] == k
+        assert (here.k if verdict is Valid else here.step) == k
 
 
 # oracle ---------------------------------------------------------------------
@@ -505,20 +504,6 @@ def test_replayer_rejects_wrong_step():
     assert rep(trace, 3)
     assert not rep(trace, 2)
     assert not rep(trace, 9)
-
-
-def test_result_json_shapes():
-    _, ts = _ts(COUNTER, "Counter")
-    f = bmc(ts, "ok", 5, CFG)
-    j = result_to_json("ok", f, 10.0)
-    assert j["verdict"] == "falsified" and j["k"] == 3
-    assert j["trace"]["signals"]["reset"] == [False] * 4
-    v = result_to_json("p", Valid(2, ("x = y",)), 1.0)
-    assert v["verdict"] == "valid" and v["k"] == 2
-    assert v["invariants_used"] == ["x = y"]
-    u = result_to_json("q", Unknown(UnknownReason.TIMEOUT, "slow"))
-    assert u["verdict"] == "unknown" and u["reason"] == "Timeout"
-    assert "time_ms" not in u
 
 
 # codegen -----------------------------------------------------------------------

@@ -13,8 +13,8 @@ from synkit.smt import SmtSession, SolverFailure, parse_value, \
     resolve_solver_command
 from synkit.smt import bundled, sat
 from synkit.smt.sexpr import Incomplete, SExprError, format_atom, \
-    format_sexpr, parse_all, parse_one
-from synkit.smt.simplex import Conflict, Delta, Simplex
+    format_sexpr, parse_all
+from synkit.smt.simplex import Conflict, Simplex, _lt
 from synkit.smt.solver import ModelCheckError, SmtError, Solver, \
     eval_const, sort_of, term_of
 
@@ -25,11 +25,16 @@ BUNDLED = [sys.executable, "-m", "synkit.smt.bundled"]
 
 # s-expressions ---------------------------------------------------------------
 
+def _parse_one(text):
+    (sx,) = parse_all(text)
+    return sx
+
+
 def test_sexpr_round_trip():
     text = '(assert (= |n@0| (- 1.5)) "a ""quoted"" string")'
-    sx = parse_one(text)
+    sx = _parse_one(text)
     assert sx[1][1] == "n@0"
-    assert parse_one(format_sexpr(sx)) == sx
+    assert _parse_one(format_sexpr(sx)) == sx
 
 
 def test_sexpr_comments_and_balance():
@@ -43,7 +48,7 @@ def test_sexpr_comments_and_balance():
 
 def test_sexpr_errors():
     with pytest.raises(SExprError):
-        parse_one("(a))")
+        _parse_one("(a))")
     with pytest.raises(SExprError):
         parse_all("(a")
 
@@ -149,19 +154,48 @@ def test_sat_differential_random_3sat():
 
 # simplex ---------------------------------------------------------------------
 
-def test_delta_ordering():
-    assert Delta(F(1)) < Delta(F(1), F(1))
-    assert Delta(F(1), F(-1)) < Delta(F(1))
-    assert Delta(F(0), F(5)) < Delta(F(1), F(-5))
+def _triple(a, d=0):
+    """a + d*delta as the simplex's triple (a', d', q), meaning
+    (a' + d'*delta)/q, over q = the lcm of the two denominators."""
+    a, d = F(a), F(d)
+    q = lcm(a.denominator, d.denominator)
+    return (a.numerator * (q // a.denominator),
+            d.numerator * (q // d.denominator), q)
+
+
+def _beta(sx, v):
+    """beta of v as the pair (a, d) of a + d*delta."""
+    a, d, q = sx.beta[v]
+    return F(a, q), F(d, q)
+
+
+def test_triple_ordering():
+    assert _lt(_triple(1), _triple(1, 1))
+    assert _lt(_triple(1, -1), _triple(1))
+    assert _lt(_triple(0, 5), _triple(1, -5))
+    # different denominators: 1/2 - delta/2 < 1/2 - delta/4 < 1/2 < 2/3
+    assert _triple(F(1, 2), F(-1, 2)) == (1, -1, 2)
+    assert _triple(F(1, 2), F(-1, 4)) == (2, -1, 4)
+    assert _lt(_triple(F(1, 2), F(-1, 2)), _triple(F(1, 2), F(-1, 4)))
+    assert not _lt(_triple(F(1, 2), F(-1, 4)), _triple(F(1, 2), F(-1, 2)))
+    assert _lt(_triple(F(1, 2), F(-1, 4)), _triple(F(1, 2)))
+    assert _lt(_triple(F(1, 2), 1), _triple(F(2, 3)))
+    assert not _lt(_triple(F(1, 3)), _triple(F(1, 3)))
+    # against the lexicographic order of (a, d) pairs of Fractions
+    rng = random.Random(3)
+    for _ in range(500):
+        x, y = ((F(rng.randint(-6, 6), rng.randint(1, 6)),
+                 F(rng.randint(-6, 6), rng.randint(1, 6))) for _ in "xy")
+        assert _lt(_triple(*x), _triple(*y)) == (x < y), (x, y)
 
 
 def test_simplex_feasible_point():
     sx = Simplex()
     x, y = sx.new_var(), sx.new_var()
     s = sx.add_row({x: F(1), y: F(1)})
-    sx.assert_bound(s, False, Delta(F(4)), 10)
-    sx.assert_bound(x, True, Delta(F(1)), 12)
-    sx.assert_bound(y, True, Delta(F(2)), 14)
+    sx.assert_bound(s, False, _triple(4), 10)
+    sx.assert_bound(x, True, _triple(1), 12)
+    sx.assert_bound(y, True, _triple(2), 14)
     sx.check()
     m = sx.model()
     assert m[x] >= 1 and m[y] >= 2 and m[x] + m[y] <= 4
@@ -171,10 +205,10 @@ def test_simplex_conflict_reasons():
     sx = Simplex()
     x, y = sx.new_var(), sx.new_var()
     s = sx.add_row({x: F(1), y: F(1)})
-    sx.assert_bound(x, False, Delta(F(1)), 10)
-    sx.assert_bound(y, False, Delta(F(1)), 12)
+    sx.assert_bound(x, False, _triple(1), 10)
+    sx.assert_bound(y, False, _triple(1), 12)
     with pytest.raises(Conflict) as e:
-        sx.assert_bound(s, True, Delta(F(3)), 14)
+        sx.assert_bound(s, True, _triple(3), 14)
         sx.check()
     assert set(e.value.reasons) == {10, 12, 14}
 
@@ -182,8 +216,8 @@ def test_simplex_conflict_reasons():
 def test_simplex_strict_bounds_delta_model():
     sx = Simplex()
     x = sx.new_var()
-    sx.assert_bound(x, True, Delta(F(1), F(1)), 10)   # x > 1
-    sx.assert_bound(x, False, Delta(F(2), F(-1)), 12)  # x < 2
+    sx.assert_bound(x, True, _triple(1, 1), 10)   # x > 1
+    sx.assert_bound(x, False, _triple(2, -1), 12)  # x < 2
     sx.check()
     m = sx.model()
     assert 1 < m[x] < 2
@@ -193,9 +227,9 @@ def test_simplex_undo_restores_bounds():
     sx = Simplex()
     x = sx.new_var()
     mark = sx.mark()
-    sx.assert_bound(x, True, Delta(F(5)), 10)
+    sx.assert_bound(x, True, _triple(5), 10)
     sx.undo_to(mark)
-    sx.assert_bound(x, False, Delta(F(0)), 12)  # would clash with x >= 5
+    sx.assert_bound(x, False, _triple(0), 12)  # would clash with x >= 5
     sx.check()
     assert sx.model()[x] <= 0
 
@@ -217,7 +251,7 @@ def _explanation_conflicts(nvars, combos, asserted, reasons):
     try:
         for reason in reasons:
             v, is_lower, val = asserted[reason]
-            sx.assert_bound(v, is_lower, val, reason)
+            sx.assert_bound(v, is_lower, _triple(*val), reason)
         sx.check()
     except Conflict:
         return True
@@ -227,18 +261,18 @@ def _explanation_conflicts(nvars, combos, asserted, reasons):
 def _assert_sound(sx, nvars, combos, bounds):
     """After a passing check(): beta is in bounds and solves every row,
     each row follows from the original definitions, and the model
-    satisfies the definitions and bounds."""
+    satisfies the definitions and bounds. Bounds are (a, d) pairs."""
     def expand(v):  # v as a combination of the original variables
         return combos[v - nvars] if v >= nvars else {v: F(1)}
 
     for v, is_lower, val in bounds:
-        assert val <= sx.value(v) if is_lower else sx.value(v) <= val
+        assert val <= _beta(sx, v) if is_lower else _beta(sx, v) <= val
     for b, (nums, den) in sx.rows.items():
         row = {k: F(n, den) for k, n in nums.items()}
         assert not set(row) & set(sx.rows)
-        a = sum((c * sx.value(k).a for k, c in row.items()), F(0))
-        d = sum((c * sx.value(k).d for k, c in row.items()), F(0))
-        assert sx.value(b) == Delta(a, d)
+        a = sum((c * _beta(sx, k)[0] for k, c in row.items()), F(0))
+        d = sum((c * _beta(sx, k)[1] for k, c in row.items()), F(0))
+        assert _beta(sx, b) == (a, d)
         implied = {}
         for k, c in row.items():
             for x, cx in expand(k).items():
@@ -248,11 +282,11 @@ def _assert_sound(sx, nvars, combos, bounds):
     for i, combo in enumerate(combos):
         assert m[nvars + i] == sum(c * m[x] for x, c in combo.items())
     # lower bounds here are (a, 0) or (a, 1), upper ones (a, 0) or (a, -1)
-    for v, is_lower, val in bounds:
+    for v, is_lower, (a, d) in bounds:
         if is_lower:
-            assert m[v] > val.a if val.d else m[v] >= val.a
+            assert m[v] > a if d else m[v] >= a
         else:
-            assert m[v] < val.a if val.d else m[v] <= val.a
+            assert m[v] < a if d else m[v] <= a
 
 
 def test_simplex_random_tableau_invariants():
@@ -265,7 +299,7 @@ def test_simplex_random_tableau_invariants():
                    for x in rng.sample(range(nvars), rng.randint(2, nvars))}
                   for _ in range(rng.randint(1, 4))]
         sx = _tableau(nvars, combos)
-        asserted = {}  # reason -> (var, is_lower, bound)
+        asserted = {}  # reason -> (var, is_lower, (a, d) of the bound)
         active = []    # reasons of the bounds in force, oldest first
         marks = [(sx.mark(), 0)]
         for _ in range(40):
@@ -275,10 +309,10 @@ def test_simplex_random_tableau_invariants():
                 is_lower = rng.random() < 0.5
                 d = rng.choice((0, 1 if is_lower else -1))
                 reason = len(asserted)
-                asserted[reason] = (v, is_lower,
-                                    Delta(F(rng.randint(-4, 4)), F(d)))
+                asserted[reason] = (v, is_lower, (F(rng.randint(-4, 4)), F(d)))
                 try:
-                    sx.assert_bound(*asserted[reason], reason)
+                    sx.assert_bound(v, is_lower, _triple(*asserted[reason][2]),
+                                    reason)
                 except Conflict as c:
                     conflicts += 1
                     assert reason in c.reasons
@@ -340,7 +374,7 @@ def test_simplex_pivot_path_is_pinned(monkeypatch):
                 is_lower = rng.random() < 0.5
                 a = F(rng.randint(-8, 8), rng.choice((1, 2, 3)))
                 d = F(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 2)))
-                val = Delta(a, d)
+                val = _triple(a, d)
                 try:
                     sx.assert_bound(v, is_lower, val, reason)
                 except Conflict as c:
@@ -357,8 +391,7 @@ def test_simplex_pivot_path_is_pinned(monkeypatch):
                 except Conflict as c:
                     log.append(("conflict", tuple(c.reasons)))
                     continue
-                log.append(("beta", tuple((sx.value(v).a, sx.value(v).d)
-                                          for v in range(sx.n))))
+                log.append(("beta", tuple(_beta(sx, v) for v in range(sx.n))))
                 log.append(("model", tuple(sx.model())))
     counts = {kind: sum(e[0] == kind for e in log)
               for kind in ("pivot", "beta", "conflict")}
@@ -454,7 +487,7 @@ def test_solver_model_is_pinned_by_the_pivot_order():
     # many models satisfy these; Bland's rule over the tableau picks one,
     # and counterexample traces are read from such models
     decls = {v: ("const", "Real") for v in "rqs"}
-    s = Solver([term_of(parse_one(
+    s = Solver([term_of(_parse_one(
         "(and (>= (+ r q s) 5) (<= (- r q) 1) (>= (+ q (* 2 s)) 4) "
         "(< (+ r (* 3 s)) 8) (>= r 0) (>= q 0) (>= s 0))"), decls)])
     assert s.check() == "sat"
@@ -728,11 +761,12 @@ class _FractionEncoding(Solver):
     def _var_atom(self, svar, op, bound):
         if self._num_sort.get(svar) == "Int":
             b = bound.__floor__() if op == "<=" else bound.__ceil__() - 1
-            ub, lb = Delta(F(b)), Delta(F(b + 1))
+            ub, lb = (F(b), F(0)), (F(b + 1), F(0))
         else:
-            ub = Delta(bound, F(0) if op == "<=" else F(-1))
-            lb = Delta(bound, F(1) if op == "<=" else F(0))
-        key = (svar, ub.a, ub.d)
+            ub = (bound, F(0) if op == "<=" else F(-1))
+            lb = (bound, F(1) if op == "<=" else F(0))
+        ub, lb = _triple(*ub), _triple(*lb)
+        key = (svar,) + ub
         hit = self._atom_key.get(key)
         if hit is not None:
             return hit << 1

@@ -14,7 +14,7 @@ import pytest
 from synkit import tsys
 from synkit.interp import Trace, simulate
 from synkit.lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
-                         RealLit, Type, Unary, Var, parse, typecheck)
+                         RealLit, Type, Unary, Var, parse, typecheck, walk)
 
 F = Fraction
 
@@ -64,6 +64,32 @@ tel
     assert ts.extern_symbols == []
     band_def = dict(ts.definitions)["Lim.band"]
     assert band_def == RealLit(F(1, 5))
+
+
+def test_each_definition_is_substituted_and_folded_once(monkeypatch):
+    # a constant chain written against its causal order: a sweep over the
+    # definitions in list order would bind one constant per sweep
+    tp = build("""
+node Chain(x : int) returns (y : int);
+var a, b, c, d : int;
+let
+  y = x + a;
+  a = b + 1;
+  b = c + 1;
+  c = d + 1;
+  d = 1;
+tel
+""")
+    substituted = []
+    subst = tsys._subst
+    monkeypatch.setattr(tsys, "_subst", lambda e, mapping: (
+        substituted.append(e), subst(e, mapping))[1])
+    ts = tsys.compile(tp, "Chain")
+    others = ts.trans + ts.assumptions + ts.init + ts.properties
+    assert len(substituted) == len(ts.definitions) + len(others) == 7
+    assert ts.definitions == [
+        ("y", Binary("+", Var("x"), IntLit(4))), ("a", IntLit(4)),
+        ("b", IntLit(3)), ("c", IntLit(2)), ("d", IntLit(1))]
 
 
 def test_variable_product_becomes_uninterpreted():
@@ -132,7 +158,7 @@ let y = Pos(u); tel
 """)
     ts = tsys.compile(tp, "Top")
     assert len(ts.assumptions) == 1
-    assert "Pos.x" in tsys.vars_of(ts.assumptions[0])
+    assert Var("Pos.x") in walk(ts.assumptions[0])
 
 
 def test_only_top_annotations_become_properties():
