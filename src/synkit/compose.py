@@ -38,7 +38,7 @@ from .lang import (
     typecheck,
     walk,
 )
-from .lang.typecheck import TypedProgram
+from .lang.typecheck import Cycle, TypedProgram, dependency_order
 
 __all__ = [
     "Contract",
@@ -178,30 +178,11 @@ def check_noncircular(contracts: Sequence[Contract],
             if b in below or by_node[a].assumptions:
                 edges[a].append(b)
 
-    color: dict[str, int] = {}  # 1 on stack, 2 done
-    stack: list[str] = []
-
-    def visit(n: str) -> Optional[list[str]]:
-        color[n] = 1
-        stack.append(n)
-        for m in edges[n]:
-            if color.get(m) == 1:
-                return stack[stack.index(m):] + [m]
-            if m not in color:
-                cyc = visit(m)
-                if cyc is not None:
-                    return cyc
-        stack.pop()
-        color[n] = 2
-        return None
-
-    for n in nodes:
-        if n not in color:
-            cyc = visit(n)
-            if cyc is not None:
-                raise LangError(
-                    "compose",
-                    "circular contract dependency: " + " -> ".join(cyc))
+    try:
+        dependency_order(nodes, edges.__getitem__)
+    except Cycle as c:
+        raise LangError("compose",
+                        f"circular contract dependency: {c}") from None
 
 
 def _called_nodes(e: Expr) -> set[str]:

@@ -4,7 +4,9 @@ The symbolic side of the engine talks to a solver; everything else
 (exhaustive search, invariant mining, soundness cross-checks) wants to
 run a system fast and exactly. Compiling the definitions into one
 generated function gets within small factors of hand-written code while
-keeping bool/int/Fraction semantics identical to the interpreter.
+keeping bool/int/Fraction semantics identical to the interpreter. The
+step computes the definitions in list order, which is schedule order:
+the typechecker's causal order, the one the interpreter runs.
 
 Each flow gets one fixed machine type, as in the clock-directed
 compilation of Lustre (Biernacki, Colaco, Hamon & Pouzet, LCTES 2008).
@@ -32,10 +34,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
-from ..interp import Value
 from ..lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
-                    RealLit, Type, Unary, Var, walk)
-from ..tsys import INIT_FLAG, TransitionSystem, causal_order
+                    RealLit, Type, Unary, Var)
+from ..tsys import INIT_FLAG, TransitionSystem
 
 _TYPE_DEFAULT = {Type.BOOL: False, Type.INT: 0, Type.REAL: Fraction(0)}
 
@@ -241,9 +242,8 @@ class _Emitter:
         return _Code(text, n // g)
 
 
-def _analyse_scales(ts: TransitionSystem, order: list[tuple[str, Expr]],
-                    slot: dict[str, str], types: dict[str, Type],
-                    input_scales: dict[str, int]
+def _analyse_scales(ts: TransitionSystem, slot: dict[str, str],
+                    types: dict[str, Type], input_scales: dict[str, int]
                     ) -> dict[str, Optional[int]]:
     """Scale of every Real signal (None: Fraction). State variables start
     at 1 (their default, 0, is an integer at any scale) and take the
@@ -258,7 +258,7 @@ def _analyse_scales(ts: TransitionSystem, order: list[tuple[str, Expr]],
     growth = dict.fromkeys(real_state, 0)
     while True:
         em = _Emitter(slot, types, scales)
-        for name, rhs in order:
+        for name, rhs in ts.definitions:
             code = em.emit(rhs)
             if types[name] is Type.REAL:
                 scales[name] = code.scale
@@ -311,8 +311,7 @@ def compile_system(ts: TransitionSystem,
     for i, n in enumerate(defined_names):
         slot[n] = f"d{i}"
 
-    order = causal_order(ts.definitions)
-    scales = _analyse_scales(ts, order, slot, types, input_scales)
+    scales = _analyse_scales(ts, slot, types, input_scales)
     em = _Emitter(slot, types, scales)
     unpack = []
     if state_names:
@@ -321,7 +320,7 @@ def compile_system(ts: TransitionSystem,
     lines += ["  " + u for u in unpack]
     if input_names:
         lines.append(f"      {', '.join(slot[n] for n in input_names)}, = I")
-    for name, rhs in order:
+    for name, rhs in ts.definitions:
         lines.append(f"      {slot[name]} = {em.emit(rhs).text}")
     asm = " and ".join(f"({em.emit(a).text})" for a in ts.assumptions) \
         or "True"
@@ -366,44 +365,3 @@ def compile_system(ts: TransitionSystem,
         defined_names=defined_names,
         prop_ids=[pid for pid, _ in ts.properties],
         default_state=default, step=step, init_ok=init_ok, scales=kept)
-
-
-def eval_formula(e: Expr, env: dict[str, Value],
-                 externs: Optional[dict[str, Callable]] = None) -> Value:
-    """Evaluate one formula over a full variable environment."""
-    table = externs if externs is not None else NONLINEAR_EVAL
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, RealLit):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Unary):
-        v = eval_formula(e.operand, env, table)
-        return (not v) if e.op == "not" else -v
-    if isinstance(e, Binary):
-        if e.op in ("and", "or", "=>"):
-            a = eval_formula(e.left, env, table)
-            if e.op == "and" and not a:
-                return False
-            if e.op == "or" and a:
-                return True
-            if e.op == "=>" and not a:
-                return True
-            return bool(eval_formula(e.right, env, table))
-        a = eval_formula(e.left, env, table)
-        b = eval_formula(e.right, env, table)
-        return {"+": lambda: a + b, "-": lambda: a - b,
-                "*": lambda: a * b, "/": lambda: a / b,
-                "=": lambda: a == b, "<>": lambda: a != b,
-                "<": lambda: a < b, "<=": lambda: a <= b,
-                ">": lambda: a > b, ">=": lambda: a >= b}[e.op]()
-    if isinstance(e, Ite):
-        branch = e.then if eval_formula(e.cond, env, table) else e.orelse
-        return eval_formula(branch, env, table)
-    if isinstance(e, Call):
-        args = [eval_formula(a, env, table) for a in e.args]
-        return table[e.callee](*args)
-    raise LangError("compile", f"cannot evaluate {type(e).__name__}")

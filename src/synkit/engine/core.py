@@ -23,18 +23,17 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from ..interp import Trace, Value
-from ..lang import (Binary, Expr, IntLit, LangError, RealLit, Type, Var,
-                    pretty_expr)
+from ..lang import Binary, Expr, LangError, Type, Var, pretty_expr
 from ..smt import SmtSession, SolverFailure
-from ..tsys import TransitionSystem
-from .codegen import CompiledSystem, compile_system, eval_formula
+from ..tsys import TransitionSystem, fold_consts, literal, map_vars
+from .codegen import CompiledSystem, compile_system
 from .encode import Unroller, logic_for
 
 __all__ = [
     "EngineConfig", "Valid", "Falsified", "Unknown", "UnknownReason",
     "VerifyResult", "InvariantCandidate", "InternalError", "bmc",
     "kinduction", "generate_invariants", "verify_all", "simulate_system",
-    "make_replayer",
+    "make_replayer", "eval_formula",
 ]
 
 
@@ -434,17 +433,22 @@ def _mine_candidates(ts: TransitionSystem,
         lo = min(row[x] for row in rows)
         hi = max(row[x] for row in rows)
         ty = types[x]
-        lit = (lambda v: IntLit(int(v), ty=Type.INT)) if ty is Type.INT \
-            else (lambda v: RealLit(Fraction(v), ty=Type.REAL))
         xv = Var(x, ty=ty)
         out.append(InvariantCandidate(
             "IntervalBound",
             Binary("and",
-                   Binary("<=", lit(lo), xv, ty=Type.BOOL),
-                   Binary("<=", xv, lit(hi), ty=Type.BOOL),
+                   Binary("<=", literal(lo, ty), xv, ty=Type.BOOL),
+                   Binary("<=", xv, literal(hi, ty), ty=Type.BOOL),
                    ty=Type.BOOL),
             "simulated-ok"))
     return out
+
+
+def eval_formula(e: Expr, env: dict[str, Value]) -> Value:
+    """Evaluate a formula over a full variable environment: each variable
+    becomes its value as a literal, and constant folding does the rest."""
+    values = map_vars(e, lambda v: literal(env[v.name], v.ty))
+    return fold_consts(values).value
 
 
 def _model_env(un: Unroller, s: SmtSession, t: int) -> dict[str, Value]:

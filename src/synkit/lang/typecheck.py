@@ -8,13 +8,21 @@ site index.  Site indices are the shared coordinate system between the
 interpreter's NodeState and the compiler's state variables: they are
 assigned per node in source order (equations first, then assertions,
 preorder within an expression).
+
+The causality check yields each node's schedule, its equations with
+every one after the equations whose signals it reads at the same
+instant.  The schedule is the one causal order: the interpreter runs
+the equations in it, and the inliner emits the transition system's
+definitions in it, which the compiled step function computes in turn.
+dependency_order is the one walk behind the schedule, the call order
+and the contract dependency check, and names any cycle it meets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .ast import (Arrow, Binary, BoolLit, Call, Equation, Expr, ExternDecl,
                   IntLit, Ite, NodeDecl, Pre, Program, RealLit, Type, Unary,
@@ -23,12 +31,53 @@ from .errors import LangError
 
 _NUMERIC = (Type.INT, Type.REAL)
 
+K = TypeVar("K")
+
+
+class Cycle(Exception):
+    """A dependency cycle; path repeats its first key at its end."""
+
+    def __init__(self, path: list):
+        super().__init__(" -> ".join(map(str, path)))
+        self.path = path
+
+
+def dependency_order(keys: Iterable[K],
+                     deps: Callable[[K], Iterable[K]]) -> list[K]:
+    """Every key reachable from keys, each after the keys it depends on.
+
+    An iterative depth-first walk: roots in the given order, each key's
+    deps in the order deps gives them. Raises Cycle on a cycle.
+    """
+    mark: dict[K, bool] = {}  # False while on the path, True once placed
+    order: list[K] = []
+    for root in keys:
+        if root in mark:
+            continue
+        mark[root] = False
+        path = [root]
+        pending = [iter(deps(root))]
+        while pending:
+            for dep in pending[-1]:
+                if dep not in mark:
+                    mark[dep] = False
+                    path.append(dep)
+                    pending.append(iter(deps(dep)))
+                    break
+                if not mark[dep]:
+                    raise Cycle(path[path.index(dep):] + [dep])
+            else:
+                pending.pop()
+                mark[path[-1]] = True
+                order.append(path.pop())
+    return order
+
 
 @dataclass
 class NodeInfo:
     decl: NodeDecl
     env: dict[str, Type]
-    schedule: list[Equation]  # causal evaluation order
+    schedule: list[Equation]  # the causal order, see the module docstring
     n_pre: int = 0
     n_arrow: int = 0
     calls: list[Call] = field(default_factory=list)  # in site order
@@ -98,35 +147,17 @@ class _Checker:
     # call graph ---------------------------------------------------------
 
     def _call_order(self) -> list[str]:
-        deps: dict[str, set[str]] = {n.name: set() for n in self.p.nodes}
+        callees: dict[str, list[str]] = {}
         for n in self.p.nodes:
-            for eq in n.equations:
-                for sub in walk(eq.rhs):
-                    if isinstance(sub, Call) and sub.callee in self.node_sigs:
-                        deps[n.name].add(sub.callee)
-            for a in n.assertions:
-                for sub in walk(a):
-                    if isinstance(sub, Call) and sub.callee in self.node_sigs:
-                        deps[n.name].add(sub.callee)
-        order: list[str] = []
-        state: dict[str, int] = {}  # 1 visiting, 2 done
-
-        def visit(name: str, chain: list[str]) -> None:
-            if state.get(name) == 2:
-                return
-            if state.get(name) == 1:
-                cycle = chain[chain.index(name):] + [name]
-                raise LangError("recursion",
-                                "recursive node calls: " + " -> ".join(cycle))
-            state[name] = 1
-            for d in sorted(deps[name]):
-                visit(d, chain + [name])
-            state[name] = 2
-            order.append(name)
-
-        for n in self.p.nodes:
-            visit(n.name, [])
-        return order
+            roots = [eq.rhs for eq in n.equations] + n.assertions
+            callees[n.name] = sorted({
+                sub.callee for root in roots for sub in walk(root)
+                if isinstance(sub, Call) and sub.callee in self.node_sigs})
+        try:
+            return dependency_order(callees, callees.__getitem__)
+        except Cycle as c:
+            raise LangError("recursion",
+                            f"recursive node calls: {c}") from None
 
     # per-node checking ---------------------------------------------------
 
@@ -179,7 +210,7 @@ class _Checker:
         decl = NodeDecl(n.name, list(n.inputs), list(n.outputs),
                         list(n.locals), typed_eqs, typed_asserts,
                         list(n.properties), pos=n.pos)
-        schedule = self._schedule(decl, inputs)
+        schedule = self._schedule(decl)
         n_pre, n_arrow, calls = _assign_sites(
             [eq.rhs for eq in decl.equations] + decl.assertions)
         return NodeInfo(decl, env, schedule, n_pre, n_arrow, calls)
@@ -333,68 +364,20 @@ class _Checker:
 
     # causality -------------------------------------------------------------
 
-    def _schedule(self, n: NodeDecl, inputs: set[str]) -> list[Equation]:
-        def_of: dict[str, Equation] = {}
+    def _schedule(self, n: NodeDecl) -> list[Equation]:
+        def_of = {t: eq for eq in n.equations for t in eq.targets}
+        reads: dict[str, list[str]] = {}
         for eq in n.equations:
+            deps = sorted(d for d in _current_deps(eq.rhs) if d in def_of)
             for t in eq.targets:
-                def_of[t] = eq
-        eq_deps: dict[int, set[str]] = {}
-        for idx, eq in enumerate(n.equations):
-            deps = _current_deps(eq.rhs)
-            eq_deps[idx] = {d for d in deps if d in def_of}
-
-        done: set[str] = set()
-        scheduled: list[Equation] = []
-        remaining = set(range(len(n.equations)))
-        progress = True
-        while remaining and progress:
-            progress = False
-            for idx in sorted(remaining):
-                if eq_deps[idx] <= done:
-                    scheduled.append(n.equations[idx])
-                    done.update(n.equations[idx].targets)
-                    remaining.discard(idx)
-                    progress = True
-        if remaining:
-            cycle = self._find_cycle(n, def_of, remaining)
-            raise LangError("causality",
-                            "causality cycle through " + " -> ".join(cycle),
-                            n.equations[min(remaining)].pos)
-        return scheduled
-
-    def _find_cycle(self, n: NodeDecl, def_of: dict[str, Equation],
-                    remaining: set[int]) -> list[str]:
-        # signal graph restricted to the stuck equations
-        stuck_targets = set()
-        for idx in remaining:
-            stuck_targets.update(n.equations[idx].targets)
-        graph: dict[str, list[str]] = {}
-        for idx in remaining:
-            eq = n.equations[idx]
-            deps = [d for d in sorted(_current_deps(eq.rhs))
-                    if d in stuck_targets]
-            for t in eq.targets:
-                graph[t] = deps
-        state: dict[str, int] = {}
-
-        def dfs(v: str, path: list[str]) -> Optional[list[str]]:
-            state[v] = 1
-            for w in graph.get(v, ()):
-                if state.get(w) == 1:
-                    return path[path.index(w):] + [w]
-                if state.get(w, 0) == 0:
-                    found = dfs(w, path + [w])
-                    if found:
-                        return found
-            state[v] = 2
-            return None
-
-        for v in sorted(graph):
-            if state.get(v, 0) == 0:
-                found = dfs(v, [v])
-                if found:
-                    return found
-        return sorted(stuck_targets)  # fallback, should not happen
+                reads[t] = deps
+        try:
+            order = dependency_order(def_of, reads.__getitem__)
+        except Cycle as c:
+            raise LangError("causality", f"causality cycle through {c}",
+                            def_of[c.path[0]].pos) from None
+        # a tuple equation comes once, at its first target in the order
+        return list({id(eq): eq for eq in map(def_of.get, order)}.values())
 
 
 def instance_names(info: NodeInfo) -> dict[int, str]:

@@ -1,7 +1,9 @@
 """Symbolic compilation: a typed node becomes a flat transition system.
 
 All node calls are inlined under dotted instance prefixes (the same
-naming the interpreter's deep recording uses). Each Pre site turns into
+naming the interpreter's deep recording uses). Each node's equations
+are inlined in schedule order, the typechecker's causal order, so the
+definitions come each after the ones it reads. Each Pre site turns into
 a state variable `<prefix>._pre<i>` with a next-state equation; all
 Arrow sites share one global boolean state variable `_init` that is
 true exactly at the first instant. Step-0 Pre variables are left
@@ -38,7 +40,8 @@ class TransitionSystem:
     defined_vars: list[tuple[str, Type]]
     init: list[Expr]  # conjuncts over step-0 variables
     trans: list[tuple[str, Expr]]  # state_var' = rhs(step i)
-    definitions: list[tuple[str, Expr]]  # defined_var = rhs, every step
+    # defined_var = rhs, every step; in schedule order
+    definitions: list[tuple[str, Expr]]
     assumptions: list[Expr]  # hold at every step
     properties: list[tuple[str, Expr]]
     extern_symbols: list[tuple[str, tuple[Type, ...], Type]]
@@ -71,7 +74,7 @@ def _lit_value(e: Expr) -> Optional[Value]:
     return None
 
 
-def _mk_lit(v: Value, ty: Type) -> Expr:
+def literal(v: Value, ty: Type) -> Expr:
     if ty is Type.BOOL:
         return BoolLit(bool(v), ty=Type.BOOL)
     if ty is Type.INT:
@@ -85,7 +88,7 @@ def fold_consts(e: Expr) -> Expr:
     if isinstance(e, Unary):
         v = _lit_value(e.operand)
         if v is not None:
-            return _mk_lit((not v) if e.op == "not" else -v, e.ty)
+            return literal((not v) if e.op == "not" else -v, e.ty)
     elif isinstance(e, Binary):
         a, b = _lit_value(e.left), _lit_value(e.right)
         if a is not None and b is not None:
@@ -102,7 +105,7 @@ def fold_consts(e: Expr) -> Expr:
                 "or": lambda: bool(a) or bool(b),
                 "=>": lambda: (not a) or bool(b),
             }
-            return _mk_lit(table[op](), e.ty)
+            return literal(table[op](), e.ty)
     elif isinstance(e, Ite):
         cv = _lit_value(e.cond)
         if cv is not None:
@@ -148,6 +151,7 @@ class _Compiler:
         for vd in info.decl.outputs + info.decl.locals:
             self.defined.append((p + vd.name, vd.type))
         names = instance_names(info)
+        late: list[tuple[str, Expr]] = []
 
         def call(c: Call) -> list[Expr]:
             """Inline a node call; its outputs as variables."""
@@ -166,7 +170,12 @@ class _Compiler:
                 sv = f"{p}_pre{e.site}"
                 if all(sv != n for n, _ in self.state):
                     self.state.append((sv, e.ty))
+                    mark = len(self.def_eqs)
                     self.trans.append((sv, tx(e.operand)))
+                    # a call under a pre may read signals scheduled
+                    # later; like the interpreter, step it after them
+                    late.extend(self.def_eqs[mark:])
+                    del self.def_eqs[mark:]
                 return Var(sv, ty=e.ty)
             if isinstance(e, Arrow):
                 return Ite(Var(INIT_FLAG, ty=Type.BOOL), tx(e.left),
@@ -175,7 +184,7 @@ class _Compiler:
                 return call(e)[0]
             return rebuild(e, tx)
 
-        for eq in info.decl.equations:
+        for eq in info.schedule:
             if len(eq.targets) > 1:
                 for t, out in zip(eq.targets, call(eq.rhs)):
                     self.def_eqs.append((p + t, out))
@@ -183,53 +192,22 @@ class _Compiler:
                 self.def_eqs.append((p + eq.targets[0], tx(eq.rhs)))
         for a in info.decl.assertions:
             self.assumptions.append(tx(a))
-
-
-def causal_order(definitions: list[tuple[str, Expr]]
-                 ) -> list[tuple[str, Expr]]:
-    """The definitions with each one after those it reads, otherwise in
-    the given order (which the inliner emits in source order)."""
-    rhs = dict(definitions)
-    reads = {n: [v.name for v in walk(e)
-                 if isinstance(v, Var) and v.name in rhs]
-             for n, e in definitions}
-    mark: dict[str, bool] = {}  # False while on the path, True once placed
-    order: list[tuple[str, Expr]] = []
-    for root, _ in definitions:
-        if root in mark:
-            continue
-        mark[root] = False
-        stack = [(root, iter(reads[root]))]
-        while stack:
-            name, pending = stack[-1]
-            for dep in pending:
-                if dep not in mark:
-                    mark[dep] = False
-                    stack.append((dep, iter(reads[dep])))
-                    break
-                if not mark[dep]:
-                    raise LangError("compile",
-                                    f"definitions of {dep} form a cycle")
-            else:
-                stack.pop()
-                mark[name] = True
-                order.append((name, rhs[name]))
-    return order
+        self.def_eqs.extend(late)
 
 
 def _propagate_constants(ts: TransitionSystem) -> None:
     """Bind defined variables whose equations fold to literals, then
-    substitute them everywhere. Keeps products like gain*dt linear.
-    Each definition is folded once, after the definitions it reads."""
+    substitute them everywhere, folding every formula. Keeps products
+    like gain*dt linear. Each definition is folded once, after the
+    definitions it reads."""
     consts: dict[str, Expr] = {}
-    folded: dict[str, Expr] = {}
-    for name, rhs in causal_order(ts.definitions):
-        e = folded[name] = fold_consts(_subst(rhs, consts))
+    folded: list[tuple[str, Expr]] = []
+    for name, rhs in ts.definitions:
+        e = fold_consts(_subst(rhs, consts))
+        folded.append((name, e))
         if _lit_value(e) is not None:
             consts[name] = e
-    if not consts:
-        return
-    ts.definitions = [(n, folded[n]) for n, _ in ts.definitions]
+    ts.definitions = folded
 
     def apply(e: Expr) -> Expr:
         return fold_consts(_subst(e, consts))

@@ -558,6 +558,35 @@ tel
     assert got["y"] == want["y"][0] == F(5, 3)
 
 
+def test_a_call_under_pre_steps_after_the_signals_it_reads():
+    # the call's argument is scheduled after the equation holding the
+    # pre, so its inlined definitions come after the node's equations,
+    # where the interpreter steps such an instance too
+    src = """
+node Inc(a: int) returns (b: int);
+let
+  b = a + 1;
+tel
+
+node Late(x: int) returns (y: int);
+var z: int;
+let
+  y = 0 -> pre Inc(z);
+  z = 2 * x;
+tel
+"""
+    tp, ts = _ts(src, "Late")
+    assert [n for n, _ in ts.definitions] == ["y", "z", "Inc.a", "Inc.b"]
+    cs = compile_system(ts)
+    xs = [1, 5, 7]
+    state, got = cs.default_state, []
+    for x in xs:
+        state, _, _, defs = cs.step(state, (x,))
+        got.append(defs[cs.defined_names.index("y")])
+    want = simulate(tp, "Late", Trace({"x": xs}), len(xs)).signals["y"]
+    assert got == want == [0, 3, 11]
+
+
 def test_compile_system_needs_extern_semantics():
     src = """
 extern mystery(x: int) returns (y: int);

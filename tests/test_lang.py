@@ -265,8 +265,9 @@ tel
 """
     with pytest.raises(LangError) as exc:
         typecheck(parse(src))
-    msg = str(exc.value)
-    assert "u" in msg and "v" in msg
+    assert exc.value.kind == "causality"
+    assert exc.value.message == "causality cycle through u -> v -> u"
+    assert exc.value.pos.line == 6  # u's equation, the path's first signal
 
 
 def test_pre_breaks_causality_cycle():
@@ -292,6 +293,7 @@ let y = A(x); tel
     with pytest.raises(LangError) as exc:
         typecheck(parse(src))
     assert exc.value.kind == "recursion"
+    assert exc.value.message == "recursive node calls: A -> B -> A"
 
 
 def test_call_order_is_callees_first():

@@ -88,8 +88,36 @@ tel
     others = ts.trans + ts.assumptions + ts.init + ts.properties
     assert len(substituted) == len(ts.definitions) + len(others) == 7
     assert ts.definitions == [
-        ("y", Binary("+", Var("x"), IntLit(4))), ("a", IntLit(4)),
-        ("b", IntLit(3)), ("c", IntLit(2)), ("d", IntLit(1))]
+        ("d", IntLit(1)), ("c", IntLit(2)), ("b", IntLit(3)),
+        ("a", IntLit(4)), ("y", Binary("+", Var("x"), IntLit(4)))]
+
+
+def test_definitions_follow_the_typechecker_schedule():
+    tp = build("""
+node Mix(x : int) returns (y : int);
+var a, b, c, d : int;
+let
+  y = a + d;
+  a = b + x;
+  b = c;
+  c = x -> pre y;
+  d = 2 * x;
+tel
+""")
+    schedule = [eq.targets[0] for eq in tp.info("Mix").schedule]
+    assert schedule == ["c", "b", "a", "d", "y"]
+    ts = tsys.compile(tp, "Mix")
+    assert [n for n, _ in ts.definitions] == schedule
+
+
+def test_folding_does_not_depend_on_an_unrelated_constant():
+    alone = build("node A(x : int) returns (y : int); "
+                  "let y = x + 2 * 3; tel")
+    with_k = build("node A(x : int) returns (y : int); var k : int; "
+                   "let y = x + 2 * 3; k = 1; tel")
+    want = Binary("+", Var("x"), IntLit(6))
+    assert dict(tsys.compile(alone, "A").definitions)["y"] == want
+    assert dict(tsys.compile(with_k, "A").definitions)["y"] == want
 
 
 def test_variable_product_becomes_uninterpreted():
