@@ -16,15 +16,28 @@ int. D starts from the constants and from the scales the caller gives
 for Real inputs, and propagates through +, -, multiplication by a
 constant, unary minus and if-then-else; sums and comparisons of signals
 with different scales multiply by compile-time integer factors. State
-variables are iterated to a fixpoint over the transition relation. A
-signal stays on Fraction when it depends on a function call (an extern
-or nonlinear residue), on an input without a scale, or on a feedback
-loop whose D keeps growing (x = 0.5 * pre x doubles it every lap).
+variables are iterated to a fixpoint over the transition relation.
+
+A feedback loop can multiply its own scale every lap: x = 0.5 * pre x
+doubles it. The analysis reads that factor from the loop structure (how
+a state variable's scale flows back into its own next-state scale), not
+from the iteration. When the factor is a power of two, the loop's
+signals are stored as an int mantissa m with a runtime exponent e,
+meaning m / (D * 2**e) for a compile-time D: one step shifts every such
+state to a shared exponent, sums and comparisons with fixed-scale
+values shift those left by it, multiplying by the loop constant raises
+the compile-time part, and each state is stored with the common factors
+of 2 of m and 2**e stripped. A signal stays on Fraction when it depends
+on a function call (an extern or nonlinear residue), on a product or
+quotient of signals, on an input without a scale, or on a loop whose
+factor has an odd part (x = 0.1 * pre x).
 
 ``step`` reads and returns the compiled representation: a scaled input
-is passed as the int value*D, and scaled state and definitions come back
-as ints. ``CompiledSystem.decode`` turns state and definitions back into
-public values, where every Real value is a Fraction.
+is passed as the int value*D, and scaled state and definitions come
+back as ints. A growing state comes back as its pair (m, e), a growing
+definition as its mantissa, with the step's exponent after the last
+definition. ``CompiledSystem.decode`` turns state and definitions back
+into public values, where every Real value is a Fraction.
 """
 
 from __future__ import annotations
@@ -48,10 +61,6 @@ NONLINEAR_EVAL: dict[str, Callable] = {
     "_nldiv_real": lambda a, b: a / b,
 }
 
-# how often a state variable's scale may grow before the analysis gives
-# the variable up to Fraction; a chain of delays grows each scale once
-_MAX_GROWTH = 4
-
 _COMPARE = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">",
             ">=": ">="}
 
@@ -64,19 +73,33 @@ class CompiledSystem:
     defined_names: list[str]
     prop_ids: list[str]
     default_state: tuple
-    # step(S, I) -> (S', assumptions_ok, props, defs), all compiled values
+    # step(S, I) -> (S', assumptions_ok, props, defs), all compiled values;
+    # when a signal grows, defs ends with the step's exponent e
     step: Callable[[tuple, tuple], tuple]
     init_ok: Callable[[tuple], bool]
     # Real signals held as the int value*D, by name; the rest are plain
     scales: dict[str, int] = field(default_factory=dict)
+    # Real signals held as an int m meaning m / (D * 2**e), by name: a
+    # state as the pair (m, e), a definition with the step's e
+    growing: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._state_scales = [self.scales.get(n) for n in self.state_names]
-        self._def_scales = [self.scales.get(n) for n in self.defined_names]
+        self._state_scales = [self._scale(n) for n in self.state_names]
+        self._def_scales = [self._scale(n) for n in self.defined_names]
+
+    def _scale(self, name: str) -> Optional[tuple[int, bool]]:
+        if name in self.growing:
+            return self.growing[name], True
+        if name in self.scales:
+            return self.scales[name], False
+        return None
 
     def decode(self, state: tuple, defs: tuple) -> tuple[tuple, tuple]:
         """The public values of a state tuple and a definitions tuple
         from ``step``: every scaled Real back to its exact Fraction."""
+        if self.growing:
+            return (_decode(state, self._state_scales),
+                    _decode(defs[:-1], self._def_scales, defs[-1]))
         return (_decode(state, self._state_scales),
                 _decode(defs, self._def_scales))
 
@@ -87,11 +110,49 @@ class CompiledSystem:
         return all(ty is Type.BOOL for _, ty in self.ts.state_vars)
 
 
-def _decode(values: tuple, scales: list[Optional[int]]) -> tuple:
+def _decode(values: tuple, scales: list[Optional[tuple[int, bool]]],
+            e: Optional[int] = None) -> tuple:
+    """Public values of compiled ones; a growing value is the pair
+    (m, e), or the mantissa m when the shared exponent e is given."""
     if not any(scales):
         return values
-    return tuple(v if d is None else Fraction(v, d)
-                 for v, d in zip(values, scales))
+    out = []
+    for v, s in zip(values, scales):
+        if s is not None:
+            d, grows = s
+            if not grows:
+                v = Fraction(v, d)
+            else:
+                m, exp = v if e is None else (v, e)
+                v = Fraction(m, d << exp)
+        out.append(v)
+    return tuple(out)
+
+
+_LOW_BITS = (1 << 60) - 1
+
+
+def _norm(m: int, e: int) -> tuple[int, int]:
+    """(m, e) with the common factors of 2 of m and 2**e stripped."""
+    # m's lowest set bit is in its low 60 bits unless they are all 0;
+    # reading it there builds no int as large as m, as m & -m does
+    low = (m & _LOW_BITS) or m
+    if not low:
+        return 0, 0
+    t = min((low & -low).bit_length() - 1, e)
+    return m >> t, e - t
+
+
+def _odd(d: int) -> int:
+    return d // (d & -d)
+
+
+def _times_scale(d: int, c: Fraction) -> tuple[int, int]:
+    """(scale, factor): x * c, for x the int X at scale d, is the int
+    X * factor at that scale."""
+    n = d * c.denominator
+    g = gcd(c.numerator, n)
+    return n // g, c.numerator // g
 
 
 def _int(v: int) -> str:
@@ -105,6 +166,9 @@ class _Code(NamedTuple):
     scale: Optional[int]
     # the value of a Real literal
     lit: Optional[Fraction] = None
+    # the int is a mantissa at the step's exponent e: the value is
+    # int / (scale * 2**e)
+    grow: bool = False
 
 
 def _literal(v: Fraction) -> _Code:
@@ -113,10 +177,11 @@ def _literal(v: Fraction) -> _Code:
 
 class _Emitter:
     def __init__(self, slot: dict[str, str], types: dict[str, Type],
-                 scales: dict[str, Optional[int]]):
+                 scales: dict[str, Optional[int]], grows: set[str]):
         self.slot = slot
         self.types = types
         self.scales = scales
+        self.grows = grows
         self.consts: list[Fraction] = []
 
     def const(self, v: Fraction) -> str:
@@ -128,12 +193,21 @@ class _Emitter:
             return self.types.get(e.name) is Type.REAL
         return e.ty is Type.REAL
 
-    def rescale(self, c: _Code, d: int) -> str:
-        """Text of a scaled Real at the scale d, a multiple of its own."""
+    def rescale(self, c: _Code, d: int, grow: bool = False) -> str:
+        """Text of a scaled Real at the scale d, a multiple of its own;
+        with grow, as a mantissa at the step's exponent."""
         if c.lit is not None:
-            return _int(c.lit.numerator * (d // c.lit.denominator))
+            n = c.lit.numerator * (d // c.lit.denominator)
+            return f"({_int(n)} << e)" if grow and n else _int(n)
         k = d // c.scale
-        return c.text if k == 1 else f"({c.text} * {k})"
+        text = c.text if k == 1 else f"({c.text} * {k})"
+        return f"({text} << e)" if grow and not c.grow else text
+
+    def joined(self, a: _Code, b: _Code) -> tuple[int, bool, str, str]:
+        """The common scale of two scaled Reals, whether it grows, and
+        the text of each at it."""
+        d, grow = lcm(a.scale, b.scale), a.grow or b.grow
+        return d, grow, self.rescale(a, d, grow), self.rescale(b, d, grow)
 
     def fraction(self, c: _Code, value: bool = False) -> str:
         """Text of a Real as an operand of Fraction arithmetic. A value
@@ -141,6 +215,8 @@ class _Emitter:
         an operand next to a Fraction may be an int."""
         if c.scale is None:
             return c.text
+        if c.grow:
+            return f"Fraction({c.text}, {c.scale} << e)"
         if c.lit is not None:
             if c.lit.denominator == 1 and not value:
                 return c.text
@@ -158,7 +234,8 @@ class _Emitter:
             return _Code(_int(e.value), None)
         if isinstance(e, Var):
             try:
-                return _Code(self.slot[e.name], self.scales.get(e.name))
+                return _Code(self.slot[e.name], self.scales.get(e.name),
+                             grow=e.name in self.grows)
             except KeyError:
                 raise LangError("compile", f"unbound variable {e.name}")
         if isinstance(e, Unary):
@@ -167,7 +244,7 @@ class _Emitter:
                 return _Code(f"(not {c.text})", None)
             if c.lit is not None:
                 return _literal(-c.lit)
-            return _Code(f"(-{c.text})", c.scale)
+            return _Code(f"(-{c.text})", c.scale, grow=c.grow)
         if isinstance(e, Binary):
             return self.binary(e)
         if isinstance(e, Ite):
@@ -176,9 +253,8 @@ class _Emitter:
             if not self.real(e):
                 return _Code(f"({t.text} if {cond} else {f.text})", None)
             if t.scale is not None and f.scale is not None:
-                d = lcm(t.scale, f.scale)
-                return _Code(f"({self.rescale(t, d)} if {cond} else "
-                             f"{self.rescale(f, d)})", d)
+                d, grow, tt, ft = self.joined(t, f)
+                return _Code(f"({tt} if {cond} else {ft})", d, grow=grow)
             return _Code(f"({self.fraction(t, True)} if {cond} else "
                          f"{self.fraction(f, True)})", None)
         if isinstance(e, Call):
@@ -187,6 +263,18 @@ class _Emitter:
                 for a, c in ((a, self.emit(a)) for a in e.args))
             return _Code(f"E[{e.callee!r}]({args})", None)
         raise LangError("compile", f"cannot compile {type(e).__name__}")
+
+    def constant_factor(self, e: Binary, a: _Code, b: _Code
+                        ) -> Optional[tuple[Expr, _Code, Fraction]]:
+        """For a Real product or quotient with a constant side: the
+        other side, its code, and the constant it is multiplied by."""
+        if e.op == "/" and b.lit:
+            return e.left, a, 1 / b.lit
+        if e.op == "*" and b.lit is not None:
+            return e.left, a, b.lit
+        if e.op == "*" and a.lit is not None:
+            return e.right, b, a.lit
+        return None
 
     def binary(self, e: Binary) -> _Code:
         op = e.op
@@ -200,26 +288,21 @@ class _Emitter:
             if not (self.real(e.left) or self.real(e.right)):
                 return _Code(f"({a.text} {cmp} {b.text})", None)
             if a.scale is not None and b.scale is not None:
-                d = lcm(a.scale, b.scale)
-                return _Code(f"({self.rescale(a, d)} {cmp} "
-                             f"{self.rescale(b, d)})", None)
+                _, _, at, bt = self.joined(a, b)
+                return _Code(f"({at} {cmp} {bt})", None)
             return _Code(f"({self.fraction(a)} {cmp} {self.fraction(b)})",
                          None)
         if not self.real(e):
             return _Code(f"({a.text} {op} {b.text})", None)
         if op in ("+", "-"):
             if a.scale is not None and b.scale is not None:
-                d = lcm(a.scale, b.scale)
-                return _Code(f"({self.rescale(a, d)} {op} "
-                             f"{self.rescale(b, d)})", d)
+                d, grow, at, bt = self.joined(a, b)
+                return _Code(f"({at} {op} {bt})", d, grow=grow)
             return _Code(f"({self.fraction(a)} {op} {self.fraction(b)})",
                          None)
-        if op == "/" and b.lit:
-            return self.times(a, 1 / b.lit)
-        if op == "*" and b.lit is not None:
-            return self.times(a, b.lit)
-        if op == "*" and a.lit is not None:
-            return self.times(b, a.lit)
+        factor = self.constant_factor(e, a, b)
+        if factor is not None:
+            return self.times(factor[1], factor[2])
         # a product or quotient of two signals: exact, on Fraction
         return _Code(f"({self.fraction(a, True)} {op} "
                      f"{self.fraction(b, True)})", None)
@@ -233,48 +316,124 @@ class _Emitter:
             return x
         if x.scale is None:
             return _Code(f"({x.text} * {self.fraction(_literal(c))})", None)
-        n = x.scale * c.denominator
-        g = gcd(c.numerator, n)
-        k = c.numerator // g
+        d, k = _times_scale(x.scale, c)
         if k == 0:
             return _literal(Fraction(0))
         text = x.text if k == 1 else f"({x.text} * {_int(k)})"
-        return _Code(text, n // g)
+        return _Code(text, d, grow=x.grow)
+
+
+def _join(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    out = dict(a)
+    for n, g in b.items():
+        out[n] = lcm(out[n], g) if n in out else g
+    return out
+
+
+def _loop_gains(ts: TransitionSystem, em: _Emitter,
+                real_state: list[str]) -> dict[str, int]:
+    """For each Real state variable whose next-state scale depends on
+    its own, the factor by which one lap of its loop can multiply its
+    scale. A scale flows through +, -, unary minus, the branches of an
+    if-then-else and multiplication by a constant num/den, which takes a
+    factor g to g*den/gcd(num, g*den), an upper bound whatever the scale
+    it multiplies; a product or quotient of signals or a call is a
+    Fraction and carries none."""
+    flows: dict[str, dict[str, int]] = {n: {n: 1} for n in real_state}
+
+    def flow(e: Expr) -> dict[str, int]:
+        if isinstance(e, Var):
+            return flows.get(e.name, {})
+        if not em.real(e):
+            return {}
+        if isinstance(e, Unary):
+            return flow(e.operand)
+        if isinstance(e, Ite):
+            return _join(flow(e.then), flow(e.orelse))
+        if isinstance(e, Binary):
+            if e.op in ("+", "-"):
+                return _join(flow(e.left), flow(e.right))
+            factor = em.constant_factor(e, em.emit(e.left),
+                                        em.emit(e.right))
+            if factor is not None and factor[2]:
+                return {n: _times_scale(g, factor[2])[0]
+                        for n, g in flow(factor[0]).items()}
+        return {}
+
+    for name, rhs in ts.definitions:
+        if em.types[name] is Type.REAL:
+            flows[name] = flow(rhs)
+    trans = dict(ts.trans)
+    feeds = {n: flow(trans[n]) for n in real_state}
+
+    def reach(n: str) -> set[str]:
+        seen: set[str] = set()
+        todo = [n]
+        while todo:
+            for m in feeds[todo.pop()]:
+                if m not in seen:
+                    seen.add(m)
+                    todo.append(m)
+        return seen
+
+    reaches = {n: reach(n) for n in real_state}
+    # a feed from m is on n's loop when n's scale reaches m's in turn
+    return {n: lcm(*(g for m, g in feeds[n].items() if n in reaches[m]))
+            for n in real_state if n in reaches[n]}
 
 
 def _analyse_scales(ts: TransitionSystem, slot: dict[str, str],
                     types: dict[str, Type], input_scales: dict[str, int]
-                    ) -> dict[str, Optional[int]]:
-    """Scale of every Real signal (None: Fraction). State variables start
-    at 1 (their default, 0, is an integer at any scale) and take the
-    scale of their next-state expression until nothing changes; every
-    rule is monotone, so each change is a growth to a multiple."""
+                    ) -> tuple[dict[str, Optional[int]], set[str]]:
+    """Scale of every Real signal (None: Fraction), and the signals that
+    grow. A state variable whose loop multiplies its scale by a power of
+    two grows from the start; by any other factor, it is a Fraction.
+    State variables start at 1 (their default, 0, is an integer at any
+    scale) and take the scale of their next-state expression until
+    nothing changes; a growing one keeps only its odd part, the powers
+    of two going to its exponent. Every rule is monotone, and the loop
+    factors bound what a lap adds, so each change is a growth to a
+    multiple of a bounded scale or a step from fixed to growing to
+    Fraction."""
     scales: dict[str, Optional[int]] = {
         n: input_scales.get(n) for n, ty in ts.input_vars
         if ty is Type.REAL}
     real_state = [n for n, ty in ts.state_vars if ty is Type.REAL]
     scales.update(dict.fromkeys(real_state, 1))
+    grows: set[str] = set()
+    for n, g in _loop_gains(ts, _Emitter(slot, types, scales, grows),
+                            real_state).items():
+        if _odd(g) > 1:
+            scales[n] = None
+        elif g > 1:
+            grows.add(n)
     trans = dict(ts.trans)
-    growth = dict.fromkeys(real_state, 0)
+    real_defs = [(n, rhs) for n, rhs in ts.definitions
+                 if types[n] is Type.REAL]
     while True:
-        em = _Emitter(slot, types, scales)
-        for name, rhs in ts.definitions:
+        em = _Emitter(slot, types, scales, grows)
+        for name, rhs in real_defs:
             code = em.emit(rhs)
-            if types[name] is Type.REAL:
-                scales[name] = code.scale
-        grew = False
+            scales[name] = code.scale
+            (grows.add if code.grow else grows.discard)(name)
+        changed = False
         for n in real_state:
             old = scales[n]
             if old is None:
                 continue
-            new = em.emit(trans[n]).scale
-            if new == old:
-                continue
-            growth[n] += 1
-            scales[n] = new if growth[n] < _MAX_GROWTH else None
-            grew = True
-        if not grew:
-            return scales
+            c = em.emit(trans[n])
+            if c.scale is None:
+                new, grow = None, False
+            elif c.grow or n in grows:
+                new, grow = _odd(lcm(old, c.scale)), True
+            else:
+                new, grow = lcm(old, c.scale), False
+            if (new, grow) != (old, n in grows):
+                scales[n] = new
+                (grows.add if grow else grows.discard)(n)
+                changed = True
+        if not changed:
+            return scales, grows
 
 
 def compile_system(ts: TransitionSystem,
@@ -311,12 +470,24 @@ def compile_system(ts: TransitionSystem,
     for i, n in enumerate(defined_names):
         slot[n] = f"d{i}"
 
-    scales = _analyse_scales(ts, slot, types, input_scales)
-    em = _Emitter(slot, types, scales)
+    scales, grows = _analyse_scales(ts, slot, types, input_scales)
+    em = _Emitter(slot, types, scales, grows)
+    # a growing state is the pair (m, e_i); the step shifts every one to
+    # the largest exponent, e
     unpack = []
     if state_names:
-        unpack.append(f"    {', '.join(slot[n] for n in state_names)}, = S")
-    lines = ["def _make(C, E, Fraction):", "  def _step(S, I):"]
+        pattern = ", ".join(f"({slot[n]}, e{i})" if n in grows else slot[n]
+                            for i, n in enumerate(state_names))
+        unpack.append(f"    {pattern}, = S")
+    growing_state = [i for i, n in enumerate(state_names) if n in grows]
+    if len(growing_state) == 1:
+        unpack.append(f"    e = e{growing_state[0]}")
+    elif growing_state:
+        exps = ", ".join(f"e{i}" for i in growing_state)
+        unpack.append(f"    e = max({exps})")
+        unpack += [f"    if e{i} < e: s{i} <<= e - e{i}"
+                   for i in growing_state]
+    lines = ["def _make(C, E, Fraction, _norm):", "  def _step(S, I):"]
     lines += ["  " + u for u in unpack]
     if input_names:
         lines.append(f"      {', '.join(slot[n] for n in input_names)}, = I")
@@ -334,15 +505,24 @@ def compile_system(ts: TransitionSystem,
             nxt[name] = c.text
         elif scales[name] is None:
             nxt[name] = em.fraction(c, True)
+        elif name in grows:
+            # stored at the odd scale of the state: the powers of two of
+            # the value's scale join the exponent
+            twos = c.scale // _odd(c.scale)
+            exp = "e" if twos == 1 else f"e + {twos.bit_length() - 1}"
+            text = em.rescale(c, scales[name] * twos, True)
+            nxt[name] = f"_norm({text}, {exp})"
         else:
             nxt[name] = em.rescale(c, scales[name])
     nexts = ", ".join(nxt[n] for n in state_names)
     lines.append(f"      nxt = ({nexts}{',' if nexts else ''})")
-    defs = ", ".join(slot[n] for n in defined_names)
+    defs = ", ".join([slot[n] for n in defined_names]
+                     + (["e"] if grows else []))
     lines.append(
         f"      return nxt, asm, props, ({defs}{',' if defs else ''})")
 
-    init_em = _Emitter({n: slot[n] for n in state_names}, types, scales)
+    init_em = _Emitter({n: slot[n] for n in state_names}, types, scales,
+                       grows)
     init_em.consts = em.consts
     init_body = " and ".join(f"({init_em.emit(f).text})" for f in ts.init) \
         or "True"
@@ -353,15 +533,18 @@ def compile_system(ts: TransitionSystem,
 
     ns: dict = {}
     exec("\n".join(lines), ns)
-    step, init_ok = ns["_make"](tuple(em.consts), table, Fraction)
+    step, init_ok = ns["_make"](tuple(em.consts), table, Fraction, _norm)
 
-    kept = {n: d for n, d in scales.items() if d is not None}
+    kept = {n: d for n, d in scales.items()
+            if d is not None and n not in grows}
     default = tuple(
         True if n == INIT_FLAG
+        else (0, 0) if n in grows
         else 0 if n in kept else _TYPE_DEFAULT[ty]
         for n, ty in ts.state_vars)
     return CompiledSystem(
         ts=ts, input_names=input_names, state_names=state_names,
         defined_names=defined_names,
         prop_ids=[pid for pid, _ in ts.properties],
-        default_state=default, step=step, init_ok=init_ok, scales=kept)
+        default_state=default, step=step, init_ok=init_ok, scales=kept,
+        growing={n: scales[n] for n in grows})

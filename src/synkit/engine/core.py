@@ -348,7 +348,9 @@ def simulate_system(ts: TransitionSystem, steps: int, seed: int,
                     retries: int = 40) -> list[dict[str, Value]]:
     """Random run of the compiled system from the default initial state.
     Inputs are resampled a bounded number of times to satisfy the
-    assumptions; rows map every system variable to its value."""
+    assumptions; the run ends at the first instant where no draw does,
+    so every row is reachable. Rows map every system variable to its
+    value."""
     types = ts.var_types()
     reals = {n: _SIM_SCALE for n, ty in ts.input_vars if ty is Type.REAL}
     cs = compile_system(ts, externs, input_scales=reals)
@@ -374,6 +376,8 @@ def simulate_system(ts: TransitionSystem, steps: int, seed: int,
             s2, asm, _, defs = cs.step(state, tuple(c for _, c in drawn))
             if asm:
                 break
+        else:
+            break
         public_state, public_defs = cs.decode(state, defs)
         row: dict[str, Value] = {}
         row.update(zip(cs.state_names, public_state))
@@ -549,6 +553,8 @@ def _mine_invariants_for(ts: TransitionSystem, cfg: EngineConfig,
             rows.extend(simulate_system(ts, steps=60, seed=seed))
     except (LangError, ZeroDivisionError):
         return []  # no concrete semantics for some extern; skip mining
+    if not rows:
+        return []  # no draw met the assumptions: no reachable row to mine
     return generate_invariants(ts, rows, cfg, deadline)
 
 

@@ -1,9 +1,11 @@
 """Scaled-integer step functions against the concrete semantics.
 
 The compiled observers hold each Real signal whose denominator is fixed
-as a plain int; these tests hold them against the interpreter step by
-step, pin the driver harness's results, and check that every Real value
-that leaves the compiled system is an exact Fraction.
+as a plain int, and each one on a loop that multiplies its denominator
+by a power of two as an int mantissa with a power-of-two exponent; these
+tests hold them against the interpreter step by step, pin the driver
+harness's results, and check that every Real value that leaves the
+compiled system is an exact Fraction.
 """
 
 import hashlib
@@ -127,6 +129,8 @@ PINNED_RUNS = [
     ("G-200", 5, 3000, 0, [], "4f53cda18c2baa0c"),
     ("G-120", 7, 3000, 0, [], "4f53cda18c2baa0c"),
     ("G-250", 2, 3000, 0, [], "4f53cda18c2baa0c"),
+    ("G-100", 4, 3000, 0, [], "4f53cda18c2baa0c"),
+    ("G-200", 6, 10000, 0, [], "4f53cda18c2baa0c"),
 ]
 
 
@@ -147,6 +151,28 @@ def test_driver_runs_are_pinned(bench, pid, seed, steps, count, first,
     assert r.violations[:3] == first
     got = hashlib.sha256(repr(r.violations).encode()).hexdigest()[:16]
     assert got == digest
+
+
+@pytest.mark.parametrize("pid", ["G-200", "G-100"])
+def test_growing_loops_step_without_fractions(monkeypatch, bench, pid):
+    """The harness's step for the altitude and speed loops builds and
+    reads no Fraction: every Real is a scaled or a growing int."""
+    seen = {}
+    compile_system_ = loader.compile_system
+
+    def recording(*args, **kwargs):
+        seen["cs"] = compile_system_(*args, **kwargs)
+        return seen["cs"]
+
+    monkeypatch.setattr(loader, "compile_system", recording)
+    driver_harness(bench.tp, bench.spec(pid))
+    cs = seen["cs"]
+    assert cs.growing
+    reals = {n for n, ty in cs.ts.var_types().items() if ty is Type.REAL}
+    assert reals == set(cs.scales) | set(cs.growing)
+    # Fraction and the Fraction constants C are free names of the step
+    # exactly when its text uses them
+    assert not {"Fraction", "C"} & set(cs.step.__code__.co_freevars)
 
 
 @pytest.mark.parametrize("pid", ["G-120", "G-200", "G-250", "G-290"])
@@ -268,7 +294,7 @@ tel
             assert type(got[name]) is type(sim.signals[name][t])
 
 
-def test_growing_denominator_falls_back_to_exact_fractions():
+def test_halving_loop_grows_and_stays_exact():
     tp, ts = _ts("""
 node Halve(x: real) returns (y: real);
 let
@@ -277,6 +303,7 @@ tel
 """, "Halve")
     cs = compile_system(ts, input_scales={"x": 4})
     assert cs.scales == {"x": 4}
+    assert set(cs.growing) == {"y", "_pre0"}
     xs = [F(random.Random(t).randint(-8, 8), 4) for t in range(80)]
     sim = interp.simulate(tp, "Halve", Trace({"x": xs}), len(xs))
     state = cs.default_state
@@ -322,3 +349,85 @@ tel
                 assert type(v) is F, (scales, name, v)
             assert all(type(v) is F for _, v in
                        _real_values(cs, prev, defs))
+
+
+def test_finite_halving_chain_keeps_fixed_scales():
+    # no scale here depends on its own, however many delays it passes
+    tp, ts = _ts("""
+node Chain(x: real) returns (y: real);
+var a, b, c, d, e: real;
+let
+  a = 0.0 -> 0.5 * (pre x);
+  b = 0.0 -> 0.5 * (pre a);
+  c = 0.0 -> 0.5 * (pre b);
+  d = 0.0 -> 0.5 * (pre c);
+  e = 0.0 -> 0.5 * (pre d);
+  y = 0.0 -> 0.5 * (pre e);
+tel
+""", "Chain")
+    cs = compile_system(ts, input_scales={"x": 1})
+    assert set(cs.scales) == set(ts.var_types()) - {tsys.INIT_FLAG}
+    assert not cs.growing and cs.scales["y"] == 64
+    xs = [F(random.Random(t).randint(-9, 9)) for t in range(20)]
+    sim = interp.simulate(tp, "Chain", Trace({"x": xs}), len(xs))
+    state = cs.default_state
+    for t, x in enumerate(xs):
+        state, _, _, defs = cs.step(state, (int(x),))
+        assert dict(_real_values(cs, state, defs))["y"] == \
+            sim.signals["y"][t]
+
+
+GROWING = """
+node Grow(u, v, w: real; c: bool) returns (x, y, z, h: real; p, q: bool);
+let
+  x = 0.0 -> 0.5 * (pre x) + u;
+  y = if c then x else v;
+  z = 0.0 -> 0.25 * (pre z) - w + 2.0 * y;
+  h = 0.0 -> 0.1 * (pre h) + u;
+  p = x < 2.5;
+  q = (y >= -1.25) and (z <> 0.0) and (-x <= 3.0 * y);
+tel
+"""
+
+
+def test_growing_loops_match_the_interpreter():
+    """Inputs at scales 1, 4 and 100, negative and zero; an if-then-else
+    between a growing and a fixed branch; comparisons with constants;
+    and a loop with factor 10, which stays on Fraction."""
+    tp, ts = _ts(GROWING, "Grow")
+    cs = compile_system(ts, input_scales={"u": 1, "v": 4, "w": 100})
+    assert {"x", "y", "z"} <= set(cs.growing)
+    assert "h" not in cs.growing and "h" not in cs.scales
+    rng = random.Random(13)
+    steps = 300
+    rows = [(F(rng.choice([0, 0, rng.randint(-9, 9)])),
+             F(rng.randint(-20, 20), 4), F(rng.randint(-500, 500), 100),
+             rng.random() < 0.7) for _ in range(steps)]
+    trace = Trace({n: [row[i] for row in rows]
+                   for i, n in enumerate(cs.input_names)})
+    sim = interp.simulate(tp, "Grow", trace, steps)
+    reals = {n for n, ty in ts.var_types().items() if ty is Type.REAL}
+    st = interp.init_state(tp, "Grow")
+    state = cs.default_state
+    for t, (u, v, w, c) in enumerate(rows):
+        state, asm, _, defs = cs.step(
+            state, (int(u), int(v * 4), int(w * 100), c))
+        for name, val in zip(cs.state_names, state):
+            if name in cs.growing:
+                # stored with no common factor of 2 left in m and 2**e
+                m, exp = val
+                assert m % 2 or exp == 0, (t, name, val)
+        public_state, public_defs = cs.decode(state, defs)
+        for name, val in zip(cs.defined_names, public_defs):
+            assert val == sim.signals[name][t], (t, name)
+            assert name not in reals or type(val) is F, (t, name)
+        st, _, _ = interp.step(tp, "Grow", st,
+                               dict(zip("uvwc", (u, v, w, c))))
+        pres = _interp_state(tp, st)
+        for name, val in zip(cs.state_names, public_state):
+            if name != tsys.INIT_FLAG:
+                assert val == pres[name], (t, name)
+                assert name not in reals or type(val) is F, (t, name)
+    # the values really need big integers
+    den = sim.signals["x"][-1].denominator
+    assert den & (den - 1) == 0 and den.bit_length() > 200

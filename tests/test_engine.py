@@ -626,6 +626,25 @@ tel
     assert all(not (row["a"] and row["b"]) for row in rows)
 
 
+def test_simulate_system_stops_where_no_draw_meets_the_assumptions():
+    # no input satisfies the assertion, so no instant is reachable; a run
+    # that kept the last rejected draw would mine unreachable states
+    src = """
+node Vac(x: real) returns (ok: bool);
+let
+  assert x > 0.0 and x < 0.0;
+  ok = false;
+  --!PROPERTY: ok = true;
+tel
+"""
+    _, ts = _ts(src, "Vac")
+    assert simulate_system(ts, 5, seed=0) == []
+    # so invariant mining has no row to mine from: it mines nothing
+    res = kinduction(ts, "ok", EngineConfig(k_max=3, timeout=120,
+                                            use_invariants=True))
+    assert getattr(res, "invariants_used", ()) == ()
+
+
 # encoding ------------------------------------------------------------------------
 
 def test_logic_selection():
