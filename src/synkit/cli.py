@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 verification or
 diagnostic failure, 2 usage or I/O error.  Results go to stdout
 (`--json` for machine-readable reports, text otherwise); diagnostics go
-to stderr.
+to stderr.  Each command reads the parsed `argparse.Namespace` as is,
+and the engine flags become an `EngineConfig` in one place.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import safetycase as sc
 from . import tsys
 from .compose import (argument_holds, argument_report, build_argument,
                       contract_from_text)
-from .engine import (EngineConfig, Falsified, Unknown, Valid, kinduction,
-                     make_replayer, verify_all)
+from .engine import (EngineConfig, Falsified, Valid, exhaustive_search,
+                     kinduction, make_replayer, verdict_row, verify_all)
 from .interp import InterpError, Trace, simulate
 from .lang import LangError, parse, typecheck
 
@@ -29,43 +29,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, parsed out of argv."""
-
-    subcommand: str
-    files: tuple[str, ...] = ()
-    action: str = ""
-    node: Optional[str] = None
-    props: tuple[str, ...] = ()
-    steps: Optional[int] = None
-    trace_in: Optional[str] = None
-    out: Optional[str] = None
-    dot: Optional[str] = None
-    results_path: Optional[str] = None
-    pattern_path: Optional[str] = None
-    compositional: Optional[str] = None
-    synthetic: Optional[int] = None
-    root: Optional[str] = None
-    kind: Optional[str] = None
-    contains: Optional[str] = None
-    related_to: Optional[str] = None
-    meta: tuple[str, ...] = ()
-    fmt: str = "text"
-    deep: bool = False
-    k_max: Optional[int] = None
-    timeout: Optional[float] = None
-    solver_cmd: Optional[str] = None
-    invariants: bool = False
-    oracle_mode: bool = False
-
-    def engine_config(self, k_default: int = 20) -> EngineConfig:
-        return EngineConfig(
-            k_max=self.k_max if self.k_max is not None else k_default,
-            timeout=self.timeout if self.timeout is not None else 300.0,
-            solver_command=self.solver_cmd,
-            use_invariants=self.invariants,
-            oracle_mode=self.oracle_mode)
+def _engine_config(cfg: argparse.Namespace) -> EngineConfig:
+    return EngineConfig(k_max=cfg.k_max, timeout=cfg.timeout,
+                        solver_command=cfg.solver_cmd,
+                        use_invariants=cfg.invariants)
 
 
 class _Failure(Exception):
@@ -105,7 +72,7 @@ def _load_program(path: str):
         raise _Failure(f"{path}: {exc}", EXIT_FAIL) from exc
 
 
-def _emit(cfg: RunConfig, obj: dict, text_lines) -> None:
+def _emit(cfg: argparse.Namespace, obj: dict, text_lines) -> None:
     if cfg.fmt == "json":
         print(json.dumps(obj, indent=2))
     else:
@@ -113,24 +80,9 @@ def _emit(cfg: RunConfig, obj: dict, text_lines) -> None:
             print(line)
 
 
-def _verdict_row(res) -> dict:
-    if isinstance(res, Valid):
-        row = {"verdict": "valid", "k": res.k}
-        if res.invariants_used:
-            row["invariants_used"] = list(res.invariants_used)
-        return row
-    if isinstance(res, Falsified):
-        return {"verdict": "falsified", "step": res.step}
-    assert isinstance(res, Unknown)
-    row = {"verdict": "unknown", "reason": res.reason.value}
-    if res.detail:
-        row["detail"] = res.detail
-    return row
-
-
 # --- check -------------------------------------------------------------------
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: argparse.Namespace) -> int:
     status = EXIT_OK
     for path in cfg.files:
         text = _read(path)
@@ -146,7 +98,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 # --- sim ---------------------------------------------------------------------
 
-def cmd_sim(cfg: RunConfig) -> int:
+def cmd_sim(cfg: argparse.Namespace) -> int:
     tp = _load_program(cfg.files[0])
     node = cfg.node
     names = {n.name for n in tp.program.nodes}
@@ -183,7 +135,7 @@ def cmd_sim(cfg: RunConfig) -> int:
 
 # --- verify ------------------------------------------------------------------
 
-def _compositional_verify(cfg: RunConfig, tp) -> int:
+def _compositional_verify(cfg: argparse.Namespace, tp) -> int:
     spec = _load_json(cfg.compositional)
     try:
         top = spec["top"]
@@ -194,7 +146,7 @@ def _compositional_verify(cfg: RunConfig, tp) -> int:
                 guarantees=list(c.get("guarantees", {}).items()))
             for c in spec["contracts"]]
         arg = build_argument(tp, top["node"], top["property"], contracts,
-                             cfg.engine_config())
+                             _engine_config(cfg))
     except (KeyError, TypeError) as exc:
         raise _Failure(f"{cfg.compositional}: bad contract spec: {exc}",
                        EXIT_USAGE) from exc
@@ -217,7 +169,7 @@ def _compositional_verify(cfg: RunConfig, tp) -> int:
     return EXIT_OK if argument_holds(arg) else EXIT_FAIL
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     tp = _load_program(cfg.files[0])
     if cfg.compositional:
         return _compositional_verify(cfg, tp)
@@ -234,7 +186,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             seen_pids[pid] = seen_pids.get(pid, 0) + 1
     for name in carriers:
         ts = tsys.compile(tp, name)
-        for pid, f in list(ts.properties):
+        for pid, _ in ts.properties:
             label = pid if seen_pids[pid] == 1 else f"{name}.{pid}"
             tasks.append((label, name, pid, ts))
     if cfg.props:
@@ -248,17 +200,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not tasks:
         raise _Failure("no properties to verify", EXIT_FAIL)
 
-    ecfg = cfg.engine_config()
+    ecfg = _engine_config(cfg)
     rows = []
     ok = True
     cex: Optional[Trace] = None
-    for label, name, pid, ts in tasks:
-        ts.properties = [(label if p == pid else p, f)
-                         for p, f in ts.properties]
-        replay = make_replayer(tp, name, pid)
+    for _, name, pid, ts in tasks:
         t0 = time.perf_counter()
-        res = verify_all([(ts, label)], ecfg, replays={label: replay})[label]
-        row = {"node": name, "property": pid, **_verdict_row(res),
+        if cfg.oracle_mode:
+            res = exhaustive_search(ts, pid)
+        else:
+            replays = {pid: make_replayer(tp, name, pid)}
+            res = verify_all([(ts, pid)], ecfg, replays=replays)[pid]
+        row = {"node": name, "property": pid, **verdict_row(res),
                "seconds": round(time.perf_counter() - t0, 4)}
         rows.append(row)
         if not isinstance(res, Valid):
@@ -291,7 +244,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 # --- safety-case -------------------------------------------------------------
 
-def _case_inputs(cfg: RunConfig):
+def _case_inputs(cfg: argparse.Namespace):
     """Resolve the graph this action works on.  A case file is used as
     is; a requirement forest (with optional results and pattern) is
     instantiated first; --synthetic generates the scale fixture."""
@@ -330,7 +283,7 @@ def _meta_predicate(pairs: Sequence[str]):
     return lambda m: all(m.get(k) == v for k, v in wanted)
 
 
-def cmd_safety_case(cfg: RunConfig) -> int:
+def cmd_safety_case(cfg: argparse.Namespace) -> int:
     try:
         g = _case_inputs(cfg)
     except sc.SafetyCaseError as exc:
@@ -413,11 +366,11 @@ def cmd_safety_case(cfg: RunConfig) -> int:
 
 # --- bench -------------------------------------------------------------------
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: argparse.Namespace) -> int:
     from .benchlib import load_benchmark
 
     bench = load_benchmark()
-    ecfg = cfg.engine_config(k_default=6)
+    ecfg = _engine_config(cfg)
     rows = []
     ok = True
     for spec in bench.specs:
@@ -435,19 +388,19 @@ def cmd_bench(cfg: RunConfig) -> int:
             if arg.system_result is None:
                 row["verdict"] = "unknown"
             else:
-                row.update(_verdict_row(arg.system_result))
+                row.update(verdict_row(arg.system_result))
             if holds:
                 row["verdict"] = "valid"
             elif row["verdict"] == "valid":
                 row["verdict"] = "unknown"  # a sub-obligation failed
             row["components"] = [
-                {"node": node, "guarantee": gid, **_verdict_row(res)}
+                {"node": node, "guarantee": gid, **verdict_row(res)}
                 for node in sorted(arg.component_results)
                 for gid, res in arg.component_results[node].items()]
         else:
             ts = tsys.compile(bench.tp, spec.observer_node)
             res = kinduction(ts, "Obs", ecfg)
-            row.update(_verdict_row(res))
+            row.update(verdict_row(res))
         row["seconds"] = round(time.perf_counter() - t0, 4)
         rows.append(row)
         if row["verdict"] != "valid":
@@ -495,17 +448,16 @@ def _build_parser() -> argparse.ArgumentParser:
                          const="json", help="machine-readable output")
         p.set_defaults(fmt="text")
 
-    def engine_flags(p):
-        p.add_argument("--k-max", type=int, default=None)
-        p.add_argument("--timeout", type=float, default=None)
+    def engine_flags(p, k_max: int):
+        p.add_argument("--k-max", type=int, default=k_max)
+        p.add_argument("--timeout", type=float,
+                       default=EngineConfig.timeout)
         p.add_argument("--solver-cmd", default=None,
                        help="SMT solver command, run as a child process "
                             "(default: SOLVER_CMD env, then z3; with "
                             "neither, the bundled solver runs in process)")
         p.add_argument("--invariants", action="store_true",
                        help="mine auxiliary invariants before k-induction")
-        p.add_argument("--oracle-mode", action="store_true",
-                       help="boolean-only exhaustive backend, no solver")
 
     p = sub.add_parser("check", help="parse and typecheck files")
     p.add_argument("files", nargs="+")
@@ -528,11 +480,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to one node's properties")
     p.add_argument("--prop", dest="props", action="append", default=[],
                    help="property id (repeatable)")
-    p.add_argument("--compositional", default=None, metavar="CONTRACTS",
-                   help="contract spec JSON for an assume-guarantee proof")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--compositional", default=None, metavar="CONTRACTS",
+                     help="contract spec JSON for an assume-guarantee "
+                          "proof")
+    grp.add_argument("--oracle-mode", action="store_true",
+                     help="exhaustive search of boolean models, no solver")
     p.add_argument("--out", default=None,
                    help="write the first counterexample trace CSV here")
-    engine_flags(p)
+    engine_flags(p, k_max=EngineConfig.k_max)
     fmt_flags(p)
 
     p = sub.add_parser("safety-case", help="build and inspect GSN cases")
@@ -564,42 +520,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the property table")
     p.add_argument("action", choices=["run"])
-    engine_flags(p)
+    engine_flags(p, k_max=6)
     fmt_flags(p)
 
     return top
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    data = vars(ns)
-    return RunConfig(
-        subcommand=data["subcommand"],
-        files=tuple(data.get("files", ()) or ()),
-        action=data.get("action", ""),
-        node=data.get("node"),
-        props=tuple(data.get("props", ()) or ()),
-        steps=data.get("steps"),
-        trace_in=data.get("trace_in"),
-        out=data.get("out"),
-        dot=data.get("dot"),
-        results_path=data.get("results_path"),
-        pattern_path=data.get("pattern_path"),
-        compositional=data.get("compositional"),
-        synthetic=data.get("synthetic"),
-        root=data.get("root"),
-        kind=data.get("kind"),
-        contains=data.get("contains"),
-        related_to=data.get("related_to"),
-        meta=tuple(data.get("meta", ()) or ()),
-        fmt=data.get("fmt", "text"),
-        deep=data.get("deep", False),
-        k_max=data.get("k_max"),
-        timeout=data.get("timeout"),
-        solver_cmd=data.get("solver_cmd"),
-        invariants=data.get("invariants", False),
-        oracle_mode=data.get("oracle_mode", False),
-    )
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    return _build_parser().parse_args(argv)
 
 
 _COMMANDS = {

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from . import tsys
-from .engine import EngineConfig, Valid, VerifyResult, verify_all
+from .engine import (EngineConfig, Valid, VerifyResult, verdict_row,
+                     verify_all)
 from .lang import (
     Call,
     Equation,
@@ -443,29 +444,23 @@ def argument_holds(arg: CompositionalArgument) -> bool:
     return all(isinstance(r, Valid) for r in arg.assumption_results.values())
 
 
-def _verdict(res: VerifyResult) -> str:
-    if isinstance(res, Valid):
-        return "valid"
-    return "falsified" if hasattr(res, "trace") else "unknown"
-
-
 def argument_report(arg: CompositionalArgument) -> dict:
     """JSON-ready summary of a compositional argument."""
     components = []
     for node in sorted(arg.component_results):
         for gid, res in arg.component_results[node].items():
             components.append({"node": node, "guarantee": gid,
-                               "verdict": _verdict(res)})
+                               "verdict": verdict_row(res)["verdict"]})
     assumptions = []
     for key in sorted(arg.assumption_results):
         res = arg.assumption_results[key]
-        row = {"assumption": key, "verdict": _verdict(res)}
+        row = {"assumption": key, "verdict": verdict_row(res)["verdict"]}
         if not isinstance(res, Valid):
             row["note"] = "assumption not discharged"
         assumptions.append(row)
     report = {
         "top_property": arg.top_property,
-        "system_verdict": (_verdict(arg.system_result)
+        "system_verdict": (verdict_row(arg.system_result)["verdict"]
                            if arg.system_result is not None else "unknown"),
         "components": components,
         "holds": argument_holds(arg),

@@ -1,9 +1,11 @@
 """Property verification over transition systems.
 
-Two proof paths share one result vocabulary: bounded model checking plus
-k-induction through SMT-LIB2 solver sessions (a configured solver's
-child process, or the bundled solver in process), and an exhaustive
-breadth-first search for systems whose inputs and state are all boolean.
+Two proof algorithms share one result vocabulary, each behind its own
+entry point: bounded model checking plus k-induction through SMT-LIB2
+solver sessions (a configured solver's child process, or the bundled
+solver in process), configured by ``EngineConfig``; and
+``exhaustive_search``, a breadth-first search for systems whose inputs
+and state are all boolean, which needs no solver and no configuration.
 A check talks to the solver in at most two conversations, one base
 unrolling from the initial states and one step unrolling from any
 state; each grows instant by instant and pushes only a query's goal.
@@ -31,9 +33,9 @@ from .encode import Unroller, logic_for
 
 __all__ = [
     "EngineConfig", "Valid", "Falsified", "Unknown", "UnknownReason",
-    "VerifyResult", "InvariantCandidate", "InternalError", "bmc",
-    "kinduction", "generate_invariants", "verify_all", "simulate_system",
-    "make_replayer", "eval_formula",
+    "VerifyResult", "InternalError", "bmc", "kinduction",
+    "exhaustive_search", "generate_invariants", "verify_all",
+    "simulate_system", "make_replayer", "eval_formula", "verdict_row",
 ]
 
 
@@ -43,7 +45,6 @@ class EngineConfig:
     timeout: float = 300.0
     solver_command: Optional[str] = None
     use_invariants: bool = False
-    oracle_mode: bool = False
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -88,6 +89,24 @@ class Unknown:
 
 
 VerifyResult = Union[Valid, Falsified, Unknown]
+
+
+def verdict_row(res: VerifyResult) -> dict:
+    """A result as a report row: its verdict word, and the depth, step or
+    reason behind it."""
+    if isinstance(res, Valid):
+        row = {"verdict": "valid", "k": res.k}
+        if res.invariants_used:
+            row["invariants_used"] = list(res.invariants_used)
+        return row
+    if isinstance(res, Falsified):
+        return {"verdict": "falsified", "step": res.step}
+    assert isinstance(res, Unknown)
+    row = {"verdict": "unknown", "reason": res.reason.value}
+    if res.detail:
+        row["detail"] = res.detail
+    return row
+
 
 # a replayer validates a candidate counterexample against concrete
 # semantics: replay(trace, step) is True when the violation is real
@@ -206,8 +225,6 @@ def bmc(ts: TransitionSystem, prop_id: str, k: int, cfg: EngineConfig,
     a property violation, in one base conversation. Falsified carries the
     shortest such path; Unknown(KMaxReached) means clean up to k."""
     prop = ts.property_formula(prop_id)
-    if cfg.oracle_mode:
-        return _oracle_search(ts, prop_id, max_depth=k)
     deadline = _Deadline(cfg.timeout)
     try:
         with _Unrolling(Unroller(ts), cfg, base=True) as base:
@@ -231,8 +248,6 @@ def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
     a step unrolling from any state, where the property holds at the
     instants before k and its violation at k is queried."""
     prop = ts.property_formula(prop_id)
-    if cfg.oracle_mode:
-        return _oracle_search(ts, prop_id, max_depth=None)
     deadline = _Deadline(cfg.timeout)
     invs: list[Expr] = list(invariants) if invariants else []
     if cfg.use_invariants and invariants is None:
@@ -265,28 +280,25 @@ def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
 
 # exhaustive search for boolean systems ----------------------------------------
 
-_ORACLE_STATE_BITS = 14
-_ORACLE_INPUT_BITS = 10
+_SEARCH_STATE_BITS = 14
+_SEARCH_INPUT_BITS = 10
 
 
-def _oracle_system(ts: TransitionSystem) -> CompiledSystem:
+def exhaustive_search(ts: TransitionSystem, prop_id: str,
+                      max_depth: Optional[int] = None) -> VerifyResult:
+    """Breadth-first reachability up to max_depth (None: to fixpoint),
+    for systems whose inputs and state are all boolean; any other system
+    is a ValueError. Shortest violations are found level by level, so
+    the verdicts agree with bmc exactly. At a fixpoint the result is
+    Valid; a clean search to max_depth is Unknown(KMaxReached)."""
     cs = compile_system(ts)
     if not (cs.bool_inputs_only() and cs.bool_state_only()):
         raise ValueError(
             "exhaustive search needs boolean inputs and state")
-    if len(cs.state_names) > _ORACLE_STATE_BITS:
+    if len(cs.state_names) > _SEARCH_STATE_BITS:
         raise ValueError(f"too many state bits ({len(cs.state_names)})")
-    if len(cs.input_names) > _ORACLE_INPUT_BITS:
+    if len(cs.input_names) > _SEARCH_INPUT_BITS:
         raise ValueError(f"too many input bits ({len(cs.input_names)})")
-    return cs
-
-
-def _oracle_search(ts: TransitionSystem, prop_id: str,
-                   max_depth: Optional[int]) -> VerifyResult:
-    """Breadth-first reachability up to max_depth (None: to fixpoint).
-    Shortest violations are found level by level, so the verdicts agree
-    with bmc exactly."""
-    cs = _oracle_system(ts)
     p = cs.prop_ids.index(prop_id)
     inputs = list(itertools.product((False, True),
                                     repeat=len(cs.input_names)))
@@ -308,7 +320,7 @@ def _oracle_search(ts: TransitionSystem, prop_id: str,
                     continue
                 if not props[p]:
                     return Falsified(
-                        _oracle_trace(cs, parent, state, inp, depth), depth)
+                        _search_trace(cs, parent, state, inp, depth), depth)
                 if s2 not in visited:
                     visited.add(s2)
                     parent[s2] = (state, inp)
@@ -322,7 +334,7 @@ def _oracle_search(ts: TransitionSystem, prop_id: str,
     return Valid(max(depth - 1, 1), ())
 
 
-def _oracle_trace(cs: CompiledSystem, parent: dict, state: tuple,
+def _search_trace(cs: CompiledSystem, parent: dict, state: tuple,
                   last_input: tuple, depth: int) -> Trace:
     steps = [last_input]
     at = state
@@ -341,19 +353,19 @@ def _oracle_trace(cs: CompiledSystem, parent: dict, state: tuple,
 # one is a whole number of hundredths
 _SIM_DENOMINATORS = (1, 2, 4, 100)
 _SIM_SCALE = 100
+_SIM_RETRIES = 40
 
 
-def simulate_system(ts: TransitionSystem, steps: int, seed: int,
-                    externs: Optional[dict[str, Callable]] = None,
-                    retries: int = 40) -> list[dict[str, Value]]:
+def simulate_system(ts: TransitionSystem, steps: int,
+                    seed: int) -> list[dict[str, Value]]:
     """Random run of the compiled system from the default initial state.
-    Inputs are resampled a bounded number of times to satisfy the
+    Inputs are resampled up to _SIM_RETRIES times to satisfy the
     assumptions; the run ends at the first instant where no draw does,
     so every row is reachable. Rows map every system variable to its
     value."""
     types = ts.var_types()
     reals = {n: _SIM_SCALE for n, ty in ts.input_vars if ty is Type.REAL}
-    cs = compile_system(ts, externs, input_scales=reals)
+    cs = compile_system(ts, input_scales=reals)
     rng = random.Random(seed)
 
     def sample(name: str) -> tuple[Value, Value]:
@@ -371,7 +383,7 @@ def simulate_system(ts: TransitionSystem, steps: int, seed: int,
     rows: list[dict[str, Value]] = []
     state = cs.default_state
     for _ in range(steps):
-        for _ in range(retries):
+        for _ in range(_SIM_RETRIES):
             drawn = [sample(n) for n in cs.input_names]
             s2, asm, _, defs = cs.step(state, tuple(c for _, c in drawn))
             if asm:
@@ -388,28 +400,21 @@ def simulate_system(ts: TransitionSystem, steps: int, seed: int,
     return rows
 
 
-@dataclass
-class InvariantCandidate:
-    shape: str  # BoolImplication | BoolEquality | IntervalBound
-    expr: Expr
-    status: str = "candidate"
-
-    def text(self) -> str:
-        return pretty_expr(self.expr)
-
-
 _PAIR_SHAPE_CAP = 24
 
 
 def _mine_candidates(ts: TransitionSystem,
-                     rows: list[dict[str, Value]]) -> list[InvariantCandidate]:
+                     rows: list[dict[str, Value]]) -> list[Expr]:
+    """Template formulas that every row satisfies: equalities and
+    implications between boolean pairs, and the observed interval of
+    each number."""
     if not rows:
         return []
     types = ts.var_types()
     internal = [n for n, _ in ts.state_vars + ts.defined_vars]
     bools = [n for n in internal if types[n] is Type.BOOL]
     nums = [n for n in internal if types[n] is not Type.BOOL]
-    out: list[InvariantCandidate] = []
+    out: list[Expr] = []
 
     def bvar(n: str) -> Var:
         return Var(n, ty=Type.BOOL)
@@ -418,33 +423,21 @@ def _mine_candidates(ts: TransitionSystem,
         for i, a in enumerate(bools):
             for b in bools[i + 1:]:
                 if all(row[a] == row[b] for row in rows):
-                    out.append(InvariantCandidate(
-                        "BoolEquality",
-                        Binary("=", bvar(a), bvar(b), ty=Type.BOOL),
-                        "simulated-ok"))
+                    out.append(Binary("=", bvar(a), bvar(b), ty=Type.BOOL))
                     continue
                 if all(row[b] or not row[a] for row in rows):
-                    out.append(InvariantCandidate(
-                        "BoolImplication",
-                        Binary("=>", bvar(a), bvar(b), ty=Type.BOOL),
-                        "simulated-ok"))
+                    out.append(Binary("=>", bvar(a), bvar(b), ty=Type.BOOL))
                 if all(row[a] or not row[b] for row in rows):
-                    out.append(InvariantCandidate(
-                        "BoolImplication",
-                        Binary("=>", bvar(b), bvar(a), ty=Type.BOOL),
-                        "simulated-ok"))
+                    out.append(Binary("=>", bvar(b), bvar(a), ty=Type.BOOL))
     for x in nums:
         lo = min(row[x] for row in rows)
         hi = max(row[x] for row in rows)
         ty = types[x]
         xv = Var(x, ty=ty)
-        out.append(InvariantCandidate(
-            "IntervalBound",
-            Binary("and",
-                   Binary("<=", literal(lo, ty), xv, ty=Type.BOOL),
-                   Binary("<=", xv, literal(hi, ty), ty=Type.BOOL),
-                   ty=Type.BOOL),
-            "simulated-ok"))
+        out.append(Binary("and",
+                          Binary("<=", literal(lo, ty), xv, ty=Type.BOOL),
+                          Binary("<=", xv, literal(hi, ty), ty=Type.BOOL),
+                          ty=Type.BOOL))
     return out
 
 
@@ -453,17 +446,6 @@ def eval_formula(e: Expr, env: dict[str, Value]) -> Value:
     becomes its value as a literal, and constant folding does the rest."""
     values = map_vars(e, lambda v: literal(env[v.name], v.ty))
     return fold_consts(values).value
-
-
-def _model_env(un: Unroller, s: SmtSession, t: int) -> dict[str, Value]:
-    raw = s.get_values([f"{n}@{t}" for n in un.all_vars])
-    env: dict[str, Value] = {}
-    for n in un.all_vars:
-        v = raw[f"{n}@{t}"]
-        ty = un.types[n]
-        env[n] = bool(v) if ty is Type.BOOL else (
-            int(v) if ty is Type.INT else Fraction(v))
-    return env
 
 
 _HOUDINI_K = 2
@@ -486,17 +468,13 @@ def generate_invariants(ts: TransitionSystem,
         deadline = _Deadline(cfg.timeout)
     un = Unroller(ts)
     try:
-        alive = _houdini(un, alive, cfg, deadline)
+        return _houdini(un, alive, cfg, deadline)
     except (SolverFailure, _HoudiniGaveUp):
         return []
-    for c in alive:
-        c.status = "proved"
-    return [c.expr for c in alive]
 
 
-def _houdini(un: Unroller, alive: list[InvariantCandidate],
-             cfg: EngineConfig,
-             deadline: _Deadline) -> list[InvariantCandidate]:
+def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
+             deadline: _Deadline) -> list[Expr]:
     """The largest subset of the candidates that holds jointly at depths
     below k from the initial states and is k-inductive, by iterative
     removal over two conversations. A base unrolling asks for a violation
@@ -507,20 +485,18 @@ def _houdini(un: Unroller, alive: list[InvariantCandidate],
     k = _HOUDINI_K
 
     def violation(t: int) -> str:
-        bad = " ".join(f"(not {un.formula(c.expr, t)})" for c in alive)
+        bad = " ".join(f"(not {un.formula(c, t)})" for c in alive)
         return f"(or {bad})" if len(alive) > 1 else bad
 
     def drop_violated(env, t: int) -> None:
         if not isinstance(env, dict):
             raise _HoudiniGaveUp("solver unknown")
-        dropped = [c for c in alive if not eval_formula(c.expr, env)]
-        if not dropped:
+        kept = [c for c in alive if eval_formula(c, env)]
+        if len(kept) == len(alive):
             raise InternalError(
                 f"the solver's model at instant {t} violates none of the "
                 f"{len(alive)} candidates it was asked to violate")
-        for c in dropped:
-            c.status = "rejected"
-            alive.remove(c)
+        alive[:] = kept
 
     with _Unrolling(un, cfg, base=True) as base, \
             _Unrolling(un, cfg, base=False) as step:
@@ -529,16 +505,16 @@ def _houdini(un: Unroller, alive: list[InvariantCandidate],
                 if deadline.expired:
                     raise _HoudiniGaveUp("deadline")
                 env = base.query(d, [violation(d)],
-                                 lambda s: _model_env(un, s, d))
+                                 lambda s: un.model_values(s, un.all_vars, [d])[0])
                 if env == "unsat":
                     break
                 drop_violated(env, d)
         while alive:
             if deadline.expired:
                 raise _HoudiniGaveUp("deadline")
-            held = [un.formula(c.expr, t) for t in range(k) for c in alive]
+            held = [un.formula(c, t) for t in range(k) for c in alive]
             env = step.query(k, held + [violation(k)],
-                             lambda s: _model_env(un, s, k))
+                             lambda s: un.model_values(s, un.all_vars, [k])[0])
             if env == "unsat":
                 break
             drop_violated(env, k)
@@ -571,9 +547,6 @@ def verify_all(tasks: Sequence[tuple[TransitionSystem, str]],
     ids = [prop for _, prop in tasks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate property ids in task list")
-    if cfg.oracle_mode:  # a system the search cannot take is a usage error
-        for ts, _ in tasks:
-            _oracle_system(ts)
     replays = replays or {}
     results: dict[str, VerifyResult] = {}
     for ts, prop in tasks:

@@ -8,7 +8,7 @@ time so bounded checks and induction steps share the same plumbing.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Sequence
 
 from ..interp import Trace, Value
 from ..lang import Expr, Type
@@ -17,6 +17,7 @@ from ..smt.sexpr import format_atom as sym
 from ..tsys import TransitionSystem, to_sexpr
 
 _SORT = {Type.BOOL: "Bool", Type.INT: "Int", Type.REAL: "Real"}
+_VALUE = {Type.BOOL: bool, Type.INT: int, Type.REAL: Fraction}
 
 
 def logic_for(ts: TransitionSystem) -> str:
@@ -84,21 +85,15 @@ class Unroller:
                     f"(= {self.at(n, i)} {self.at(n, j)})" for n in names)
                 s.assert_text(f"(not (and {eqs}))")
 
+    def model_values(self, s: SmtSession, names: Sequence[str],
+                     instants: Sequence[int]) -> list[dict[str, Value]]:
+        """The model's value of each name at each instant, typed as the
+        name is declared: one dict per instant."""
+        raw = s.get_values([f"{n}@{t}" for t in instants for n in names])
+        return [{n: _VALUE[self.types[n]](raw[f"{n}@{t}"]) for n in names}
+                for t in instants]
+
     def decode_inputs(self, s: SmtSession, upto: int) -> Trace:
         names = [n for n, _ in self.ts.input_vars]
-        wanted = [f"{n}@{t}" for t in range(upto + 1) for n in names]
-        raw = s.get_values(wanted) if wanted else {}
-        signals: dict[str, list[Value]] = {n: [] for n in names}
-        for t in range(upto + 1):
-            for n in names:
-                signals[n].append(
-                    _coerce(raw[f"{n}@{t}"], self.types[n]))
-        return Trace(signals)
-
-
-def _coerce(v, ty: Type) -> Value:
-    if ty is Type.BOOL:
-        return bool(v)
-    if ty is Type.INT:
-        return int(v)
-    return Fraction(v)
+        rows = self.model_values(s, names, range(upto + 1))
+        return Trace({n: [row[n] for row in rows] for n in names})

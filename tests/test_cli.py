@@ -7,7 +7,8 @@ import pytest
 
 import jsonschema
 
-from synkit.cli import main, parse_args
+from synkit.cli import _engine_config, main, parse_args
+from synkit.engine import EngineConfig
 
 COUNTER = """\
 node Counter() returns (n: int);
@@ -45,6 +46,17 @@ let
 tel
 """
 
+# all-boolean: the latch can be set at step 1, so ok fails there
+LATCH = """\
+node Latch(set: bool) returns (ok: bool);
+var q: bool;
+let
+  q = false -> (pre q or set);
+  ok = not q;
+  --!PROPERTY: ok = true;
+tel
+"""
+
 CYCLIC = """\
 node N(x: int) returns (y: int);
 let
@@ -68,6 +80,13 @@ def run(capsys, *argv):
 def counter(tmp_path):
     p = tmp_path / "counter.lus"
     p.write_text(COUNTER)
+    return str(p)
+
+
+@pytest.fixture
+def latch(tmp_path):
+    p = tmp_path / "latch.lus"
+    p.write_text(LATCH)
     return str(p)
 
 
@@ -225,6 +244,50 @@ def test_verify_compositional_bad_spec(capsys, two_stage, tmp_path):
                      "--compositional", str(cpath))
     assert rc == 2
     assert "contract spec" in err
+
+
+def test_verify_oracle_mode_falsifies_boolean_model(capsys, latch, tmp_path):
+    rc, out, err = run(capsys, "verify", latch, "--oracle-mode")
+    assert rc == 1 and err == ""
+    assert out.startswith("Latch.ok: falsified at step 1 [")
+
+    cex = tmp_path / "cex.csv"
+    rc, out, _ = run(capsys, "verify", latch, "--oracle-mode", "--json",
+                     "--out", str(cex))
+    assert rc == 1
+    report = json.loads(out)
+    jsonschema.validate(report, schema("verify_report.schema.json"))
+    assert report["engine"] == {"k_max": 20, "use_invariants": False}
+    [row] = report["results"]
+    assert (row["node"], row["property"]) == ("Latch", "ok")
+    assert (row["verdict"], row["step"]) == ("falsified", 1)
+    assert report["ok"] is False
+
+    # the search's counterexample replays to the same violation step
+    rc, _, err = run(capsys, "sim", latch, "Latch", "--trace", str(cex))
+    assert rc == 0
+    assert "property ok false at step 1" in err
+
+
+def test_verify_oracle_mode_on_real_model_is_usage_error(capsys, two_stage):
+    rc, out, err = run(capsys, "verify", two_stage, "--oracle-mode")
+    assert rc == 2 and out == ""
+    assert "boolean" in err
+
+
+def test_verify_oracle_mode_excludes_compositional(capsys, latch, tmp_path):
+    cpath = tmp_path / "contracts.json"
+    cpath.write_text(json.dumps({"contracts": []}))
+    rc, _, err = run(capsys, "verify", latch, "--oracle-mode",
+                     "--compositional", str(cpath))
+    assert rc == 2
+    assert "not allowed" in err
+
+
+def test_bench_run_rejects_oracle_mode(capsys):
+    rc, out, err = run(capsys, "bench", "run", "--oracle-mode")
+    assert rc == 2 and out == ""
+    assert "--oracle-mode" in err
 
 
 # --- safety-case ----------------------------------------------------------------
@@ -404,17 +467,19 @@ def test_bench_run_report(capsys):
     assert strip(json.loads(out2)) == strip(report)
 
 
-# --- RunConfig ------------------------------------------------------------------
+# --- argument parsing -------------------------------------------------------------
 
 def test_parse_args_builds_config():
-    cfg = parse_args(["verify", "m.lus", "--prop", "Obs", "--k-max", "4",
-                      "--invariants", "--json"])
-    assert cfg.subcommand == "verify"
-    assert cfg.files == ("m.lus",)
-    assert cfg.props == ("Obs",)
-    assert cfg.fmt == "json"
-    ecfg = cfg.engine_config()
-    assert ecfg.k_max == 4 and ecfg.use_invariants
+    ns = parse_args(["verify", "m.lus", "--prop", "Obs", "--k-max", "4",
+                     "--invariants", "--json"])
+    assert ns.subcommand == "verify"
+    assert ns.files == ["m.lus"]
+    assert ns.props == ["Obs"]
+    assert ns.fmt == "json" and not ns.oracle_mode
+    assert _engine_config(ns) == EngineConfig(k_max=4, use_invariants=True)
 
-    cfg = parse_args(["bench", "run"])
-    assert cfg.engine_config(k_default=6).k_max == 6
+    # the defaults: EngineConfig's for verify, k_max 6 for bench
+    ns = parse_args(["verify", "m.lus", "--solver-cmd", "z3 -in"])
+    assert _engine_config(ns) == EngineConfig(solver_command="z3 -in")
+    assert _engine_config(parse_args(["bench", "run"])) == EngineConfig(
+        k_max=6)

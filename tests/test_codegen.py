@@ -12,13 +12,14 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from synkit import interp, tsys
 from synkit.benchlib import driver_harness, load_benchmark, run_driver
 from synkit.benchlib import loader
-from synkit.engine import compile_system, simulate_system
+from synkit.engine import compile_system, core, simulate_system
 from synkit.interp import Trace
 from synkit.lang import Type, instance_names, parse, typecheck
 
@@ -314,7 +315,7 @@ tel
     assert y.denominator == 2 ** 78  # no rounding anywhere
 
 
-def test_real_values_leave_as_fractions():
+def test_real_values_leave_as_fractions(monkeypatch):
     # integral literals in value positions: an if-then-else branch next
     # to a Fraction signal, an extern argument, a constant, a state value
     src = """
@@ -332,8 +333,11 @@ tel
 """
     _, ts = _ts(src, "Mix")
     ext = {"lift": lambda v: v}
-    for rows in (simulate_system(ts, 60, seed, externs=ext)
-                 for seed in range(3)):
+    # simulate_system compiles without externs: patch in lift's semantics
+    monkeypatch.setattr(core, "compile_system",
+                        partial(compile_system, externs=ext))
+    for rows in (simulate_system(ts, 60, seed) for seed in range(3)):
+        assert len(rows) == 60
         for row in rows:
             for name, ty in ts.var_types().items():
                 if ty is Type.REAL:

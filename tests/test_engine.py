@@ -9,9 +9,9 @@ import pytest
 from synkit import tsys
 from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
                            UnknownReason, Valid, bmc, compile_system, core,
-                           eval_formula, generate_invariants, kinduction,
-                           logic_for, make_replayer, simulate_system,
-                           verify_all)
+                           eval_formula, exhaustive_search,
+                           generate_invariants, kinduction, logic_for,
+                           make_replayer, simulate_system, verify_all)
 from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
 from synkit.lang import LangError, parse, pretty_expr, typecheck
@@ -20,7 +20,6 @@ from synkit.smt import SmtSession
 from _random_systems import random_bool_system
 
 CFG = EngineConfig(k_max=8, timeout=120)
-ORACLE = EngineConfig(k_max=8, timeout=120, oracle_mode=True)
 
 COUNTER = """
 node Counter(reset: bool) returns (c: int);
@@ -323,7 +322,7 @@ let
 tel
 """
     tp, ts = _ts(src, "Bad")
-    ro = bmc(ts, "ok", 5, ORACLE)
+    ro = exhaustive_search(ts, "ok", max_depth=5)
     rs = bmc(ts, "ok", 5, CFG)
     assert isinstance(ro, Falsified) and isinstance(rs, Falsified)
     assert ro.step == rs.step == 1
@@ -333,14 +332,14 @@ tel
 
 def test_oracle_valid_at_fixpoint():
     _, ts = _ts(TOGGLE, "Toggle")
-    r = kinduction(ts, "p", ORACLE)
+    r = exhaustive_search(ts, "p")
     assert isinstance(r, Valid)
 
 
 def test_oracle_rejects_non_boolean():
     _, ts = _ts(COUNTER, "Counter")
-    with pytest.raises(ValueError):
-        bmc(ts, "ok", 3, ORACLE)
+    with pytest.raises(ValueError, match="boolean"):
+        exhaustive_search(ts, "ok", max_depth=3)
 
 
 def test_oracle_differential_random_systems():
@@ -351,7 +350,7 @@ def test_oracle_differential_random_systems():
         node = tp.order[-1]
         ts = tsys.compile(tp, node)
         for k in (0, 2, 4):
-            a = bmc(ts, "ok", k, ORACLE)
+            a = exhaustive_search(ts, "ok", max_depth=k)
             b = bmc(ts, "ok", k, CFG)
             if type(a) is not type(b):
                 mismatches.append((seed, k, a, b))
@@ -489,12 +488,6 @@ def test_houdini_stray_value_error_is_internal_error(monkeypatch):
     with pytest.raises(InternalError):
         verify_all([(ts, "ok")],
                    EngineConfig(k_max=3, timeout=120, use_invariants=True))
-
-
-def test_verify_all_oracle_on_non_boolean_is_a_usage_error():
-    _, ts = _ts(COUNTER, "Counter")
-    with pytest.raises(ValueError, match="boolean"):
-        verify_all([(ts, "ok")], ORACLE)
 
 
 def test_replayer_rejects_wrong_step():
