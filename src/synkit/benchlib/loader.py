@@ -235,8 +235,9 @@ def _compile_driver(driver: dict, types: dict[str, Type]):
     Returns (samplers, copies).  A sampler is (name, pool, scale): a real
     pool holds the ints value*scale, scale being the lcm of the values'
     denominators; any other pool holds the values, with scale None.
-    Pools keep the same length and rng call pattern as direct sampling,
-    so seeds stay compatible."""
+    Each pool keeps the length and order of the values in the driver
+    text, so an index drawn for it picks the value ``Random.choice``
+    would pick from the text."""
     samplers: list[tuple[str, list, Optional[int]]] = []
     copies: list[tuple[str, str]] = []
     for name, spec in driver.items():
@@ -265,6 +266,8 @@ def _compile_driver(driver: dict, types: dict[str, Type]):
             scale = den // g
         else:
             raise BenchmarkError(f"{name}: unknown driver form {spec}")
+        if not pool:
+            raise BenchmarkError(f"{name}: empty driver pool")
         samplers.append((name, pool, scale))
     for name, src in copies:
         if not any(n == src for n, _, _ in samplers):
@@ -303,7 +306,15 @@ def driver_harness(tp: TypedProgram, spec: PropertySpec,
     runs (steps, seed) campaigns against the same compiled system.  Each
     real input is compiled at its pool's scale and drawn from the pool
     of ints, so the observer steps on plain ints wherever the rest of its
-    arithmetic allows."""
+    arithmetic allows.
+
+    A run reads ``Random(seed).getrandbits`` exactly as ``Random.choice``
+    does: for a pool of n values, k = n.bit_length() bits, drawn again
+    while the result is n or more, then that index.  This is the body of
+    CPython's ``Random._randbelow_with_getrandbits``, which ``choice``
+    calls on 3.10 to 3.13, so a seed gives the inputs that ``sample_step``
+    draws.  A pool of one value is drawn too, as ``choice`` draws it, or
+    every later draw would shift."""
     if spec.driver is None:
         raise BenchmarkError(f"{spec.id}: not a modeled property")
     ts = tsys.compile(tp, spec.observer_node)
@@ -314,18 +325,22 @@ def driver_harness(tp: TypedProgram, spec: PropertySpec,
                   if src in scales)
     cs = compile_system(ts, externs, input_scales=scales)
     at = {name: i for i, name in enumerate(cs.input_names)}
-    draws = [(at[name], pool) for name, pool, _ in samplers]
+    draws = [(at[name], pool, len(pool), len(pool).bit_length())
+             for name, pool, _ in samplers]
     links = [(at[name], at[src]) for name, src in copies]
 
     def run(steps: int, seed: int) -> DriverRun:
-        choice = random.Random(seed).choice
+        bits = random.Random(seed).getrandbits
         step = cs.step
         buf = [None] * len(cs.input_names)
         state = cs.default_state
         violations: list[tuple[int, str]] = []
         for t in range(steps):
-            for i, pool in draws:
-                buf[i] = choice(pool)
+            for i, pool, n, k in draws:
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                buf[i] = pool[r]
             for i, j in links:
                 buf[i] = buf[j]
             state, asm_ok, props, _ = step(state, tuple(buf))

@@ -29,10 +29,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _engine_settings(cfg: argparse.Namespace) -> dict[str, object]:
+    """The `EngineConfig` fields that the command line sets.  A flag left
+    out parses to None (False for --invariants) and is not a setting, so
+    its field keeps EngineConfig's default."""
+    given = {"k_max": cfg.k_max, "timeout": cfg.timeout,
+             "solver_command": cfg.solver_cmd,
+             "use_invariants": cfg.invariants or None}
+    return {field: v for field, v in given.items() if v is not None}
+
+
 def _engine_config(cfg: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(k_max=cfg.k_max, timeout=cfg.timeout,
-                        solver_command=cfg.solver_cmd,
-                        use_invariants=cfg.invariants)
+    return EngineConfig(**_engine_settings(cfg))
 
 
 class _Failure(Exception):
@@ -170,6 +178,9 @@ def _compositional_verify(cfg: argparse.Namespace, tp) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
+    if cfg.oracle_mode and _engine_settings(cfg):
+        raise _Failure("--oracle-mode takes none of --k-max, --timeout, "
+                       "--solver-cmd, --invariants", EXIT_USAGE)
     tp = _load_program(cfg.files[0])
     if cfg.compositional:
         return _compositional_verify(cfg, tp)
@@ -207,7 +218,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     for _, name, pid, ts in tasks:
         t0 = time.perf_counter()
         if cfg.oracle_mode:
-            res = exhaustive_search(ts, pid)
+            try:
+                res = exhaustive_search(ts, pid)
+            except LangError as exc:
+                raise _Failure(f"--oracle-mode: {exc}", EXIT_USAGE) from exc
         else:
             replays = {pid: make_replayer(tp, name, pid)}
             res = verify_all([(ts, pid)], ecfg, replays=replays)[pid]
@@ -448,10 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          const="json", help="machine-readable output")
         p.set_defaults(fmt="text")
 
-    def engine_flags(p, k_max: int):
+    def engine_flags(p, k_max: Optional[int] = None):
         p.add_argument("--k-max", type=int, default=k_max)
-        p.add_argument("--timeout", type=float,
-                       default=EngineConfig.timeout)
+        p.add_argument("--timeout", type=float, default=None)
         p.add_argument("--solver-cmd", default=None,
                        help="SMT solver command, run as a child process "
                             "(default: SOLVER_CMD env, then z3; with "
@@ -488,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="exhaustive search of boolean models, no solver")
     p.add_argument("--out", default=None,
                    help="write the first counterexample trace CSV here")
-    engine_flags(p, k_max=EngineConfig.k_max)
+    engine_flags(p)
     fmt_flags(p)
 
     p = sub.add_parser("safety-case", help="build and inspect GSN cases")

@@ -363,6 +363,15 @@ def test_driver_detects_broken_environment(bench):
         run_driver(tp, replace(g120, driver=bad), steps=50, seed=0)
 
 
+@pytest.mark.parametrize("pool", [{"choice": []},
+                                  {"uniform": ["1.0", "0.0", 4]}])
+def test_driver_refuses_an_empty_pool(bench, pool):
+    g120 = bench.spec("G-120")
+    bad = dict(g120.driver, FPain=pool)
+    with pytest.raises(BenchmarkError, match="FPain: empty driver pool"):
+        run_driver(bench.tp, replace(g120, driver=bad), steps=1, seed=0)
+
+
 def test_driver_runs_are_reproducible(bench):
     tp = bench.tp
     s = bench.spec("G-250")

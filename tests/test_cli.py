@@ -57,6 +57,17 @@ let
 tel
 """
 
+# boolean, but its extern has no concrete semantics to search with
+FLIP = """\
+extern flip(x: bool) returns (y: bool);
+
+node Obs(a: bool) returns (ok: bool);
+let
+  ok = flip(a) or not flip(a);
+  --!PROPERTY: ok = true;
+tel
+"""
+
 CYCLIC = """\
 node N(x: int) returns (y: int);
 let
@@ -282,6 +293,29 @@ def test_verify_oracle_mode_excludes_compositional(capsys, latch, tmp_path):
                      "--compositional", str(cpath))
     assert rc == 2
     assert "not allowed" in err
+
+
+def test_verify_oracle_mode_on_extern_model_is_usage_error(capsys, tmp_path):
+    p = tmp_path / "flip.lus"
+    p.write_text(FLIP)
+    rc, out, err = run(capsys, "verify", str(p), "--oracle-mode")
+    assert rc == 2 and out == ""
+    assert err.startswith("synkit: ")
+    assert "no concrete semantics for extern flip" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--invariants", "--k-max", "1", "--timeout", "0.001", "--json"],
+    ["--k-max", "20"],
+    ["--timeout", "300"],
+    ["--solver-cmd", "z3 -in"],
+    ["--invariants"],
+])
+def test_verify_oracle_mode_refuses_solver_settings(capsys, latch, flags):
+    rc, out, err = run(capsys, "verify", latch, "--oracle-mode", *flags)
+    assert rc == 2 and out == ""
+    assert err.startswith("synkit: --oracle-mode takes none of --k-max")
 
 
 def test_bench_run_rejects_oracle_mode(capsys):

@@ -176,10 +176,13 @@ def test_growing_loops_step_without_fractions(monkeypatch, bench, pid):
     assert not {"Fraction", "C"} & set(cs.step.__code__.co_freevars)
 
 
-@pytest.mark.parametrize("pid", ["G-120", "G-200", "G-250", "G-290"])
+@pytest.mark.parametrize("pid", MODELED)
 def test_harness_inputs_are_sample_step_draws(monkeypatch, bench, pid):
+    """The harness's inline draws from getrandbits are the draws of
+    sample_step, which goes through Random.choice."""
     spec = bench.spec(pid)
-    cs, calls, _ = _harness_calls(monkeypatch, bench.tp, spec, 60, seed=9)
+    cs, calls, _ = _harness_calls(monkeypatch, bench.tp, spec, 500, seed=9)
+    assert len(calls) == 500
     types = dict(cs.ts.input_vars)
     rng = random.Random(9)
     for inp, _ in calls:
@@ -190,13 +193,54 @@ def test_harness_inputs_are_sample_step_draws(monkeypatch, bench, pid):
         assert [type(v) for v in got] == [type(v) for v in want]
 
 
+# pools of 1, 2, 4, 5 and 8 values and a copy: a power of two takes
+# k = n.bit_length() bits, one more than it needs, so its draws are
+# rejected most often, and a pool of one value still spends a draw
+DRAW_SIZES = """\
+node Draws(one: real; two: bool; four: int; five: real; eight: real;
+           same: real) returns (ok: bool);
+let
+  ok = (same = eight) and (one = 0.5) and (four >= -3) and
+       (five >= 0.0) and (five <= 1.0);
+  --!PROPERTY: ok = true;
+tel
+"""
+DRAW_DRIVER = {"one": {"choice": ["0.5"]},
+               "two": {"choice": ["true", "false"]},
+               "four": {"choice": ["-3", "0", "7", "12"]},
+               "five": {"uniform": ["0.0", "1.0", 4]},
+               "eight": {"choice": ["0.1", "-2.5", "3", "0.125", "1.5",
+                                    "-0.75", "2.2", "0"]},
+               "same": {"copy": "eight"}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9, 123])
+def test_harness_draws_are_choice_draws_on_each_pool_size(monkeypatch, seed):
+    tp = typecheck(parse(DRAW_SIZES))
+    spec = loader.PropertySpec(
+        id="Draws", prose="", node_under_test="Draws", observer_node="Draws",
+        assumptions_used=(), expected_class=loader.ExpectedClass.DIRECT,
+        driver=DRAW_DRIVER)
+    cs, calls, run = _harness_calls(monkeypatch, tp, spec, 400, seed)
+    assert run.ok and len(calls) == 400
+    types = dict(cs.ts.input_vars)
+    ref = random.Random(seed)
+    for inp, _ in calls:
+        want = _reference_row(DRAW_DRIVER, types, ref)
+        got = _public_inputs(cs, inp)
+        assert got == tuple(want[n] for n in cs.input_names)
+        assert [type(v) for v in got] == \
+            [type(want[n]) for n in cs.input_names]
+
+
 def _reference_row(driver, types, rng):
     """A driver instant drawn straight from the driver's text."""
     row = {}
     for name, spec in driver.items():
         if "choice" in spec:
-            pool = [t == "true" if types[name] is Type.BOOL else F(t)
-                    for t in spec["choice"]]
+            parse = {Type.BOOL: lambda t: t == "true",
+                     Type.INT: int}.get(types[name], F)
+            pool = [parse(t) for t in spec["choice"]]
         elif "uniform" in spec:
             lo, hi, den = spec["uniform"]
             pool = [F(i, den)
