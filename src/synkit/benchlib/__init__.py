@@ -1,7 +1,8 @@
-"""Flight-control benchmark: models, requirement catalog, contracts,
-pinned verdicts, and random drivers for the observers."""
+"""Flight-control benchmark: the models, the requirement catalog with
+its contracts and pinned verdicts, and a harness that steps each
+observer on inputs drawn from its random driver.  ``benchlib.gsn``
+turns the catalog and the pinned verdicts into safety-case inputs."""
 
-from . import blocks
 from .loader import (
     Benchmark,
     BenchmarkError,
@@ -15,7 +16,6 @@ from .loader import (
     driver_harness,
     load_benchmark,
     load_expected,
-    run_driver,
     sample_step,
 )
 
@@ -29,10 +29,8 @@ __all__ = [
     "NOT_MODELED_IDS",
     "PropertySpec",
     "benchmark_source",
-    "blocks",
     "driver_harness",
     "load_benchmark",
     "load_expected",
-    "run_driver",
     "sample_step",
 ]

@@ -10,7 +10,7 @@ surface as undeveloped leaves.
 
 from __future__ import annotations
 
-from .loader import Benchmark, load_benchmark, load_expected
+from .loader import load_benchmark, load_expected
 
 __all__ = ["benchmark_requirements"]
 
@@ -21,18 +21,17 @@ _ROOT_TEXT = ("The autopilot shall provide altitude hold, altitude "
               "crew-selected modes.")
 
 
-def benchmark_requirements(bench: Benchmark = None, expected: dict = None
-                           ) -> tuple[list[dict], dict[str, dict]]:
+def benchmark_requirements() -> tuple[list[dict], dict[str, dict]]:
     """(requirement forest, results) for the property table.
 
     Both halves are plain JSON values: the forest nests one root over
     the twenty table rows, compositional rows nest their contract
     obligations, and the results map carries one evidence record per
-    verified requirement.
+    verified requirement, read from the pinned verdicts of
+    ``data/expected.json``, not from a live run.
     """
-    bench = bench or load_benchmark()
-    expected = expected or load_expected()
-    pinned = expected["results"]
+    bench = load_benchmark()
+    pinned = load_expected()["results"]
 
     results: dict[str, dict] = {}
     rows: list[dict] = []

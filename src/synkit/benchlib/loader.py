@@ -306,7 +306,9 @@ def driver_harness(tp: TypedProgram, spec: PropertySpec,
     runs (steps, seed) campaigns against the same compiled system.  Each
     real input is compiled at its pool's scale and drawn from the pool
     of ints, so the observer steps on plain ints wherever the rest of its
-    arithmetic allows.
+    arithmetic allows.  A run reports the property violations it meets;
+    the pools are built to meet the observer's environment asserts, so a
+    broken assert means the data is wrong and raises BenchmarkError.
 
     A run reads ``Random(seed).getrandbits`` exactly as ``Random.choice``
     does: for a pool of n values, k = n.bit_length() bits, drawn again
@@ -355,12 +357,3 @@ def driver_harness(tp: TypedProgram, spec: PropertySpec,
         return DriverRun(list(cs.prop_ids), steps, violations)
 
     return run
-
-
-def run_driver(tp: TypedProgram, spec: PropertySpec, steps: int, seed: int,
-               externs: Optional[dict] = None) -> DriverRun:
-    """Drive the observer for a number of steps with inputs drawn from
-    the property's driver pools and report any property violations.  The
-    driver is constructed to satisfy the observer's environment asserts;
-    a failed assert therefore means the data is wrong and raises."""
-    return driver_harness(tp, spec, externs)(steps, seed)

@@ -239,6 +239,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
               "engine": {"k_max": ecfg.k_max,
                          "use_invariants": ecfg.use_invariants},
               "results": rows, "ok": ok}
+    if cfg.oracle_mode:  # the search has no depth bound and mines nothing
+        del report["engine"]
 
     def lines(rep: dict):
         for r in rep["results"]:
@@ -398,15 +400,12 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
         if spec.id in bench.contracts:
             arg = build_argument(bench.tp, spec.observer_node, "Obs",
                                  bench.contracts[spec.id], ecfg)
-            holds = argument_holds(arg)
-            if arg.system_result is None:
+            if (isinstance(arg.system_result, Valid)
+                    and not argument_holds(arg)):
+                # a sub-obligation failed: the system's k backs nothing
                 row["verdict"] = "unknown"
             else:
                 row.update(verdict_row(arg.system_result))
-            if holds:
-                row["verdict"] = "valid"
-            elif row["verdict"] == "valid":
-                row["verdict"] = "unknown"  # a sub-obligation failed
             row["components"] = [
                 {"node": node, "guarantee": gid, **verdict_row(res)}
                 for node in sorted(arg.component_results)

@@ -85,7 +85,7 @@ class CompositionalArgument:
     contracts: tuple[Contract, ...]
     component_results: dict[str, dict[str, VerifyResult]]
     assumption_results: dict[str, VerifyResult]
-    system_result: Optional[VerifyResult] = None
+    system_result: VerifyResult
 
 
 _Pairs = Union[Mapping[str, str], Sequence[tuple[str, str]]]
@@ -460,8 +460,7 @@ def argument_report(arg: CompositionalArgument) -> dict:
         assumptions.append(row)
     report = {
         "top_property": arg.top_property,
-        "system_verdict": (verdict_row(arg.system_result)["verdict"]
-                           if arg.system_result is not None else "unknown"),
+        "system_verdict": verdict_row(arg.system_result)["verdict"],
         "components": components,
         "holds": argument_holds(arg),
     }

@@ -241,17 +241,15 @@ def bmc(ts: TransitionSystem, prop_id: str, k: int, cfg: EngineConfig,
 
 
 def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
-               replay: Optional[Replayer] = None,
-               invariants: Optional[Sequence[Expr]] = None) -> VerifyResult:
+               replay: Optional[Replayer] = None) -> VerifyResult:
     """k-induction sweep for k = 1..k_max over two conversations: a base
     unrolling from the initial states, checked clean up to depth k, and
     a step unrolling from any state, where the property holds at the
     instants before k and its violation at k is queried."""
     prop = ts.property_formula(prop_id)
     deadline = _Deadline(cfg.timeout)
-    invs: list[Expr] = list(invariants) if invariants else []
-    if cfg.use_invariants and invariants is None:
-        invs = _mine_invariants_for(ts, cfg, deadline)
+    invs = (_mine_invariants_for(ts, cfg, deadline) if cfg.use_invariants
+            else [])
     inv_texts = tuple(pretty_expr(e) for e in invs)
     un = Unroller(ts)
     try:

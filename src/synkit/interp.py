@@ -65,9 +65,6 @@ class Trace:
             return len(vals)
         return len(self.assertion_ok) if self.assertion_ok else 0
 
-    def value(self, name: str, step: int) -> Value:
-        return self.signals[name][step]
-
     def to_csv(self) -> str:
         cols = list(self.signals)
         header = cols + (["assertion_ok"] if self.assertion_ok is not None
@@ -99,27 +96,13 @@ class Trace:
             aok = [bool(v) for v in cols.pop("assertion_ok")]
         return cls(cols, aok)
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "length": self.length,
             "signals": {name: [_json_value(v) for v in vals]
                         for name, vals in self.signals.items()},
             "assertion_ok": self.assertion_ok,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Trace":
-        signals = {name: [_unjson_value(v) for v in vals]
-                   for name, vals in obj.get("signals", {}).items()}
-        aok = obj.get("assertion_ok")
-        return cls(signals, list(aok) if aok is not None else None)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trace":
-        return cls.from_json_obj(json.loads(text))
+        })
 
 
 def _format_value(v: Value) -> str:
@@ -133,12 +116,6 @@ def _format_value(v: Value) -> str:
 def _json_value(v: Value):
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    return v
-
-
-def _unjson_value(v) -> Value:
-    if isinstance(v, str):
-        return Fraction(v)
     return v
 
 
@@ -169,10 +146,9 @@ def init_state(tp: TypedProgram, node: str) -> NodeState:
 
 class _Eval:
     def __init__(self, tp: TypedProgram, externs: Optional[dict[str, ExternFn]],
-                 strict_pre: bool, warnings: list[str]):
+                 warnings: list[str]):
         self.tp = tp
         self.externs = externs or {}
-        self.strict_pre = strict_pre
         self.warnings = warnings
         self._child_assert_failed = False
         self._pre_sites: dict[str, list[Pre]] = {}
@@ -290,10 +266,6 @@ class _Eval:
         if isinstance(e, Pre):
             v = old_pre[e.site]
             if v is None:
-                if self.strict_pre:
-                    raise InterpError(
-                        f"uninitialized pre read in {st.node!r} "
-                        f"(site {e.site}); guard it with '->'")
                 if e.site not in st.warned:
                     st.warned.add(e.site)
                     where = f"{path}." if path else ""
@@ -372,14 +344,13 @@ def _check_value(v, ty: Type, name: str) -> Value:
 
 def step(tp: TypedProgram, node: str, state: NodeState,
          inputs: dict[str, Value], *,
-         externs: Optional[dict[str, ExternFn]] = None,
-         strict_pre: bool = False
+         externs: Optional[dict[str, ExternFn]] = None
          ) -> tuple[NodeState, dict[str, Value], bool]:
     """One instant. The incoming state is not mutated."""
     if state.node != node:
         raise InterpError(f"state belongs to {state.node!r}, not {node!r}")
     warnings: list[str] = []
-    ev = _Eval(tp, externs, strict_pre, warnings)
+    ev = _Eval(tp, externs, warnings)
     new_state = state.clone()
     outputs, ok = ev.step_node(new_state, inputs, "", None)
     if ev._child_assert_failed:
@@ -389,7 +360,7 @@ def step(tp: TypedProgram, node: str, state: NodeState,
 
 def simulate(tp: TypedProgram, node: str, input_trace: Trace, n: int, *,
              externs: Optional[dict[str, ExternFn]] = None,
-             strict_pre: bool = False, deep: bool = False) -> Trace:
+             deep: bool = False) -> Trace:
     """Run n steps, logging every signal of the node plus assertion_ok.
 
     With deep=True, signals of called instances are logged too, under
@@ -403,7 +374,7 @@ def simulate(tp: TypedProgram, node: str, input_trace: Trace, n: int, *,
             raise InterpError(f"input trace too short for {vd.name!r}: "
                               f"{len(input_trace.signals[vd.name])} < {n}")
     warnings: list[str] = []
-    ev = _Eval(tp, externs, strict_pre, warnings)
+    ev = _Eval(tp, externs, warnings)
     st = init_state(tp, node)
     columns: dict[str, list[Value]] = {}
     aok: list[bool] = []

@@ -27,7 +27,7 @@ __all__ = [
     "query", "metrics", "export_dot",
     "graph_to_json", "graph_from_json",
     "pattern_from_json_obj",
-    "requirements_from_json", "requirements_to_json",
+    "requirements_from_json",
     "synthetic_requirements",
 ]
 
@@ -183,17 +183,6 @@ def evidence_from_json(obj: Mapping) -> Evidence:
         raise SafetyCaseError(f"evidence record missing {exc}") from exc
 
 
-def evidence_to_json(e: Evidence) -> dict:
-    out: dict = {"property": e.property_id, "verdict": e.verdict}
-    if e.method:
-        out["method"] = e.method
-    if e.k is not None:
-        out["k"] = e.k
-    if e.locator:
-        out["locator"] = e.locator
-    return out
-
-
 @dataclass(frozen=True)
 class RequirementNode:
     id: str
@@ -224,19 +213,6 @@ def requirements_from_json(obj: Union[Mapping, Sequence]
                 f"requirement node missing {exc}") from exc
 
     roots = [obj] if isinstance(obj, Mapping) else list(obj)
-    return [node(r) for r in roots]
-
-
-def requirements_to_json(roots: Sequence[RequirementNode]) -> list[dict]:
-    def node(r: RequirementNode) -> dict:
-        out: dict = {"id": r.id, "text": r.text}
-        if r.children:
-            out["children"] = [node(c) for c in r.children]
-        if r.verification:
-            out["verification"] = evidence_to_json(r.verification)
-        if r.metadata:
-            out["metadata"] = dict(r.metadata)
-        return out
     return [node(r) for r in roots]
 
 
@@ -565,14 +541,6 @@ class LeafSupport:
     formal: tuple[str, ...]
     informal: tuple[str, ...]
     undeveloped: tuple[str, ...]
-
-    @property
-    def leaves(self) -> int:
-        return len(self.formal) + len(self.informal) + len(self.undeveloped)
-
-    @property
-    def formal_fraction(self) -> float:
-        return len(self.formal) / self.leaves if self.leaves else 0.0
 
 
 def check_leaf_support(g: GsnGraph, root: str) -> LeafSupport:

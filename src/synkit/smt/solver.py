@@ -80,7 +80,6 @@ def _num(v: Fraction, sort: str) -> Term:
 
 _ARITH = {"+", "-", "*", "/"}
 _CMP = {"<", "<=", ">", ">="}
-_BOOLOP = {"and", "or", "=>", "xor", "not"}
 
 
 def term_of(sx: SExpr, decls: dict, env: Optional[dict] = None) -> Term:
@@ -200,36 +199,6 @@ def _need_num(args, op):
     for a in args:
         if sort_of(a) not in _NUM:
             raise SmtError(f"{op} needs numeric arguments")
-
-
-def eval_const(t: Term) -> Optional[Fraction]:
-    """Value of a ground numeric term, or None if it has variables."""
-    tag = t[0]
-    if tag == "num":
-        return t[1]
-    if tag == "-" and len(t[1]) == 1:
-        v = eval_const(t[1][0])
-        return None if v is None else -v
-    if tag in _ARITH:
-        vals = [eval_const(a) for a in t[1]]
-        if any(v is None for v in vals):
-            return None
-        out = vals[0]
-        for v in vals[1:]:
-            if tag == "+":
-                out = out + v
-            elif tag == "-":
-                out = out - v
-            elif tag == "*":
-                out = out * v
-            else:
-                if v == 0:
-                    raise SmtError("division by zero in constant term")
-                out = out / v
-        return out
-    if tag == "to_real":
-        return eval_const(t[1][0])
-    return None
 
 
 def _lowest(nums: dict[int, int], const: int,
@@ -594,26 +563,26 @@ class Solver:
                 const += f2 * k2
             return _lowest(nums, const, den)
         if tag == "*":
-            consts = [eval_const(a) for a in t[1]]
-            unknowns = [a for a, c in zip(t[1], consts) if c is None]
-            if len(unknowns) > 1:
+            # a factor is constant when its linear form has no variables
+            forms = [self._linear(a) for a in t[1]]
+            varying = [f for f in forms if f[0]]
+            if len(varying) > 1:
                 raise SmtError("nonlinear product")
             scale = ONE
-            for c in consts:
-                if c is not None:
-                    scale *= c
-            if not unknowns:
+            for nums, const, den in forms:
+                if not nums:
+                    scale *= F(const, den)
+            if not varying:
                 return {}, scale.numerator, scale.denominator
-            return _scaled(self._linear(unknowns[0]), scale)
+            return _scaled(varying[0], scale)
         if tag == "/":
-            divisors = [eval_const(a) for a in t[1][1:]]
-            if any(d is None for d in divisors):
-                raise SmtError("nonlinear division")
-            if any(d == 0 for d in divisors):
-                raise SmtError("division by zero")
             scale = ONE
-            for d in divisors:
-                scale /= d
+            for nums, const, den in map(self._linear, t[1][1:]):
+                if nums:
+                    raise SmtError("nonlinear division")
+                if const == 0:
+                    raise SmtError("division by zero")
+                scale *= F(den, const)
             return _scaled(self._linear(t[1][0]), scale)
         raise SmtError(f"not a numeric term: {tag}")
 

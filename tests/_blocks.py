@@ -1,9 +1,9 @@
 """Reference implementations of the shared signal-processing blocks.
 
-These are plain Python mirrors of the dataflow blocks in
-``data/models/stdlib.lus``.  They exist so the language-level blocks can
-be checked differentially: same inputs, exact Fraction arithmetic, two
-independent codebases.  Scalar blocks take and return a single value;
+These are plain Python mirrors of the dataflow blocks in the benchmark's
+``stdlib.lus``.  They exist so the language-level blocks can be checked
+differentially: same inputs, exact Fraction arithmetic, two independent
+codebases.  Scalar blocks take and return a single value;
 stream blocks consume an input sequence and return the full output
 sequence.
 """

@@ -17,9 +17,8 @@ from synkit import compose, tsys, safetycase
 from synkit.benchlib import driver_harness, load_benchmark
 from synkit.cli import main as cli_main
 from synkit.engine import (EngineConfig, Falsified, Unknown, Valid, bmc,
-                           compile_system, exhaustive_search,
-                           generate_invariants, kinduction, make_replayer,
-                           simulate_system)
+                           compile_system, exhaustive_search, kinduction,
+                           make_replayer)
 from synkit.lang import parse, pretty, typecheck
 from synkit.safetycase import (DEFAULT_PATTERN, Kind, check_leaf_support,
                                count_law, instantiate_pattern, query,
@@ -187,14 +186,12 @@ def test_ac06_every_contract_formula_is_load_bearing(bench):
 
 def test_ac07_generated_invariants_unlock_the_proof(bench):
     ts = tsys.compile(bench.tp, "SatChainObs")
-    low = EngineConfig(k_max=3, timeout=120.0)
-    plain = kinduction(ts, "Obs", low)
+    plain = kinduction(ts, "Obs", EngineConfig(k_max=3, timeout=120.0))
     assert isinstance(plain, Unknown), plain
-    rows = simulate_system(ts, steps=60, seed=3)
-    invs = generate_invariants(ts, rows, low)
-    assert invs
-    strong = kinduction(ts, "Obs", low, invariants=invs)
+    strong = kinduction(ts, "Obs", EngineConfig(k_max=3, timeout=120.0,
+                                                use_invariants=True))
     assert isinstance(strong, Valid) and strong.k <= 3, strong
+    assert strong.invariants_used
 
 
 # --- 8: the count law on a synthetic 500-requirement tree -------------------

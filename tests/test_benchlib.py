@@ -16,10 +16,9 @@ from synkit.benchlib import (
     BenchmarkError,
     ExpectedClass,
     PropertySpec,
-    blocks,
+    driver_harness,
     load_benchmark,
     load_expected,
-    run_driver,
     sample_step,
 )
 from synkit.benchlib.loader import _check_integrity
@@ -30,13 +29,13 @@ from synkit.engine import (
     Valid,
     bmc,
     compile_system,
-    generate_invariants,
     kinduction,
     make_replayer,
-    simulate_system,
     verify_all,
 )
 from synkit.interp import Trace, simulate
+
+import _blocks as blocks
 
 CFG = EngineConfig(k_max=6)
 
@@ -288,13 +287,11 @@ def test_trig_variant_proves_via_congruence_alone(bench):
 
 def test_satchain_needs_the_invariant_pass(bench):
     ts = tsys.compile(bench.tp, "SatChainObs")
-    low = EngineConfig(k_max=3)
-    assert isinstance(kinduction(ts, "Obs", low), Unknown)
-    rows = simulate_system(ts, steps=60, seed=3)
-    invs = generate_invariants(ts, rows, low)
-    assert invs
-    strong = kinduction(ts, "Obs", low, invariants=invs)
+    assert isinstance(kinduction(ts, "Obs", EngineConfig(k_max=3)), Unknown)
+    strong = kinduction(ts, "Obs",
+                        EngineConfig(k_max=3, use_invariants=True))
     assert isinstance(strong, Valid) and strong.k <= 3
+    assert strong.invariants_used
 
 
 # --- mode logic against an exhaustive boolean twin ---------------------------
@@ -350,7 +347,7 @@ def test_drivers_stay_clean_on_long_runs(bench):
         if not s.modeled:
             continue
         for seed in (0, 1):
-            r = run_driver(tp, s, steps=2000, seed=seed)
+            r = driver_harness(tp, s)(2000, seed)
             assert r.ok, (s.id, seed, r.violations[:3])
 
 
@@ -360,7 +357,7 @@ def test_driver_detects_broken_environment(bench):
     bad = dict(g120.driver)
     bad["FPain"] = {"choice": ["999.0"]}
     with pytest.raises(BenchmarkError, match="environment assert"):
-        run_driver(tp, replace(g120, driver=bad), steps=50, seed=0)
+        driver_harness(tp, replace(g120, driver=bad))(50, 0)
 
 
 @pytest.mark.parametrize("pool", [{"choice": []},
@@ -369,7 +366,7 @@ def test_driver_refuses_an_empty_pool(bench, pool):
     g120 = bench.spec("G-120")
     bad = dict(g120.driver, FPain=pool)
     with pytest.raises(BenchmarkError, match="FPain: empty driver pool"):
-        run_driver(bench.tp, replace(g120, driver=bad), steps=1, seed=0)
+        driver_harness(bench.tp, replace(g120, driver=bad))(1, 0)
 
 
 def test_driver_runs_are_reproducible(bench):
@@ -390,7 +387,7 @@ def test_mode_invariants_hold_in_simulation(bench):
         observer_node="ModeExcl", assumptions_used=(),
         expected_class=ExpectedClass.DIRECT, driver=g170.driver)
     for seed in (0, 1, 2):
-        r = run_driver(tp, excl, steps=1500, seed=seed)
+        r = driver_harness(tp, excl)(1500, seed)
         assert r.prop_ids == ["Excl", "Override"]
         assert r.ok, r.violations[:3]
 
@@ -408,8 +405,7 @@ def test_trig_variant_simulates_with_concrete_sine(bench):
                 "VT": {"uniform": ["100.0", "400.0", 4]}})
     sine = lambda x: F(math.sin(float(x))).limit_denominator(10 ** 9)
     for seed in (0, 1):
-        r = run_driver(tp, spec, steps=800, seed=seed,
-                       externs={"sine": sine})
+        r = driver_harness(tp, spec, externs={"sine": sine})(800, seed)
         assert r.ok, r.violations[:3]
 
 
@@ -419,7 +415,20 @@ def test_benchmark_safety_case_shape(bench):
 
     forest, results = benchmark_requirements()
     roots = sc.requirements_from_json(forest)
-    assert sc.requirements_to_json(roots) == forest
+    [root] = roots
+    assert root.id == "GNC-150"
+    assert [(r.id, r.text) for r in root.children] \
+        == [(s.id, s.prose) for s in bench.specs]
+    assert all(r.verification is None for r in root.walk())
+    for row, spec in zip(root.children, bench.specs):
+        assert row.metadata.get("depends_on_assumptions", []) \
+            == list(spec.assumptions_used)
+        assert (row.metadata.get("status") == "not modeled") \
+            == (spec.id in NOT_MODELED_IDS)
+    g120 = root.children[[s.id for s in bench.specs].index("G-120")]
+    assert [c.id for c in g120.children] == [
+        "G-120/A2", "G-120/G-180", "G-120/A1", "G-120/FPA1"]
+    assert g120.children[0].text == "Contract A2 holds on AltitudeControl"
     n_req = sum(1 for r in roots for _ in r.walk())
     # one root, twenty table rows, eighteen contract obligations under
     # the six compositional rows

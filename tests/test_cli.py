@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, report formats, file plumbing."""
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -9,6 +10,7 @@ import jsonschema
 
 from synkit.cli import _engine_config, main, parse_args
 from synkit.engine import EngineConfig
+from synkit.lang import parse_expression
 
 COUNTER = """\
 node Counter() returns (n: int);
@@ -189,6 +191,7 @@ def test_verify_report_schema_and_exit(capsys, two_stage, tmp_path):
     assert rc == 1  # Bad is falsifiable
     report = json.loads(out)
     jsonschema.validate(report, schema("verify_report.schema.json"))
+    assert report["engine"] == {"k_max": 3, "use_invariants": False}
     by_node = {r["node"]: r for r in report["results"]}
     assert by_node["Obs1"]["verdict"] == "valid"
     assert by_node["Bad"]["verdict"] == "falsified"
@@ -268,7 +271,7 @@ def test_verify_oracle_mode_falsifies_boolean_model(capsys, latch, tmp_path):
     assert rc == 1
     report = json.loads(out)
     jsonschema.validate(report, schema("verify_report.schema.json"))
-    assert report["engine"] == {"k_max": 20, "use_invariants": False}
+    assert "engine" not in report  # no depth bound, no invariants to mine
     [row] = report["results"]
     assert (row["node"], row["property"]) == ("Latch", "ok")
     assert (row["verdict"], row["step"]) == ("falsified", 1)
@@ -499,6 +502,31 @@ def test_bench_run_report(capsys):
         return rep
 
     assert strip(json.loads(out2)) == strip(report)
+
+
+def test_bench_run_row_with_a_failed_component_has_no_k(capsys, monkeypatch):
+    # a guarantee of false fails its component check and makes the system
+    # check vacuously valid, so the system's k backs nothing
+    import synkit.benchlib
+    bench = synkit.benchlib.load_benchmark()
+    *kept, fpa = bench.contracts["G-120"]
+    broken = replace(fpa, guarantees=fpa.guarantees
+                     + (("NEVER", parse_expression("false")),))
+    only = bench._replace(specs=[bench.spec("G-120")],
+                          contracts={"G-120": [*kept, broken]})
+    monkeypatch.setattr(synkit.benchlib, "load_benchmark", lambda: only)
+    rc, out, _ = run(capsys, "bench", "run", "--json")
+    assert rc == 1
+    report = json.loads(out)
+    jsonschema.validate(report, schema("bench_report.schema.json"))
+    [row] = report["rows"]
+    assert row["verdict"] == "unknown"
+    assert "k" not in row and "invariants_used" not in row
+    assert {(c["guarantee"], c["verdict"]) for c in row["components"]
+            if c["verdict"] != "valid"} == {("NEVER", "falsified")}
+    rc, out, _ = run(capsys, "bench", "run")
+    assert rc == 1 and out.startswith("G-120    CompositionalProof   "
+                                      "unknown (k=-) [")
 
 
 # --- argument parsing -------------------------------------------------------------

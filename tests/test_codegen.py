@@ -17,7 +17,7 @@ from functools import partial
 import pytest
 
 from synkit import interp, tsys
-from synkit.benchlib import driver_harness, load_benchmark, run_driver
+from synkit.benchlib import driver_harness, load_benchmark
 from synkit.benchlib import loader
 from synkit.engine import compile_system, core, simulate_system
 from synkit.interp import Trace
@@ -146,7 +146,7 @@ def _spec(bench, pid):
 @pytest.mark.parametrize("pid,seed,steps,count,first,digest", PINNED_RUNS)
 def test_driver_runs_are_pinned(bench, pid, seed, steps, count, first,
                                 digest):
-    r = run_driver(bench.tp, _spec(bench, pid), steps, seed)
+    r = driver_harness(bench.tp, _spec(bench, pid))(steps, seed)
     assert r.prop_ids == ["Obs"] and r.steps == steps
     assert len(r.violations) == count
     assert r.violations[:3] == first

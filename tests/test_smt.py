@@ -16,7 +16,7 @@ from synkit.smt.sexpr import Incomplete, SExprError, format_atom, \
     format_sexpr, parse_all
 from synkit.smt.simplex import Conflict, Simplex, _lt
 from synkit.smt.solver import ModelCheckError, SmtError, Solver, \
-    eval_const, sort_of, term_of
+    sort_of, term_of
 
 F = Fraction
 
@@ -483,6 +483,20 @@ def test_solver_rejects_nonlinear():
         _solve("(= r (/ 1 x))")
 
 
+def test_solver_scales_by_a_defined_constant():
+    # a factor is constant when its linear form has no variables, so c's
+    # definition makes both terms linear
+    _, out = _feed(["(declare-const c Real)", "(declare-const x Real)",
+                    "(assert (= c 2.0))", "(assert (= (* c x) 3.0))",
+                    "(check-sat)", "(get-value (x))", "(push 1)",
+                    "(assert (= (/ x c) 0.0))", "(check-sat)"])
+    assert out.splitlines() == ["sat", "((x (/ 3.0 2.0)))", "unsat"]
+    _, out = _feed(["(declare-const c Real)", "(declare-const x Real)",
+                    "(assert (= c 0.0))", "(assert (= (/ x c) 1.0))",
+                    "(check-sat)"])
+    assert out == '(error "division by zero")\n'
+
+
 def test_solver_model_is_pinned_by_the_pivot_order():
     # many models satisfy these; Bland's rule over the tableau picks one,
     # and counterexample traces are read from such models
@@ -626,6 +640,34 @@ def test_substitution_matches_the_unsubstituted_encoding():
         assert answers[0] == answers[1], eqs + extra
         verdicts.add(answers[0])
     assert verdicts == {"sat", "unsat"}
+
+
+def eval_const(t):
+    """Value of a ground numeric term, or None if it has variables."""
+    tag = t[0]
+    if tag == "num":
+        return t[1]
+    if tag == "-" and len(t[1]) == 1:
+        v = eval_const(t[1][0])
+        return None if v is None else -v
+    if tag in ("+", "-", "*", "/"):
+        vals = [eval_const(a) for a in t[1]]
+        if any(v is None for v in vals):
+            return None
+        out = vals[0]
+        for v in vals[1:]:
+            if tag == "+":
+                out = out + v
+            elif tag == "-":
+                out = out - v
+            elif tag == "*":
+                out = out * v
+            else:
+                out = out / v
+        return out
+    if tag == "to_real":
+        return eval_const(t[1][0])
+    return None
 
 
 class _FractionEncoding(Solver):
