@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from . import safetycase as sc
 from . import tsys
-from .compose import (argument_holds, argument_report, build_argument,
-                      contract_from_text)
+from .compose import (CompositionalArgument, argument_holds,
+                      argument_report, build_argument, contract_from_text)
 from .engine import (EngineConfig, Falsified, Valid, exhaustive_search,
                      kinduction, make_replayer, verdict_row, verify_all)
 from .interp import InterpError, Trace, simulate
@@ -382,6 +382,20 @@ def cmd_safety_case(cfg: argparse.Namespace) -> int:
 
 # --- bench -------------------------------------------------------------------
 
+def _first_failure(arg: CompositionalArgument) -> str:
+    """The first sub-verdict of a compositional argument that is not
+    Valid, components before assumptions, in report order."""
+    subs = [(f"guarantee {node}.{gid}", res)
+            for node in sorted(arg.component_results)
+            for gid, res in arg.component_results[node].items()]
+    subs += [(f"assumption {key}", arg.assumption_results[key])
+             for key in sorted(arg.assumption_results)]
+    what, res = next((w, r) for w, r in subs if not isinstance(r, Valid))
+    if isinstance(res, Falsified):
+        return f"{what} falsified at step {res.step}"
+    return f"{what} unknown ({res.reason.value})"
+
+
 def cmd_bench(cfg: argparse.Namespace) -> int:
     from .benchlib import load_benchmark
 
@@ -403,7 +417,8 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
             if (isinstance(arg.system_result, Valid)
                     and not argument_holds(arg)):
                 # a sub-obligation failed: the system's k backs nothing
-                row["verdict"] = "unknown"
+                row.update(verdict="unknown", reason="SubObligationFailed",
+                           detail=_first_failure(arg))
             else:
                 row.update(verdict_row(arg.system_result))
             row["components"] = [
@@ -435,8 +450,11 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
                 yield f"{r['id']:<8} {r['class']:<20} not modeled: " \
                       f"{r['reason']}"
             else:
+                why = f" {r['reason']}" if "reason" in r else ""
+                if "detail" in r:
+                    why += f": {r['detail']}"
                 yield (f"{r['id']:<8} {r['class']:<20} {r['verdict']}"
-                       f" (k={r.get('k', '-')}) [{r['seconds']:.2f}s]")
+                       f" (k={r.get('k', '-')}) [{r['seconds']:.2f}s]{why}")
         s = rep["summary"]
         yield (f"{s['valid']} valid, {s['not_modeled']} not modeled, "
                f"{s['failed']} failed")

@@ -6,12 +6,12 @@ solver sessions (a configured solver's child process, or the bundled
 solver in process), configured by ``EngineConfig``; and
 ``exhaustive_search``, a breadth-first search for systems whose inputs
 and state are all boolean, which needs no solver and no configuration.
-A check talks to the solver in at most two conversations, one base
-unrolling from the initial states and one step unrolling from any
-state; each grows instant by instant and pushes only a query's goal.
-Optional template invariants (mined from simulation, proved by Houdini-
-style iterative weakening over the same two kinds of unrolling)
-strengthen the induction step.
+A check talks to the solver in one conversation over one unrolling
+from any state, which grows instant by instant; each query pushes its
+goals, and a base query the initial condition too. Optional template
+invariants (mined from simulation, proved by Houdini-style iterative
+weakening over the same kind of unrolling) strengthen the induction
+step.
 """
 
 from __future__ import annotations
@@ -128,17 +128,17 @@ class _Unrolling:
     """One solver conversation over an unrolling that only grows.
 
     ``extend(n)`` declares and asserts each instant once: its transition
-    from the previous instant (the initial condition instead at instant 0
-    of a base unrolling; a step unrolling starts anywhere), its
-    definitions and assumptions, and the fixed invariants. Each query
-    pushes its goals, checks, reads the model if there is one, and pops,
-    so the unrolling serves every depth of a check (Een & Sorensson,
-    "Temporal induction by incremental SAT solving", BMC 2003)."""
+    from the previous instant, its definitions and assumptions, and the
+    fixed invariants. The unrolling starts in any state; a base query
+    pushes the initial condition with its goals, a step query only its
+    goals. Each query checks, reads the model if there is one, and pops,
+    so one unrolling serves the base and step queries of every depth of
+    a check (Een & Sorensson, "Temporal induction by incremental SAT
+    solving", BMC 2003)."""
 
-    def __init__(self, un: Unroller, cfg: EngineConfig, *, base: bool,
+    def __init__(self, un: Unroller, cfg: EngineConfig,
                  invs: Sequence[Expr] = ()):
         self.un = un
-        self.base = base
         self.invs = list(invs)
         self.depth = -1  # last instant asserted
         self.session = SmtSession(cfg.solver_command)
@@ -163,25 +163,26 @@ class _Unrolling:
             un.declare_step(s, t)
             if t > 0:
                 un.assert_trans(s, t - 1)
-            elif self.base:
-                un.assert_init(s)
             un.assert_instant(s, t)
             for inv in self.invs:
                 s.assert_text(un.formula(inv, t))
 
-    def hold(self, e: Expr, t: int) -> None:
-        """Assert e at instant t for every later query."""
-        self.extend(t)
-        self.session.assert_text(self.un.formula(e, t))
-
     def query(self, n: int, goals: Sequence[str],
-              decode: Optional[Callable[[SmtSession], object]] = None):
-        """Check the unrolling up to instant n together with the goals:
-        'unsat', 'unknown', or on 'sat' what decode reads from the model
-        ('sat' without decode)."""
+              decode: Optional[Callable[[SmtSession], object]] = None, *,
+              init: bool = False):
+        """Check the unrolling up to instant n together with the goals,
+        and the initial condition when init: 'unsat', 'unknown', or on
+        'sat' what decode reads from the model ('sat' without decode).
+        The unrolling must not be deeper than n, since the assumptions
+        of a later instant could rule out paths that end at n."""
+        if self.depth > n:
+            raise InternalError(
+                f"query at depth {n} on an unrolling {self.depth} deep")
         self.extend(n)
         s = self.session
         s.push()
+        if init:
+            self.un.assert_init(s)
         for g in goals:
             s.assert_text(g)
         verdict = s.check_sat()
@@ -204,13 +205,13 @@ def _screen_cex(ts: TransitionSystem, trace: Trace, step: int,
     return Falsified(trace, step)
 
 
-def _base_case(base: _Unrolling, prop: Expr, n: int,
+def _base_case(unr: _Unrolling, prop: Expr, n: int,
                replay: Optional[Replayer]) -> Optional[VerifyResult]:
     """The verdict of a violation at depth n from an initial state, or
     None when there is none."""
-    un = base.un
-    outcome = base.query(n, [f"(not {un.formula(prop, n)})"],
-                         lambda s: un.decode_inputs(s, n))
+    un = unr.un
+    outcome = unr.query(n, [f"(not {un.formula(prop, n)})"],
+                        lambda s: un.decode_inputs(s, n), init=True)
     if isinstance(outcome, Trace):
         return _screen_cex(un.ts, outcome, n, replay)
     if outcome == "unknown":
@@ -222,17 +223,18 @@ def _base_case(base: _Unrolling, prop: Expr, n: int,
 def bmc(ts: TransitionSystem, prop_id: str, k: int, cfg: EngineConfig,
         replay: Optional[Replayer] = None) -> VerifyResult:
     """Search for an assumption-satisfying path of length <= k ending in
-    a property violation, in one base conversation. Falsified carries the
-    shortest such path; Unknown(KMaxReached) means clean up to k."""
+    a property violation, in one conversation whose queries each push
+    the initial condition. Falsified carries the shortest such path;
+    Unknown(KMaxReached) means clean up to k."""
     prop = ts.property_formula(prop_id)
     deadline = _Deadline(cfg.timeout)
     try:
-        with _Unrolling(Unroller(ts), cfg, base=True) as base:
+        with _Unrolling(Unroller(ts), cfg) as unr:
             for n in range(k + 1):
                 if deadline.expired:
                     return Unknown(UnknownReason.TIMEOUT,
                                    f"timed out before depth {n}")
-                verdict = _base_case(base, prop, n, replay)
+                verdict = _base_case(unr, prop, n, replay)
                 if verdict is not None:
                     return verdict
     except SolverFailure as e:
@@ -242,33 +244,35 @@ def bmc(ts: TransitionSystem, prop_id: str, k: int, cfg: EngineConfig,
 
 def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
                replay: Optional[Replayer] = None) -> VerifyResult:
-    """k-induction sweep for k = 1..k_max over two conversations: a base
-    unrolling from the initial states, checked clean up to depth k, and
-    a step unrolling from any state, where the property holds at the
-    instants before k and its violation at k is queried."""
+    """k-induction sweep for k = 1..k_max over one conversation. At each
+    k the base queries, which push the initial condition, check that no
+    path from an initial state violates the property up to depth k; the
+    step query then pushes the property at the instants before k and its
+    violation at k, from any state."""
     prop = ts.property_formula(prop_id)
     deadline = _Deadline(cfg.timeout)
     invs = (_mine_invariants_for(ts, cfg, deadline) if cfg.use_invariants
             else [])
     inv_texts = tuple(pretty_expr(e) for e in invs)
     un = Unroller(ts)
+    clean = -1  # base queries clean up to this depth
     try:
-        with _Unrolling(un, cfg, base=True, invs=invs) as base, \
-                _Unrolling(un, cfg, base=False, invs=invs) as step:
+        with _Unrolling(un, cfg, invs) as unr:
             for k in range(1, cfg.k_max + 1):
-                for n in range(base.depth + 1, k + 1):  # clean up to k
+                for n in range(clean + 1, k + 1):
                     if deadline.expired:
                         return Unknown(UnknownReason.TIMEOUT,
                                        f"timed out in base at depth {n}")
-                    verdict = _base_case(base, prop, n, replay)
+                    verdict = _base_case(unr, prop, n, replay)
                     if verdict is not None:
                         return verdict
+                    clean = n
                 if deadline.expired:
                     return Unknown(UnknownReason.TIMEOUT,
                                    f"timed out before step check k={k}")
-                step.hold(prop, k - 1)
-                goal = f"(not {un.formula(prop, k)})"
-                if step.query(k, [goal]) == "unsat":
+                goals = [un.formula(prop, t) for t in range(k)]
+                goals.append(f"(not {un.formula(prop, k)})")
+                if unr.query(k, goals) == "unsat":
                     return Valid(k, inv_texts)
     except SolverFailure as e:
         return Unknown(UnknownReason.SOLVER_ERROR, str(e))
@@ -475,16 +479,20 @@ def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
              deadline: _Deadline) -> list[Expr]:
     """The largest subset of the candidates that holds jointly at depths
     below k from the initial states and is k-inductive, by iterative
-    removal over two conversations. A base unrolling asks for a violation
-    of some alive candidate at each depth d < k; dropping candidates
-    never revives a base case, so each depth is done once. A step
-    unrolling then pushes the alive candidates at the instants before k
-    with a violation of one at k, until no candidate is violated."""
+    removal over one conversation. Base queries, which push the initial
+    condition, ask for a violation of some alive candidate at each depth
+    d < k; dropping candidates never revives a base case, so each depth
+    is done once. Step queries then push the alive candidates at the
+    instants before k with a violation of one at k, until no candidate
+    is violated."""
     k = _HOUDINI_K
 
     def violation(t: int) -> str:
         bad = " ".join(f"(not {un.formula(c, t)})" for c in alive)
         return f"(or {bad})" if len(alive) > 1 else bad
+
+    def values_at(t: int) -> Callable[[SmtSession], dict[str, Value]]:
+        return lambda s: un.model_values(s, un.all_vars, [t])[0]
 
     def drop_violated(env, t: int) -> None:
         if not isinstance(env, dict):
@@ -496,14 +504,12 @@ def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
                 f"{len(alive)} candidates it was asked to violate")
         alive[:] = kept
 
-    with _Unrolling(un, cfg, base=True) as base, \
-            _Unrolling(un, cfg, base=False) as step:
+    with _Unrolling(un, cfg) as unr:
         for d in range(k):
             while alive:
                 if deadline.expired:
                     raise _HoudiniGaveUp("deadline")
-                env = base.query(d, [violation(d)],
-                                 lambda s: un.model_values(s, un.all_vars, [d])[0])
+                env = unr.query(d, [violation(d)], values_at(d), init=True)
                 if env == "unsat":
                     break
                 drop_violated(env, d)
@@ -511,8 +517,7 @@ def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
             if deadline.expired:
                 raise _HoudiniGaveUp("deadline")
             held = [un.formula(c, t) for t in range(k) for c in alive]
-            env = step.query(k, held + [violation(k)],
-                             lambda s: un.model_values(s, un.all_vars, [k])[0])
+            env = unr.query(k, held + [violation(k)], values_at(k))
             if env == "unsat":
                 break
             drop_violated(env, k)

@@ -1,8 +1,14 @@
 """Time-indexed SMT encoding of a transition system.
 
 Each variable v at instant t becomes the solver symbol `v@t`. One
-Unroller owns the text generation; sessions are fed whole instants at a
-time so bounded checks and induction steps share the same plumbing.
+Unroller owns the text generation; a session is fed whole instants at a
+time, so the base and step queries of a check share one unrolling.
+
+A definition whose right side is a bare variable, such as the renaming
+`A.x = x` that node inlining leaves for each call argument, is an alias:
+it is neither declared nor asserted, every formula renders it as the
+variable at the end of its alias chain (its representative), and model
+reads go through that representative.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..interp import Trace, Value
-from ..lang import Expr, Type
+from ..lang import Expr, Type, Var
 from ..smt import SmtSession
 from ..smt.sexpr import format_atom as sym
 from ..tsys import TransitionSystem, to_sexpr
@@ -35,6 +41,22 @@ def logic_for(ts: TransitionSystem) -> str:
     return "QF_" + body
 
 
+def _representatives(ts: TransitionSystem) -> dict[str, str]:
+    """Each alias's representative: the end of its chain of bare-variable
+    definitions. Chains are followed link by link, so the order of the
+    definitions does not matter (those of a call under a pre come after
+    the rest of its node's)."""
+    links = {name: rhs.name for name, rhs in ts.definitions
+             if isinstance(rhs, Var)}
+    rep = {}
+    for name in links:
+        end = links[name]
+        while end in links:  # acyclic: the typechecker refuses cycles
+            end = links[end]
+        rep[name] = end
+    return rep
+
+
 class Unroller:
     def __init__(self, ts: TransitionSystem):
         self.ts = ts
@@ -42,9 +64,13 @@ class Unroller:
         self.all_vars = ([n for n, _ in ts.input_vars]
                          + [n for n, _ in ts.state_vars]
                          + [n for n, _ in ts.defined_vars])
+        self.rep = _representatives(ts)
+        self._declared = [n for n in self.all_vars if n not in self.rep]
+        self._defined = [(n, rhs) for n, rhs in ts.definitions
+                         if n not in self.rep]
 
     def at(self, name: str, t: int) -> str:
-        return sym(f"{name}@{t}")
+        return sym(f"{self.rep.get(name, name)}@{t}")
 
     def formula(self, e: Expr, t: int) -> str:
         return to_sexpr(e, lambda name: self.at(name, t))
@@ -54,7 +80,7 @@ class Unroller:
             s.declare_fun(name, [_SORT[p] for p in params], _SORT[ret])
 
     def declare_step(self, s: SmtSession, t: int) -> None:
-        for name in self.all_vars:
+        for name in self._declared:
             s.declare_const(f"{name}@{t}", _SORT[self.types[name]])
 
     def assert_init(self, s: SmtSession) -> None:
@@ -63,7 +89,7 @@ class Unroller:
 
     def assert_instant(self, s: SmtSession, t: int) -> None:
         """Definitions and assumptions of instant t."""
-        for name, rhs in self.ts.definitions:
+        for name, rhs in self._defined:
             s.assert_text(f"(= {self.at(name, t)} {self.formula(rhs, t)})")
         for a in self.ts.assumptions:
             s.assert_text(self.formula(a, t))
@@ -88,9 +114,13 @@ class Unroller:
     def model_values(self, s: SmtSession, names: Sequence[str],
                      instants: Sequence[int]) -> list[dict[str, Value]]:
         """The model's value of each name at each instant, typed as the
-        name is declared: one dict per instant."""
-        raw = s.get_values([f"{n}@{t}" for t in instants for n in names])
-        return [{n: _VALUE[self.types[n]](raw[f"{n}@{t}"]) for n in names}
+        name is declared: one dict per instant. An alias reads its
+        representative's value."""
+        reps = {n: self.rep.get(n, n) for n in names}
+        raw = s.get_values([f"{r}@{t}" for t in instants
+                            for r in dict.fromkeys(reps.values())])
+        return [{n: _VALUE[self.types[n]](raw[f"{reps[n]}@{t}"])
+                 for n in names}
                 for t in instants]
 
     def decode_inputs(self, s: SmtSession, upto: int) -> Trace:

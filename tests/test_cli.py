@@ -524,9 +524,14 @@ def test_bench_run_row_with_a_failed_component_has_no_k(capsys, monkeypatch):
     assert "k" not in row and "invariants_used" not in row
     assert {(c["guarantee"], c["verdict"]) for c in row["components"]
             if c["verdict"] != "valid"} == {("NEVER", "falsified")}
+    # the row says why: the first sub-verdict that is not valid
+    assert row["reason"] == "SubObligationFailed"
+    assert row["detail"] == f"guarantee {fpa.node}.NEVER falsified at step 0"
     rc, out, _ = run(capsys, "bench", "run")
-    assert rc == 1 and out.startswith("G-120    CompositionalProof   "
-                                      "unknown (k=-) [")
+    first = out.splitlines()[0]
+    assert rc == 1 and first.startswith("G-120    CompositionalProof   "
+                                        "unknown (k=-) [")
+    assert first.endswith(f"s] SubObligationFailed: {row['detail']}")
 
 
 # --- argument parsing -------------------------------------------------------------
