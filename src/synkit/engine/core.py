@@ -134,7 +134,10 @@ class _Unrolling:
     goals. Each query checks, reads the model if there is one, and pops,
     so one unrolling serves the base and step queries of every depth of
     a check (Een & Sorensson, "Temporal induction by incremental SAT
-    solving", BMC 2003)."""
+    solving", BMC 2003). The bundled solver keeps one SAT core and
+    tableau for the conversation: each instant is encoded once, the
+    definitions of the unrolling (asserted outside any push) are
+    substituted, and the clauses learned by one query serve the next."""
 
     def __init__(self, un: Unroller, cfg: EngineConfig,
                  invs: Sequence[Expr] = ()):

@@ -8,6 +8,15 @@ check-sat, get-value, push/pop, reset, echo, exit. Replies with
 `(error "...")` on bad input and keeps going. A model lasts until the
 assertion stack changes.
 
+One `Solver` holds the assertion stack of the whole conversation and
+keeps what it learned across check-sat, push and pop: each pushed frame
+has an activation literal, and a check-sat encodes only the terms
+asserted since the last one. Definitions are substituted only from the
+bottom frame (see `solver`). A term the solver cannot encode, such as a
+nonlinear product, is reported when a check-sat encodes it; the session
+then starts a new solver over the same stack, so every check-sat
+answers the same error until the term is popped.
+
 Each input line is parsed once, together with the lines before it that
 did not yet complete a command. Text that ends inside an expression is
 `Incomplete`: the session keeps it and waits for the next line. A ')'
@@ -60,8 +69,13 @@ class Session:
 
     def reset(self):
         self.decls: dict[str, tuple] = {}
-        self.frames: list[list] = [[]]
-        self.solver: Optional[Solver] = None
+        self.solver = Solver()
+        self.has_model = False
+
+    @property
+    def frames(self) -> list[list]:
+        """The assertion stack: the terms asserted in each frame."""
+        return self.solver.frames
 
     def reply(self, text: str) -> None:
         self.out.write(text + "\n")
@@ -95,7 +109,7 @@ class Session:
         # a model holds only for the assertion stack it was found on
         # (reset() drops it too)
         if cmd in _STACK_COMMANDS:
-            self.solver = None
+            self.has_model = False
         try:
             return self._dispatch(cmd, args)
         except SmtError as e:
@@ -114,29 +128,28 @@ class Session:
             self._declare(args[0], args[1], args[2])
             return True
         if cmd == "assert":
-            t = term_of(args[0], self.decls)
-            if sort_of(t) != BOOL:
-                raise SmtError("assert needs a boolean term")
-            self.frames[-1].append(t)
+            self.solver.add(term_of(args[0], self.decls))
             return True
         if cmd == "check-sat":
-            solver = Solver([t for frame in self.frames for t in frame])
-            verdict = solver.check()
-            # without a model to read, the solver is freed at once
-            self.solver = solver if verdict == "sat" else None
+            try:
+                verdict = self.solver.check()
+            except SmtError:
+                # a half-encoded solver is unusable: a new one over the
+                # same stack answers the same error until it is popped
+                self._rebuild()
+                raise
+            self.has_model = verdict == "sat"
             self.reply(verdict)
             return True
         if cmd == "get-value":
             self._get_value(args[0])
             return True
         if cmd == "push":
-            self.frames.extend([] for _ in range(_count(args)))
+            for _ in range(_count(args)):
+                self.solver.push()
             return True
         if cmd == "pop":
-            n = _count(args)
-            if n >= len(self.frames):
-                raise SmtError("pop below the bottom frame")
-            del self.frames[len(self.frames) - n:]
+            self.solver.pop(_count(args))
             return True
         if cmd == "reset":
             self.reset()
@@ -151,6 +164,15 @@ class Session:
             return False
         raise SmtError(f"unsupported command {cmd}")
 
+    def _rebuild(self) -> None:
+        """A new solver over the same frames, with nothing encoded."""
+        frames, self.solver = self.frames, Solver()
+        for i, frame in enumerate(frames):
+            if i:
+                self.solver.push()
+            for t in frame:
+                self.solver.add(t)
+
     def _declare(self, name, params, ret) -> None:
         if not isinstance(name, str) or isinstance(ret, list):
             raise SmtError("malformed declaration")
@@ -163,7 +185,7 @@ class Session:
         self.decls[name] = new
 
     def _get_value(self, sxs) -> None:
-        if self.solver is None:
+        if not self.has_model:
             raise SmtError("no model: no sat check-sat since the "
                            "assertions last changed")
         if not isinstance(sxs, list):

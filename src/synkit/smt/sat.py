@@ -5,12 +5,20 @@ negative literal 2v+1; neg(l) is l^1. The solver runs DPLL(T)-style:
 a theory object sees every assigned literal, is asked for a full check
 before each decision, and may return a conflict as a list of literals
 that are all currently true but jointly theory-inconsistent.
+
+`solve` may be called again after more clauses are added, and it may
+solve under assumptions (Een & Sorensson, "An extensible SAT-solver",
+SAT 2003): each assumption literal is decided first, on a level of its
+own, and a level is left empty when its literal already holds. A
+falsified assumption answers unsat for that call only; the clauses
+learned on the way stay, since they follow from the clauses alone.
+Only a conflict at level 0 makes the clause set itself unsat (`ok`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 
 def neg(lit: int) -> int:
@@ -156,7 +164,7 @@ class CDCL:
                 i += 1
         return None
 
-    def _cancel_until(self, lvl: int, theory: Theory) -> None:
+    def cancel_until(self, lvl: int, theory: Theory) -> None:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
@@ -236,9 +244,9 @@ class CDCL:
             if top == 0:
                 return False
             if len(self.trail_lim) > top:
-                self._cancel_until(top, theory)
+                self.cancel_until(top, theory)
             learned, back = self._analyze(clause)
-            self._cancel_until(back, theory)
+            self.cancel_until(back, theory)
             self._record_learned(learned)
             confl = self._propagate()
             if confl is None:
@@ -268,10 +276,16 @@ class CDCL:
         return None
 
     def solve(self, theory: Optional[Theory] = None,
-              max_conflicts: Optional[int] = None) -> str:
+              max_conflicts: Optional[int] = None,
+              assumptions: Sequence[int] = ()) -> str:
+        """'sat', 'unsat' or 'unknown' for the clauses together with the
+        assumption literals; max_conflicts bounds this call's conflicts."""
         theory = theory or Theory()
         if not self.ok:
             return "unsat"
+        self.cancel_until(0, theory)
+        limit = None if max_conflicts is None \
+            else self.conflicts + max_conflicts
         restart_limit = 100
         restart_ctr = 0
         while True:
@@ -282,18 +296,27 @@ class CDCL:
                                                   theory):
                     self.ok = False
                     return "unsat"
-                if max_conflicts is not None \
-                        and self.conflicts > max_conflicts:
+                if limit is not None and self.conflicts > limit:
                     return "unknown"
                 if restart_ctr >= restart_limit:
                     restart_ctr = 0
                     restart_limit = int(restart_limit * 1.5)
-                    self._cancel_until(0, theory)
+                    self.cancel_until(0, theory)
                 continue
             t_confl = self._theory_sync(theory)
+            if t_confl is None and len(self.trail_lim) < len(assumptions):
+                # the next assumption opens its own level
+                p = assumptions[len(self.trail_lim)]
+                val = self.value(p)
+                if val == 0:
+                    return "unsat"
+                self.trail_lim.append(len(self.trail))
+                if val < 0:
+                    self._enqueue(p, -1)
+                continue
             if t_confl is None:
                 # only _enqueue assigns (and appends to the trail) and
-                # only _cancel_until unassigns (and truncates it)
+                # only cancel_until unassigns (and truncates it)
                 full = len(self.trail) == len(self.assign)
                 t_confl = theory.check(final=full)
                 if t_confl == "unknown":
@@ -316,5 +339,5 @@ class CDCL:
             if not self._handle_conflict_lits(clause, theory):
                 self.ok = False
                 return "unsat"
-            if max_conflicts is not None and self.conflicts > max_conflicts:
+            if limit is not None and self.conflicts > limit:
                 return "unknown"

@@ -95,13 +95,29 @@ class Simplex:
 
     def add_row(self, combo: dict[int, Union[int, Fraction]]) -> int:
         """Introduce slack s with s = sum(combo); returns s (basic).
-        combo names nonbasic variables only, as every variable is before
-        the first check(), with int or Fraction coefficients."""
+        combo may name basic variables, as it does after a pivot: each
+        one is rewritten through its row. Coefficients are int or
+        Fraction."""
         s = self.new_var()
         row = {j: c for j, c in combo.items() if c != 0}
         den = lcm(*(c.denominator for c in row.values()))
         nums = {j: c.numerator * (den // c.denominator)
                 for j, c in row.items()}
+        for b in [j for j in nums if j in self.rows]:
+            # c/den * b with b = bnums/bden, over den * bden / gcd(c, bden)
+            c = nums.pop(b)
+            bnums, bden = self.rows[b]
+            g = gcd(c, bden)
+            scale, c = bden // g, c // g
+            if scale != 1:
+                nums = {k: v * scale for k, v in nums.items()}
+                den *= scale
+            for k, v in bnums.items():
+                nc = nums.get(k, 0) + c * v
+                if nc:
+                    nums[k] = nc
+                else:
+                    nums.pop(k, None)
         nums, den = _normalized(nums, den)
         self.rows[s] = (nums, den)
         val = _ZERO

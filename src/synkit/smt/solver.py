@@ -3,19 +3,28 @@ DPLL(T) glue between the SAT core and the simplex theory.
 
 Supported fragment: quantifier-free boolean structure over linear
 Int/Real arithmetic atoms, if-then-else, and uninterpreted functions
-(eliminated up front by Ackermann expansion). Nonlinear terms are
-rejected with an error. Every sat model is checked against the asserted
-terms before it is answered.
+(eliminated by Ackermann expansion as terms are encoded). Nonlinear
+terms are rejected with an error. Every sat model is checked against
+the asserted terms of the open frames before it is answered.
+
+One `Solver` serves a whole conversation, its pushes and pops included:
+the SAT core, the simplex tableau and every term cache persist, each
+pushed frame is guarded by an activation literal, and a check solves
+under the literals of the open frames (see `Solver`).
 
 Definitions are substituted at encode time instead of becoming slack
 rows. An asserted term `(= v e)` whose left side is a variable is the
-definition of v if it is the first such term for v; after Ackermann
-expansion this includes `(= (f x) e)`. A defined v gets no simplex
-variable and no SAT literal of its own: a numeric v stands for the
-linear form of e, a Bool v for the literal of e, and its defining term
-adds no clause. The model gives v the value of e. Two kinds of defined
-variable keep their own variable, and their defining term is encoded
-like any other:
+definition of v if it is asserted in the bottom frame, v has no
+definition yet, and no earlier check encoded v (gave it a literal or a
+variable); after Ackermann expansion this includes `(= (f x) e)`. The
+term caches are keyed by term, so a definition could not be undone by a
+pop: one asserted in a pushed frame is an ordinary constraint. Within
+the terms encoded by one check, v may be used before its definition.
+A defined v gets no simplex variable and no SAT literal of its own: a
+numeric v stands for the linear form of e, a Bool v for the literal of
+e, and its defining term adds no clause. The model gives v the value
+of e. Two kinds of defined variable keep their own variable, and their
+defining term is encoded like any other:
 - one reached again while its own definition is being expanded (a cycle
   such as r = q + 1, q = r - 1);
 - an Int one whose definition is not an integer combination of Int
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import sat
 from .sexpr import SExpr
@@ -221,45 +230,52 @@ def _scaled(form: tuple[dict[int, int], int, int],
 # Ackermann expansion --------------------------------------------------------
 
 
-def ackermannize(terms: list[Term]) -> tuple[list[Term], dict]:
-    """Replace UF applications with fresh constants plus functional
-    consistency constraints. Returns (new terms, instance table)."""
-    instances: dict[tuple, Term] = {}
-    per_fun: dict[str, list[tuple[tuple, Term]]] = {}
-    counter = [0]
+class _Ackermann:
+    """UF applications replaced by fresh constants, plus the functional
+    consistency axioms between the instances of each function. Instances
+    accumulate over every term ever rewritten, so an application met
+    again, even after the frame that first held it is popped, gets the
+    same constant."""
 
-    def rewrite(t: Term) -> Term:
+    def __init__(self):
+        self._instances: dict[tuple, Term] = {}
+        # each function's instances: (arguments, fresh constant)
+        self.table: dict[str, list[tuple[tuple, Term]]] = {}
+        self._paired: dict[str, int] = {}  # fun -> instances with axioms
+
+    def rewrite(self, t: Term) -> Term:
         tag = t[0]
         if tag in ("num", "bool", "var"):
             return t
         if tag == "app":
-            args = tuple(rewrite(a) for a in t[2])
+            args = tuple(self.rewrite(a) for a in t[2])
             key = (t[1], args)
-            if key not in instances:
-                counter[0] += 1
-                fresh = ("var", f"{t[1]}!{counter[0]}", t[3])
-                instances[key] = fresh
-                per_fun.setdefault(t[1], []).append((args, fresh))
-            return instances[key]
+            fresh = self._instances.get(key)
+            if fresh is None:
+                fresh = ("var", f"{t[1]}!{len(self._instances) + 1}", t[3])
+                self._instances[key] = fresh
+                self.table.setdefault(t[1], []).append((args, fresh))
+            return fresh
         if tag in ("not", "and", "or", "=>", "xor", "=", "ite",
                    "to_real") or tag in _ARITH or tag in _CMP:
-            return (tag, tuple(rewrite(a) for a in t[1]), t[-1])
+            return (tag, tuple(self.rewrite(a) for a in t[1]), t[-1])
         raise SmtError(f"unexpected term {tag}")
 
-    out = [rewrite(t) for t in terms]
-    for fname, insts in per_fun.items():
-        for i in range(len(insts)):
-            for j in range(i + 1, len(insts)):
-                args_i, v_i = insts[i]
-                args_j, v_j = insts[j]
-                eqs = tuple(("=", (a, b), BOOL)
-                            for a, b in zip(args_i, args_j))
-                hyp = eqs[0] if len(eqs) == 1 else ("and", eqs, BOOL)
-                out.append(("=>", (hyp, ("=", (v_i, v_j), BOOL)), BOOL))
-    table = {}
-    for (fname, args), var in instances.items():
-        table.setdefault(fname, []).append((args, var))
-    return out, table
+    def axioms(self) -> list[Term]:
+        """The axioms of every pair of instances with a new member."""
+        out = []
+        for fname, insts in self.table.items():
+            old = self._paired.get(fname, 0)
+            for i in range(len(insts)):
+                for j in range(max(i + 1, old), len(insts)):
+                    args_i, v_i = insts[i]
+                    args_j, v_j = insts[j]
+                    eqs = tuple(("=", (a, b), BOOL)
+                                for a, b in zip(args_i, args_j))
+                    hyp = eqs[0] if len(eqs) == 1 else ("and", eqs, BOOL)
+                    out.append(("=>", (hyp, ("=", (v_i, v_j), BOOL)), BOOL))
+            self._paired[fname] = len(insts)
+        return out
 
 
 # theory adapter --------------------------------------------------------------
@@ -359,16 +375,34 @@ class ArithTheory(sat.Theory):
 
 
 class Solver:
-    """One-shot solver for a list of asserted terms. Definitions are
-    substituted (see the module docstring); every other term is
-    Tseitin-encoded, and each distinct linear combination its arithmetic
-    atoms compare becomes one slack row."""
+    """The solver of one conversation: an assertion stack of frames over
+    one SAT core and one simplex that persist across checks.
 
-    def __init__(self, terms: list[Term]):
+    ``add`` puts a term in the top frame, ``push`` opens a frame with a
+    fresh activation literal and ``pop(n)`` closes n frames for good by
+    asserting each one's literal false at level 0. ``check`` encodes
+    only the terms added since the last check and solves under the
+    activation literals of the open frames, so clauses learned in one
+    check serve the next. A term of the bottom frame becomes a unit
+    clause and one of a pushed frame the clause (not act or term);
+    Tseitin clauses, slack rows and Ackermann axioms are valid on their
+    own and carry no guard. Definitions are substituted (see the module
+    docstring); every other term is Tseitin-encoded, and each distinct
+    linear combination its arithmetic atoms compare becomes one slack
+    row. After an SmtError from ``check`` the solver is unusable; a new
+    one over the same frames answers the same error until the term that
+    raised it is popped.
+
+    ``Solver(terms)`` adds the terms to the bottom frame and encodes
+    them."""
+
+    def __init__(self, terms: Sequence[Term] = ()):
         self.cdcl = sat.CDCL()
         self.simplex = Simplex()
         self.atom_of_var: dict[int, tuple] = {}
         self.int_vars: list[int] = []
+        self.theory = ArithTheory(self.simplex, self.atom_of_var,
+                                  self.int_vars)
         self._bool_lit: dict[Term, int] = {}
         self._num_var: dict[Term, int] = {}  # numeric var/ite -> simplex var
         self._num_sort: dict[int, str] = {}
@@ -379,25 +413,71 @@ class Solver:
         self._expanding: set[Term] = set()  # defined vars being expanded
         self._kept: set[Term] = set()  # defined vars with their own variable
         self._def_value: dict[Term, Union[bool, Fraction]] = {}
+        self._uf = _Ackermann()
+        self.frames: list[list[Term]] = [[]]  # the terms as added
+        self._encoded: list[list[Term]] = [[]]  # rewritten, per frame
+        self._axioms: list[Term] = []
+        self._acts: list[int] = []  # activation literal of frames[1:]
         self._true = self.cdcl.new_var()
         self.cdcl.add_clause([self._true << 1])
-        terms, self.fun_table = ackermannize(terms)
-        self.terms = terms
-        defining = []
+        self.result: Optional[str] = None
+        self._num_model: Optional[list[Fraction]] = None
         for t in terms:
-            if sort_of(t) != BOOL:
-                raise SmtError("assert needs a boolean term")
-            v = t[1][0] if t[0] == "=" else None
-            is_def = v is not None and v[0] == "var" and v not in self._defs
+            self.add(t)
+        self._encode()
+
+    def add(self, t: Term) -> None:
+        if sort_of(t) != BOOL:
+            raise SmtError("assert needs a boolean term")
+        self.frames[-1].append(t)
+        self.result = None
+
+    def push(self) -> None:
+        self._acts.append(self.cdcl.new_var() << 1)
+        self.frames.append([])
+        self._encoded.append([])
+        self.result = None
+
+    def pop(self, n: int = 1) -> None:
+        if n >= len(self.frames):
+            raise SmtError("pop below the bottom frame")
+        if n == 0:  # [-0:] would slice every frame
+            return
+        self.cdcl.cancel_until(0, self.theory)
+        for act in self._acts[-n:]:
+            self.cdcl.add_clause([sat.neg(act)])
+        del self._acts[-n:], self.frames[-n:], self._encoded[-n:]
+        self.result = None
+
+    def _encode(self) -> None:
+        """Encode the terms added since the last encode, after their
+        Ackermann rewriting. A bottom-frame term (= v e) whose v has no
+        definition, literal or variable yet is v's definition; within one
+        batch v may be used before its definition."""
+        self.cdcl.cancel_until(0, self.theory)
+        batch = []  # (frame, rewritten term)
+        for i, (frame, done) in enumerate(zip(self.frames, self._encoded)):
+            for t in frame[len(done):]:
+                r = self._uf.rewrite(t)
+                done.append(r)
+                batch.append((i, r))
+        axioms = self._uf.axioms()
+        self._axioms += axioms
+        batch += [(0, t) for t in axioms]
+        defining = []
+        for i, t in batch:
+            v = t[1][0] if i == 0 and t[0] == "=" else None
+            is_def = v is not None and v[0] == "var" and not (
+                v in self._defs or v in self._bool_lit or v in self._num_var)
             if is_def:
                 self._defs[v] = t[1][1]
             defining.append(is_def)
-        for t, is_def in zip(terms, defining):
+        for (i, t), is_def in zip(batch, defining):
             if is_def and self._substituted(t[1][0]):
                 continue
-            self.cdcl.add_clause([self._lit(t)])
-        self.result: Optional[str] = None
-        self._num_model: Optional[list[Fraction]] = None
+            lit = self._lit(t)
+            self.cdcl.add_clause([sat.neg(self._acts[i - 1]), lit] if i
+                                 else [lit])
 
     def _substituted(self, v: Term) -> bool:
         """Expand the defined var v; True unless it keeps its own
@@ -678,10 +758,11 @@ class Solver:
     # solving and models ------------------------------------------------------
 
     def check(self) -> str:
-        theory = ArithTheory(self.simplex, self.atom_of_var, self.int_vars)
-        self.result = self.cdcl.solve(theory)
+        self._encode()
+        self.result = self.cdcl.solve(self.theory, assumptions=self._acts)
         if self.result == "sat":
             self._num_model = self.simplex.model()
+            self._def_value.clear()
             self._check_model()
         return self.result
 
@@ -690,7 +771,8 @@ class Solver:
             if self._num_model[v].denominator != 1:
                 raise ModelCheckError(f"Int variable {v} has the value "
                                       f"{self._num_model[v]} in the model")
-        for i, t in enumerate(self.terms):
+        active = [t for frame in self._encoded for t in frame]
+        for i, t in enumerate(active + self._axioms):
             if self._eval(t) is not True:
                 raise ModelCheckError(f"the model violates asserted term {i}")
         for v in self._defs:
@@ -727,7 +809,7 @@ class Solver:
             return self._num_model[sv]
         if tag == "app":
             args = tuple(self._eval(a) for a in t[2])
-            for inst_args, var in self.fun_table.get(t[1], []):
+            for inst_args, var in self._uf.table.get(t[1], []):
                 if tuple(self._eval(a) for a in inst_args) == args:
                     return self._eval(var)
             return False if sort_of(t) == BOOL else ZERO

@@ -144,6 +144,31 @@ tel
     assert isinstance(r, Valid) and r.k == 2
 
 
+
+def delay_chain(n: int) -> str:
+    """A chain of n integer delays of a bounded input. Its property,
+    that the last delay stays in the input's range, is n-inductive and
+    no less: the step case needs n instants of history."""
+    delays = "\n".join(f"  d{i} = 0 -> pre {'x' if i == 1 else f'd{i - 1}'};"
+                       for i in range(1, n + 1))
+    return f"""
+node Chain(x: int) returns (ok: bool);
+var {", ".join(f"d{i}" for i in range(1, n + 1))}: int;
+let
+  assert x >= 0 and x <= 10;
+{delays}
+  ok = d{n} >= 0 and d{n} <= 10;
+  --!PROPERTY: ok = true;
+tel
+"""
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_kinduction_proves_a_delay_chain_at_its_length(n):
+    _, ts = _ts(delay_chain(n), "Chain")
+    r = kinduction(ts, "ok", EngineConfig(k_max=n + 2, timeout=120))
+    assert isinstance(r, Valid) and r.k == n
+
 def test_kinduction_kmax_exhaustion():
     _, ts = _ts(SAT_CHAIN, "Chain")
     r = kinduction(ts, "ok", EngineConfig(k_max=3, timeout=120))

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
@@ -152,6 +152,53 @@ def test_sat_differential_random_3sat():
                 assert any(s.value(lit) == 1 for lit in c)
 
 
+
+def _pigeonhole_3_into_2(s, guard=None):
+    """Pigeonhole clauses on s; with a guard literal, each pigeon's
+    clause that it sits somewhere holds only when the guard does."""
+    p = [[s.new_var() << 1 for _ in range(2)] for _ in range(3)]
+    for i in range(3):
+        s.add_clause(p[i] + ([sat.neg(guard)] if guard is not None else []))
+    for j in range(2):
+        for i1 in range(3):
+            for i2 in range(i1 + 1, 3):
+                s.add_clause([sat.neg(p[i1][j]), sat.neg(p[i2][j])])
+
+
+def test_sat_refuted_assumption_answers_for_its_call_only():
+    # a -> b and a -> not b: assuming a is refuted, not the clauses
+    s = _cnf_solve([[1, 2], [1, 3]], 2)
+    assert s.solve(assumptions=[0]) == "unsat"
+    assert s.ok
+    assert s.solve() == "sat" and s.value(0) == 0
+    assert s.solve(assumptions=[1, 2]) == "sat" and s.value(2) == 1
+    assert s.solve(assumptions=[3, 0]) == "unsat"
+    assert s.solve(assumptions=[3]) == "sat" and s.value(2) == 0
+
+
+def test_sat_level_zero_conflict_is_unsat_under_any_assumptions():
+    s = sat.CDCL()
+    _pigeonhole_3_into_2(s)
+    x = s.new_var() << 1
+    assert s.solve() == "unsat" and not s.ok
+    for assumptions in ([], [x], [sat.neg(x)], [2, x]):
+        assert s.solve(assumptions=assumptions) == "unsat"
+
+
+def test_sat_guarded_pigeonhole_is_unsat_only_under_its_guard():
+    s = sat.CDCL()
+    act = s.new_var() << 1
+    _pigeonhole_3_into_2(s, act)
+    for _ in range(2):  # what the guarded run learns keeps both answers
+        assert s.solve(assumptions=[act]) == "unsat"
+        assert s.ok
+        assert s.solve() == "sat"
+    s.cancel_until(0, sat.Theory())  # clauses are added at level 0
+    s.add_clause([sat.neg(act)])  # the guard's frame is popped
+    assert s.solve() == "sat" and s.value(act) == 0
+    assert s.solve(assumptions=[act]) == "unsat" and s.ok
+
+
 # simplex ---------------------------------------------------------------------
 
 def _triple(a, d=0):
@@ -233,6 +280,51 @@ def test_simplex_undo_restores_bounds():
     sx.check()
     assert sx.model()[x] <= 0
 
+
+def test_simplex_add_row_after_pivots():
+    # a row added once pivots have moved variables into the basis reads
+    # only nonbasic variables and keeps s = combo on beta and the model
+    rng = random.Random(5)
+
+    def coeff():
+        return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+
+    def holds(sx, s, combo):
+        pairs = [_beta(sx, v) for v in range(sx.n)]
+        want = (sum(c * pairs[x][0] for x, c in combo.items()),
+                sum(c * pairs[x][1] for x, c in combo.items()))
+        model = sx.model()
+        return pairs[s] == want and \
+            model[s] == sum(c * model[x] for x, c in combo.items())
+
+    rewritten = 0
+    for _ in range(150):
+        nvars = rng.randint(2, 5)
+        sx = _tableau(nvars, [{x: coeff() for x in rng.sample(
+            range(nvars), rng.randint(2, nvars))} for _ in range(3)])
+        try:
+            for reason in range(rng.randint(2, 8)):
+                sx.assert_bound(rng.randrange(sx.n), rng.random() < 0.5,
+                                _triple(rng.randint(-6, 6)), reason)
+                sx.check()
+        except Conflict:
+            continue
+        combo = {x: coeff() for x in rng.sample(range(sx.n),
+                                                 rng.randint(2, sx.n))}
+        rewritten += any(x in sx.rows for x in combo)
+        s = sx.add_row(combo)
+        nums, _ = sx.rows[s]
+        assert not set(nums) & set(sx.rows)
+        assert all(s in sx.cols[j] for j in nums)
+        assert holds(sx, s, combo)
+        try:
+            sx.assert_bound(s, rng.random() < 0.5,
+                            _triple(rng.randint(-6, 6)), 99)
+            sx.check()
+        except Conflict:
+            continue
+        assert holds(sx, s, combo)
+    assert rewritten > 50
 
 def _tableau(nvars, combos):
     """A Simplex over nvars variables with one slack row per combo; the
@@ -1070,6 +1162,236 @@ def test_bundled_model_ends_with_its_assertion_stack():
     assert lines[0] == "sat"
     assert lines[1].startswith('(error "no model')
 
+
+@pytest.mark.parametrize("lines, replies", [
+    # an encoding error lasts as long as the frame of its term
+    (["(declare-const r Real)", "(declare-const x Real)", "(push 1)",
+      "(assert (= r (* x x)))", "(check-sat)", "(check-sat)", "(pop 1)",
+      "(check-sat)"],
+     ['(error "nonlinear product")', '(error "nonlinear product")', "sat"]),
+    # a refuted frame leaves the frames below it satisfiable
+    (["(declare-const p Bool)", "(push 1)", "(assert p)",
+      "(assert (not p))", "(check-sat)", "(pop 1)", "(check-sat)",
+      "(push 2)", "(assert (not p))", "(check-sat)", "(pop 2)",
+      "(assert p)", "(check-sat)"],
+     ["unsat", "sat", "sat", "sat"]),
+    # a definition is substituted only from the bottom frame, so one
+    # asserted in a pushed frame leaves c * x a nonlinear product
+    (["(declare-const c Real)", "(declare-const x Real)", "(push 1)",
+      "(assert (= c 2.0))", "(assert (= (* c x) 3.0))", "(check-sat)"],
+     ['(error "nonlinear product")']),
+], ids=["error", "refuted-frame", "pushed-definition"])
+def test_bundled_frame_rules(lines, replies):
+    assert _feed(lines)[1].splitlines() == replies
+
+
+_DIFF_SORTS = {"x0": "Int", "x1": "Int", "x2": "Int", "r0": "Real",
+               "r1": "Real", "p0": "Bool", "p1": "Bool"}
+_DIFF_OPS = {"+": lambda *a: sum(a), "*": lambda a, b: a * b,
+             "/": lambda a, b: F(a) / b, "to_real": lambda a: a,
+             "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+             ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+             "=": lambda a, b: a == b, "not": lambda a: not a,
+             "and": lambda *a: all(a), "or": lambda *a: any(a),
+             "=>": lambda a, b: (not a) or b,
+             "ite": lambda c, a, b: a if c else b}
+
+
+def _eval_sx(sx, env):
+    """Value of a term under get-value's answers: env maps the text of
+    each constant and UF application to its value."""
+    if isinstance(sx, str):
+        return env[sx] if sx in env else parse_value(sx)
+    key = format_sexpr(sx)
+    if key in env:
+        return env[key]
+    args = [_eval_sx(a, env) for a in sx[1:]]
+    if sx[0] == "-":
+        return -args[0] if len(args) == 1 else args[0] - args[1]
+    return _DIFF_OPS[sx[0]](*args)
+
+
+def _applications(sx):
+    if isinstance(sx, list):
+        if sx[0] == "f":
+            yield sx
+        for a in sx[1:]:
+            yield from _applications(a)
+
+
+def _random_script(rng):
+    """SMT-LIB lines over Int, Real and Bool constants and f: Int -> Int:
+    declarations, asserts (many of them definitions), push n, pop n and
+    check-sat, with every product by a constant, so all of it is linear."""
+    declared = ["x0", "r0", "p0"]
+    lines = ["(declare-fun f (Int) Int)"] + [
+        f"(declare-const {n} {_DIFF_SORTS[n]})" for n in declared]
+    depth = 0
+
+    def pick(sort):
+        return rng.choice([n for n in declared if _DIFF_SORTS[n] == sort])
+
+    def num(k):
+        return str(k) if k >= 0 else f"(- {-k})"
+
+    def int_term(d):
+        r = rng.random()
+        if d == 0 or r < 0.35:
+            return pick("Int") if r < 0.8 else num(rng.randint(-3, 3))
+        if r < 0.5:
+            return f"(+ {int_term(d - 1)} {int_term(d - 1)})"
+        if r < 0.6:
+            return f"(- {int_term(d - 1)} {int_term(d - 1)})"
+        if r < 0.75:
+            return f"(* {num(rng.choice((-2, 2, 3)))} {int_term(d - 1)})"
+        if r < 0.88:
+            return f"(ite {formula(0)} {int_term(d - 1)} {int_term(d - 1)})"
+        return f"(f {int_term(d - 1)})"
+
+    def real_term(d):
+        r = rng.random()
+        if d == 0 or r < 0.35:
+            return rng.choice([pick("Real"), pick("Real"), "0.5", "(/ 1 3)",
+                               "(- 1.5)", f"(to_real {pick('Int')})"])
+        if r < 0.55:
+            return f"(+ {real_term(d - 1)} {real_term(d - 1)})"
+        if r < 0.7:
+            return f"(* {rng.choice(('0.5', '(- 2)', '3'))} " \
+                   f"{real_term(d - 1)})"
+        if r < 0.8:
+            return f"(/ {real_term(d - 1)} {rng.choice(('2', '(- 3)'))})"
+        return f"(ite {formula(0)} {real_term(d - 1)} {real_term(d - 1)})"
+
+    def formula(d):
+        r = rng.random()
+        if d == 0 or r < 0.4:
+            if r < 0.1:
+                return pick("Bool")
+            term = int_term if rng.random() < 0.5 else real_term
+            op = rng.choice(("<", "<=", ">", ">=", "="))
+            return f"({op} {term(1)} {term(1)})"
+        if r < 0.55:
+            return f"(not {formula(d - 1)})"
+        op = rng.choice(("and", "or", "=>"))
+        return f"({op} {formula(d - 1)} {formula(d - 1)})"
+
+    def definition():
+        v = rng.choice(declared)
+        rhs = {"Int": int_term, "Real": real_term,
+               "Bool": formula}[_DIFF_SORTS[v]](2)
+        return f"(assert (= {v} {rhs}))"
+
+    for _ in range(rng.randint(15, 40)):
+        r = rng.random()
+        fresh = [n for n in _DIFF_SORTS if n not in declared]
+        if r < 0.08 and fresh:
+            declared.append(rng.choice(fresh))
+            lines.append(f"(declare-const {declared[-1]} "
+                         f"{_DIFF_SORTS[declared[-1]]})")
+        elif r < 0.4:
+            lines.append(f"(assert {formula(2)})")
+        elif r < 0.55:
+            lines.append(definition())
+        elif r < 0.65:
+            n = rng.randint(1, 2)
+            lines.append(f"(push {n})")
+            depth += n
+        elif r < 0.75 and depth:
+            n = rng.randint(1, depth)
+            lines.append(f"(pop {n})")
+            depth -= n
+        else:
+            lines.append("(check-sat)")
+    return lines + ["(check-sat)"]
+
+
+def _differential_session(lines):
+    """Feed lines to one bundled session and check each check-sat reply
+    against a fresh Solver over the active stack; on sat, get-value must
+    give every constant and application values that satisfy each active
+    assertion. Returns the replies of the check-sats."""
+    out = io.StringIO()
+    session = bundled.Session(out)
+    texts = [[]]  # the asserted s-expressions, per frame
+    verdicts = []
+    for line in lines:
+        (sx,) = parse_all(line)
+        start = out.tell()
+        session.feed(line)
+        reply = out.getvalue()[start:].strip()
+        if sx[0] == "assert" and not reply:
+            texts[-1].append(sx[1])
+        elif sx[0] == "push":
+            texts.extend([] for _ in range(int(sx[1])))
+        elif sx[0] == "pop":
+            del texts[len(texts) - int(sx[1]):]
+        if sx[0] != "check-sat":
+            assert not reply, (line, reply)
+            continue
+        active = [t for frame in session.frames for t in frame]
+        assert len(active) == sum(map(len, texts))
+        try:
+            want = Solver(active).check()
+        except SmtError as e:
+            want = f'(error "{e}")'
+        assert reply == want, lines
+        verdicts.append(reply)
+        if reply != "sat":
+            continue
+        asserted = [t for frame in texts for t in frame]
+        apps = list({format_sexpr(a): a for t in asserted
+                     for a in _applications(t)}.values())
+        names = [n for n in session.decls if session.decls[n][0] == "const"]
+        start = out.tell()
+        session.feed(f"(get-value ({' '.join(names)} "
+                     f"{' '.join(map(format_sexpr, apps))}))")
+        (rows,) = parse_all(out.getvalue()[start:])
+        env = {format_sexpr(t): parse_value(v) for t, v in rows}
+        for t in asserted:
+            assert _eval_sx(t, env) is True, (format_sexpr(t), env)
+        for a, b in combinations(apps, 2):  # f is a function
+            if _eval_sx(a[1], env) == _eval_sx(b[1], env):
+                assert env[format_sexpr(a)] == env[format_sexpr(b)]
+    return verdicts
+
+
+@pytest.mark.parametrize("lines, verdicts", [
+    # bottom-frame definitions that arrive after their variable was
+    # used: each stays an ordinary constraint
+    (["(declare-const r0 Real)", "(declare-const r1 Real)",
+      "(declare-const p0 Bool)", "(assert (> r0 1.0))",
+      "(assert (or p0 (< r1 0.0)))", "(check-sat)",
+      "(assert (= r0 (+ r1 1.0)))", "(assert (= p0 (> r1 1.0)))",
+      "(check-sat)", "(push 1)", "(assert (< r1 (- 0.5)))", "(check-sat)",
+      "(pop 1)", "(assert (= r1 (/ 1 3)))", "(check-sat)"],
+     ["sat", "sat", "unsat", "unsat"]),
+    # a UF application first seen in a frame that is later popped
+    (["(declare-fun f (Int) Int)", "(declare-const x0 Int)",
+      "(declare-const x1 Int)", "(push 1)", "(assert (= (f x0) 3))",
+      "(check-sat)", "(pop 1)", "(assert (= x0 x1))",
+      "(assert (= (f x1) 4))", "(check-sat)", "(push 1)",
+      "(assert (= (f x0) 3))", "(check-sat)", "(pop 1)", "(check-sat)"],
+     ["sat", "sat", "unsat", "sat"]),
+    # Int branch and bound, in a frame and below it
+    (["(declare-const x0 Int)", "(declare-const x1 Int)", "(push 1)",
+      "(assert (= (+ (* 3 x0) (* 5 x1)) 11))", "(assert (>= x0 0))",
+      "(assert (>= x1 0))", "(check-sat)", "(assert (> x0 2))",
+      "(check-sat)", "(pop 1)", "(check-sat)",
+      "(assert (= (+ (* 2 x0) (* 4 x1)) 7))", "(check-sat)"],
+     ["sat", "unsat", "sat", "unsat"]),
+], ids=["late-definition", "popped-application", "branch-and-bound"])
+def test_persistent_session_cases(lines, verdicts):
+    assert _differential_session(lines) == verdicts
+
+
+def test_persistent_session_matches_a_fresh_solver():
+    rng = random.Random(2)
+    verdicts = []
+    for _ in range(60):
+        verdicts += _differential_session(_random_script(rng))
+    counts = {v: verdicts.count(v) for v in set(verdicts)}
+    assert set(counts) == {"sat", "unsat"}, counts
+    assert min(counts.values()) > 20, counts
 
 def test_bundled_quoted_symbols_and_negatives():
     out = _pipe("""(declare-const |n@0| Int)
