@@ -127,17 +127,19 @@ class _Deadline:
 class _Unrolling:
     """One solver conversation over an unrolling that only grows.
 
-    ``extend(n)`` declares and asserts each instant once: its transition
-    from the previous instant, its definitions and assumptions, and the
-    fixed invariants. The unrolling starts in any state; a base query
-    pushes the initial condition with its goals, a step query only its
-    goals. Each query checks, reads the model if there is one, and pops,
+    ``extend(n)`` sends each instant once: its inputs, the transition
+    that defines its state from the previous instant, its definitions
+    and assumptions, and the fixed invariants. Equations cross as
+    ``define-fun``, never as assertions. The unrolling starts in any
+    state; a base query pushes the initial condition with its goals, a
+    step query only its goals. Each query checks, reads the model if
+    there is one, and pops,
     so one unrolling serves the base and step queries of every depth of
     a check (Een & Sorensson, "Temporal induction by incremental SAT
     solving", BMC 2003). The bundled solver keeps one SAT core and
-    tableau for the conversation: each instant is encoded once, the
-    definitions of the unrolling (asserted outside any push) are
-    substituted, and the clauses learned by one query serve the next."""
+    tableau for the conversation: each instant is encoded once, each
+    defined name is expanded where it is used, and the clauses learned
+    by one query serve the next."""
 
     def __init__(self, un: Unroller, cfg: EngineConfig,
                  invs: Sequence[Expr] = ()):

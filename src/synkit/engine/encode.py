@@ -4,9 +4,15 @@ Each variable v at instant t becomes the solver symbol `v@t`. One
 Unroller owns the text generation; a session is fed whole instants at a
 time, so the base and step queries of a check share one unrolling.
 
+Only inputs, and state variables at instant 0, are declared. Equations
+are definitions, not assertions: each defined variable of instant t is
+sent as `(define-fun v@t () Sort e)`, and each state variable of instant
+t+1 as the `define-fun` of its transition from instant t. Assertions
+carry the assumptions, invariants, initial condition and goals.
+
 A definition whose right side is a bare variable, such as the renaming
 `A.x = x` that node inlining leaves for each call argument, is an alias:
-it is neither declared nor asserted, every formula renders it as the
+it is neither declared nor defined, every formula renders it as the
 variable at the end of its alias chain (its representative), and model
 reads go through that representative.
 """
@@ -58,14 +64,19 @@ def _representatives(ts: TransitionSystem) -> dict[str, str]:
 
 
 class Unroller:
+    """The SMT-LIB text of a transition system, instant by instant. A
+    session is sent instant t as ``declare_step(t)``, then
+    ``assert_trans(t - 1)``, then ``assert_instant(t)``, since a
+    ``define-fun`` may only mention names sent before it."""
+
     def __init__(self, ts: TransitionSystem):
         self.ts = ts
         self.types = ts.var_types()
-        self.all_vars = ([n for n, _ in ts.input_vars]
-                         + [n for n, _ in ts.state_vars]
+        self._inputs = [n for n, _ in ts.input_vars]
+        self._states = [n for n, _ in ts.state_vars]
+        self.all_vars = (self._inputs + self._states
                          + [n for n, _ in ts.defined_vars])
         self.rep = _representatives(ts)
-        self._declared = [n for n in self.all_vars if n not in self.rep]
         self._defined = [(n, rhs) for n, rhs in ts.definitions
                          if n not in self.rep]
 
@@ -80,7 +91,9 @@ class Unroller:
             s.declare_fun(name, [_SORT[p] for p in params], _SORT[ret])
 
     def declare_step(self, s: SmtSession, t: int) -> None:
-        for name in self._declared:
+        """The free symbols of instant t: its inputs, and at instant 0
+        the state too."""
+        for name in self._inputs + (self._states if t == 0 else []):
             s.declare_const(f"{name}@{t}", _SORT[self.types[name]])
 
     def assert_init(self, s: SmtSession) -> None:
@@ -90,15 +103,16 @@ class Unroller:
     def assert_instant(self, s: SmtSession, t: int) -> None:
         """Definitions and assumptions of instant t."""
         for name, rhs in self._defined:
-            s.assert_text(f"(= {self.at(name, t)} {self.formula(rhs, t)})")
+            s.define_fun(f"{name}@{t}", _SORT[self.types[name]],
+                         self.formula(rhs, t))
         for a in self.ts.assumptions:
             s.assert_text(self.formula(a, t))
 
     def assert_trans(self, s: SmtSession, t: int) -> None:
-        """Step relation from instant t to t+1."""
+        """Step relation from instant t to t+1: the state of t+1."""
         for name, rhs in self.ts.trans:
-            s.assert_text(
-                f"(= {self.at(name, t + 1)} {self.formula(rhs, t)})")
+            s.define_fun(f"{name}@{t + 1}", _SORT[self.types[name]],
+                         self.formula(rhs, t))
 
     # no engine path calls this; perfbench/tracing.py patches it by name
     def assert_distinct_states(self, s: SmtSession, upto: int) -> None:
@@ -124,6 +138,5 @@ class Unroller:
                 for t in instants]
 
     def decode_inputs(self, s: SmtSession, upto: int) -> Trace:
-        names = [n for n, _ in self.ts.input_vars]
-        rows = self.model_values(s, names, range(upto + 1))
-        return Trace({n: [row[n] for row in rows] for n in names})
+        rows = self.model_values(s, self._inputs, range(upto + 1))
+        return Trace({n: [row[n] for row in rows] for n in self._inputs})

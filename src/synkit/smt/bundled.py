@@ -3,19 +3,20 @@
 Run as `synkit-smt` or `python -m synkit.smt.bundled` to talk over
 stdin/stdout; `SmtSession` feeds a `Session` the same lines in its own
 process when no other solver is configured. Understands the
-command subset the verification engine emits: declarations, assert,
-check-sat, get-value, push/pop, reset, echo, exit. Replies with
-`(error "...")` on bad input and keeps going. A model lasts until the
-assertion stack changes.
+command subset the verification engine emits: declarations, nullary
+define-fun, assert, check-sat, get-value, push/pop, reset, echo, exit.
+Replies with `(error "...")` on bad input and keeps going. A model lasts
+until the assertion stack changes.
 
 One `Solver` holds the assertion stack of the whole conversation and
 keeps what it learned across check-sat, push and pop: each pushed frame
 has an activation literal, and a check-sat encodes only the terms
-asserted since the last one. Definitions are substituted only from the
-bottom frame (see `solver`). A term the solver cannot encode, such as a
-nonlinear product, is reported when a check-sat encodes it; the session
-then starts a new solver over the same stack, so every check-sat
-answers the same error until the term is popped.
+asserted since the last one. A `define-fun` names its body (see
+`solver`); like a declaration, it outlives the frame it was made in. A
+term the solver cannot encode, such as a nonlinear product, is reported
+when a check-sat encodes it; the session then starts a new solver with
+the same definitions and stack, so every check-sat answers the same
+error until the term is popped.
 
 Each input line is parsed once, together with the lines before it that
 did not yet complete a command. Text that ends inside an expression is
@@ -34,7 +35,8 @@ from .sexpr import Incomplete, SExpr, SExprError, format_sexpr, parse_all
 from .solver import BOOL, INT, REAL, SmtError, Solver, sort_of, term_of
 
 _SORTS = {"Bool", "Int", "Real"}
-_STACK_COMMANDS = {"declare-const", "declare-fun", "assert", "push", "pop"}
+_STACK_COMMANDS = {"declare-const", "declare-fun", "define-fun", "assert",
+                   "push", "pop"}
 
 
 def format_value(v, sort: str) -> str:
@@ -127,6 +129,9 @@ class Session:
         if cmd == "declare-fun":
             self._declare(args[0], args[1], args[2])
             return True
+        if cmd == "define-fun":
+            self._define(*args)
+            return True
         if cmd == "assert":
             self.solver.add(term_of(args[0], self.decls))
             return True
@@ -165,9 +170,12 @@ class Session:
         raise SmtError(f"unsupported command {cmd}")
 
     def _rebuild(self) -> None:
-        """A new solver over the same frames, with nothing encoded."""
-        frames, self.solver = self.frames, Solver()
-        for i, frame in enumerate(frames):
+        """A new solver with the same definitions and frames, with
+        nothing encoded."""
+        old, self.solver = self.solver, Solver()
+        for v, e in old.definitions.items():
+            self.solver.define(v, e)
+        for i, frame in enumerate(old.frames):
             if i:
                 self.solver.push()
             for t in frame:
@@ -181,8 +189,29 @@ class Session:
         new = ("const", ret) if not params else ("fun", tuple(params), ret)
         old = self.decls.get(name)
         if old is not None and old != new:
-            raise SmtError(f"{name} already declared with another sort")
+            what = "defined" if old[0] == "def" else \
+                "declared with another sort"
+            raise SmtError(f"{name} already {what}")
         self.decls[name] = new
+
+    def _define(self, name, params, ret, body) -> None:
+        """A nullary define-fun. Its body is read before the name is
+        known, so a definition can neither mention itself nor form a
+        cycle with later ones."""
+        if not isinstance(name, str) or isinstance(ret, list):
+            raise SmtError("malformed define-fun")
+        if params:
+            raise SmtError(f"define-fun of {name} has parameters")
+        if ret not in _SORTS:
+            raise SmtError(f"unsupported sort in definition of {name}")
+        if name in self.decls:
+            what = "defined" if self.decls[name][0] == "def" else "declared"
+            raise SmtError(f"{name} already {what}")
+        e = term_of(body, self.decls)
+        if sort_of(e) != ret and (sort_of(e), ret) != (INT, REAL):
+            raise SmtError(f"the body of {name} is {sort_of(e)}, not {ret}")
+        self.decls[name] = ("def", ret)
+        self.solver.define(("var", name, ret), e)
 
     def _get_value(self, sxs) -> None:
         if not self.has_model:

@@ -205,6 +205,9 @@ class SmtSession:
         params = " ".join(param_sorts)
         self.send(f"(declare-fun {format_atom(name)} ({params}) {ret})")
 
+    def define_fun(self, name: str, sort: str, body: str) -> None:
+        self.send(f"(define-fun {format_atom(name)} () {sort} {body})")
+
     def assert_text(self, formula: str) -> None:
         self.send(f"(assert {formula})")
 

@@ -12,25 +12,13 @@ the SAT core, the simplex tableau and every term cache persist, each
 pushed frame is guarded by an activation literal, and a check solves
 under the literals of the open frames (see `Solver`).
 
-Definitions are substituted at encode time instead of becoming slack
-rows. An asserted term `(= v e)` whose left side is a variable is the
-definition of v if it is asserted in the bottom frame, v has no
-definition yet, and no earlier check encoded v (gave it a literal or a
-variable); after Ackermann expansion this includes `(= (f x) e)`. The
-term caches are keyed by term, so a definition could not be undone by a
-pop: one asserted in a pushed frame is an ordinary constraint. Within
-the terms encoded by one check, v may be used before its definition.
-A defined v gets no simplex variable and no SAT literal of its own: a
-numeric v stands for the linear form of e, a Bool v for the literal of
-e, and its defining term adds no clause. The model gives v the value
-of e. Two kinds of defined variable keep their own variable, and their
-defining term is encoded like any other:
-- one reached again while its own definition is being expanded (a cycle
-  such as r = q + 1, q = r - 1);
-- an Int one whose definition is not an integer combination of Int
-  variables plus an integer constant, so its value could be fractional.
-A later equality for an already defined variable is an ordinary
-constraint.
+A definition (`Solver.define`, from `define-fun`) names a term instead
+of constraining it: a defined v gets no simplex variable and no SAT
+literal of its own. A numeric v stands for the linear form of its body,
+a Bool v for the body's literal, each expanded at first use and cached,
+and the model gives v the value of its body. A definition's body can
+only mention names defined before it, so expansions never cycle. An
+asserted `(= v e)` is an ordinary constraint.
 
 Linear forms are computed on plain ints: `_linear` gives a numeric term
 as integer numerators over one positive denominator, in lowest terms.
@@ -102,9 +90,9 @@ def term_of(sx: SExpr, decls: dict, env: Optional[dict] = None) -> Term:
             return ("bool", False, BOOL)
         if sx in decls:
             kind = decls[sx]
-            if kind[0] == "const":
-                return ("var", sx, kind[1])
-            raise SmtError(f"{sx} is a function, not a constant")
+            if kind[0] == "fun":
+                raise SmtError(f"{sx} is a function, not a constant")
+            return ("var", sx, kind[1])  # declared or defined
         if sx and (sx[0].isdigit()):
             if "." in sx:
                 return _num(F(sx), REAL)
@@ -386,12 +374,12 @@ class Solver:
     check serve the next. A term of the bottom frame becomes a unit
     clause and one of a pushed frame the clause (not act or term);
     Tseitin clauses, slack rows and Ackermann axioms are valid on their
-    own and carry no guard. Definitions are substituted (see the module
-    docstring); every other term is Tseitin-encoded, and each distinct
+    own and carry no guard. Every term is Tseitin-encoded, with each
+    defined var expanded (see the module docstring), and each distinct
     linear combination its arithmetic atoms compare becomes one slack
     row. After an SmtError from ``check`` the solver is unusable; a new
-    one over the same frames answers the same error until the term that
-    raised it is popped.
+    one with the same definitions and frames answers the same error
+    until the term that raised it is popped.
 
     ``Solver(terms)`` adds the terms to the bottom frame and encodes
     them."""
@@ -408,10 +396,9 @@ class Solver:
         self._num_sort: dict[int, str] = {}
         self._slack: dict[tuple, int] = {}
         self._atom_key: dict[tuple, int] = {}
-        self._defs: dict[Term, Term] = {}  # defined var -> its definition
-        self._def_linear: dict[Term, tuple] = {}  # substituted numeric var
-        self._expanding: set[Term] = set()  # defined vars being expanded
-        self._kept: set[Term] = set()  # defined vars with their own variable
+        self.definitions: dict[Term, Term] = {}  # var -> body, as given
+        self._defs: dict[Term, Term] = {}  # var -> body, rewritten
+        self._def_linear: dict[Term, tuple] = {}  # numeric var -> body's form
         self._def_value: dict[Term, Union[bool, Fraction]] = {}
         self._uf = _Ackermann()
         self.frames: list[list[Term]] = [[]]  # the terms as added
@@ -449,11 +436,17 @@ class Solver:
         del self._acts[-n:], self.frames[-n:], self._encoded[-n:]
         self.result = None
 
+    def define(self, v: Term, e: Term) -> None:
+        """Let the var v stand for the term e, which mentions only vars
+        declared or defined before v, as `define-fun` requires. A
+        definition constrains nothing, so it belongs to no frame and
+        outlives every pop."""
+        self.definitions[v] = e
+        self._defs[v] = self._uf.rewrite(e)
+
     def _encode(self) -> None:
         """Encode the terms added since the last encode, after their
-        Ackermann rewriting. A bottom-frame term (= v e) whose v has no
-        definition, literal or variable yet is v's definition; within one
-        batch v may be used before its definition."""
+        Ackermann rewriting."""
         self.cdcl.cancel_until(0, self.theory)
         batch = []  # (frame, rewritten term)
         for i, (frame, done) in enumerate(zip(self.frames, self._encoded)):
@@ -464,29 +457,10 @@ class Solver:
         axioms = self._uf.axioms()
         self._axioms += axioms
         batch += [(0, t) for t in axioms]
-        defining = []
         for i, t in batch:
-            v = t[1][0] if i == 0 and t[0] == "=" else None
-            is_def = v is not None and v[0] == "var" and not (
-                v in self._defs or v in self._bool_lit or v in self._num_var)
-            if is_def:
-                self._defs[v] = t[1][1]
-            defining.append(is_def)
-        for (i, t), is_def in zip(batch, defining):
-            if is_def and self._substituted(t[1][0]):
-                continue
             lit = self._lit(t)
             self.cdcl.add_clause([sat.neg(self._acts[i - 1]), lit] if i
                                  else [lit])
-
-    def _substituted(self, v: Term) -> bool:
-        """Expand the defined var v; True unless it keeps its own
-        variable, in which case its defining term must be encoded."""
-        if sort_of(v) == BOOL:
-            self._lit(v)
-        else:
-            self._linear(v)
-        return v not in self._kept
 
     # literal of a boolean term (Tseitin)
 
@@ -499,17 +473,7 @@ class Solver:
             lit = (self._true << 1) | (0 if t[1] else 1)
         elif tag == "var":
             e = self._defs.get(t)
-            if e is None:
-                lit = self.cdcl.new_var() << 1
-            elif t in self._expanding:  # a cycle: t keeps its own literal
-                self._kept.add(t)
-                lit = self.cdcl.new_var() << 1
-            else:
-                self._expanding.add(t)
-                lit = self._lit(e)
-                self._expanding.discard(t)
-                if t in self._kept:  # got its literal inside the cycle
-                    return self._bool_lit[t]
+            lit = self.cdcl.new_var() << 1 if e is None else self._lit(e)
         elif tag == "not":
             lit = sat.neg(self._lit(t[1][0]))
         elif tag in ("and", "or"):
@@ -606,17 +570,12 @@ class Solver:
         tag = t[0]
         if tag == "num":
             return {}, t[1].numerator, t[1].denominator
-        if tag == "var":
-            hit = self._def_linear.get(t)
-            if hit is not None:
-                return hit
-            e = self._defs.get(t)
-            if e is not None and t not in self._kept:
-                if t not in self._expanding:
-                    return self._define(t, e)
-                self._kept.add(t)  # a cycle: t keeps its own variable
-            return {self._svar(t): 1}, 0, 1
-        if tag == "ite":
+        if tag == "var" and t in self._defs:
+            form = self._def_linear.get(t)
+            if form is None:
+                form = self._def_linear[t] = self._linear(self._defs[t])
+            return form
+        if tag in ("var", "ite"):
             return {self._svar(t): 1}, 0, 1
         if tag == "to_real":
             return self._linear(t[1][0])
@@ -665,22 +624,6 @@ class Solver:
                 scale *= F(den, const)
             return _scaled(self._linear(t[1][0]), scale)
         raise SmtError(f"not a numeric term: {tag}")
-
-    def _define(self, v: Term, e: Term) -> tuple[dict[int, int], int, int]:
-        """Linear form of the defined numeric var v: that of e, unless v
-        turns out to keep its own variable."""
-        self._expanding.add(v)
-        form = self._linear(e)
-        self._expanding.discard(v)
-        # in lowest terms, den == 1 exactly when every coefficient and
-        # the constant are integers
-        if sort_of(v) == INT and not (form[2] == 1 and all(
-                self._num_sort[k] == INT for k in form[0])):
-            self._kept.add(v)
-        if v in self._kept:
-            return {self._svar(v): 1}, 0, 1
-        self._def_linear[v] = form
-        return form
 
     def _cmp_lit(self, op: str, x: Term, y: Term) -> int:
         nx, kx, dx = self._linear(x)
@@ -792,7 +735,7 @@ class Solver:
         if tag == "num":
             return t[1]
         if tag == "var":
-            if t in self._defs and t not in self._kept:
+            if t in self._defs:
                 val = self._def_value.get(t)
                 if val is None:
                     val = self._def_value[t] = self._eval(self._defs[t])

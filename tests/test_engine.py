@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from synkit import tsys
+from synkit.benchlib import load_benchmark
 from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
                            UnknownReason, Valid, bmc, compile_system, core,
                            eval_formula, exhaustive_search,
@@ -16,6 +17,7 @@ from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
 from synkit.lang import LangError, parse, pretty_expr, typecheck
 from synkit.smt import SmtSession
+from synkit.smt.sexpr import parse_all
 
 from _random_systems import random_bool_system
 
@@ -715,6 +717,15 @@ tel
 """
 
 
+def _send_instants(un, s, n):
+    """Instants 0..n-1 in the order the engine's unrolling sends them."""
+    for t in range(n):
+        un.declare_step(s, t)
+        if t > 0:
+            un.assert_trans(s, t - 1)
+        un.assert_instant(s, t)
+
+
 def test_alias_chain_declares_and_asserts_only_its_representative(
         monkeypatch):
     _, ts = _ts(ALIASES, "Top")
@@ -727,29 +738,31 @@ def test_alias_chain_declares_and_asserts_only_its_representative(
                                             send(self, line))[1])
     un = Unroller(ts)
     with SmtSession() as s:
-        for t in range(2):
-            un.declare_step(s, t)
-            un.assert_instant(s, t)
-        un.assert_trans(s, 0)
+        _send_instants(un, s, 2)
+        assert s.check_sat() == "sat"  # every line was accepted
     text = "\n".join(sent)
     for alias in ("v", "w", "Id.a", "Id.b"):
         assert un.rep[alias] == "x"
         assert f"{alias}@" not in text.replace("|", "")
     assert "(declare-const x@1 Int)" in sent
-    assert "(assert (= _pre0@1 x@0))" in sent
-    # two instants, each declaring every name but the four aliases
-    assert sum(line.startswith("(declare-const") for line in sent) == \
-        2 * (len(un.all_vars) - 4)
+    assert "(define-fun _pre0@1 () Int x@0)" in sent
+    # the input at each instant and the state at 0 are declared; every
+    # defined name is defined and never declared, and no definition is
+    # asserted
+    declared = [line.split()[1] for line in sent
+                if line.startswith("(declare-const")]
+    assert declared == ["x@0", "_init@0", "_pre0@0", "x@1"]
+    defined = [line.split()[1] for line in sent
+               if line.startswith("(define-fun")]
+    assert defined == ["y@0", "ok@0", "_init@1", "_pre0@1", "y@1", "ok@1"]
+    assert not any(line.startswith("(assert (=") for line in sent)
 
 
 def test_aliases_read_through_their_representative():
     _, ts = _ts(ALIASES, "Top")
     un = Unroller(ts)
     with SmtSession() as s:
-        for t in range(2):
-            un.declare_step(s, t)
-            un.assert_instant(s, t)
-        un.assert_trans(s, 0)
+        _send_instants(un, s, 2)
         un.assert_init(s)
         s.assert_text("(= x@0 5)")
         s.assert_text("(= x@1 (- 2))")
@@ -760,3 +773,35 @@ def test_aliases_read_through_their_representative():
             assert all(row[n] == x for n in ("x", "v", "w", "Id.a", "Id.b"))
         assert rows[1]["y"] == 5 and rows[1]["ok"] is True
         assert un.decode_inputs(s, 1) == Trace({"x": [5, -2]})
+
+
+def test_kinduction_sends_every_equation_as_a_definition(monkeypatch):
+    ts = tsys.compile(load_benchmark().tp, "G120")
+    sent = []
+    send = SmtSession.send
+    monkeypatch.setattr(SmtSession, "send",
+                        lambda self, line: (sent.append(line),
+                                            send(self, line))[1])
+    assert kinduction(ts, "Obs", EngineConfig(k_max=2)) == Valid(1)
+    un = Unroller(ts)
+    defined = {n for n, _ in un._defined}
+    states = {n for n, _ in ts.state_vars}
+    inputs = {n for n, _ in ts.input_vars}
+    kinds = {}
+    for line in sent:
+        (sx,) = parse_all(line)
+        if sx[0] == "assert" and sx[1][0] == "=" and isinstance(sx[1][1],
+                                                                  str):
+            name = sx[1][1].rpartition("@")[0]
+            assert name not in defined | states, line
+        if sx[0] in ("declare-const", "define-fun"):
+            name, _, t = sx[1].rpartition("@")
+            kinds.setdefault(sx[0], set()).add((name, int(t)))
+    depth = max(t for _, t in kinds["declare-const"])
+    assert depth >= 1
+    assert kinds["declare-const"] == (
+        {(n, t) for n in inputs for t in range(depth + 1)}
+        | {(n, 0) for n in states})
+    assert kinds["define-fun"] == (
+        {(n, t) for n in defined for t in range(depth + 1)}
+        | {(n, t) for n in states for t in range(1, depth + 1)})

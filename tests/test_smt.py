@@ -500,8 +500,8 @@ DECLS = {"x": ("const", "Int"), "y": ("const", "Int"),
          "f": ("fun", ("Int",), "Int")}
 
 
-def _t(text):
-    return term_of(parse_all(text)[0], DECLS)
+def _t(text, decls=DECLS):
+    return term_of(parse_all(text)[0], decls)
 
 
 def _solve(*texts):
@@ -578,15 +578,19 @@ def test_solver_rejects_nonlinear():
 def test_solver_scales_by_a_defined_constant():
     # a factor is constant when its linear form has no variables, so c's
     # definition makes both terms linear
-    _, out = _feed(["(declare-const c Real)", "(declare-const x Real)",
-                    "(assert (= c 2.0))", "(assert (= (* c x) 3.0))",
+    _, out = _feed(["(declare-const x Real)", "(define-fun c () Real 2.0)",
+                    "(assert (= (* c x) 3.0))",
                     "(check-sat)", "(get-value (x))", "(push 1)",
                     "(assert (= (/ x c) 0.0))", "(check-sat)"])
     assert out.splitlines() == ["sat", "((x (/ 3.0 2.0)))", "unsat"]
-    _, out = _feed(["(declare-const c Real)", "(declare-const x Real)",
-                    "(assert (= c 0.0))", "(assert (= (/ x c) 1.0))",
-                    "(check-sat)"])
+    _, out = _feed(["(declare-const x Real)", "(define-fun c () Real 0.0)",
+                    "(assert (= (/ x c) 1.0))", "(check-sat)"])
     assert out == '(error "division by zero")\n'
+    # an asserted equality constrains c but does not define it
+    _, out = _feed(["(declare-const c Real)", "(declare-const x Real)",
+                    "(assert (= c 2.0))", "(assert (= (* c x) 3.0))",
+                    "(check-sat)"])
+    assert out == '(error "nonlinear product")\n'
 
 
 def test_solver_model_is_pinned_by_the_pivot_order():
@@ -621,16 +625,19 @@ def test_solver_let_and_distinct():
     assert _solve("(distinct x y)", "(= x y)")[1] == "unsat"
 
 
-# definitions substituted at encode time --------------------------------------
+# definitions, and asserted equalities ---------------------------------------
 
 def test_definitions_get_no_variable_or_row():
-    s, verdict = _solve("(= r (+ q 1))", "(= q (* 2 r))", "(> r 0.0)")
-    # r keeps its variable (a cycle); q is 2r, and r = 2r + 1 is its row
-    assert verdict == "unsat"
-    s, verdict = _solve("(= r q)", "(= p (> r 1.0))", "p", "(< q 3.0)")
-    assert verdict == "sat"
+    s = _same_encoding(["(= r (+ q 1))", "(> r 0.0)"], DECLS,
+                       [("q", "(* 2 r)")])
+    assert s.check() == "unsat"
+    assert s.simplex.n == 1  # r only: q is 2r, so r = 2r + 1 bounds r
+    s = _same_encoding(["p", "(< q 3.0)"], DECLS,
+                       [("r", "q"), ("p", "(> r 1.0)")])
+    assert s.check() == "sat"
     assert s.simplex.n == 1  # q only: r is q, and p is the atom q > 1
     assert 1 < s.model_value(_t("r")) == s.model_value(_t("q")) < 3
+    assert s.model_value(_t("p")) is True
 
 
 def test_definition_of_int_keeps_its_variable_when_it_could_be_fractional():
@@ -667,27 +674,75 @@ def test_use_before_definition():
 
 
 def test_get_value_reads_a_substituted_variable():
-    out = io.StringIO()
-    session = bundled.Session(out)
-    for line in ["(declare-const r Real)", "(declare-const q Real)",
-                 "(declare-const p Bool)", "(assert (= r (* 2 q)))",
-                 "(assert (= p (> r 5.0)))", "(assert (= q 3.0))",
-                 "(check-sat)", "(get-value (r q p (+ r q)))"]:
-        session.feed(line)
-    assert out.getvalue().splitlines() == [
-        "sat", "((r 6.0) (q 3.0) (p true) ((+ r q) 9.0))"]
+    _, out = _feed(["(declare-const q Real)", "(declare-const x Int)",
+                    "(define-fun r () Real (* 2 q))",
+                    "(define-fun p () Bool (> r 5.0))",
+                    "(define-fun s () Real (+ x 1))",  # a Real from an Int
+                    "(assert (= q 3.0))", "(assert (= x 2))",
+                    "(check-sat)", "(get-value (r q p (+ r q) s))"])
+    assert out.splitlines() == [
+        "sat", "((r 6.0) (q 3.0) (p true) ((+ r q) 9.0) (s 3.0))"]
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("(define-fun f ((a Int)) Int (+ a 1))", "define-fun of f has parameters"),
+    ("(define-fun w () Int 1.5)", "the body of w is Real, not Int"),
+    ("(define-fun w () Bool x)", "the body of w is Int, not Bool"),
+    ("(define-fun w () Widget 1)", "unsupported sort in definition of w"),
+    ("(define-fun w () Int (+ w 1))", "unknown symbol w"),
+    ("(define-fun y () Int 7)", "y already defined"),
+    ("(define-fun x () Int 7)", "x already declared"),
+    ("(declare-const y Int)", "y already defined"),
+], ids=["parameters", "real-body", "int-body", "sort", "self-reference",
+        "redefinition", "declared", "redeclaration"])
+def test_bundled_refuses_a_bad_definition(bad, error):
+    session, out = _feed(["(declare-const x Int)",
+                          "(define-fun y () Int (* 2 x))", bad,
+                          "(define-fun w () Int (+ x 1))",
+                          "(assert (= w 4))", "(check-sat)",
+                          "(get-value (x y w))"])
+    assert out.splitlines() == [f'(error "{error}")', "sat",
+                                "((x 3) (y 6) (w 4))"]
+
+
+def test_bundled_definition_outlives_its_frame():
+    _, out = _feed(["(declare-const x Int)", "(push 1)",
+                    "(define-fun y () Int (+ x 1))", "(assert (> y 5))",
+                    "(check-sat)", "(pop 1)", "(assert (= x 0))",
+                    "(check-sat)", "(get-value (y))", "(push 1)",
+                    "(assert (> y 5))", "(check-sat)"])
+    assert out.splitlines() == ["sat", "sat", "((y 1))", "unsat"]
+
+
+def test_bundled_reset_forgets_definitions():
+    _, out = _feed(["(define-fun y () Int 1)", "(reset)",
+                    "(assert (> y 0))", "(declare-const y Bool)",
+                    "(assert y)", "(check-sat)"])
+    assert out.splitlines() == ['(error "unknown symbol y")', "sat"]
+
+
+def test_rebuilt_solver_keeps_the_definitions():
+    # the nonlinear term makes the session rebuild its solver; y = c * x
+    # is still 2x in the new one, with no variable of its own
+    session, out = _feed(["(declare-const x Real)", "(declare-const r Real)",
+                          "(define-fun c () Real 2.0)",
+                          "(define-fun y () Real (* c x))",
+                          "(assert (>= y (- 4.0)))", "(push 1)",
+                          "(assert (= r (* x x)))", "(check-sat)",
+                          "(pop 1)", "(assert (> y 1.0))",
+                          "(assert (< x 0.0))", "(check-sat)"])
+    assert out.splitlines() == ['(error "nonlinear product")', "unsat"]
+    assert session.solver.simplex.n == 1  # x only
 
 
 def test_substitution_matches_the_unsubstituted_encoding():
-    # (and true (= v e)) is not a definition, so it takes the plain
-    # encoding: a row, two bound atoms and an iff per equality
+    # each definition d = e against d declared and (= d e) asserted, which
+    # takes the plain encoding: a row, two bound atoms and an iff
     rng = random.Random(31)
     names = {"x0": "Int", "x1": "Int", "x2": "Int", "r0": "Real",
              "r1": "Real", "r2": "Real", "p0": "Bool", "p1": "Bool"}
-    decls = {n: ("const", s) for n, s in names.items()}
-    ints = [n for n, s in names.items() if s == "Int"]
-    nums = [n for n, s in names.items() if s != "Bool"]
-    bools = [n for n, s in names.items() if s == "Bool"]
+    box = " ".join(f"(<= (- 4) {n} 4)" for n, s in names.items()
+                   if s != "Bool")
 
     def num(c):
         return str(c) if c >= 0 else f"(- {-c})"
@@ -703,34 +758,48 @@ def test_substitution_matches_the_unsubstituted_encoding():
         terms.append(num(rng.randint(-3, 3)))
         return f"(+ {' '.join(terms)})"
 
-    def rhs(v):
-        if names[v] == "Bool":
+    def pools(decls):
+        """The Int, the numeric and the Bool names of decls."""
+        return ([n for n, k in decls.items() if k[1] == "Int"],
+                [n for n, k in decls.items() if k[1] != "Bool"],
+                [n for n, k in decls.items() if k[1] == "Bool"])
+
+    def rhs(sort, ints, nums, bools):
+        if sort == "Bool":
             pick = rng.random()
             if pick < 0.4:
                 return f"(not {rng.choice(bools)})"
             if pick < 0.7:
                 return f"(< {rng.choice(nums)} {num(rng.randint(-2, 2))})"
             return f"(or {rng.choice(bools)} (= {rng.choice(nums)} 0))"
-        pool = ints if names[v] == "Int" and rng.random() < 0.5 else nums
-        e = linear(pool, True)
+        pool = ints if sort == "Int" or rng.random() < 0.5 else nums
+        e = linear(pool, sort == "Real")
         if rng.random() < 0.2:
             e = f"(ite {rng.choice(bools)} {e} {linear(pool, False)})"
         return e
 
-    box = " ".join(f"(<= (- 4) {n} 4)" for n in nums)
     verdicts = set()
     for _ in range(120):
-        eqs = [f"(= {v} {rhs(v)})" for v in rng.choices(list(names),
-                                                         k=rng.randint(2, 7))]
+        decls = {n: ("const", s) for n, s in names.items()}
+        defs = []  # each body reads the declared names and earlier d's
+        for i in range(rng.randint(2, 7)):
+            sort = rng.choice(["Int", "Real", "Bool"])
+            defs.append((f"d{i}", sort, rhs(sort, *pools(decls))))
+            decls[f"d{i}"] = ("const", sort)
+        _, nums, bools = pools(decls)
         extra = [f"(> {linear(nums, True)} 0)", rng.choice(bools)]
-        extra = rng.sample(extra, rng.randint(0, 2))
-        answers = []
-        for wrap in (lambda e: e, lambda e: f"(and true {e})"):
-            texts = [wrap(e) for e in eqs] + extra + [f"(and {box})"]
-            s = Solver([term_of(parse_all(x)[0], decls) for x in texts])
-            answers.append(s.check())
-        assert answers[0] == answers[1], eqs + extra
-        verdicts.add(answers[0])
+        extra = rng.sample(extra, rng.randint(0, 2)) + [f"(and {box})"]
+        defined = Solver()
+        for d, sort, body in defs:
+            defined.define(("var", d, sort), _t(body, decls))
+        asserted = Solver()
+        for d, _, body in defs:
+            asserted.add(_t(f"(= {d} {body})", decls))
+        for x in extra:
+            defined.add(_t(x, decls))
+            asserted.add(_t(x, decls))
+        verdicts.add(defined.check())
+        assert asserted.check() == defined.result, (defs, extra)
     assert verdicts == {"sat", "unsat"}
 
 
@@ -798,11 +867,10 @@ class _FractionEncoding(Solver):
             if hit is not None:
                 return hit
             e = self._defs.get(t)
-            if e is not None and t not in self._kept:
-                if t not in self._expanding:
-                    return self._define(t, e)
-                self._kept.add(t)
-            return {self._svar(t): F(1)}, F(0)
+            if e is None:
+                return {self._svar(t): F(1)}, F(0)
+            form = self._def_linear[t] = self._linear(e)
+            return form
         if tag == "ite":
             return {self._svar(t): F(1)}, F(0)
         if tag == "to_real":
@@ -836,19 +904,6 @@ class _FractionEncoding(Solver):
             arg = t[1][0]
         combo, const = self._linear(arg)
         return {k: v * scale for k, v in combo.items()}, const * scale
-
-    def _define(self, v, e):
-        self._expanding.add(v)
-        combo, const = self._linear(e)
-        self._expanding.discard(v)
-        if sort_of(v) == "Int" and not (const.denominator == 1 and all(
-                c.denominator == 1 and self._num_sort[k] == "Int"
-                for k, c in combo.items())):
-            self._kept.add(v)
-        if v in self._kept:
-            return {self._svar(v): F(1)}, F(0)
-        self._def_linear[v] = combo, const
-        return combo, const
 
     def _cmp_lit(self, op, x, y):
         cx, kx = self._linear(x)
@@ -910,14 +965,20 @@ class _FractionEncoding(Solver):
         return v << 1
 
 
-def _same_encoding(texts, decls):
-    terms = [term_of(parse_all(x)[0], decls) for x in texts]
-    new, ref = Solver(terms), _FractionEncoding(terms)
+def _same_encoding(texts, decls, defs=()):
+    """Solver and the reference, each with the (name, body) defs defined
+    and the texts asserted, after one encode; returns the Solver."""
+    new, ref = Solver(), _FractionEncoding()
+    for s in (new, ref):
+        for name, body in defs:
+            s.define(term_of(name, decls), _t(body, decls))
+        for x in texts:
+            s.add(_t(x, decls))
+        s._encode()
     assert list(new._slack.items()) == list(ref._slack.items()), texts
     assert list(new._atom_key.items()) == list(ref._atom_key.items()), texts
     assert new.atom_of_var == ref.atom_of_var, texts
     assert new.simplex.rows == ref.simplex.rows, texts
-    assert new._kept == ref._kept, texts
     return new
 
 
@@ -927,6 +988,7 @@ def test_integer_forms_encode_as_the_fraction_reference():
     decls = {n: ("const", "Int") for n in ints}
     decls.update({n: ("const", "Real") for n in reals})
     decls.update({n: ("const", "Bool") for n in bools})
+    decls.update({"d0": ("const", "Int"), "d1": ("const", "Real")})
     consts = ["2", "3", "(- 1)", "0.5", "(/ 1 3)", "(/ (- 3) 4)", "1.25",
               "(* 2 (/ 5 6))"]
 
@@ -958,31 +1020,30 @@ def test_integer_forms_encode_as_the_fraction_reference():
         int_only = rng.random() < 0.4
         return f"({op} {num(3, int_only)} {num(2, int_only)})"
 
-    def definition():
-        v = rng.choice(ints + reals)
-        return f"(= {v} {num(2, v in ints and rng.random() < 0.5)})"
-
     rows = 0
     for _ in range(200):
-        texts = [comparison() for _ in range(rng.randint(1, 3))]
-        texts += [definition() for _ in range(rng.randint(0, 2))]
-        rng.shuffle(texts)
-        rows += len(_same_encoding(texts, decls)._slack)
+        del ints[3:], reals[3:]  # the last round's defined names
+        defs = []  # d0 and d1 in either order, each a leaf once defined
+        for d in rng.sample(["d0", "d1"], rng.randint(0, 2)):
+            is_int = decls[d][1] == "Int"
+            defs.append((d, num(2, is_int)))
+            (ints if is_int else reals).append(d)
+        texts = [comparison() for _ in range(rng.randint(1, 4))]
+        rows += len(_same_encoding(texts, decls, defs)._slack)
     assert rows > 200  # most comparisons become rows, not bare bounds
 
 
 def test_int_definition_with_an_integer_form_is_substituted():
-    s = _same_encoding(["(= x (/ (+ (* 2 y) 2) 2))", "(> x 3)"], DECLS)
+    s = _same_encoding(["(> x 3)"], DECLS, [("x", "(+ (* 2 y) (- 1 y))")])
     x = _t("x")
-    assert x not in s._kept and x not in s._num_var
+    assert x not in s._num_var
     assert s.simplex.n == 1  # y only: x > 3 is the bound y > 2
     assert s.check() == "sat"
     assert s.model_value(x) == s.model_value(_t("y")) + 1 > 3
-
-
-def test_int_definition_with_a_fractional_form_keeps_its_variable():
-    s = _same_encoding(["(= x (/ y 2))", "(> x 3)"], DECLS)
-    assert _t("x") in s._kept and _t("x") in s._num_var
+    # a Real defined by a fractional form of Ints
+    s = _same_encoding(["(> r 3.0)"], DECLS, [("r", "(/ (+ (* 2 y) 2) 2)")])
+    assert s.simplex.n == 1 and s.check() == "sat"
+    assert s.model_value(_t("r")) == s.model_value(_t("y")) + 1 > 3
 
 
 def _eval_bool(sx, env):
@@ -1175,8 +1236,8 @@ def test_bundled_model_ends_with_its_assertion_stack():
       "(push 2)", "(assert (not p))", "(check-sat)", "(pop 2)",
       "(assert p)", "(check-sat)"],
      ["unsat", "sat", "sat", "sat"]),
-    # a definition is substituted only from the bottom frame, so one
-    # asserted in a pushed frame leaves c * x a nonlinear product
+    # an asserted equality does not define c, so c * x stays a nonlinear
+    # product
     (["(declare-const c Real)", "(declare-const x Real)", "(push 1)",
       "(assert (= c 2.0))", "(assert (= (* c x) 3.0))", "(check-sat)"],
      ['(error "nonlinear product")']),
@@ -1221,7 +1282,7 @@ def _applications(sx):
 
 def _random_script(rng):
     """SMT-LIB lines over Int, Real and Bool constants and f: Int -> Int:
-    declarations, asserts (many of them definitions), push n, pop n and
+    declarations, asserts (many of them equalities), push n, pop n and
     check-sat, with every product by a constant, so all of it is linear."""
     declared = ["x0", "r0", "p0"]
     lines = ["(declare-fun f (Int) Int)"] + [
@@ -1356,8 +1417,8 @@ def _differential_session(lines):
 
 
 @pytest.mark.parametrize("lines, verdicts", [
-    # bottom-frame definitions that arrive after their variable was
-    # used: each stays an ordinary constraint
+    # bottom-frame equalities that arrive after their variable was used,
+    # each an ordinary constraint
     (["(declare-const r0 Real)", "(declare-const r1 Real)",
       "(declare-const p0 Bool)", "(assert (> r0 1.0))",
       "(assert (or p0 (< r1 0.0)))", "(check-sat)",
