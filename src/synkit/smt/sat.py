@@ -2,9 +2,13 @@
 
 Literal encoding: variable v (0-based) has positive literal 2v and
 negative literal 2v+1; neg(l) is l^1. The solver runs DPLL(T)-style:
-a theory object sees every assigned literal, is asked for a full check
+a theory object sees every assigned literal, is asked for a check
 before each decision, and may return a conflict as a list of literals
-that are all currently true but jointly theory-inconsistent.
+that are all currently true but jointly theory-inconsistent. The check
+made once every variable is assigned is final: there the theory may add
+a variable instead (splitting on demand, as in Barrett, Nieuwenhuis,
+Oliveras & Tinelli, LPAR 2006), and `solve` decides it before it
+answers sat.
 
 `solve` may be called again after more clauses are added, and it may
 solve under assumptions (Een & Sorensson, "An extensible SAT-solver",
@@ -26,7 +30,12 @@ def neg(lit: int) -> int:
 
 
 class Theory:
-    """Do-nothing theory; pure SAT when used directly."""
+    """Do-nothing theory; pure SAT when used directly.
+
+    ``check(final)`` returns None, a conflict or "unknown". With final
+    set, every variable is assigned; the theory may then make a new
+    variable with ``CDCL.new_var`` and return None, and the core decides
+    that variable before it may answer sat."""
 
     def assert_lit(self, lit: int, pos: int) -> Optional[list[int]]:
         return None
@@ -256,16 +265,17 @@ class CDCL:
 
     # main loop ------------------------------------------------------------
 
-    def _decide(self) -> bool:
-        while self.heap:
+    def _decide(self) -> None:
+        """Decide an unassigned variable; one must exist. Each has an
+        entry on the heap: new_var and cancel_until push one."""
+        while True:
             _, v = heapq.heappop(self.heap)
             if self.assign[v] < 0:
                 self.trail_lim.append(len(self.trail))
                 self._enqueue((v << 1) | (0 if self.phase[v] else 1), -1)
-                return True
-        return False
+                return
 
-    def _theory_sync(self, theory: Theory) -> Union[None, list[int], str]:
+    def _theory_sync(self, theory: Theory) -> Optional[list[int]]:
         while self.theory_head < len(self.trail):
             pos = self.theory_head
             lit = self.trail[pos]
@@ -316,24 +326,17 @@ class CDCL:
                 continue
             if t_confl is None:
                 # only _enqueue assigns (and appends to the trail) and
-                # only cancel_until unassigns (and truncates it)
-                full = len(self.trail) == len(self.assign)
-                t_confl = theory.check(final=full)
+                # only cancel_until unassigns (and truncates it); a final
+                # check may add a variable, which is then decided
+                t_confl = theory.check(
+                    final=len(self.trail) == len(self.assign))
                 if t_confl == "unknown":
                     return "unknown"
                 if t_confl is None:
-                    if full:
+                    if len(self.trail) == len(self.assign):
                         return "sat"
-                    if not self._decide():
-                        t_confl = theory.check(final=True)
-                        if t_confl == "unknown":
-                            return "unknown"
-                        if t_confl is None:
-                            return "sat"
-                    else:
-                        continue
-            if t_confl == "unknown":
-                return "unknown"
+                    self._decide()
+                    continue
             clause = [neg(l) for l in t_confl]
             restart_ctr += 1
             if not self._handle_conflict_lits(clause, theory):

@@ -62,14 +62,13 @@ def _addmul(x: Triple, y: Triple, n: int, m: int) -> Triple:
 
 
 class Conflict(Exception):
-    def __init__(self, reasons: list[Optional[int]]):
+    def __init__(self, reasons: list[int]):
         self.reasons = reasons
         super().__init__("theory conflict")
 
 
-# a bound in force: its value and the asserting SAT literal (None for a
-# solver-internal bound)
-_Bound = tuple[Triple, Optional[int]]
+# a bound in force: its value and the asserting SAT literal
+_Bound = tuple[Triple, int]
 
 
 class Simplex:
@@ -142,7 +141,7 @@ class Simplex:
                 self.upper[v] = old
 
     def assert_bound(self, v: int, is_lower: bool, t: Triple,
-                     reason: Optional[int]) -> None:
+                     reason: int) -> None:
         """Tighten a bound; raises Conflict if it crosses the other side."""
         if is_lower:
             cur = self.lower[v]

@@ -12,6 +12,12 @@ the SAT core, the simplex tableau and every term cache persist, each
 pushed frame is guarded by an activation literal, and a check solves
 under the literals of the open frames (see `Solver`).
 
+Int variables are made integral by branch and bound through the SAT
+core (see `ArithTheory`): a final check that finds an Int variable at a
+non-integer value adds a bound atom that splits its range, and the core
+decides it, lower branch first. Split atoms stay for later checks. After
+`_MAX_SPLITS` splits in one check, the check answers unknown.
+
 A definition (`Solver.define`, from `define-fun`) names a term instead
 of constraining it: a defined v gets no simplex variable and no SAT
 literal of its own. A numeric v stands for the linear form of its body,
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import sat
 from .sexpr import SExpr
@@ -269,13 +275,39 @@ class _Ackermann:
 # theory adapter --------------------------------------------------------------
 
 
+_MAX_SPLITS = 400  # splits per Solver.check before it answers unknown
+
+
 class ArithTheory(sat.Theory):
-    def __init__(self, simplex: Simplex, atom_of_var: dict,
+    """The simplex as a DPLL(T) theory, and the table of its bound atoms.
+
+    Each atom is one SAT variable over one simplex variable: true asserts
+    its upper bound, false its lower bound. A final check that finds an
+    Int variable x at a value b that is fractional or shifted by delta
+    splits on demand: it makes the atom x <= floor(b), whose negation is
+    x >= floor(b) + 1, and the SAT core decides it, true first, so the
+    lower branch is tried first. Every bound in force is thus asserted
+    by a literal, and every conflict is one infeasible row. After
+    `_MAX_SPLITS` splits in one check, that check answers unknown."""
+
+    def __init__(self, cdcl: sat.CDCL, simplex: Simplex,
                  int_vars: list[int]):
+        self.cdcl = cdcl
         self.simplex = simplex
-        self.atom_of_var = atom_of_var  # sat var -> (svar, ub, lb triples)
         self.int_vars = int_vars
+        self.atom_of_var: dict[int, tuple] = {}  # sat var -> (svar, ub, lb)
+        self._atom_key: dict[tuple, int] = {}  # (svar,) + ub -> sat var
         self.stack: list[tuple[int, int]] = []  # (sat trail pos, mark)
+        self.splits = 0
+
+    def atom(self, svar: int, ub: tuple, lb: tuple) -> int:
+        """Literal of svar <= ub, whose negation is svar >= lb."""
+        key = (svar,) + ub
+        v = self._atom_key.get(key)
+        if v is None:
+            v = self._atom_key[key] = self.cdcl.new_var()
+            self.atom_of_var[v] = (svar, ub, lb)
+        return v << 1
 
     def assert_lit(self, lit: int, pos: int):
         info = self.atom_of_var.get(lit >> 1)
@@ -289,7 +321,7 @@ class ArithTheory(sat.Theory):
             else:
                 self.simplex.assert_bound(svar, False, ub, lit)
         except Conflict as c:
-            return [l for l in c.reasons if l is not None]
+            return c.reasons
         self.stack.append((pos, mark))
         return None
 
@@ -302,61 +334,25 @@ class ArithTheory(sat.Theory):
         try:
             self.simplex.check()
         except Conflict as c:
-            return [l for l in c.reasons if l is not None]
-        if final and self.int_vars:
-            return self._check_ints()
-        return None
-
-    # branch and bound over the integer-sorted simplex variables
-
-    def _check_ints(self):
-        budget = [400]
-        res, expl = self._bb(budget)
-        if res == "sat":
+            return c.reasons
+        if not final:
             return None
-        if res == "unknown":
-            return "unknown"
-        expl = [l for l in expl if l is not None]
-        return expl
-
-    def _split_var(self) -> Optional[int]:
         beta = self.simplex.beta
         for v in self.int_vars:
-            _, d, q = beta[v]
+            a, d, q = beta[v]
             if d != 0 or q != 1:
-                return v
-        return None
-
-    def _bb(self, budget: list[int]):
-        try:
-            self.simplex.check()
-        except Conflict as c:
-            return "unsat", set(c.reasons)
-        v = self._split_var()
-        if v is None:
-            return "sat", None
-        a, d, q = self.simplex.beta[v]
+                break
+        else:
+            return None
+        if self.splits >= _MAX_SPLITS:
+            return "unknown"
+        self.splits += 1
         f = a // q  # the floor of beta, one less if beta is an integer - delta
         if a % q == 0 and d < 0:
             f -= 1
-        results = []
-        for is_lower, val in ((False, (f, 0, 1)), (True, (f + 1, 0, 1))):
-            if budget[0] <= 0:
-                return "unknown", None
-            budget[0] -= 1
-            mark = self.simplex.mark()
-            try:
-                self.simplex.assert_bound(v, is_lower, val, None)
-                r, e = self._bb(budget)
-            except Conflict as c:
-                r, e = "unsat", set(c.reasons)
-            self.simplex.undo_to(mark)
-            if r == "sat":
-                return "sat", None
-            if r == "unknown":
-                return "unknown", None
-            results.append(e)
-        return "unsat", results[0] | results[1]
+        lit = self.atom(v, (f, 0, 1), (f + 1, 0, 1))
+        self.cdcl.phase[lit >> 1] = True
+        return None
 
 
 # solver ----------------------------------------------------------------------
@@ -379,23 +375,17 @@ class Solver:
     linear combination its arithmetic atoms compare becomes one slack
     row. After an SmtError from ``check`` the solver is unusable; a new
     one with the same definitions and frames answers the same error
-    until the term that raised it is popped.
+    until the term that raised it is popped."""
 
-    ``Solver(terms)`` adds the terms to the bottom frame and encodes
-    them."""
-
-    def __init__(self, terms: Sequence[Term] = ()):
+    def __init__(self):
         self.cdcl = sat.CDCL()
         self.simplex = Simplex()
-        self.atom_of_var: dict[int, tuple] = {}
         self.int_vars: list[int] = []
-        self.theory = ArithTheory(self.simplex, self.atom_of_var,
-                                  self.int_vars)
+        self.theory = ArithTheory(self.cdcl, self.simplex, self.int_vars)
         self._bool_lit: dict[Term, int] = {}
         self._num_var: dict[Term, int] = {}  # numeric var/ite -> simplex var
         self._num_sort: dict[int, str] = {}
         self._slack: dict[tuple, int] = {}
-        self._atom_key: dict[tuple, int] = {}
         self.definitions: dict[Term, Term] = {}  # var -> body, as given
         self._defs: dict[Term, Term] = {}  # var -> body, rewritten
         self._def_linear: dict[Term, tuple] = {}  # numeric var -> body's form
@@ -409,9 +399,6 @@ class Solver:
         self.cdcl.add_clause([self._true << 1])
         self.result: Optional[str] = None
         self._num_model: Optional[list[Fraction]] = None
-        for t in terms:
-            self.add(t)
-        self._encode()
 
     def add(self, t: Term) -> None:
         if sort_of(t) != BOOL:
@@ -689,19 +676,13 @@ class Solver:
                 ub, lb = (p, 0, q), (p, q, q)
             else:
                 ub, lb = (p, -q, q), (p, 0, q)
-        key = (svar,) + ub
-        hit = self._atom_key.get(key)
-        if hit is not None:
-            return hit << 1
-        v = self.cdcl.new_var()
-        self._atom_key[key] = v
-        self.atom_of_var[v] = (svar, ub, lb)
-        return v << 1
+        return self.theory.atom(svar, ub, lb)
 
     # solving and models ------------------------------------------------------
 
     def check(self) -> str:
         self._encode()
+        self.theory.splits = 0
         self.result = self.cdcl.solve(self.theory, assumptions=self._acts)
         if self.result == "sat":
             self._num_model = self.simplex.model()

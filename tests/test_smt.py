@@ -504,9 +504,19 @@ def _t(text, decls=DECLS):
     return term_of(parse_all(text)[0], decls)
 
 
+def _checked(terms):
+    """A Solver with the terms added to its bottom frame, after its
+    check."""
+    s = Solver()
+    for t in terms:
+        s.add(t)
+    s.check()
+    return s
+
+
 def _solve(*texts):
-    s = Solver([_t(x) for x in texts])
-    verdict = s.check()
+    s = _checked([_t(x) for x in texts])
+    verdict = s.result
     if verdict == "sat":
         for x in texts:
             assert s.model_value(_t(x)) is True, x
@@ -543,6 +553,33 @@ def test_solver_int_cuts():
     s, verdict = _solve("(= (+ (* 3 x) (* 5 y)) 11)", "(>= x 0)", "(>= y 0)")
     assert verdict == "sat"
     assert s.model_value(_t("x")) == 2 and s.model_value(_t("y")) == 1
+
+
+def test_split_atoms_serve_later_checks():
+    frame = ["(push 1)", "(assert (= (+ (* 3 x) (* 5 y)) 11))",
+             "(assert (>= x 0))", "(assert (>= y 0))", "(check-sat)",
+             "(get-value (x y))"]
+    session, out = _feed(["(declare-const x Int)", "(declare-const y Int)"]
+                         + frame)
+    assert out.splitlines() == ["sat", "((x 2) (y 1))"]
+    assert session.solver.theory.splits > 0
+    # the split atoms of the first check are decided, not made again
+    start = len(out)
+    for line in ["(pop 1)"] + frame:
+        session.feed(line)
+    assert session.out.getvalue()[start:].splitlines() == \
+        ["sat", "((x 2) (y 1))"]
+    assert session.solver.theory.splits == 0
+
+
+def test_split_budget_ends_the_search():
+    # 3x + 18y = 2 after substituting z: no integer solution, which
+    # branch and bound without cuts cannot show
+    decls = {n: ("const", "Int") for n in "xyz"}
+    s = _checked([_t("(= (+ (* (- 2) x) (* (- 2) y) (* 5 z)) 2)", decls),
+                  _t("(= (+ x (* 4 y) (- z)) 0)", decls)])
+    assert s.result == "unknown"
+    assert s.theory.splits == 400
 
 
 def test_solver_ite_and_equality():
@@ -597,10 +634,10 @@ def test_solver_model_is_pinned_by_the_pivot_order():
     # many models satisfy these; Bland's rule over the tableau picks one,
     # and counterexample traces are read from such models
     decls = {v: ("const", "Real") for v in "rqs"}
-    s = Solver([term_of(_parse_one(
+    s = _checked([term_of(_parse_one(
         "(and (>= (+ r q s) 5) (<= (- r q) 1) (>= (+ q (* 2 s)) 4) "
         "(< (+ r (* 3 s)) 8) (>= r 0) (>= q 0) (>= s 0))"), decls)])
-    assert s.check() == "sat"
+    assert s.result == "sat"
     assert [s.model_value(("var", v, "Real")) for v in "rqs"] == \
         [F(7, 3), F(4, 3), F(4, 3)]
 
@@ -614,9 +651,9 @@ def test_solver_rejects_a_model_that_fails_its_terms(monkeypatch, shift):
 
     monkeypatch.setattr(Simplex, "model", perturbed)
     with pytest.raises(ModelCheckError):
-        Solver([_t("(= (+ x y) 10)"), _t("(= (- x y) 4)")]).check()
+        _checked([_t("(= (+ x y) 10)"), _t("(= (- x y) 4)")])
     with pytest.raises(ModelCheckError):
-        Solver([_t("(< r 2.0)"), _t("(> r 1.5)")]).check()
+        _checked([_t("(< r 2.0)"), _t("(> r 1.5)")])
 
 
 def test_solver_let_and_distinct():
@@ -954,15 +991,7 @@ class _FractionEncoding(Solver):
         else:
             ub = (bound, F(0) if op == "<=" else F(-1))
             lb = (bound, F(1) if op == "<=" else F(0))
-        ub, lb = _triple(*ub), _triple(*lb)
-        key = (svar,) + ub
-        hit = self._atom_key.get(key)
-        if hit is not None:
-            return hit << 1
-        v = self.cdcl.new_var()
-        self._atom_key[key] = v
-        self.atom_of_var[v] = (svar, ub, lb)
-        return v << 1
+        return self.theory.atom(svar, _triple(*ub), _triple(*lb))
 
 
 def _same_encoding(texts, decls, defs=()):
@@ -976,8 +1005,9 @@ def _same_encoding(texts, decls, defs=()):
             s.add(_t(x, decls))
         s._encode()
     assert list(new._slack.items()) == list(ref._slack.items()), texts
-    assert list(new._atom_key.items()) == list(ref._atom_key.items()), texts
-    assert new.atom_of_var == ref.atom_of_var, texts
+    assert list(new.theory._atom_key.items()) == \
+        list(ref.theory._atom_key.items()), texts
+    assert new.theory.atom_of_var == ref.theory.atom_of_var, texts
     assert new.simplex.rows == ref.simplex.rows, texts
     return new
 
@@ -1082,8 +1112,8 @@ def test_solver_differential_bool_formulas():
         sx = gen(4)
         want = any(_eval_bool(sx, dict(zip(names, bits)))
                    for bits in product((False, True), repeat=len(names)))
-        s = Solver([term_of(sx, decls)])
-        assert s.check() == ("sat" if want else "unsat"), sx
+        s = _checked([term_of(sx, decls)])
+        assert s.result == ("sat" if want else "unsat"), sx
 
 
 def test_solver_differential_int_formulas():
@@ -1123,8 +1153,8 @@ def test_solver_differential_int_formulas():
         # restrict the solver to the same grid so verdicts line up
         box = [["and", ["<=", ["-", "3"], n], ["<=", n, "3"]]
                for n in names]
-        s = Solver([term_of(["and", sx] + box, decls)])
-        assert s.check() == ("sat" if want else "unsat"), sx
+        s = _checked([term_of(["and", sx] + box, decls)])
+        assert s.result == ("sat" if want else "unsat"), sx
 
 
 # bundled process and session --------------------------------------------------
@@ -1392,7 +1422,7 @@ def _differential_session(lines):
         active = [t for frame in session.frames for t in frame]
         assert len(active) == sum(map(len, texts))
         try:
-            want = Solver(active).check()
+            want = _checked(active).result
         except SmtError as e:
             want = f'(error "{e}")'
         assert reply == want, lines
