@@ -5,16 +5,15 @@ exhaustive search for boolean systems, a separate entry point."""
 
 from .codegen import CompiledSystem, compile_system
 from .core import (EngineConfig, Falsified, InternalError, Unknown,
-                   UnknownReason, Valid, VerifyResult, bmc, eval_formula,
-                   exhaustive_search, generate_invariants, kinduction,
-                   make_replayer, simulate_system, verdict_row, verify_all)
+                   UnknownReason, Valid, VerifyResult, bmc, exhaustive_search,
+                   generate_invariants, kinduction, make_replayer,
+                   simulate_system, verdict_row, verify_all)
 from .encode import Unroller, logic_for
 
 __all__ = [
-    "CompiledSystem", "compile_system", "eval_formula",
-    "EngineConfig", "Falsified", "InternalError",
-    "Unknown", "UnknownReason", "Valid", "VerifyResult", "bmc",
-    "exhaustive_search", "generate_invariants", "kinduction",
+    "CompiledSystem", "compile_system", "EngineConfig", "Falsified",
+    "InternalError", "Unknown", "UnknownReason", "Valid", "VerifyResult",
+    "bmc", "exhaustive_search", "generate_invariants", "kinduction",
     "make_replayer", "simulate_system", "verdict_row", "verify_all",
     "Unroller", "logic_for",
 ]

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 from ..interp import Trace, Value
 from ..lang import Binary, Expr, LangError, Type, Var, pretty_expr
 from ..smt import SmtSession, SolverFailure
-from ..tsys import TransitionSystem, fold_consts, literal, map_vars
+from ..tsys import TransitionSystem, literal
 from .codegen import CompiledSystem, compile_system
 from .encode import Unroller, logic_for
 
@@ -35,7 +35,7 @@ __all__ = [
     "EngineConfig", "Valid", "Falsified", "Unknown", "UnknownReason",
     "VerifyResult", "InternalError", "bmc", "kinduction",
     "exhaustive_search", "generate_invariants", "verify_all",
-    "simulate_system", "make_replayer", "eval_formula", "verdict_row",
+    "simulate_system", "make_replayer", "verdict_row",
 ]
 
 
@@ -132,11 +132,11 @@ class _Unrolling:
     and assumptions, and the fixed invariants. Equations cross as
     ``define-fun``, never as assertions. The unrolling starts in any
     state; a base query pushes the initial condition with its goals, a
-    step query only its goals. Each query checks, reads the model if
-    there is one, and pops,
-    so one unrolling serves the base and step queries of every depth of
-    a check (Een & Sorensson, "Temporal induction by incremental SAT
-    solving", BMC 2003). The bundled solver keeps one SAT core and
+    step query only its goals. Each query checks, reads the model's
+    values of the terms it is given if there is one, and pops, so one
+    unrolling serves the base and step queries of every depth of a check
+    (Een & Sorensson, "Temporal induction by incremental SAT solving",
+    BMC 2003). The bundled solver keeps one SAT core and
     tableau for the conversation: each instant is encoded once, each
     defined name is expanded where it is used, and the clauses learned
     by one query serve the next."""
@@ -172,14 +172,13 @@ class _Unrolling:
             for inv in self.invs:
                 s.assert_text(un.formula(inv, t))
 
-    def query(self, n: int, goals: Sequence[str],
-              decode: Optional[Callable[[SmtSession], object]] = None, *,
-              init: bool = False):
+    def query(self, n: int, goals: Sequence[str], read: Sequence[str] = (),
+              *, init: bool = False) -> Union[str, list[Value]]:
         """Check the unrolling up to instant n together with the goals,
         and the initial condition when init: 'unsat', 'unknown', or on
-        'sat' what decode reads from the model ('sat' without decode).
-        The unrolling must not be deeper than n, since the assumptions
-        of a later instant could rule out paths that end at n."""
+        'sat' the model's values of the terms to read, in order. The
+        unrolling must not be deeper than n, since the assumptions of a
+        later instant could rule out paths that end at n."""
         if self.depth > n:
             raise InternalError(
                 f"query at depth {n} on an unrolling {self.depth} deep")
@@ -190,8 +189,9 @@ class _Unrolling:
             self.un.assert_init(s)
         for g in goals:
             s.assert_text(g)
-        verdict = s.check_sat()
-        out = decode(s) if verdict == "sat" and decode else verdict
+        out = s.check_sat()
+        if out == "sat":
+            out = s.get_values(read) if read else []
         s.pop()
         return out
 
@@ -216,9 +216,9 @@ def _base_case(unr: _Unrolling, prop: Expr, n: int,
     None when there is none."""
     un = unr.un
     outcome = unr.query(n, [f"(not {un.formula(prop, n)})"],
-                        lambda s: un.decode_inputs(s, n), init=True)
-    if isinstance(outcome, Trace):
-        return _screen_cex(un.ts, outcome, n, replay)
+                        un.input_terms(n), init=True)
+    if isinstance(outcome, list):
+        return _screen_cex(un.ts, un.decode_inputs(outcome), n, replay)
     if outcome == "unknown":
         return Unknown(UnknownReason.SOLVER_ERROR,
                        f"solver answered unknown at depth {n}")
@@ -448,13 +448,6 @@ def _mine_candidates(ts: TransitionSystem,
     return out
 
 
-def eval_formula(e: Expr, env: dict[str, Value]) -> Value:
-    """Evaluate a formula over a full variable environment: each variable
-    becomes its value as a literal, and constant folding does the rest."""
-    values = map_vars(e, lambda v: literal(env[v.name], v.ty))
-    return fold_consts(values).value
-
-
 _HOUDINI_K = 2
 
 
@@ -489,43 +482,44 @@ def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
     d < k; dropping candidates never revives a base case, so each depth
     is done once. Step queries then push the alive candidates at the
     instants before k with a violation of one at k, until no candidate
-    is violated."""
+    is violated. Each sat query reads the alive candidates' values in
+    its model to choose which to drop; the invariants rest only on the
+    last, unsat, query."""
     k = _HOUDINI_K
 
-    def violation(t: int) -> str:
-        bad = " ".join(f"(not {un.formula(c, t)})" for c in alive)
-        return f"(or {bad})" if len(alive) > 1 else bad
-
-    def values_at(t: int) -> Callable[[SmtSession], dict[str, Value]]:
-        return lambda s: un.model_values(s, un.all_vars, [t])[0]
-
-    def drop_violated(env, t: int) -> None:
-        if not isinstance(env, dict):
+    def drop_violated(t: int, held: Sequence[str] = (),
+                      init: bool = False) -> bool:
+        """Ask for a model that violates some alive candidate at instant
+        t, and drop the candidates it violates. False when there is none."""
+        now = [un.formula(c, t) for c in alive]
+        bad = " ".join(f"(not {f})" for f in now)
+        goal = f"(or {bad})" if len(now) > 1 else bad
+        holds = unr.query(t, [*held, goal], now, init=init)
+        if holds == "unsat":
+            return False
+        if holds == "unknown":
             raise _HoudiniGaveUp("solver unknown")
-        kept = [c for c in alive if eval_formula(c, env)]
+        kept = [c for c, ok in zip(alive, holds) if ok]
         if len(kept) == len(alive):
             raise InternalError(
                 f"the solver's model at instant {t} violates none of the "
                 f"{len(alive)} candidates it was asked to violate")
         alive[:] = kept
+        return True
 
     with _Unrolling(un, cfg) as unr:
         for d in range(k):
             while alive:
                 if deadline.expired:
                     raise _HoudiniGaveUp("deadline")
-                env = unr.query(d, [violation(d)], values_at(d), init=True)
-                if env == "unsat":
+                if not drop_violated(d, init=True):
                     break
-                drop_violated(env, d)
         while alive:
             if deadline.expired:
                 raise _HoudiniGaveUp("deadline")
             held = [un.formula(c, t) for t in range(k) for c in alive]
-            env = unr.query(k, held + [violation(k)], values_at(k))
-            if env == "unsat":
+            if not drop_violated(k, held):
                 break
-            drop_violated(env, k)
     return alive
 
 

@@ -12,9 +12,9 @@ carry the assumptions, invariants, initial condition and goals.
 
 A definition whose right side is a bare variable, such as the renaming
 `A.x = x` that node inlining leaves for each call argument, is an alias:
-it is neither declared nor defined, every formula renders it as the
-variable at the end of its alias chain (its representative), and model
-reads go through that representative.
+it is neither declared nor defined, and `at` renders it, in a formula
+or a term whose model value is read, as the variable at the end of its
+alias chain (its representative).
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ class Unroller:
         self.types = ts.var_types()
         self._inputs = [n for n, _ in ts.input_vars]
         self._states = [n for n, _ in ts.state_vars]
-        self.all_vars = (self._inputs + self._states
-                         + [n for n, _ in ts.defined_vars])
         self.rep = _representatives(ts)
         self._defined = [(n, rhs) for n, rhs in ts.definitions
                          if n not in self.rep]
@@ -125,18 +123,14 @@ class Unroller:
                     f"(= {self.at(n, i)} {self.at(n, j)})" for n in names)
                 s.assert_text(f"(not (and {eqs}))")
 
-    def model_values(self, s: SmtSession, names: Sequence[str],
-                     instants: Sequence[int]) -> list[dict[str, Value]]:
-        """The model's value of each name at each instant, typed as the
-        name is declared: one dict per instant. An alias reads its
-        representative's value."""
-        reps = {n: self.rep.get(n, n) for n in names}
-        raw = s.get_values([f"{r}@{t}" for t in instants
-                            for r in dict.fromkeys(reps.values())])
-        return [{n: _VALUE[self.types[n]](raw[f"{reps[n]}@{t}"])
-                 for n in names}
-                for t in instants]
+    def input_terms(self, upto: int) -> list[str]:
+        """The inputs of instants 0..upto, instant by instant: the terms
+        whose model values ``decode_inputs`` reads."""
+        return [self.at(n, t) for t in range(upto + 1) for n in self._inputs]
 
-    def decode_inputs(self, s: SmtSession, upto: int) -> Trace:
-        rows = self.model_values(s, self._inputs, range(upto + 1))
-        return Trace({n: [row[n] for row in rows] for n in self._inputs})
+    def decode_inputs(self, values: Sequence[Value]) -> Trace:
+        """The trace of the model values of ``input_terms``, each typed as
+        its input is declared."""
+        width = len(self._inputs)
+        return Trace({n: [_VALUE[self.types[n]](v) for v in values[i::width]]
+                      for i, n in enumerate(self._inputs)})

@@ -28,10 +28,10 @@ reply, drops the pending text, and reads the next command afresh.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from typing import Optional
 
-from .sexpr import Incomplete, SExpr, SExprError, format_sexpr, parse_all
+from .sexpr import (Incomplete, SExpr, SExprError, format_number,
+                    format_sexpr, parse_all)
 from .solver import BOOL, INT, REAL, SmtError, Solver, sort_of, term_of
 
 _SORTS = {"Bool", "Int", "Real"}
@@ -42,12 +42,7 @@ _STACK_COMMANDS = {"declare-const", "declare-fun", "define-fun", "assert",
 def format_value(v, sort: str) -> str:
     if sort == BOOL:
         return "true" if v else "false"
-    v = Fraction(v)
-    if sort == INT:
-        return str(v) if v >= 0 else f"(- {-v})"
-    mag = f"{abs(v.numerator)}.0" if v.denominator == 1 else \
-        f"(/ {abs(v.numerator)}.0 {v.denominator}.0)"
-    return mag if v >= 0 else f"(- {mag})"
+    return format_number(v, sort == REAL)
 
 
 def _count(args: list) -> int:

@@ -54,20 +54,16 @@ def resolve_solver_command(explicit: Optional[str] = None) -> list[str]:
 def parse_value(sx: SExpr) -> Value:
     """Value term from a get-value reply."""
     if isinstance(sx, str):
-        if sx == "true":
-            return True
-        if sx == "false":
-            return False
-        if "." in sx:
-            return Fraction(sx)
-        return int(sx)
-    if len(sx) == 2 and sx[0] == "-":
-        v = parse_value(sx[1])
-        return -v
-    if len(sx) == 3 and sx[0] == "/":
-        num = parse_value(sx[1])
-        den = parse_value(sx[2])
-        return Fraction(num) / Fraction(den)
+        if sx in ("true", "false"):
+            return sx == "true"
+        try:
+            return Fraction(sx) if "." in sx else int(sx)
+        except ValueError:
+            pass
+    elif len(sx) == 2 and sx[0] == "-":
+        return -parse_value(sx[1])
+    elif len(sx) == 3 and sx[0] == "/":
+        return Fraction(parse_value(sx[1])) / Fraction(parse_value(sx[2]))
     raise SolverFailure(f"unrecognized value term: {sx!r}")
 
 
@@ -160,9 +156,15 @@ class SmtSession:
             raise SolverFailure("solver has no stdout")
         return self.proc.stdout.readline()
 
+    def _fail(self, message: str) -> SolverFailure:
+        """End the conversation after a reply it cannot use, since later
+        replies may be out of step, and return the failure to raise."""
+        self.close()
+        return SolverFailure(message)
+
     def _read_reply(self) -> SExpr:
         """The next reply, read up to the line that completes it and
-        parsed once."""
+        parsed once. A malformed reply ends the conversation."""
         buf = ""
         while True:
             line = self._readline()
@@ -176,20 +178,17 @@ class SmtSession:
                 exprs = parse_all(buf)
             except Incomplete:
                 continue
-            except SExprError as e:  # out of step too, as below
-                self.close()
-                raise SolverFailure(f"unparseable reply {buf.strip()!r}: "
-                                    f"{e}") from e
+            except SExprError as e:
+                raise self._fail(f"unparseable reply {buf.strip()!r}: "
+                                 f"{e}") from e
             if not exprs:
                 continue
             if isinstance(exprs[0], list) and exprs[0][:1] == ["error"]:
                 # the error may answer an earlier line that expects no
-                # reply, so later replies would be out of step: the
-                # conversation ends here
-                self.close()
-                raise SolverFailure(f"solver error: {buf.strip()}")
+                # reply, so later replies would be out of step
+                raise self._fail(f"solver error: {buf.strip()}")
             if len(exprs) != 1:
-                raise SolverFailure(f"unexpected reply: {buf.strip()}")
+                raise self._fail(f"unexpected reply: {buf.strip()}")
             return exprs[0]
 
     # commands
@@ -221,24 +220,24 @@ class SmtSession:
         self.send("(check-sat)")
         reply = self._read_reply()
         if reply not in ("sat", "unsat", "unknown"):
-            raise SolverFailure(f"unexpected check-sat reply: {reply!r}")
+            raise self._fail(f"unexpected check-sat reply: {reply!r}")
         return reply
 
-    def get_values(self, names: list[str]) -> dict[str, Value]:
-        if not names:
-            return {}
-        listing = " ".join(format_atom(n) for n in names)
-        self.send(f"(get-value ({listing}))")
+    def get_values(self, terms: Sequence[str]) -> list[Value]:
+        """The model's value of each SMT-LIB term, in the order asked.
+        The reply must hold one (term value) pair per term."""
+        if not terms:
+            return []
+        self.send(f"(get-value ({' '.join(terms)}))")
         reply = self._read_reply()
-        if not isinstance(reply, list):
-            raise SolverFailure(f"unexpected get-value reply: {reply!r}")
-        out: dict[str, Value] = {}
-        for pair in reply:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and isinstance(pair[0], str)):
-                raise SolverFailure(f"unexpected get-value pair: {pair!r}")
-            out[pair[0]] = parse_value(pair[1])
-        return out
+        if not (isinstance(reply, list) and len(reply) == len(terms)
+                and all(isinstance(p, list) and len(p) == 2 for p in reply)):
+            raise self._fail("get-value reply is not one (term value) pair "
+                             f"per term: {reply!r}")
+        try:
+            return [parse_value(value) for _, value in reply]
+        except SolverFailure as e:
+            raise self._fail(str(e)) from e
 
     def close(self) -> None:
         if self._local is not None:
@@ -257,7 +256,10 @@ class SmtSession:
                 self.proc.kill()
                 self.proc.wait()
         if self.proc.stdin:
-            self.proc.stdin.close()
+            try:
+                self.proc.stdin.close()
+            except BrokenPipeError:  # it flushes what the child never read
+                pass
         if self.proc.stdout:
             self.proc.stdout.close()
 

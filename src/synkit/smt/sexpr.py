@@ -15,6 +15,7 @@ input can mend it.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Union
 
 SExpr = Union[str, list]
@@ -77,6 +78,17 @@ def format_atom(s: str) -> str:
             and all(c in _PLAIN_REST for c in s):
         return s
     return f"|{s}|"
+
+
+def format_number(v: Union[int, Fraction], real: bool) -> str:
+    """An Int or Real constant as an SMT-LIB term: a numeral, a decimal
+    `n.0` or a quotient `(/ n.0 d.0)` for a Real, negated as `(- ...)`."""
+    if real:
+        num, den = abs(v.numerator), v.denominator
+        mag = f"{num}.0" if den == 1 else f"(/ {num}.0 {den}.0)"
+    else:
+        mag = str(abs(v))
+    return mag if v >= 0 else f"(- {mag})"
 
 
 def format_sexpr(e: SExpr) -> str:

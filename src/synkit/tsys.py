@@ -28,6 +28,7 @@ from .lang import (Arrow, Binary, BoolLit, Call, Expr, IntLit, Ite,
                    LangError, Pre, RealLit, Type, TypedProgram, Unary, Var,
                    rebuild, walk)
 from .lang.typecheck import instance_names
+from .smt.sexpr import format_number
 
 INIT_FLAG = "_init"
 
@@ -295,13 +296,8 @@ def to_sexpr(e: Expr, var_fn: Callable[[str], str]) -> str:
     (already quoted/indexed) solver symbols."""
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
-    if isinstance(e, IntLit):
-        return str(e.value) if e.value >= 0 else f"(- {-e.value})"
-    if isinstance(e, RealLit):
-        v = e.value
-        num, den = abs(v.numerator), v.denominator
-        body = f"{num}.0" if den == 1 else f"(/ {num}.0 {den}.0)"
-        return body if v >= 0 else f"(- {body})"
+    if isinstance(e, (IntLit, RealLit)):
+        return format_number(e.value, isinstance(e, RealLit))
     if isinstance(e, Var):
         return var_fn(e.name)
     if isinstance(e, Unary):

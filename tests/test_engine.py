@@ -10,9 +10,9 @@ from synkit import tsys
 from synkit.benchlib import load_benchmark
 from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
                            UnknownReason, Valid, bmc, compile_system, core,
-                           eval_formula, exhaustive_search,
-                           generate_invariants, kinduction, logic_for,
-                           make_replayer, simulate_system, verify_all)
+                           exhaustive_search, generate_invariants,
+                           kinduction, logic_for, make_replayer,
+                           simulate_system, verify_all)
 from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
 from synkit.lang import LangError, parse, pretty_expr, typecheck
@@ -439,7 +439,8 @@ def test_houdini_model_candidate_disagreement_is_internal_error(
         monkeypatch):
     # a model that violates none of the candidates it was asked to
     # violate is a bug, and must not read as "no invariants"
-    monkeypatch.setattr(core, "eval_formula", lambda expr, env: True)
+    monkeypatch.setattr(SmtSession, "get_values",
+                        lambda self, terms: [True] * len(terms))
     _, ts = _ts(SAT_CHAIN, "Chain")
     with pytest.raises(InternalError):
         kinduction(ts, "ok",
@@ -506,10 +507,10 @@ def test_verify_all_stray_key_error_is_internal_error(monkeypatch):
 def test_houdini_stray_value_error_is_internal_error(monkeypatch):
     # only the deadline, an unknown answer and solver failure mean "no
     # invariants"; any other ValueError out of Houdini is a bug
-    def stray(expr, env):
+    def stray(self, terms):
         raise ValueError("stray")
 
-    monkeypatch.setattr(core, "eval_formula", stray)
+    monkeypatch.setattr(SmtSession, "get_values", stray)
     _, ts = _ts(SAT_CHAIN, "Chain")
     with pytest.raises(InternalError):
         verify_all([(ts, "ok")],
@@ -620,15 +621,6 @@ tel
     cs = compile_system(ts, {"mystery": lambda v: v * 2})
     s2, _, _, defs = cs.step(cs.default_state, (21,))
     assert cs.decode(s2, defs)[1][cs.defined_names.index("b")] == 42
-
-
-def test_eval_formula_matches_python():
-    from synkit.lang import parse_expression, type_expression, Type
-    tp, ts = _ts(COUNTER, "Counter")
-    env = {"c": 2, "ok": True}
-    e = type_expression(tp, {"c": Type.INT, "ok": Type.BOOL},
-                        parse_expression("c + 1 = 3 and ok"))
-    assert eval_formula(e, env) is True
 
 
 def test_simulate_system_respects_assumptions():
@@ -767,12 +759,15 @@ def test_aliases_read_through_their_representative():
         s.assert_text("(= x@0 5)")
         s.assert_text("(= x@1 (- 2))")
         assert s.check_sat() == "sat"
-        rows = un.model_values(s, un.all_vars, [0, 1])
-        assert [sorted(row) for row in rows] == [sorted(un.all_vars)] * 2
+        names = [n for n, _ in ts.input_vars + ts.state_vars
+                 + ts.defined_vars]
+        rows = [dict(zip(names, s.get_values([un.at(n, t) for n in names])))
+                for t in (0, 1)]
         for row, x in zip(rows, (5, -2)):
             assert all(row[n] == x for n in ("x", "v", "w", "Id.a", "Id.b"))
         assert rows[1]["y"] == 5 and rows[1]["ok"] is True
-        assert un.decode_inputs(s, 1) == Trace({"x": [5, -2]})
+        values = s.get_values(un.input_terms(1))
+        assert un.decode_inputs(values) == Trace({"x": [5, -2]})
 
 
 def test_kinduction_sends_every_equation_as_a_definition(monkeypatch):

@@ -1535,8 +1535,11 @@ def _round_trip(s: SmtSession) -> None:
     s.assert_text("(= |n@0| 41)")
     s.assert_text("(= ok (< |n@0| 42))")
     assert s.check_sat() == "sat"
-    vals = s.get_values(["n@0", "ok"])
-    assert vals == {"n@0": 41, "ok": True}
+    # any term, a quoted symbol or a compound one, asked more than once:
+    # the values come back in the order asked
+    terms = ["(+ |n@0| 1)", "ok", "|n@0|", "(not ok)", "ok", "n@0"]
+    assert s.get_values(terms) == [42, True, 41, False, True, 41]
+    assert s.get_values([]) == []
     s.push()
     s.assert_text("(not ok)")
     assert s.check_sat() == "unsat"
@@ -1637,13 +1640,64 @@ def test_session_reads_a_reply_over_several_lines(no_solver, command):
         s.declare_const("a )\nb", "Int")
         s.assert_text("(= |a )\nb| 5)")
         assert s.check_sat() == "sat"
-        assert s.get_values(["a )\nb"]) == {"a )\nb": 5}
+        assert s.get_values(["|a )\nb|"]) == [5]
 
 
 def test_session_unparseable_reply_is_solver_failure():
     script = "import sys; print('sat)', flush=True); sys.stdin.readline()"
     with SmtSession([sys.executable, "-c", script]) as s:
         with pytest.raises(SolverFailure, match="unparseable"):
+            s.check_sat()
+        assert s.proc.poll() is not None
+
+
+def test_session_ends_quietly_when_the_child_stops_reading():
+    # the child closes its input before it replies, so the (exit) that
+    # ends the conversation cannot be written, and stays buffered
+    script = ("import os, time; os.close(0); print('sat)', flush=True); "
+              "time.sleep(0.3)")
+    with SmtSession([sys.executable, "-c", script]) as s:
+        with pytest.raises(SolverFailure, match="unparseable"):
+            s.check_sat()
+        assert s.proc.poll() is not None
+
+
+def _fake_child(replies: dict[str, str]) -> list[str]:
+    """A solver child that answers each line starting with a key of
+    replies with its value, reads other lines silently, and stops at
+    (exit)."""
+    script = ("import sys\n"
+              f"replies = {replies!r}\n"
+              "for line in sys.stdin:\n"
+              "    if line.startswith('(exit'):\n"
+              "        break\n"
+              "    for cmd, reply in replies.items():\n"
+              "        if line.startswith(cmd):\n"
+              "            print(reply, flush=True)\n")
+    return [sys.executable, "-c", script]
+
+
+def _get_two(s: SmtSession) -> list:
+    assert s.check_sat() == "sat"
+    return s.get_values(["x", "(+ x 1)"])
+
+
+@pytest.mark.parametrize("replies, ask, match", [
+    ({"(check-sat": "sat unsat"}, SmtSession.check_sat, "unexpected reply"),
+    ({"(check-sat": "maybe"}, SmtSession.check_sat, "check-sat reply"),
+    ({"(check-sat": "sat", "(get-value": "((x 1))"}, _get_two, "pair"),
+    ({"(check-sat": "sat", "(get-value": "(x 1)"}, _get_two, "pair"),
+    ({"(check-sat": "sat", "(get-value": "((x 1) ((+ x 1) two))"},
+     _get_two, "unrecognized value"),
+], ids=["two-words", "unknown-word", "missing-pair", "not-pairs",
+        "bad-value"])
+def test_session_malformed_reply_ends_the_session(replies, ask, match):
+    # later replies may be out of step with the lines that asked for them
+    with SmtSession(_fake_child(replies)) as s:
+        with pytest.raises(SolverFailure, match=match):
+            ask(s)
+        assert s.proc.poll() is not None
+        with pytest.raises(SolverFailure, match="gone"):
             s.check_sat()
 
 
