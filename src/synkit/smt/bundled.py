@@ -14,9 +14,9 @@ has an activation literal, and a check-sat encodes only the terms
 asserted since the last one. A `define-fun` names its body (see
 `solver`); like a declaration, it outlives the frame it was made in. A
 term the solver cannot encode, such as a nonlinear product, is reported
-when a check-sat encodes it; the session then starts a new solver with
-the same definitions and stack, so every check-sat answers the same
-error until the term is popped.
+when a check-sat encodes it. A term that cannot be encoded stays
+unencoded in its frame, so every check-sat answers the same error until
+the term is popped.
 
 Each input line is parsed once, together with the lines before it that
 did not yet complete a command. Text that ends inside an expression is
@@ -68,11 +68,6 @@ class Session:
         self.decls: dict[str, tuple] = {}
         self.solver = Solver()
         self.has_model = False
-
-    @property
-    def frames(self) -> list[list]:
-        """The assertion stack: the terms asserted in each frame."""
-        return self.solver.frames
 
     def reply(self, text: str) -> None:
         self.out.write(text + "\n")
@@ -131,13 +126,7 @@ class Session:
             self.solver.add(term_of(args[0], self.decls))
             return True
         if cmd == "check-sat":
-            try:
-                verdict = self.solver.check()
-            except SmtError:
-                # a half-encoded solver is unusable: a new one over the
-                # same stack answers the same error until it is popped
-                self._rebuild()
-                raise
+            verdict = self.solver.check()
             self.has_model = verdict == "sat"
             self.reply(verdict)
             return True
@@ -163,18 +152,6 @@ class Session:
         if cmd == "exit":
             return False
         raise SmtError(f"unsupported command {cmd}")
-
-    def _rebuild(self) -> None:
-        """A new solver with the same definitions and frames, with
-        nothing encoded."""
-        old, self.solver = self.solver, Solver()
-        for v, e in old.definitions.items():
-            self.solver.define(v, e)
-        for i, frame in enumerate(old.frames):
-            if i:
-                self.solver.push()
-            for t in frame:
-                self.solver.add(t)
 
     def _declare(self, name, params, ret) -> None:
         if not isinstance(name, str) or isinstance(ret, list):

@@ -3,9 +3,13 @@ DPLL(T) glue between the SAT core and the simplex theory.
 
 Supported fragment: quantifier-free boolean structure over linear
 Int/Real arithmetic atoms, if-then-else, and uninterpreted functions
-(eliminated by Ackermann expansion as terms are encoded). Nonlinear
-terms are rejected with an error. Every sat model is checked against
-the asserted terms of the open frames before it is answered.
+(eliminated by Ackermann expansion as terms are encoded: each distinct
+application gets a fresh var, and each pair of applications of one
+function an axiom that equal arguments give equal values). Nonlinear
+terms are rejected with an error. Every sat model is checked before it
+is answered: the applications of each function must agree wherever
+their arguments agree, every Int variable must be integral, and every
+term of the open frames, as given, must evaluate to true.
 
 One `Solver` serves a whole conversation, its pushes and pops included:
 the SAT core, the simplex tableau and every term cache persist, each
@@ -43,6 +47,7 @@ has (p, 0, q) and (p, q, q), x < p/q has (p, -q, q) and (p, 0, q).
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
@@ -60,9 +65,9 @@ class SmtError(Exception):
 
 
 class ModelCheckError(Exception):
-    """A sat model that violates an asserted term or gives an Int
-    variable a fractional value: a solver bug, never answered as an
-    ordinary error reply."""
+    """A sat model that violates an asserted term, gives an Int
+    variable a fractional value or gives a function two values at one
+    point: a solver bug, never answered as an ordinary error reply."""
 
 
 # terms: nested tuples, last slot is the sort ------------------------------
@@ -221,57 +226,6 @@ def _scaled(form: tuple[dict[int, int], int, int],
     return _lowest({k: v * p for k, v in nums.items()}, const * p, den * q)
 
 
-# Ackermann expansion --------------------------------------------------------
-
-
-class _Ackermann:
-    """UF applications replaced by fresh constants, plus the functional
-    consistency axioms between the instances of each function. Instances
-    accumulate over every term ever rewritten, so an application met
-    again, even after the frame that first held it is popped, gets the
-    same constant."""
-
-    def __init__(self):
-        self._instances: dict[tuple, Term] = {}
-        # each function's instances: (arguments, fresh constant)
-        self.table: dict[str, list[tuple[tuple, Term]]] = {}
-        self._paired: dict[str, int] = {}  # fun -> instances with axioms
-
-    def rewrite(self, t: Term) -> Term:
-        tag = t[0]
-        if tag in ("num", "bool", "var"):
-            return t
-        if tag == "app":
-            args = tuple(self.rewrite(a) for a in t[2])
-            key = (t[1], args)
-            fresh = self._instances.get(key)
-            if fresh is None:
-                fresh = ("var", f"{t[1]}!{len(self._instances) + 1}", t[3])
-                self._instances[key] = fresh
-                self.table.setdefault(t[1], []).append((args, fresh))
-            return fresh
-        if tag in ("not", "and", "or", "=>", "xor", "=", "ite",
-                   "to_real") or tag in _ARITH or tag in _CMP:
-            return (tag, tuple(self.rewrite(a) for a in t[1]), t[-1])
-        raise SmtError(f"unexpected term {tag}")
-
-    def axioms(self) -> list[Term]:
-        """The axioms of every pair of instances with a new member."""
-        out = []
-        for fname, insts in self.table.items():
-            old = self._paired.get(fname, 0)
-            for i in range(len(insts)):
-                for j in range(max(i + 1, old), len(insts)):
-                    args_i, v_i = insts[i]
-                    args_j, v_j = insts[j]
-                    eqs = tuple(("=", (a, b), BOOL)
-                                for a, b in zip(args_i, args_j))
-                    hyp = eqs[0] if len(eqs) == 1 else ("and", eqs, BOOL)
-                    out.append(("=>", (hyp, ("=", (v_i, v_j), BOOL)), BOOL))
-            self._paired[fname] = len(insts)
-        return out
-
-
 # theory adapter --------------------------------------------------------------
 
 
@@ -373,9 +327,10 @@ class Solver:
     own and carry no guard. Every term is Tseitin-encoded, with each
     defined var expanded (see the module docstring), and each distinct
     linear combination its arithmetic atoms compare becomes one slack
-    row. After an SmtError from ``check`` the solver is unusable; a new
-    one with the same definitions and frames answers the same error
-    until the term that raised it is popped."""
+    row. A term counts as encoded once its clause is added: a term that
+    raises an SmtError stays unencoded, and every later ``check`` raises
+    it again until its frame is popped. What the term encoded before it
+    raised is valid on its own and stays."""
 
     def __init__(self):
         self.cdcl = sat.CDCL()
@@ -383,17 +338,17 @@ class Solver:
         self.int_vars: list[int] = []
         self.theory = ArithTheory(self.cdcl, self.simplex, self.int_vars)
         self._bool_lit: dict[Term, int] = {}
-        self._num_var: dict[Term, int] = {}  # numeric var/ite -> simplex var
+        self._num_var: dict[Term, int] = {}  # var/ite/app -> simplex var
         self._num_sort: dict[int, str] = {}
         self._slack: dict[tuple, int] = {}
-        self.definitions: dict[Term, Term] = {}  # var -> body, as given
-        self._defs: dict[Term, Term] = {}  # var -> body, rewritten
+        self._defs: dict[Term, Term] = {}  # var -> body
         self._def_linear: dict[Term, tuple] = {}  # numeric var -> body's form
         self._def_value: dict[Term, Union[bool, Fraction]] = {}
-        self._uf = _Ackermann()
+        # each function's UF applications, in the order they were met
+        self._instances: dict[str, list[Term]] = {}
+        self._queued: deque[Term] = deque()  # Ackermann axioms to encode
         self.frames: list[list[Term]] = [[]]  # the terms as added
-        self._encoded: list[list[Term]] = [[]]  # rewritten, per frame
-        self._axioms: list[Term] = []
+        self._done: list[int] = [0]  # terms encoded, per frame
         self._acts: list[int] = []  # activation literal of frames[1:]
         self._true = self.cdcl.new_var()
         self.cdcl.add_clause([self._true << 1])
@@ -409,7 +364,7 @@ class Solver:
     def push(self) -> None:
         self._acts.append(self.cdcl.new_var() << 1)
         self.frames.append([])
-        self._encoded.append([])
+        self._done.append(0)
         self.result = None
 
     def pop(self, n: int = 1) -> None:
@@ -420,7 +375,7 @@ class Solver:
         self.cdcl.cancel_until(0, self.theory)
         for act in self._acts[-n:]:
             self.cdcl.add_clause([sat.neg(act)])
-        del self._acts[-n:], self.frames[-n:], self._encoded[-n:]
+        del self._acts[-n:], self.frames[-n:], self._done[-n:]
         self.result = None
 
     def define(self, v: Term, e: Term) -> None:
@@ -428,26 +383,22 @@ class Solver:
         declared or defined before v, as `define-fun` requires. A
         definition constrains nothing, so it belongs to no frame and
         outlives every pop."""
-        self.definitions[v] = e
-        self._defs[v] = self._uf.rewrite(e)
+        self._defs[v] = e
 
     def _encode(self) -> None:
-        """Encode the terms added since the last encode, after their
-        Ackermann rewriting."""
+        """Encode the terms added since the last encode, then the queued
+        Ackermann axioms. Each is counted, or dropped from the queue, only
+        once its clause is added."""
         self.cdcl.cancel_until(0, self.theory)
-        batch = []  # (frame, rewritten term)
-        for i, (frame, done) in enumerate(zip(self.frames, self._encoded)):
-            for t in frame[len(done):]:
-                r = self._uf.rewrite(t)
-                done.append(r)
-                batch.append((i, r))
-        axioms = self._uf.axioms()
-        self._axioms += axioms
-        batch += [(0, t) for t in axioms]
-        for i, t in batch:
-            lit = self._lit(t)
-            self.cdcl.add_clause([sat.neg(self._acts[i - 1]), lit] if i
-                                 else [lit])
+        for i, frame in enumerate(self.frames):
+            guard = [sat.neg(self._acts[i - 1])] if i else []
+            while self._done[i] < len(frame):
+                lit = self._lit(frame[self._done[i]])
+                self.cdcl.add_clause(guard + [lit])
+                self._done[i] += 1
+        while self._queued:
+            self.cdcl.add_clause([self._lit(self._queued[0])])
+            self._queued.popleft()
 
     # literal of a boolean term (Tseitin)
 
@@ -461,6 +412,8 @@ class Solver:
         elif tag == "var":
             e = self._defs.get(t)
             lit = self.cdcl.new_var() << 1 if e is None else self._lit(e)
+        elif tag == "app":
+            lit = self._app(t)
         elif tag == "not":
             lit = sat.neg(self._lit(t[1][0]))
         elif tag in ("and", "or"):
@@ -522,18 +475,48 @@ class Solver:
         self.cdcl.add_clause([v, sat.neg(a), sat.neg(b)])
         return v
 
+    def _app(self, t: Term) -> int:
+        """The fresh var of a UF application met for the first time: a
+        literal if it is Bool, else a simplex var. Its arguments are
+        encoded first, so one that raises leaves no instance behind. The
+        application then becomes an instance of its function, with one
+        Ackermann axiom queued per earlier instance: equal arguments give
+        equal values. Callers cache the var, so an application met again,
+        even after a pop, keeps it."""
+        for a in t[2]:
+            if sort_of(a) == BOOL:
+                self._lit(a)
+            else:
+                self._linear(a)
+        insts = self._instances.setdefault(t[1], [])
+        for u in insts:
+            eqs = tuple(("=", ab, BOOL) for ab in zip(u[2], t[2]))
+            hyp = eqs[0] if len(eqs) == 1 else ("and", eqs, BOOL)
+            self._queued.append(("=>", (hyp, ("=", (u, t), BOOL)), BOOL))
+        insts.append(t)
+        if sort_of(t) == BOOL:
+            return self.cdcl.new_var() << 1
+        return self._new_svar(sort_of(t))
+
     # numeric side ----------------------------------------------------------
 
+    def _new_svar(self, sort: str) -> int:
+        v = self.simplex.new_var()
+        self._num_sort[v] = sort
+        if sort == INT:
+            self.int_vars.append(v)
+        return v
+
     def _svar(self, t: Term) -> int:
-        """Simplex variable for a numeric var or ite term."""
+        """Simplex variable for a numeric var, ite or app term. An ite's
+        var is cached only once both its guarded branches are encoded."""
         hit = self._num_var.get(t)
         if hit is not None:
             return hit
-        v = self.simplex.new_var()
-        self._num_var[t] = v
-        self._num_sort[v] = sort_of(t)
-        if sort_of(t) == INT:
-            self.int_vars.append(v)
+        if t[0] == "app":
+            v = self._num_var[t] = self._app(t)
+            return v
+        v = self._new_svar(sort_of(t))
         if t[0] == "ite":
             c = self._lit(t[1][0])
             for guard, branch in ((c, t[1][1]), (sat.neg(c), t[1][2])):
@@ -547,6 +530,7 @@ class Solver:
                 ge = sat.neg(self._form_atom(combo, "<", -const))
                 self.cdcl.add_clause([sat.neg(guard), le])
                 self.cdcl.add_clause([sat.neg(guard), ge])
+        self._num_var[t] = v
         return v
 
     def _linear(self, t: Term) -> tuple[dict[int, int], int, int]:
@@ -562,7 +546,7 @@ class Solver:
             if form is None:
                 form = self._def_linear[t] = self._linear(self._defs[t])
             return form
-        if tag in ("var", "ite"):
+        if tag in ("var", "ite", "app"):
             return {self._svar(t): 1}, 0, 1
         if tag == "to_real":
             return self._linear(t[1][0])
@@ -695,8 +679,16 @@ class Solver:
             if self._num_model[v].denominator != 1:
                 raise ModelCheckError(f"Int variable {v} has the value "
                                       f"{self._num_model[v]} in the model")
-        active = [t for frame in self._encoded for t in frame]
-        for i, t in enumerate(active + self._axioms):
+        for f, insts in self._instances.items():
+            seen = {}  # argument values -> value
+            for u in insts:
+                point = tuple(self._eval(a) for a in u[2])
+                val = self._var_value(u)
+                if seen.setdefault(point, val) != val:
+                    raise ModelCheckError(f"the model gives {f} two values "
+                                          f"at one point")
+        active = (t for frame in self.frames for t in frame)
+        for i, t in enumerate(active):
             if self._eval(t) is not True:
                 raise ModelCheckError(f"the model violates asserted term {i}")
         for v in self._defs:
@@ -708,6 +700,15 @@ class Solver:
         if self.result != "sat":
             raise SmtError("no model available")
         return self._eval(t)
+
+    def _var_value(self, t: Term) -> Union[bool, Fraction]:
+        """The value of the SAT or simplex var of a var or app term, or
+        false or zero if it has none."""
+        if sort_of(t) == BOOL:
+            lit = self._bool_lit.get(t)
+            return lit is not None and self.cdcl.value(lit) == 1
+        sv = self._num_var.get(t)
+        return ZERO if sv is None else self._num_model[sv]
 
     def _eval(self, t: Term):
         tag = t[0]
@@ -721,21 +722,12 @@ class Solver:
                 if val is None:
                     val = self._def_value[t] = self._eval(self._defs[t])
                 return val
-            if sort_of(t) == BOOL:
-                lit = self._bool_lit.get(t)
-                if lit is None:
-                    return False
-                val = self.cdcl.value(lit)
-                return val == 1
-            sv = self._num_var.get(t)
-            if sv is None:
-                return ZERO
-            return self._num_model[sv]
+            return self._var_value(t)
         if tag == "app":
             args = tuple(self._eval(a) for a in t[2])
-            for inst_args, var in self._uf.table.get(t[1], []):
-                if tuple(self._eval(a) for a in inst_args) == args:
-                    return self._eval(var)
+            for u in self._instances.get(t[1], ()):
+                if tuple(self._eval(a) for a in u[2]) == args:
+                    return self._var_value(u)
             return False if sort_of(t) == BOOL else ZERO
         if tag == "not":
             return not self._eval(t[1][0])

@@ -397,7 +397,7 @@ node Mirror(i: bool) returns (ok: bool);
 var a, b: bool;
 let
   a = i and (true -> not pre a);
-  b = a;
+  b = i and (true -> not pre b);
   ok = a = b;
   --!PROPERTY: ok = true;
 tel
@@ -414,7 +414,7 @@ def test_generate_invariants_interval_shape():
     rows = [r for s in range(5) for r in simulate_system(ts, 60, seed=s)]
     invs = generate_invariants(ts, rows, CFG)
     texts = [pretty_expr(e) for e in invs]
-    assert "0.0 <= s and s <= 3.0" in texts
+    assert "0.0 <= Saturate.y and Saturate.y <= 3.0" in texts
     assert "0.0 <= z5 and z5 <= 3.0" in texts
 
 

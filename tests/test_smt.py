@@ -596,6 +596,20 @@ def test_solver_uf_congruence():
     assert s.model_value(_t("(f x)")) == 1
 
 
+def test_solver_checks_that_each_function_is_a_function(monkeypatch):
+    # without its Ackermann axioms f(x) and f(y) may differ at x = y
+    app = Solver._app
+
+    def app_without_axioms(self, t):
+        var = app(self, t)
+        self._queued.clear()
+        return var
+
+    monkeypatch.setattr(Solver, "_app", app_without_axioms)
+    with pytest.raises(ModelCheckError, match="f two values"):
+        _solve("(= x 1)", "(= y 1)", "(> (f x) 0)", "(> (f y) 5)")
+
+
 def test_solver_mixed_sorts_and_division():
     s, verdict = _solve("(= r (* 0.5 x))", "(= x 3)")
     assert verdict == "sat"
@@ -758,9 +772,9 @@ def test_bundled_reset_forgets_definitions():
     assert out.splitlines() == ['(error "unknown symbol y")', "sat"]
 
 
-def test_rebuilt_solver_keeps_the_definitions():
-    # the nonlinear term makes the session rebuild its solver; y = c * x
-    # is still 2x in the new one, with no variable of its own
+def test_definitions_stay_expanded_after_an_encoding_error():
+    # the nonlinear term stays unencoded until its frame is popped; y = c * x
+    # is still 2x, with no variable of its own
     session, out = _feed(["(declare-const x Real)", "(declare-const r Real)",
                           "(define-fun c () Real 2.0)",
                           "(define-fun y () Real (* c x))",
@@ -769,7 +783,7 @@ def test_rebuilt_solver_keeps_the_definitions():
                           "(pop 1)", "(assert (> y 1.0))",
                           "(assert (< x 0.0))", "(check-sat)"])
     assert out.splitlines() == ['(error "nonlinear product")', "unsat"]
-    assert session.solver.simplex.n == 1  # x only
+    assert ("var", "y", "Real") not in session.solver._num_var
 
 
 def test_substitution_matches_the_unsubstituted_encoding():
@@ -1233,11 +1247,12 @@ def test_bundled_push_pop_count_must_be_a_numeral(command):
                  "(assert (not p))", command]:
         session.feed(line)
     assert out.getvalue().startswith("(error ")
-    assert len(session.frames) == 2 and len(session.frames[1]) == 2
+    frames = session.solver.frames
+    assert len(frames) == 2 and len(frames[1]) == 2
     session.feed("(pop 1)")
     session.feed("(check-sat)")
     assert out.getvalue().splitlines()[1:] == ["sat"]
-    assert session.frames == [[]]
+    assert session.solver.frames == [[]]
 
 
 def test_bundled_model_ends_with_its_assertion_stack():
@@ -1260,6 +1275,13 @@ def test_bundled_model_ends_with_its_assertion_stack():
       "(assert (= r (* x x)))", "(check-sat)", "(check-sat)", "(pop 1)",
       "(check-sat)"],
      ['(error "nonlinear product")', '(error "nonlinear product")', "sat"]),
+    # an ite whose branch raises is not cached half encoded: the second
+    # check-sat meets the same error
+    (["(declare-const r Real)", "(declare-const x Real)",
+      "(declare-const p Bool)", "(push 1)",
+      "(assert (= r (ite p (* x x) 1.0)))", "(check-sat)", "(check-sat)",
+      "(pop 1)", "(check-sat)"],
+     ['(error "nonlinear product")', '(error "nonlinear product")', "sat"]),
     # a refuted frame leaves the frames below it satisfiable
     (["(declare-const p Bool)", "(push 1)", "(assert p)",
       "(assert (not p))", "(check-sat)", "(pop 1)", "(check-sat)",
@@ -1271,7 +1293,7 @@ def test_bundled_model_ends_with_its_assertion_stack():
     (["(declare-const c Real)", "(declare-const x Real)", "(push 1)",
       "(assert (= c 2.0))", "(assert (= (* c x) 3.0))", "(check-sat)"],
      ['(error "nonlinear product")']),
-], ids=["error", "refuted-frame", "pushed-definition"])
+], ids=["error", "ite-branch-error", "refuted-frame", "pushed-definition"])
 def test_bundled_frame_rules(lines, replies):
     assert _feed(lines)[1].splitlines() == replies
 
@@ -1419,7 +1441,7 @@ def _differential_session(lines):
         if sx[0] != "check-sat":
             assert not reply, (line, reply)
             continue
-        active = [t for frame in session.frames for t in frame]
+        active = [t for frame in session.solver.frames for t in frame]
         assert len(active) == sum(map(len, texts))
         try:
             want = _checked(active).result
