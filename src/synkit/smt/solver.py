@@ -22,6 +22,20 @@ non-integer value adds a bound atom that splits its range, and the core
 decides it, lower branch first. Split atoms stay for later checks. After
 `_MAX_SPLITS` splits in one check, the check answers unknown.
 
+Each distinct gate is encoded once (structural hashing, as in AIGs). A
+gate is keyed by its kind and its children's encodings, not by its term:
+`and` and `or` by the set of their child literals, `=>`, iff (which `xor`
+and Boolean `=` use) and Boolean `ite` by their child literals, numeric
+`=` as the `and` of its two bound literals, and a numeric `ite` by its
+sort, its condition's literal and both branches' linear forms. Terms that
+differ only in the names of equal definitions, such as the inlined
+instances of one component, thus share one SAT or simplex variable. Equal
+keys mean equal encodings and so equal values, and a gate's clauses and
+an ite's rows carry no frame guard, so a gate made in a popped frame
+serves later frames soundly. An `ite` whose condition's literal is the
+constant literal, such as a condition defined as false, is its taken
+branch: it gets no variable, and its other branch is not encoded.
+
 A definition (`Solver.define`, from `define-fun`) names a term instead
 of constraining it: a defined v gets no simplex variable and no SAT
 literal of its own. A numeric v stands for the linear form of its body,
@@ -323,14 +337,18 @@ class Solver:
     activation literals of the open frames, so clauses learned in one
     check serve the next. A term of the bottom frame becomes a unit
     clause and one of a pushed frame the clause (not act or term);
-    Tseitin clauses, slack rows and Ackermann axioms are valid on their
-    own and carry no guard. Every term is Tseitin-encoded, with each
-    defined var expanded (see the module docstring), and each distinct
-    linear combination its arithmetic atoms compare becomes one slack
-    row. A term counts as encoded once its clause is added: a term that
-    raises an SmtError stays unencoded, and every later ``check`` raises
-    it again until its frame is popped. What the term encoded before it
-    raised is valid on its own and stays."""
+    Tseitin clauses, ite rows, slack rows and Ackermann axioms are valid
+    on their own and carry no guard. Every term is Tseitin-encoded, with
+    each defined var expanded and each constant-condition ite folded (see
+    the module docstring), and each distinct linear combination its
+    arithmetic atoms compare becomes one slack row. The term caches map a
+    term as given to its literal, simplex var or form, and the gate cache
+    maps a gate's key to its var, so a repeated term costs one lookup and
+    a repeated gate under new names makes nothing new. A term counts as
+    encoded once its clause is added: a term that raises an SmtError
+    stays unencoded, and every later ``check`` raises it again until its
+    frame is popped. What the term encoded before it raised is valid on
+    its own and stays."""
 
     def __init__(self):
         self.cdcl = sat.CDCL()
@@ -338,11 +356,12 @@ class Solver:
         self.int_vars: list[int] = []
         self.theory = ArithTheory(self.cdcl, self.simplex, self.int_vars)
         self._bool_lit: dict[Term, int] = {}
-        self._num_var: dict[Term, int] = {}  # var/ite/app -> simplex var
+        self._num_var: dict[Term, int] = {}  # var/app -> simplex var
         self._num_sort: dict[int, str] = {}
         self._slack: dict[tuple, int] = {}
         self._defs: dict[Term, Term] = {}  # var -> body
-        self._def_linear: dict[Term, tuple] = {}  # numeric var -> body's form
+        self._forms: dict[Term, tuple] = {}  # defined var or ite -> its form
+        self._gates: dict[tuple, int] = {}  # gate key -> literal or svar
         self._def_value: dict[Term, Union[bool, Fraction]] = {}
         # each function's UF applications, in the order they were met
         self._instances: dict[str, list[Term]] = {}
@@ -407,6 +426,7 @@ class Solver:
         if hit is not None:
             return hit
         tag = t[0]
+        neg = sat.neg
         if tag == "bool":
             lit = (self._true << 1) | (0 if t[1] else 1)
         elif tag == "var":
@@ -415,51 +435,32 @@ class Solver:
         elif tag == "app":
             lit = self._app(t)
         elif tag == "not":
-            lit = sat.neg(self._lit(t[1][0]))
+            lit = neg(self._lit(t[1][0]))
         elif tag in ("and", "or"):
-            args = [self._lit(a) for a in t[1]]
-            v = self.cdcl.new_var() << 1
-            if tag == "and":
-                big = [v] + [sat.neg(a) for a in args]
-                for a in args:
-                    self.cdcl.add_clause([sat.neg(v), a])
-                self.cdcl.add_clause(big)
-            else:
-                big = [sat.neg(v)] + args
-                for a in args:
-                    self.cdcl.add_clause([v, sat.neg(a)])
-                self.cdcl.add_clause(big)
-            lit = v
+            lit = self._and_or(tag, [self._lit(a) for a in t[1]])
         elif tag == "=>":
             a, b = (self._lit(x) for x in t[1])
-            v = self.cdcl.new_var() << 1
-            self.cdcl.add_clause([sat.neg(v), sat.neg(a), b])
-            self.cdcl.add_clause([v, a])
-            self.cdcl.add_clause([v, sat.neg(b)])
-            lit = v
+            lit = self._gate(("=>", a, b), lambda v: (
+                [neg(v), neg(a), b], [v, a], [v, neg(b)]))
         elif tag == "xor":
             a, b = (self._lit(x) for x in t[1])
-            lit = sat.neg(self._iff(a, b))
+            lit = neg(self._iff(a, b))
         elif tag == "=":
             x, y = t[1]
             if sort_of(x) == BOOL:
                 lit = self._iff(self._lit(x), self._lit(y))
             else:
-                le = self._cmp_lit("<=", x, y)
-                ge = self._cmp_lit("<=", y, x)
-                v = self.cdcl.new_var() << 1
-                self.cdcl.add_clause([sat.neg(v), le])
-                self.cdcl.add_clause([sat.neg(v), ge])
-                self.cdcl.add_clause([v, sat.neg(le), sat.neg(ge)])
-                lit = v
+                lit = self._and_or("and", [self._cmp_lit("<=", x, y),
+                                           self._cmp_lit("<=", y, x)])
         elif tag == "ite":  # boolean ite
-            c, a, b = (self._lit(x) for x in t[1])
-            v = self.cdcl.new_var() << 1
-            self.cdcl.add_clause([sat.neg(v), sat.neg(c), a])
-            self.cdcl.add_clause([sat.neg(v), c, b])
-            self.cdcl.add_clause([v, sat.neg(c), sat.neg(a)])
-            self.cdcl.add_clause([v, c, sat.neg(b)])
-            lit = v
+            c = self._lit(t[1][0])
+            if c >> 1 == self._true:  # a constant condition: the taken branch
+                lit = self._lit(t[1][1 + (c & 1)])
+            else:
+                a, b = (self._lit(x) for x in t[1][1:])
+                lit = self._gate(("ite", c, a, b), lambda v: (
+                    [neg(v), neg(c), a], [neg(v), c, b],
+                    [v, neg(c), neg(a)], [v, c, neg(b)]))
         elif tag in _CMP:
             lit = self._cmp_lit(tag, t[1][0], t[1][1])
         else:
@@ -467,13 +468,33 @@ class Solver:
         self._bool_lit[t] = lit
         return lit
 
-    def _iff(self, a: int, b: int) -> int:
-        v = self.cdcl.new_var() << 1
-        self.cdcl.add_clause([sat.neg(v), sat.neg(a), b])
-        self.cdcl.add_clause([sat.neg(v), a, sat.neg(b)])
-        self.cdcl.add_clause([v, a, b])
-        self.cdcl.add_clause([v, sat.neg(a), sat.neg(b)])
+    def _gate(self, key: tuple, clauses) -> int:
+        """The literal of the gate that key names: its kind and its
+        children's literals. The first use makes a var v and adds the
+        clauses(v) that define it; later uses reuse v."""
+        v = self._gates.get(key)
+        if v is None:
+            v = self._gates[key] = self.cdcl.new_var() << 1
+            for clause in clauses(v):
+                self.cdcl.add_clause(clause)
         return v
+
+    def _and_or(self, tag: str, args: list[int]) -> int:
+        neg = sat.neg
+        if tag == "and":
+            def clauses(v):
+                return [[neg(v), a] for a in args] + \
+                    [[v] + [neg(a) for a in args]]
+        else:
+            def clauses(v):
+                return [[v, neg(a)] for a in args] + [[neg(v)] + args]
+        return self._gate((tag, frozenset(args)), clauses)
+
+    def _iff(self, a: int, b: int) -> int:
+        neg = sat.neg
+        return self._gate(("iff", min(a, b), max(a, b)), lambda v: (
+            [neg(v), neg(a), b], [neg(v), a, neg(b)],
+            [v, a, b], [v, neg(a), neg(b)]))
 
     def _app(self, t: Term) -> int:
         """The fresh var of a UF application met for the first time: a
@@ -508,45 +529,59 @@ class Solver:
         return v
 
     def _svar(self, t: Term) -> int:
-        """Simplex variable for a numeric var, ite or app term. An ite's
-        var is cached only once both its guarded branches are encoded."""
-        hit = self._num_var.get(t)
-        if hit is not None:
-            return hit
-        if t[0] == "app":
-            v = self._num_var[t] = self._app(t)
+        """Simplex variable for a numeric var or app term, cached by term,
+        or for an ite term, cached by its gate: the condition's literal and
+        both branch forms come first, so a branch that raises makes
+        nothing, and ites of one sort with equal condition literals and
+        branch forms share one var and its guarded rows."""
+        if t[0] != "ite":
+            v = self._num_var.get(t)
+            if v is None:
+                v = self._num_var[t] = self._app(t) if t[0] == "app" \
+                    else self._new_svar(sort_of(t))
             return v
-        v = self._new_svar(sort_of(t))
-        if t[0] == "ite":
-            c = self._lit(t[1][0])
-            for guard, branch in ((c, t[1][1]), (sat.neg(c), t[1][2])):
+        c = self._lit(t[1][0])
+        forms = [self._linear(branch) for branch in t[1][1:]]
+        key = ("ite", sort_of(t), c) + tuple(
+            (frozenset((k, x) for k, x in nums.items() if x), const, den)
+            for nums, const, den in forms)
+        v = self._gates.get(key)
+        if v is None:
+            v = self._gates[key] = self._new_svar(sort_of(t))
+            for guard, (nums, const, den) in zip((c, sat.neg(c)), forms):
                 # branch <= v and branch >= v, over the branch's
                 # denominator: nums.x - den*v <= -const and >= -const
-                nums, const, den = self._linear(branch)
-                combo = dict(nums)
-                combo[v] = combo.get(v, 0) - den
-                combo = {k: x for k, x in combo.items() if x != 0}
+                combo = {k: x for k, x in nums.items() if x != 0}
+                combo[v] = -den
                 le = self._form_atom(combo, "<=", -const)
                 ge = sat.neg(self._form_atom(combo, "<", -const))
                 self.cdcl.add_clause([sat.neg(guard), le])
                 self.cdcl.add_clause([sat.neg(guard), ge])
-        self._num_var[t] = v
         return v
 
     def _linear(self, t: Term) -> tuple[dict[int, int], int, int]:
         """t as (nums, const, den): (sum of nums[k] * k + const) / den
         over simplex vars k, with den > 0 and the gcd of den, const and
         every num 1. The nums may be shared with a cache: callers copy
-        them before changing them."""
+        them before changing them. An ite whose condition is the constant
+        literal is its taken branch."""
         tag = t[0]
         if tag == "num":
             return {}, t[1].numerator, t[1].denominator
-        if tag == "var" and t in self._defs:
-            form = self._def_linear.get(t)
+        if tag == "var" and t in self._defs or tag == "ite":
+            form = self._forms.get(t)
             if form is None:
-                form = self._def_linear[t] = self._linear(self._defs[t])
+                if tag == "var":
+                    form = self._linear(self._defs[t])
+                else:
+                    c = self._lit(t[1][0])
+                    if c >> 1 == self._true:  # a constant condition
+                        form = self._linear(t[1][1 + (c & 1)])
+                    else:
+                        form = {self._svar(t): 1}, 0, 1
+                self._forms[t] = form
             return form
-        if tag in ("var", "ite", "app"):
+        if tag in ("var", "app"):
             return {self._svar(t): 1}, 0, 1
         if tag == "to_real":
             return self._linear(t[1][0])

@@ -165,7 +165,7 @@ tel
 """
 
 
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [4, 8, 16])
 def test_kinduction_proves_a_delay_chain_at_its_length(n):
     _, ts = _ts(delay_chain(n), "Chain")
     r = kinduction(ts, "ok", EngineConfig(k_max=n + 2, timeout=120))

@@ -786,6 +786,75 @@ def test_definitions_stay_expanded_after_an_encoding_error():
     assert ("var", "y", "Real") not in session.solver._num_var
 
 
+# gate keys and constant conditions -------------------------------------------
+
+def test_an_ite_whose_branch_raises_makes_no_variable():
+    lines = ["(declare-const r Real)", "(declare-const x Real)",
+             "(declare-const p Bool)", "(push 1)",
+             "(assert (= r (ite p (* x x) 1.0)))"]
+    session, _ = _feed(lines)
+    sizes = []
+    for _ in range(4):
+        session.feed("(check-sat)")
+        sizes.append(session.solver.simplex.n)
+    session.feed("(pop 1)")
+    session.feed("(check-sat)")
+    assert session.out.getvalue().splitlines() == \
+        ['(error "nonlinear product")'] * 4 + ["sat"]
+    assert sizes == [2] * 4  # r and x, and no var for the ite
+
+
+def test_ites_over_equal_definitions_share_one_variable():
+    session, out = _feed(["(declare-const x Real)", "(declare-const p Bool)",
+                          "(define-fun u () Real x)",
+                          "(define-fun v () Real x)",
+                          "(assert (< (ite p u 1.0) (ite p v 1.0)))",
+                          "(check-sat)"])
+    s = session.solver
+    assert out == "unsat\n" and s.cdcl.conflicts == 0
+    u, v = (_t(f"(ite p {n} 1.0)", {"p": ("const", "Bool"),
+                                     n: ("const", "Real")})
+            for n in "uv")
+    assert u != v and s._forms[u] == s._forms[v]
+
+
+def test_and_gates_over_one_set_of_literals_share_one_literal():
+    s = Solver()
+    assert s._lit(_t("(and p b)")) == s._lit(_t("(and b p p)"))
+    assert s._lit(_t("(or p b)")) == s._lit(_t("(or b p)"))
+    assert s._lit(_t("(and p b)")) != s._lit(_t("(or p b)"))
+    # the gate outlives the frame that made it
+    _, out = _feed(["(declare-const p Bool)", "(declare-const b Bool)",
+                    "(push 1)", "(assert (and p b))", "(check-sat)",
+                    "(pop 1)", "(assert (not (and b p p)))", "(assert p)",
+                    "(check-sat)", "(get-value (b))", "(assert b)",
+                    "(check-sat)"])
+    assert out.splitlines() == ["sat", "sat", "((b false))", "unsat"]
+
+
+@pytest.mark.parametrize("other", [
+    "(ite p (to_real x) 1.0)", "(ite (not p) x 1)", "(ite p x 2)"],
+    ids=["sort", "negated-condition", "branch-constant"])
+def test_gate_keys_keep_different_ites_apart(other):
+    s = Solver()
+    assert s._linear(_t("(ite p x 1)")) != s._linear(_t(other))
+    if "to_real" not in other:  # the other two can differ from (ite p x 1)
+        assert _solve(f"(distinct (ite p x 1) {other})")[1] == "sat"
+
+
+def test_an_ite_with_a_constant_condition_is_its_taken_branch():
+    session, out = _feed(["(declare-const x Real)",
+                          "(define-fun c () Bool false)",
+                          "(assert (= x (ite c 2.0 3.0)))", "(check-sat)",
+                          "(get-value (x))"])
+    assert out.splitlines() == ["sat", "((x 3.0))"]
+    assert session.solver.simplex.n == 1  # x only
+    s = Solver()
+    s.define(_t("p"), _t("true"))
+    assert s._lit(_t("(ite p b (not b))")) == s._lit(_t("b"))
+    assert s._linear(_t("(ite (not p) x (+ y 1))")) == s._linear(_t("(+ y 1)"))
+
+
 def test_substitution_matches_the_unsubstituted_encoding():
     # each definition d = e against d declared and (= d e) asserted, which
     # takes the plain encoding: a row, two bound atoms and an iff
@@ -891,15 +960,20 @@ class _FractionEncoding(Solver):
         hit = self._num_var.get(t)
         if hit is not None:
             return hit
-        v = self.simplex.new_var()
-        self._num_var[t] = v
-        self._num_sort[v] = sort_of(t)
-        if sort_of(t) == "Int":
-            self.int_vars.append(v)
-        if t[0] == "ite":
-            c = self._lit(t[1][0])
-            for guard, branch in ((c, t[1][1]), (sat.neg(c), t[1][2])):
-                combo, const = self._linear(branch)
+        if t[0] != "ite":
+            v = self._num_var[t] = self._new_svar(sort_of(t))
+            return v
+        # the condition and both branches first; ites of one sort with
+        # equal condition literals and branch forms share one var
+        c = self._lit(t[1][0])
+        forms = [self._linear(branch) for branch in t[1][1:]]
+        key = ("ite", sort_of(t), c) + tuple(
+            (frozenset((k, x) for k, x in combo.items() if x), const)
+            for combo, const in forms)
+        v = self._gates.get(key)
+        if v is None:
+            v = self._gates[key] = self._new_svar(sort_of(t))
+            for guard, (combo, const) in zip((c, sat.neg(c)), forms):
                 combo = dict(combo)
                 combo[v] = combo.get(v, F(0)) - 1
                 combo = {k: x for k, x in combo.items() if x != 0}
@@ -914,13 +988,13 @@ class _FractionEncoding(Solver):
         if tag == "num":
             return {}, t[1]
         if tag == "var":
-            hit = self._def_linear.get(t)
+            hit = self._forms.get(t)
             if hit is not None:
                 return hit
             e = self._defs.get(t)
             if e is None:
                 return {self._svar(t): F(1)}, F(0)
-            form = self._def_linear[t] = self._linear(e)
+            form = self._forms[t] = self._linear(e)
             return form
         if tag == "ite":
             return {self._svar(t): F(1)}, F(0)
