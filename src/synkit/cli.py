@@ -112,10 +112,16 @@ def cmd_sim(cfg: argparse.Namespace) -> int:
     names = {n.name for n in tp.program.nodes}
     if node not in names:
         raise _Failure(f"unknown node {node!r}", EXIT_FAIL)
-    trace = Trace.from_csv(_read(cfg.trace_in)) if cfg.trace_in else Trace()
-    n = cfg.steps if cfg.steps is not None else trace.length
     if cfg.steps is None and not cfg.trace_in:
         raise _Failure("need --steps or an input --trace", EXIT_USAGE)
+    if (cfg.steps or 0) < 0:
+        raise _Failure(f"--steps {cfg.steps} is negative", EXIT_USAGE)
+    try:
+        trace = Trace.from_csv(_read(cfg.trace_in)) if cfg.trace_in \
+            else Trace()
+    except (InterpError, ValueError) as exc:
+        raise _Failure(f"{cfg.trace_in}: {exc}", EXIT_USAGE) from exc
+    n = cfg.steps if cfg.steps is not None else trace.length
     try:
         out = simulate(tp, node, trace, n, deep=cfg.deep)
     except (LangError, InterpError) as exc:
@@ -155,7 +161,7 @@ def _compositional_verify(cfg: argparse.Namespace, tp) -> int:
             for c in spec["contracts"]]
         arg = build_argument(tp, top["node"], top["property"], contracts,
                              _engine_config(cfg))
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise _Failure(f"{cfg.compositional}: bad contract spec: {exc}",
                        EXIT_USAGE) from exc
     except LangError as exc:
@@ -279,6 +285,10 @@ def _case_inputs(cfg: argparse.Namespace):
     results = {}
     if cfg.results_path:
         raw = _load_json(cfg.results_path)
+        if not (isinstance(raw, dict)
+                and all(isinstance(rec, dict) for rec in raw.values())):
+            raise _Failure(f"{cfg.results_path}: want an object of evidence "
+                           f"objects by requirement id", EXIT_USAGE)
         results = {rid: sc.evidence_from_json(rec)
                    for rid, rec in raw.items()}
     return sc.instantiate_pattern(pattern, roots, results)

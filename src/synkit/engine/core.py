@@ -414,14 +414,11 @@ def _mine_candidates(ts: TransitionSystem,
                      rows: list[dict[str, Value]]) -> list[Expr]:
     """Template formulas that every row satisfies: equalities and
     implications between boolean pairs, and the observed interval of
-    each number. A variable defined as a bare variable is an alias and
-    gets none: its representative's would read the same."""
+    each number."""
     if not rows:
         return []
     types = ts.var_types()
-    aliases = {n for n, rhs in ts.definitions if isinstance(rhs, Var)}
-    internal = [n for n, _ in ts.state_vars + ts.defined_vars
-                if n not in aliases]
+    internal = [n for n, _ in ts.state_vars + ts.defined_vars]
     bools = [n for n in internal if types[n] is Type.BOOL]
     nums = [n for n in internal if types[n] is not Type.BOOL]
     out: list[Expr] = []

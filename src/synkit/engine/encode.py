@@ -9,12 +9,6 @@ are definitions, not assertions: each defined variable of instant t is
 sent as `(define-fun v@t () Sort e)`, and each state variable of instant
 t+1 as the `define-fun` of its transition from instant t. Assertions
 carry the assumptions, invariants, initial condition and goals.
-
-A definition whose right side is a bare variable, such as the renaming
-`A.x = x` that node inlining leaves for each call argument, is an alias:
-it is neither declared nor defined, and `at` renders it, in a formula
-or a term whose model value is read, as the variable at the end of its
-alias chain (its representative).
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..interp import Trace, Value
-from ..lang import Expr, Type, Var
+from ..lang import Expr, Type
 from ..smt import SmtSession
 from ..smt.sexpr import format_atom as sym
 from ..tsys import TransitionSystem, to_sexpr
@@ -47,22 +41,6 @@ def logic_for(ts: TransitionSystem) -> str:
     return "QF_" + body
 
 
-def _representatives(ts: TransitionSystem) -> dict[str, str]:
-    """Each alias's representative: the end of its chain of bare-variable
-    definitions. Chains are followed link by link, so the order of the
-    definitions does not matter (those of a call under a pre come after
-    the rest of its node's)."""
-    links = {name: rhs.name for name, rhs in ts.definitions
-             if isinstance(rhs, Var)}
-    rep = {}
-    for name in links:
-        end = links[name]
-        while end in links:  # acyclic: the typechecker refuses cycles
-            end = links[end]
-        rep[name] = end
-    return rep
-
-
 class Unroller:
     """The SMT-LIB text of a transition system, instant by instant. A
     session is sent instant t as ``declare_step(t)``, then
@@ -74,12 +52,9 @@ class Unroller:
         self.types = ts.var_types()
         self._inputs = [n for n, _ in ts.input_vars]
         self._states = [n for n, _ in ts.state_vars]
-        self.rep = _representatives(ts)
-        self._defined = [(n, rhs) for n, rhs in ts.definitions
-                         if n not in self.rep]
 
     def at(self, name: str, t: int) -> str:
-        return sym(f"{self.rep.get(name, name)}@{t}")
+        return sym(f"{name}@{t}")
 
     def formula(self, e: Expr, t: int) -> str:
         return to_sexpr(e, lambda name: self.at(name, t))
@@ -100,7 +75,7 @@ class Unroller:
 
     def assert_instant(self, s: SmtSession, t: int) -> None:
         """Definitions and assumptions of instant t."""
-        for name, rhs in self._defined:
+        for name, rhs in self.ts.definitions:
             s.define_fun(f"{name}@{t}", _SORT[self.types[name]],
                          self.formula(rhs, t))
         for a in self.ts.assumptions:

@@ -10,6 +10,12 @@ true exactly at the first instant. Step-0 Pre variables are left
 unconstrained: the symbolic system over-approximates the interpreter's
 default-value start, which keeps proofs sound for execution.
 
+No definition is a bare variable. A definition that folds to one, such
+as the renaming `A.x = x` that inlining leaves for each call argument,
+is an alias: it is substituted away like a constant, every formula
+reading the variable at the end of its alias chain (its representative),
+and it is neither a defined variable nor a definition of the system.
+
 Nonlinear residue is hidden behind uninterpreted function symbols:
 products of two non-constant terms become _nlmul_int/_nlmul_real
 applications, division by a non-constant becomes _nldiv_real, and
@@ -41,7 +47,7 @@ class TransitionSystem:
     defined_vars: list[tuple[str, Type]]
     init: list[Expr]  # conjuncts over step-0 variables
     trans: list[tuple[str, Expr]]  # state_var' = rhs(step i)
-    # defined_var = rhs, every step; in schedule order
+    # defined_var = rhs, every step; in schedule order; no rhs is a Var
     definitions: list[tuple[str, Expr]]
     assumptions: list[Expr]  # hold at every step
     properties: list[tuple[str, Expr]]
@@ -197,21 +203,25 @@ class _Compiler:
 
 
 def _propagate_constants(ts: TransitionSystem) -> None:
-    """Bind defined variables whose equations fold to literals, then
-    substitute them everywhere, folding every formula. Keeps products
-    like gain*dt linear. Each definition is folded once, after the
-    definitions it reads."""
-    consts: dict[str, Expr] = {}
+    """Bind defined variables whose equations fold to literals or to bare
+    variables, then substitute them everywhere, folding every formula.
+    Keeps products like gain*dt linear. Each definition is folded once,
+    after the definitions it reads, so an alias binds to the end of its
+    chain; aliases leave the definitions and the defined variables."""
+    bound: dict[str, Expr] = {}
     folded: list[tuple[str, Expr]] = []
     for name, rhs in ts.definitions:
-        e = fold_consts(_subst(rhs, consts))
-        folded.append((name, e))
-        if _lit_value(e) is not None:
-            consts[name] = e
+        e = fold_consts(_subst(rhs, bound))
+        if isinstance(e, Var) or _lit_value(e) is not None:
+            bound[name] = e
+        if not isinstance(e, Var):
+            folded.append((name, e))
     ts.definitions = folded
+    ts.defined_vars = [(n, ty) for n, ty in ts.defined_vars
+                       if not isinstance(bound.get(n), Var)]
 
     def apply(e: Expr) -> Expr:
-        return fold_consts(_subst(e, consts))
+        return fold_consts(_subst(e, bound))
 
     ts.trans = [(n, apply(rhs)) for n, rhs in ts.trans]
     ts.assumptions = [apply(a) for a in ts.assumptions]

@@ -168,6 +168,23 @@ def test_sim_unknown_node(capsys, counter):
     assert "Missing" in err
 
 
+@pytest.mark.parametrize("rows", ["set\ntrue,false\n", "set\nyes\n"])
+def test_sim_bad_trace_csv_is_usage_error_naming_the_file(capsys, latch,
+                                                         tmp_path, rows):
+    # a row of the wrong width, and a cell that is no value
+    p = tmp_path / "in.csv"
+    p.write_text(rows)
+    rc, out, err = run(capsys, "sim", latch, "Latch", "--trace", str(p))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"synkit: {p}: ")
+
+
+def test_sim_negative_steps_is_usage_error(capsys, counter):
+    rc, out, err = run(capsys, "sim", counter, "Counter", "-n", "-1")
+    assert rc == 2 and out == ""
+    assert "--steps" in err
+
+
 def test_sim_json_trace(capsys, counter):
     rc, out, _ = run(capsys, "sim", counter, "Counter", "-n", "3", "--json")
     assert rc == 0
@@ -327,6 +344,19 @@ def test_bench_run_rejects_oracle_mode(capsys):
     assert "--oracle-mode" in err
 
 
+@pytest.mark.parametrize("key", ["assumptions", "guarantees"])
+def test_verify_compositional_spec_formulas_must_be_an_object(
+        capsys, two_stage, tmp_path, key):
+    spec = {"top": {"node": "Obs1", "property": "ok"},
+            "contracts": [{"node": "Acc", key: ["x >= 0.0"]}]}
+    cpath = tmp_path / "contracts.json"
+    cpath.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "verify", two_stage,
+                       "--compositional", str(cpath))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"synkit: {cpath}: bad contract spec")
+
+
 # --- safety-case ----------------------------------------------------------------
 
 @pytest.fixture
@@ -461,6 +491,19 @@ def test_safety_case_custom_pattern(capsys, req_files, tmp_path):
     case = json.loads(out)
     assert len(case["elements"]) == 5  # one goal per requirement
     assert {e["kind"] for e in case["elements"]} == {"Goal"}
+
+
+@pytest.mark.parametrize("results", [
+    [{"property": "G-120", "verdict": "valid"}], {"G-120": 5}])
+def test_safety_case_results_of_the_wrong_shape_are_io_errors(
+        capsys, req_files, tmp_path, results):
+    rp, _ = req_files
+    vp = tmp_path / "shape.json"
+    vp.write_text(json.dumps(results))
+    rc, out, err = run(capsys, "safety-case", "generate", rp,
+                       "--results", str(vp))
+    assert rc == 2 and out == ""
+    assert str(vp) in err
 
 
 def test_safety_case_needs_input(capsys):

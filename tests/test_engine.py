@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from synkit import tsys
+from synkit import compose, tsys
 from synkit.benchlib import load_benchmark
 from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
                            UnknownReason, Valid, bmc, compile_system, core,
@@ -15,7 +15,7 @@ from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
                            simulate_system, verify_all)
 from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
-from synkit.lang import LangError, parse, pretty_expr, typecheck
+from synkit.lang import LangError, Var, parse, pretty_expr, typecheck
 from synkit.smt import SmtSession
 from synkit.smt.sexpr import parse_all
 
@@ -170,6 +170,56 @@ def test_kinduction_proves_a_delay_chain_at_its_length(n):
     _, ts = _ts(delay_chain(n), "Chain")
     r = kinduction(ts, "ok", EngineConfig(k_max=n + 2, timeout=120))
     assert isinstance(r, Valid) and r.k == n
+
+
+def filter_chain(n: int) -> str:
+    """n first-order filters in series on a bounded input. Each stage
+    stays in the input's range, but no depth of k-induction shows it: a
+    step case may start any stage far outside the range, and it decays
+    back only geometrically."""
+    stages = "\n".join(
+        f"  y{i} = Filt({'u' if i == 1 else f'y{i - 1}'});"
+        for i in range(1, n + 1))
+    return f"""
+node Filt(u: real) returns (y: real);
+let
+  y = 0.0 -> 0.5 * pre y + 0.5 * u;
+tel
+
+node Chain(u: real) returns (ok: bool);
+var {", ".join(f"y{i}" for i in range(1, n + 1))}: real;
+let
+  assert u >= 0.0 and u <= 10.0;
+{stages}
+  ok = y{n} >= 0.0 and y{n} <= 10.0;
+  --!PROPERTY: ok = true;
+tel
+"""
+
+
+def filt_contract(tp) -> compose.Contract:
+    return compose.contract_from_text(
+        tp, "Filt", assumptions={"A": "u >= 0.0 and u <= 10.0"},
+        guarantees={"G": "y >= 0.0 and y <= 10.0"})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_filter_chain_proves_by_contracts_not_monolithically(n):
+    tp, ts = _ts(filter_chain(n), "Chain")
+    for mined in (False, True):
+        r = kinduction(ts, "ok", EngineConfig(k_max=12, timeout=120,
+                                              use_invariants=mined))
+        assert isinstance(r, Unknown), mined
+        assert r.reason is UnknownReason.KMAX_REACHED
+    arg = compose.build_argument(tp, "Chain", "ok", [filt_contract(tp)],
+                                 EngineConfig(k_max=12, timeout=120))
+    assert compose.argument_holds(arg)
+    assert arg.system_result == Valid(1)
+    assert arg.component_results == {"Filt": {"G": Valid(1)}}
+    # one assumption check per instance, the first named by its node
+    assert list(arg.assumption_results) == (
+        ["Filt.A"] + [f"Filt.A@Filt{i}" for i in range(2, n + 1)])
+
 
 def test_kinduction_kmax_exhaustion():
     _, ts = _ts(SAT_CHAIN, "Chain")
@@ -581,7 +631,8 @@ tel
 def test_a_call_under_pre_steps_after_the_signals_it_reads():
     # the call's argument is scheduled after the equation holding the
     # pre, so its inlined definitions come after the node's equations,
-    # where the interpreter steps such an instance too
+    # where the interpreter steps such an instance too; its argument
+    # Inc.a is an alias of z, so Inc.b reads z
     src = """
 node Inc(a: int) returns (b: int);
 let
@@ -596,7 +647,8 @@ let
 tel
 """
     tp, ts = _ts(src, "Late")
-    assert [n for n, _ in ts.definitions] == ["y", "z", "Inc.a", "Inc.b"]
+    assert [n for n, _ in ts.definitions] == ["y", "z", "Inc.b"]
+    assert pretty_expr(dict(ts.definitions)["Inc.b"]) == "z + 1"
     cs = compile_system(ts)
     xs = [1, 5, 7]
     state, got = cs.default_state, []
@@ -718,11 +770,16 @@ def _send_instants(un, s, n):
         un.assert_instant(s, t)
 
 
+ALIAS_NAMES = ("v", "w", "Id.a", "Id.b")
+
+
 def test_alias_chain_declares_and_asserts_only_its_representative(
         monkeypatch):
     _, ts = _ts(ALIASES, "Top")
-    names = [n for n, _ in ts.definitions]
-    assert names.index("Id.a") > names.index("ok")  # stepped late
+    # every alias, the late Id.a and Id.b too, is substituted away
+    assert [n for n, _ in ts.definitions] == ["y", "ok"]
+    assert [n for n, _ in ts.defined_vars] == ["ok", "y"]
+    assert dict(ts.trans)["_pre0"] == Var("x")
     sent = []
     send = SmtSession.send
     monkeypatch.setattr(SmtSession, "send",
@@ -733,8 +790,7 @@ def test_alias_chain_declares_and_asserts_only_its_representative(
         _send_instants(un, s, 2)
         assert s.check_sat() == "sat"  # every line was accepted
     text = "\n".join(sent)
-    for alias in ("v", "w", "Id.a", "Id.b"):
-        assert un.rep[alias] == "x"
+    for alias in ALIAS_NAMES:
         assert f"{alias}@" not in text.replace("|", "")
     assert "(declare-const x@1 Int)" in sent
     assert "(define-fun _pre0@1 () Int x@0)" in sent
@@ -761,11 +817,13 @@ def test_aliases_read_through_their_representative():
         assert s.check_sat() == "sat"
         names = [n for n, _ in ts.input_vars + ts.state_vars
                  + ts.defined_vars]
+        assert not set(ALIAS_NAMES) & set(names)
         rows = [dict(zip(names, s.get_values([un.at(n, t) for n in names])))
                 for t in (0, 1)]
-        for row, x in zip(rows, (5, -2)):
-            assert all(row[n] == x for n in ("x", "v", "w", "Id.a", "Id.b"))
-        assert rows[1]["y"] == 5 and rows[1]["ok"] is True
+        assert [row["x"] for row in rows] == [5, -2]
+        # y reads the pre of Id.b, whose representative is x
+        assert rows[1]["_pre0"] == rows[1]["y"] == 5
+        assert rows[1]["ok"] is True
         values = s.get_values(un.input_terms(1))
         assert un.decode_inputs(values) == Trace({"x": [5, -2]})
 
@@ -779,7 +837,7 @@ def test_kinduction_sends_every_equation_as_a_definition(monkeypatch):
                                             send(self, line))[1])
     assert kinduction(ts, "Obs", EngineConfig(k_max=2)) == Valid(1)
     un = Unroller(ts)
-    defined = {n for n, _ in un._defined}
+    defined = {n for n, _ in ts.definitions}
     states = {n for n, _ in ts.state_vars}
     inputs = {n for n, _ in ts.input_vars}
     kinds = {}

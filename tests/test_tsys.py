@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from synkit import tsys
+from synkit import compose, tsys
+from synkit.benchlib import load_benchmark
 from synkit.interp import Trace, simulate
 from synkit.lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
                          RealLit, Type, Unary, Var, parse, typecheck, walk)
@@ -107,7 +108,9 @@ tel
     schedule = [eq.targets[0] for eq in tp.info("Mix").schedule]
     assert schedule == ["c", "b", "a", "d", "y"]
     ts = tsys.compile(tp, "Mix")
-    assert [n for n, _ in ts.definitions] == schedule
+    # b = c is an alias: it is substituted away, and a reads c
+    assert [n for n, _ in ts.definitions] == ["c", "a", "d", "y"]
+    assert dict(ts.definitions)["a"] == Binary("+", Var("c"), Var("x"))
 
 
 def test_folding_does_not_depend_on_an_unrelated_constant():
@@ -186,7 +189,9 @@ let y = Pos(u); tel
 """)
     ts = tsys.compile(tp, "Top")
     assert len(ts.assumptions) == 1
-    assert Var("Pos.x") in walk(ts.assumptions[0])
+    # the callee's input Pos.x is an alias: the assumption reads u
+    assert Var("u") in walk(ts.assumptions[0])
+    assert "Pos.x" not in ts.var_types()
 
 
 def test_only_top_annotations_become_properties():
@@ -206,6 +211,35 @@ tel
 """)
     ts = tsys.compile(tp, "Outer")
     assert [pid for pid, _ in ts.properties] == ["good"]
+
+
+def test_shipped_systems_define_no_alias_and_read_only_their_variables(
+        monkeypatch):
+    # every catalog node, and every system that composition compiles from
+    # the contract manifests: each abstraction and component variant
+    bench = load_benchmark()
+    systems = []
+    compile_ = tsys.compile
+    monkeypatch.setattr(tsys, "compile", lambda tp, node: (
+        systems.append(compile_(tp, node)), systems[-1])[1])
+    for node in bench.tp.program.nodes:
+        tsys.compile(bench.tp, node.name)
+    args = {pid: compose.build_argument(bench.tp,
+                                        bench.spec(pid).observer_node,
+                                        "Obs", contracts)
+            for pid, contracts in sorted(bench.contracts.items())}
+    assert len(systems) > len(bench.tp.program.nodes) + len(bench.contracts)
+    for ts in systems:
+        assert not [n for n, rhs in ts.definitions if isinstance(rhs, Var)]
+        assert sorted(n for n, _ in ts.definitions) == \
+            sorted(n for n, _ in ts.defined_vars)
+        known = ts.var_types()
+        for f in ([rhs for _, rhs in ts.definitions + ts.trans]
+                  + ts.assumptions + ts.init + [p for _, p in ts.properties]):
+            for v in walk(f):
+                assert not isinstance(v, Var) or v.name in known, \
+                    (ts.node, v.name)
+    assert all(compose.argument_holds(arg) for arg in args.values())
 
 
 # independent formula evaluator for the bisimulation check ---------------
