@@ -7,6 +7,11 @@ justifications.  Cases are built by instantiating a small argument
 pattern over a requirement tree annotated with verification results,
 then queried, measured, validated, and exported (canonical JSON, DOT).
 
+The JSON text is exactly ``json.dumps(obj, indent=2)`` of the case's
+JSON object.  It is written by hand because on CPython 3.10 to 3.12 the
+C encoder cannot indent, so ``indent=2`` runs the pure-Python encoder,
+which costs about five times as much.
+
 Graphs are immutable after construction; all queries are read-only.
 """
 
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -48,6 +54,12 @@ class Kind(enum.Enum):
 class LinkKind(enum.Enum):
     SUPPORTED_BY = "SupportedBy"
     IN_CONTEXT_OF = "InContextOf"
+
+
+# graph_from_json_obj's value tables: one dict lookup per element or link
+# instead of a call of Enum.__call__
+_KIND_OF_VALUE = {k.value: k for k in Kind}
+_LINK_KIND_OF_VALUE = {k.value: k for k in LinkKind}
 
 
 # legal targets: SupportedBy carries argument structure, InContextOf
@@ -173,6 +185,8 @@ class Evidence:
 
 
 def evidence_from_json(obj: Mapping) -> Evidence:
+    if not isinstance(obj, Mapping):
+        raise SafetyCaseError(f"evidence record {obj!r:.40} is not an object")
     try:
         return Evidence(property_id=obj["property"],
                         verdict=obj["verdict"],
@@ -201,19 +215,35 @@ def requirements_from_json(obj: Union[Mapping, Sequence]
                            ) -> list[RequirementNode]:
     """Parse a requirement tree (or forest) from its JSON form."""
     def node(o: Mapping) -> RequirementNode:
+        if not isinstance(o, Mapping):
+            raise SafetyCaseError(
+                f"requirement node {o!r:.40} is not an object")
         try:
             ver = o.get("verification")
+            children = o.get("children", [])
+            metadata = o.get("metadata", {})
+            if not isinstance(children, list):
+                raise SafetyCaseError(
+                    f"requirement node {o['id']!r}: children is not a list")
+            if not isinstance(metadata, Mapping):
+                raise SafetyCaseError(
+                    f"requirement node {o['id']!r}: metadata is not an "
+                    "object")
             return RequirementNode(
                 id=o["id"], text=o["text"],
-                children=tuple(node(c) for c in o.get("children", ())),
+                children=tuple(node(c) for c in children),
                 verification=evidence_from_json(ver) if ver else None,
-                metadata=dict(o.get("metadata", {})))
+                metadata=dict(metadata))
         except KeyError as exc:
             raise SafetyCaseError(
                 f"requirement node missing {exc}") from exc
 
-    roots = [obj] if isinstance(obj, Mapping) else list(obj)
-    return [node(r) for r in roots]
+    if isinstance(obj, Mapping):
+        return [node(obj)]
+    if not isinstance(obj, list):
+        raise SafetyCaseError(
+            f"requirement forest {obj!r:.40} is neither an object nor a list")
+    return [node(r) for r in obj]
 
 
 # --- argument patterns -------------------------------------------------------
@@ -317,23 +347,13 @@ def _resolve(results: Mapping[str, Evidence],
     return results.get(req.id, req.verification)
 
 
-def _fully_formal(req: RequirementNode,
-                  results: Mapping[str, Evidence]) -> bool:
-    e = _resolve(results, req)
-    if e is None or not e.formal:
-        return False
-    return all(_fully_formal(c, results) for c in req.children)
-
-
-def _strategy_label(req: RequirementNode,
-                    results: Mapping[str, Evidence]
-                    ) -> tuple[str, list[str]]:
-    e = _resolve(results, req)
+def _strategy_label(req: RequirementNode, e: Optional[Evidence],
+                    formal: Mapping[str, bool]) -> tuple[str, list[str]]:
     if not req.children:
         if e is not None and e.formal:
             return LABEL_DIRECT, []
         return LABEL_INFORMAL, []
-    unproved = [c.id for c in req.children if not _fully_formal(c, results)]
+    unproved = [c.id for c in req.children if not formal[c.id]]
     if e is not None and e.formal and not unproved:
         return LABEL_FORMAL_COMP, []
     return LABEL_INFORMAL, unproved
@@ -351,31 +371,39 @@ def instantiate_pattern(pattern: GsnPattern,
     otherwise), a Context per Goal, and a Solution per evidenced leaf.
 
     A pure function of its inputs: same pattern, tree, and results give
-    the same graph, element for element.
+    the same graph, element for element.  Linear in the size of the
+    tree: each requirement's evidence is looked up twice.
     """
     roots = ([requirements] if isinstance(requirements, RequirementNode)
              else list(requirements))
     res: Mapping[str, Evidence] = dict(results or {})
     goal_role = _check_pattern(pattern)
 
-    seen_ids: set[str] = set()
+    # formal[id]: the requirement and its whole subtree are proved
+    formal: dict[str, bool] = {}
+
+    def survey(req: RequirementNode) -> bool:
+        if req.id in formal:
+            raise SafetyCaseError(
+                f"requirement id {req.id!r} appears twice in the tree")
+        formal[req.id] = False  # claims the id before the subtree is seen
+        kids = [survey(c) for c in req.children]
+        e = _resolve(res, req)
+        formal[req.id] = e is not None and e.formal and all(kids)
+        return formal[req.id]
+
     for r in roots:
-        for req in r.walk():
-            if req.id in seen_ids:
-                raise SafetyCaseError(
-                    f"requirement id {req.id!r} appears twice in the tree")
-            seen_ids.add(req.id)
+        survey(r)
 
     elements: list[GsnElement] = []
     links: list[GsnLink] = []
-    role_kind = {n.role: n.kind for n in pattern.nodes}
 
     def eid(role: str, req_id: str) -> str:
         return f"{role}:{req_id}"
 
     def emit(req: RequirementNode) -> str:
         e = _resolve(res, req)
-        label, unproved = _strategy_label(req, res)
+        label, unproved = _strategy_label(req, e, formal)
         evidenced_leaf = not req.children and e is not None
         fmt = _Fmt(id=req.id, text=req.text, label=label,
                    unproved=("; unproved children: " + ", ".join(unproved)
@@ -387,7 +415,7 @@ def instantiate_pattern(pattern: GsnPattern,
                 continue
             meta: dict = {}
             if pn.kind is Kind.GOAL:
-                meta["formalized"] = _fully_formal(req, res)
+                meta["formalized"] = formal[req.id]
                 meta.update(req.metadata)
             elif pn.kind is Kind.STRATEGY:
                 meta["label"] = label
@@ -675,33 +703,150 @@ def metrics(g: GsnGraph) -> dict:
 
 # --- serialization -----------------------------------------------------------
 
-def graph_to_json_obj(g: GsnGraph) -> dict:
-    return {
-        "elements": [
-            {"id": e.id, "kind": e.kind.value, "text": e.text,
-             "metadata": dict(e.metadata)}
-            for e in g.elements.values()],
-        "links": [
-            {"kind": l.kind.value, "from": l.src, "to": l.dst}
-            for l in g.links],
-        "roots": list(g.roots),
-    }
+# graph_to_json writes the case's fixed shape itself and hands only the
+# free-form values (metadata, roots) to _json_value
+
+def _json_float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == float("inf"):
+        return "Infinity"
+    if o == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, float):
+        return _quote(_json_float(k))
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return _quote(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _json_object(o: Mapping, level: int) -> str:
+    if not o:
+        return "{}"
+    pad = "\n" + "  " * (level + 1)
+    return ("{" + pad + ("," + pad).join(
+        _json_key(k) + ": " + _json_value(v, level + 1)
+        for k, v in o.items())
+        + "\n" + "  " * level + "}")
+
+
+def _json_value(o, level: int) -> str:
+    """o as json.dumps(o, indent=2) writes it when it sits at the given
+    nesting level, in the same order of type tests."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        pad = "\n" + "  " * (level + 1)
+        return ("[" + pad + ("," + pad).join(
+            _json_value(v, level + 1) for v in o)
+            + "\n" + "  " * level + "]")
+    if isinstance(o, dict):
+        return _json_object(o, level)
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+def _json_items(items: list[str]) -> str:
+    return "[" + ",".join(items) + "\n  ]" if items else "[]"
 
 
 def graph_to_json(g: GsnGraph) -> str:
-    return json.dumps(graph_to_json_obj(g), indent=2)
+    """The case as ``json.dumps(obj, indent=2)`` writes it, byte for byte,
+    where obj is ``{"elements": [{"id", "kind", "text", "metadata"}, ...],
+    "links": [{"kind", "from", "to"}, ...], "roots": [...]}``.  Element
+    ids and texts and link ends are strings, as the reader enforces."""
+    q = _quote
+    elements = [
+        f'\n    {{\n      "id": {q(e.id)},\n      "kind": '
+        f'{q(e.kind._value_)},\n      "text": {q(e.text)},\n      '
+        f'"metadata": {_json_object(e.metadata, 3)}\n    }}'
+        for e in g.elements.values()]
+    links = [
+        f'\n    {{\n      "kind": {q(l.kind._value_)},\n      "from": '
+        f'{q(l.src)},\n      "to": {q(l.dst)}\n    }}'
+        for l in g.links]
+    return (f'{{\n  "elements": {_json_items(elements)},\n  "links": '
+            f'{_json_items(links)},\n  "roots": '
+            f'{_json_value(list(g.roots), 1)}\n}}')
+
+
+def _bad_case(what: str) -> SafetyCaseError:
+    return SafetyCaseError(f"bad safety case JSON: {what}")
+
+
+def _json_list(obj: Mapping, key: str) -> list:
+    v = obj[key]
+    if not isinstance(v, list):
+        raise _bad_case(f"{key!r} is not a list")
+    return v
 
 
 def graph_from_json_obj(obj: Mapping) -> GsnGraph:
+    """The case a parsed JSON document describes.  Raises SafetyCaseError
+    when the document does not have the shape graph_to_json writes."""
+    if not isinstance(obj, Mapping):
+        raise _bad_case(f"{obj!r:.40} is not an object")
+    kinds, link_kinds = _KIND_OF_VALUE, _LINK_KIND_OF_VALUE
+    elements = []
+    links = []
     try:
-        elements = [GsnElement(e["id"], Kind(e["kind"]), e["text"],
-                               dict(e.get("metadata", {})))
-                    for e in obj["elements"]]
-        links = [GsnLink(LinkKind(l["kind"]), l["from"], l["to"])
-                 for l in obj["links"]]
-        roots = list(obj.get("roots", []))
-    except (KeyError, ValueError) as exc:
-        raise SafetyCaseError(f"bad safety case JSON: {exc}") from exc
+        for e in _json_list(obj, "elements"):
+            if not isinstance(e, dict):
+                raise _bad_case(f"element {e!r:.40} is not an object")
+            eid, text, meta = e["id"], e["text"], e.get("metadata", {})
+            kind = kinds.get(e["kind"])
+            if kind is None:
+                raise _bad_case(f"{e['kind']!r} is not a valid Kind")
+            if not (isinstance(eid, str) and isinstance(text, str)):
+                raise _bad_case(f"element {eid!r}: id and text must be "
+                                "strings")
+            if not isinstance(meta, dict):
+                raise _bad_case(f"element {eid!r}: metadata is not an "
+                                "object")
+            elements.append(GsnElement(eid, kind, text, dict(meta)))
+        for l in _json_list(obj, "links"):
+            if not isinstance(l, dict):
+                raise _bad_case(f"link {l!r:.40} is not an object")
+            src, dst = l["from"], l["to"]
+            kind = link_kinds.get(l["kind"])
+            if kind is None:
+                raise _bad_case(f"{l['kind']!r} is not a valid LinkKind")
+            if not (isinstance(src, str) and isinstance(dst, str)):
+                raise _bad_case(f"link {src!r} -> {dst!r}: ends must be "
+                                "strings")
+            links.append(GsnLink(kind, src, dst))
+        roots = _json_list(obj, "roots") if "roots" in obj else []
+    except KeyError as exc:
+        raise _bad_case(f"missing {exc}") from exc
+    except TypeError as exc:  # an unhashable kind
+        raise _bad_case(str(exc)) from exc
+    if not all(isinstance(r, str) for r in roots):
+        raise _bad_case("'roots' must hold strings")
     return GsnGraph(elements, links, roots)
 
 
@@ -709,7 +854,7 @@ def graph_from_json(text: str) -> GsnGraph:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SafetyCaseError(f"bad safety case JSON: {exc}") from exc
+        raise _bad_case(str(exc)) from exc
     return graph_from_json_obj(obj)
 
 

@@ -520,6 +520,21 @@ def test_safety_case_bad_json_is_io_error(capsys, tmp_path):
     assert "bad JSON" in err
 
 
+def test_safety_case_malformed_input_is_a_failure(capsys, tmp_path):
+    p = tmp_path / "malformed.json"
+    for doc, message in (
+            ({"elements": ["x"], "links": []}, "bad safety case JSON: "),
+            ({"elements": [], "links": [], "roots": 7},
+             "bad safety case JSON: "),
+            (5, "requirement forest"),
+            ([{"id": "R-1", "text": "", "children": "oops"}],
+             "requirement node 'R-1'")):
+        p.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "safety-case", "validate", str(p))
+        assert rc == 1 and out == ""
+        assert err.startswith("synkit: " + message)
+
+
 # --- bench ----------------------------------------------------------------------
 
 def test_bench_run_report(capsys):

@@ -6,7 +6,7 @@ import random
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synkit import safetycase as sc
@@ -358,24 +358,112 @@ def test_check_leaf_support_on_bare_root():
 # --- serialization -------------------------------------------------------------
 
 def test_json_round_trip_is_lossless():
-    root, res = g120_tree()
-    res["FPA1"] = Evidence("FPA1", "informal", "testing")
-    g = instantiate_pattern(DEFAULT_PATTERN, root, res)
-    text = graph_to_json(g)
-    again = graph_from_json(text)
-    assert graph_to_json(again) == text
-    obj = json.loads(text)
-    assert set(obj) == {"elements", "links", "roots"}
-    assert obj["links"][0].keys() == {"kind", "from", "to"}
+    g120, g120_res = g120_tree()
+    g120_res["FPA1"] = Evidence("FPA1", "informal", "testing")
+    for root, res in ((g120, g120_res), synthetic_requirements(341, 4)):
+        g = instantiate_pattern(DEFAULT_PATTERN, root, res)
+        text = graph_to_json(g)
+        assert text == json.dumps(json.loads(text), indent=2)
+        again = graph_from_json(text)
+        assert graph_to_json(again) == text
+        assert list(again.elements.values()) == list(g.elements.values())
+        assert again.links == g.links and again.roots == g.roots
+        obj = json.loads(text)
+        assert set(obj) == {"elements", "links", "roots"}
+        assert obj["links"][0].keys() == {"kind", "from", "to"}
+
+
+_ELEMENT = {"id": "x", "kind": "Goal", "text": ""}
+_BAD_CASES = [
+    {"elements": [{"id": "x", "kind": "Banana", "text": ""}],
+     "links": [], "roots": []},
+    5,
+    ["x"],
+    {"elements": 5, "links": []},
+    {"elements": ["x"], "links": []},
+    {"elements": [{**_ELEMENT, "metadata": [1, 2]}], "links": []},
+    {"elements": [{**_ELEMENT, "metadata": [["a", 1]]}], "links": []},
+    {"elements": [{**_ELEMENT, "id": 7}], "links": []},
+    {"elements": [{**_ELEMENT, "kind": ["Goal"]}], "links": []},
+    {"elements": [_ELEMENT], "links": {}},
+    {"elements": [_ELEMENT], "links": [7]},
+    {"elements": [_ELEMENT], "links": [{"kind": "SupportedBy", "from": "x"}]},
+    {"elements": [_ELEMENT],
+     "links": [{"kind": "Uses", "from": "x", "to": "x"}]},
+    {"elements": [_ELEMENT], "links": [], "roots": 7},
+    {"elements": [_ELEMENT], "links": [], "roots": [["x"]]},
+]
 
 
 def test_graph_json_rejects_bad_kind():
-    with pytest.raises(SafetyCaseError, match="bad safety case JSON"):
-        graph_from_json(json.dumps({
-            "elements": [{"id": "x", "kind": "Banana", "text": ""}],
-            "links": [], "roots": []}))
+    for doc in _BAD_CASES:
+        with pytest.raises(SafetyCaseError, match="bad safety case JSON"):
+            graph_from_json(json.dumps(doc))
     with pytest.raises(SafetyCaseError):
         graph_from_json("{not json")
+
+
+def parent_json(g):
+    """The text graph_to_json must equal: the standard encoder's indent=2
+    form of the case's JSON object."""
+    return json.dumps({
+        "elements": [
+            {"id": e.id, "kind": e.kind.value, "text": e.text,
+             "metadata": dict(e.metadata)}
+            for e in g.elements.values()],
+        "links": [
+            {"kind": l.kind.value, "from": l.src, "to": l.dst}
+            for l in g.links],
+        "roots": list(g.roots),
+    }, indent=2)
+
+
+# quotes, backslashes, control and non-ASCII characters are what the
+# encoder escapes
+_texts = st.one_of(st.text(), st.text(
+    alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600'))
+_keys = st.one_of(_texts, st.integers(), st.floats(), st.booleans(),
+                  st.none())
+_scalars = st.one_of(_texts, st.none(), st.booleans(),
+                     st.integers(min_value=-2**80, max_value=2**80),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _objects(values):
+    # keys distinct as JSON strings, or loads would keep only the last
+    return st.lists(st.tuples(_keys, values), max_size=4,
+                    unique_by=lambda kv: json.dumps({kv[0]: 0})).map(dict)
+
+
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.tuples(inner, inner), _objects(inner)),
+    max_leaves=12)
+
+
+@st.composite
+def json_graphs(draw):
+    ids = draw(st.lists(_texts, unique=True, max_size=5))
+    elements = [GsnElement(i, draw(st.sampled_from(list(Kind))),
+                           draw(_texts), draw(_objects(_json_values)))
+                for i in ids]
+    ends = st.one_of(st.sampled_from(ids), _texts) if ids else _texts
+    links = draw(st.lists(st.builds(GsnLink, st.sampled_from(list(LinkKind)),
+                                    ends, ends), max_size=5))
+    return GsnGraph(elements, links, draw(st.lists(ends, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_graphs())
+@example(GsnGraph())
+def test_graph_json_is_the_standard_encoders_text(g):
+    text = graph_to_json(g)
+    assert text == parent_json(g)
+    again = graph_from_json(text)
+    assert graph_to_json(again) == text
+    assert list(again.elements) == list(g.elements)
+    assert again.links == g.links and again.roots == g.roots
 
 
 def test_requirements_json_round_trip():
@@ -401,9 +489,44 @@ def test_requirements_json_round_trip():
     assert requirements_from_json(obj) == [baked]
 
 
+_BAD_REQUIREMENTS = [
+    ({"text": "no id"}, "missing"),
+    (5, "neither an object nor a list"),
+    (["R-1"], "not an object"),
+    ({"id": "R-1", "text": "", "children": ["R-2"]}, "not an object"),
+    ({"id": "R-1", "text": "", "children": "oops"}, "not a list"),
+    ({"id": "R-1", "text": "", "metadata": 5}, "metadata is not an object"),
+    ({"id": "R-1", "text": "", "verification": [1]}, "not an object"),
+]
+
+
 def test_requirements_json_missing_field():
-    with pytest.raises(SafetyCaseError, match="missing"):
-        requirements_from_json({"text": "no id"})
+    for obj, message in _BAD_REQUIREMENTS:
+        with pytest.raises(SafetyCaseError, match=message):
+            requirements_from_json(obj)
+
+
+def test_instantiation_is_linear_on_a_deep_chain(monkeypatch):
+    n = 300
+    results = {}
+    req = None
+    for i in reversed(range(n)):
+        results[f"R{i}"] = Evidence(f"R{i}", "valid", "direct", 1)
+        req = RequirementNode(f"R{i}", f"step {i}", (req,) if req else ())
+    calls = 0
+    resolve = sc._resolve
+
+    def counting_resolve(*args):
+        nonlocal calls
+        calls += 1
+        return resolve(*args)
+
+    monkeypatch.setattr(sc, "_resolve", counting_resolve)
+    g = instantiate_pattern(DEFAULT_PATTERN, req, results)
+    assert calls <= 3 * n
+    assert len(g) == 3 * n + 1
+    assert g.elements["goal:R0"].metadata["formalized"] is True
+    assert g.elements["strategy:R0"].metadata["label"] == LABEL_FORMAL_COMP
 
 
 # --- DOT export ----------------------------------------------------------------
@@ -672,3 +795,16 @@ def test_count_law_matches_brute_force(tr):
                                              results)) == graph_to_json(g)
     for strat in g.by_kind(Kind.STRATEGY):
         assert strat.metadata["label"] in sc.STRATEGY_LABELS
+
+    # formal status and unproved children against a walk of each subtree
+    def fully_formal(r):
+        e = results.get(r.id)
+        return (e is not None and e.formal
+                and all(fully_formal(c) for c in r.children))
+
+    for r in root.walk():
+        assert g.elements[f"goal:{r.id}"].metadata["formalized"] \
+            == fully_formal(r)
+        unproved = [c.id for c in r.children if not fully_formal(c)]
+        assert g.elements[f"strategy:{r.id}"].metadata.get(
+            "unproved_children", []) == unproved
