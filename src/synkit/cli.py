@@ -70,6 +70,9 @@ def _load_json(path: str):
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise _Failure(f"{path}: bad JSON: {exc}", EXIT_USAGE) from exc
+    except RecursionError as exc:
+        raise _Failure(f"{path}: bad JSON: nested too deeply",
+                       EXIT_USAGE) from exc
 
 
 def _load_program(path: str):

@@ -27,10 +27,12 @@ meaning m / (D * 2**e) for a compile-time D: one step shifts every such
 state to a shared exponent, sums and comparisons with fixed-scale
 values shift those left by it, multiplying by the loop constant raises
 the compile-time part, and each state is stored with the common factors
-of 2 of m and 2**e stripped. A signal stays on Fraction when it depends
-on a function call (an extern or nonlinear residue), on a product or
-quotient of signals, on an input without a scale, or on a loop whose
-factor has an odd part (x = 0.1 * pre x).
+of 2 of m and 2**e stripped. A signal stays on Fraction only when it
+depends on a call (an extern or nonlinear residue), on an input without
+a scale, or on a loop whose factor has an odd part (x = 0.1 * pre x).
+The system comes from tsys with its literals folded, each division by a
+constant turned into a product, and each product or quotient of two
+signals lowered to a call, so no other Real operation needs Fraction.
 
 ``step`` reads and returns the compiled representation: a scaled input
 is passed as the int value*D, and scaled state and definitions come
@@ -242,8 +244,6 @@ class _Emitter:
             c = self.emit(e.operand)
             if e.op == "not":
                 return _Code(f"(not {c.text})", None)
-            if c.lit is not None:
-                return _literal(-c.lit)
             return _Code(f"(-{c.text})", c.scale, grow=c.grow)
         if isinstance(e, Binary):
             return self.binary(e)
@@ -266,10 +266,8 @@ class _Emitter:
 
     def constant_factor(self, e: Binary, a: _Code, b: _Code
                         ) -> Optional[tuple[Expr, _Code, Fraction]]:
-        """For a Real product or quotient with a constant side: the
-        other side, its code, and the constant it is multiplied by."""
-        if e.op == "/" and b.lit:
-            return e.left, a, 1 / b.lit
+        """For a Real product with a literal side: the other side, its
+        code, and the literal it is multiplied by."""
         if e.op == "*" and b.lit is not None:
             return e.left, a, b.lit
         if e.op == "*" and a.lit is not None:
@@ -301,17 +299,14 @@ class _Emitter:
             return _Code(f"({self.fraction(a)} {op} {self.fraction(b)})",
                          None)
         factor = self.constant_factor(e, a, b)
-        if factor is not None:
-            return self.times(factor[1], factor[2])
-        # a product or quotient of two signals: exact, on Fraction
-        return _Code(f"({self.fraction(a, True)} {op} "
-                     f"{self.fraction(b, True)})", None)
+        if factor is None:
+            # tsys lowers these to _nlmul_real/_nldiv_real calls
+            raise LangError("compile", f"unlowered real {op!r}", e.pos)
+        return self.times(factor[1], factor[2])
 
     def times(self, x: _Code, c: Fraction) -> _Code:
         """x * c for a constant c: a scaled x at scale D gives the int
         X * (num/g) at scale D*den/g, with g = gcd(num, D*den)."""
-        if x.lit is not None:
-            return _literal(x.lit * c)
         if c == 1:
             return x
         if x.scale is None:
@@ -337,8 +332,8 @@ def _loop_gains(ts: TransitionSystem, em: _Emitter,
     scale. A scale flows through +, -, unary minus, the branches of an
     if-then-else and multiplication by a constant num/den, which takes a
     factor g to g*den/gcd(num, g*den), an upper bound whatever the scale
-    it multiplies; a product or quotient of signals or a call is a
-    Fraction and carries none."""
+    it multiplies; a call (an extern or nonlinear residue) is a Fraction
+    and carries none."""
     flows: dict[str, dict[str, int]] = {n: {n: 1} for n in real_state}
 
     def flow(e: Expr) -> dict[str, int]:

@@ -206,44 +206,66 @@ class RequirementNode:
     metadata: Mapping = field(default_factory=dict)
 
     def walk(self) -> Iterable["RequirementNode"]:
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """This requirement and all below it, in preorder."""
+        stack = [self]
+        while stack:
+            req = stack.pop()
+            yield req
+            stack.extend(reversed(req.children))
+
+
+def _fold_tree(roots: Sequence, down: Callable, up: Callable) -> list:
+    """Fold trees without recursion. down(x), called in preorder,
+    returns the children of x; up(x, values), called once the children's
+    subtrees are done, returns the value of x from its children's values.
+    Returns the values of the roots."""
+    values: list = []
+    todo: list = [(x, None) for x in reversed(roots)]
+    while todo:
+        x, n = todo.pop()
+        if n is None:
+            kids = down(x)
+            todo.append((x, len(kids)))
+            todo.extend((c, None) for c in reversed(kids))
+        else:
+            cut = len(values) - n
+            value = up(x, values[cut:])
+            values[cut:] = [value]
+    return values
 
 
 def requirements_from_json(obj: Union[Mapping, Sequence]
                            ) -> list[RequirementNode]:
     """Parse a requirement tree (or forest) from its JSON form."""
-    def node(o: Mapping) -> RequirementNode:
+    def check(o: Mapping) -> list:
         if not isinstance(o, Mapping):
             raise SafetyCaseError(
                 f"requirement node {o!r:.40} is not an object")
-        try:
-            ver = o.get("verification")
-            children = o.get("children", [])
-            metadata = o.get("metadata", {})
-            if not isinstance(children, list):
-                raise SafetyCaseError(
-                    f"requirement node {o['id']!r}: children is not a list")
-            if not isinstance(metadata, Mapping):
-                raise SafetyCaseError(
-                    f"requirement node {o['id']!r}: metadata is not an "
-                    "object")
-            return RequirementNode(
-                id=o["id"], text=o["text"],
-                children=tuple(node(c) for c in children),
-                verification=evidence_from_json(ver) if ver else None,
-                metadata=dict(metadata))
-        except KeyError as exc:
+        for key in ("id", "text"):
+            if key not in o:
+                raise SafetyCaseError(f"requirement node missing {key!r}")
+        children = o.get("children", [])
+        if not isinstance(children, list):
             raise SafetyCaseError(
-                f"requirement node missing {exc}") from exc
+                f"requirement node {o['id']!r}: children is not a list")
+        if not isinstance(o.get("metadata", {}), Mapping):
+            raise SafetyCaseError(
+                f"requirement node {o['id']!r}: metadata is not an object")
+        return children
+
+    def node(o: Mapping, children: list) -> RequirementNode:
+        ver = o.get("verification")
+        return RequirementNode(
+            id=o["id"], text=o["text"], children=tuple(children),
+            verification=evidence_from_json(ver) if ver else None,
+            metadata=dict(o.get("metadata", {})))
 
     if isinstance(obj, Mapping):
-        return [node(obj)]
-    if not isinstance(obj, list):
+        obj = [obj]
+    elif not isinstance(obj, list):
         raise SafetyCaseError(
             f"requirement forest {obj!r:.40} is neither an object nor a list")
-    return [node(r) for r in obj]
+    return _fold_tree(obj, check, node)
 
 
 # --- argument patterns -------------------------------------------------------
@@ -294,6 +316,22 @@ DEFAULT_PATTERN = GsnPattern(
 
 
 def pattern_from_json_obj(obj: Mapping) -> GsnPattern:
+    if not isinstance(obj, Mapping):
+        raise SafetyCaseError(
+            f"bad pattern JSON: pattern {obj!r:.40} is not an object")
+    for key, fields in (("nodes", ("role", "kind", "text", "per")),
+                        ("links", ("kind", "from", "to"))):
+        items = obj.get(key, [])
+        if not isinstance(items, list):
+            raise SafetyCaseError(f"bad pattern JSON: {key} is not a list")
+        for o in items:
+            if not isinstance(o, Mapping):
+                raise SafetyCaseError(f"bad pattern JSON: {key} entry "
+                                      f"{o!r:.40} is not an object")
+            for f in fields:
+                if not isinstance(o.get(f, ""), str):
+                    raise SafetyCaseError(f"bad pattern JSON: {f} "
+                                          f"{o[f]!r:.40} is not a string")
     try:
         return GsnPattern(
             name=obj.get("name", "pattern"),
@@ -379,40 +417,42 @@ def instantiate_pattern(pattern: GsnPattern,
     res: Mapping[str, Evidence] = dict(results or {})
     goal_role = _check_pattern(pattern)
 
-    # formal[id]: the requirement and its whole subtree are proved
+    # formal[id]: the requirement and its whole subtree are proved. A
+    # requirement's elements precede its subtree's but depend on it, so
+    # their slots are taken on the way down and filled on the way up.
     formal: dict[str, bool] = {}
-
-    def survey(req: RequirementNode) -> bool:
-        if req.id in formal:
-            raise SafetyCaseError(
-                f"requirement id {req.id!r} appears twice in the tree")
-        formal[req.id] = False  # claims the id before the subtree is seen
-        kids = [survey(c) for c in req.children]
-        e = _resolve(res, req)
-        formal[req.id] = e is not None and e.formal and all(kids)
-        return formal[req.id]
-
-    for r in roots:
-        survey(r)
-
-    elements: list[GsnElement] = []
+    elements: list = []
     links: list[GsnLink] = []
+    first_slot: dict[str, int] = {}
 
     def eid(role: str, req_id: str) -> str:
         return f"{role}:{req_id}"
 
-    def emit(req: RequirementNode) -> str:
-        e = _resolve(res, req)
-        label, unproved = _strategy_label(req, e, formal)
+    def roles(req: RequirementNode, e: Optional[Evidence]) -> list:
         evidenced_leaf = not req.children and e is not None
+        return [pn for pn in pattern.nodes
+                if pn.per == "requirement" or evidenced_leaf]
+
+    def claim(req: RequirementNode) -> tuple[RequirementNode, ...]:
+        if req.id in formal:
+            raise SafetyCaseError(
+                f"requirement id {req.id!r} appears twice in the tree")
+        formal[req.id] = False  # claims the id before the subtree is seen
+        first_slot[req.id] = len(elements)
+        elements.extend([None] * len(roles(req, _resolve(res, req))))
+        return req.children
+
+    def emit(req: RequirementNode, child_goals: list[str]) -> str:
+        e = _resolve(res, req)
+        formal[req.id] = (e is not None and e.formal
+                          and all(formal[c.id] for c in req.children))
+        label, unproved = _strategy_label(req, e, formal)
         fmt = _Fmt(id=req.id, text=req.text, label=label,
                    unproved=("; unproved children: " + ", ".join(unproved)
                              if unproved else ""),
                    detail=e.detail() if e else "")
         made: dict[str, str] = {}
-        for pn in pattern.nodes:
-            if pn.per == "evidenced-leaf" and not evidenced_leaf:
-                continue
+        for i, pn in enumerate(roles(req, e), first_slot.pop(req.id)):
             meta: dict = {}
             if pn.kind is Kind.GOAL:
                 meta["formalized"] = formal[req.id]
@@ -426,9 +466,8 @@ def instantiate_pattern(pattern: GsnPattern,
                 meta["property"] = e.property_id
                 meta["verdict"] = e.verdict
             made[pn.role] = eid(pn.role, req.id)
-            elements.append(GsnElement(made[pn.role], pn.kind,
-                                       pn.text.format_map(fmt), meta))
-        child_goals = [emit(c) for c in req.children]
+            elements[i] = GsnElement(made[pn.role], pn.kind,
+                                     pn.text.format_map(fmt), meta)
         for pl in pattern.links:
             if pl.dst == "child-goal":
                 if pl.src in made:
@@ -438,7 +477,8 @@ def instantiate_pattern(pattern: GsnPattern,
                 links.append(GsnLink(pl.kind, made[pl.src], made[pl.dst]))
         return made[goal_role.role]
 
-    root_ids = [emit(r) for r in roots]
+    # a requirement's links come after its subtree's
+    root_ids = _fold_tree(roots, claim, emit)
     return GsnGraph(elements, links, root_ids)
 
 
@@ -908,15 +948,18 @@ def synthetic_requirements(count: int = 500, branching: int = 4
         raise SafetyCaseError("need at least one requirement")
     results: dict[str, Evidence] = {}
 
-    def build(i: int) -> RequirementNode:
+    def children(i: int) -> range:
+        return range(branching * i + 1,
+                     min(branching * i + 1 + branching, count))
+
+    def build(i: int, kids: list[RequirementNode]) -> RequirementNode:
         rid = f"REQ-{i:03d}"
-        kids = tuple(build(j) for j in
-                     range(branching * i + 1,
-                           min(branching * i + 1 + branching, count)))
         results[rid] = Evidence(
             property_id=rid, verdict="valid",
             method="compositional" if kids else "direct",
             k=1, locator="synthetic")
-        return RequirementNode(rid, f"Synthetic requirement {i}", kids)
+        return RequirementNode(rid, f"Synthetic requirement {i}",
+                               tuple(kids))
 
-    return build(0), results
+    (root,) = _fold_tree([0], children, build)
+    return root, results

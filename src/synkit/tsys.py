@@ -10,11 +10,12 @@ true exactly at the first instant. Step-0 Pre variables are left
 unconstrained: the symbolic system over-approximates the interpreter's
 default-value start, which keeps proofs sound for execution.
 
-No definition is a bare variable. A definition that folds to one, such
-as the renaming `A.x = x` that inlining leaves for each call argument,
-is an alias: it is substituted away like a constant, every formula
-reading the variable at the end of its alias chain (its representative),
-and it is neither a defined variable nor a definition of the system.
+No definition is a bare variable or a literal. A definition that folds
+to a literal is a constant, and one that folds to a variable, such as
+the renaming `A.x = x` that inlining leaves for each call argument, is
+an alias. Both are substituted away: every formula reads the literal,
+or the variable at the end of the alias chain (its representative), and
+neither is a defined variable nor a definition of the system.
 
 Nonlinear residue is hidden behind uninterpreted function symbols:
 products of two non-constant terms become _nlmul_int/_nlmul_real
@@ -48,6 +49,7 @@ class TransitionSystem:
     init: list[Expr]  # conjuncts over step-0 variables
     trans: list[tuple[str, Expr]]  # state_var' = rhs(step i)
     # defined_var = rhs, every step; in schedule order; no rhs is a Var
+    # or a literal
     definitions: list[tuple[str, Expr]]
     assumptions: list[Expr]  # hold at every step
     properties: list[tuple[str, Expr]]
@@ -89,22 +91,28 @@ def literal(v: Value, ty: Type) -> Expr:
     return RealLit(Fraction(v), ty=Type.REAL)
 
 
-def fold_consts(e: Expr) -> Expr:
-    """Bottom-up constant folding; exact arithmetic, no reassociation."""
-    e = rebuild(e, fold_consts)
+def _fold(e: Expr) -> Expr:
+    """Bottom-up constant folding, exact and without reassociation, and
+    the lowering of nonlinear residue that the module docstring states."""
+    e = rebuild(e, _fold)
     if isinstance(e, Unary):
         v = _lit_value(e.operand)
         if v is not None:
             return literal((not v) if e.op == "not" else -v, e.ty)
     elif isinstance(e, Binary):
+        if e.op == "/":
+            dv = _lit_value(e.right)
+            if dv is None:
+                return Call("_nldiv_real", [e.left, e.right], pos=e.pos,
+                            ty=Type.REAL, is_extern=True)
+            if dv == 0:
+                raise LangError("compile", "division by constant zero", e.pos)
+            recip = RealLit(Fraction(1) / Fraction(dv), ty=Type.REAL)
+            e = Binary("*", e.left, recip, pos=e.pos, ty=Type.REAL)
         a, b = _lit_value(e.left), _lit_value(e.right)
         if a is not None and b is not None:
-            op = e.op
-            if op == "/" and b == 0:
-                raise LangError("compile", "division by constant zero", e.pos)
             table = {
                 "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-                "/": lambda: Fraction(a) / Fraction(b),
                 "=": lambda: a == b, "<>": lambda: a != b,
                 "<": lambda: a < b, "<=": lambda: a <= b,
                 ">": lambda: a > b, ">=": lambda: a >= b,
@@ -112,7 +120,11 @@ def fold_consts(e: Expr) -> Expr:
                 "or": lambda: bool(a) or bool(b),
                 "=>": lambda: (not a) or bool(b),
             }
-            return literal(table[op](), e.ty)
+            return literal(table[e.op](), e.ty)
+        if e.op == "*" and a is None and b is None:
+            name = "_nlmul_int" if e.ty is Type.INT else "_nlmul_real"
+            return Call(name, [e.left, e.right], pos=e.pos, ty=e.ty,
+                        is_extern=True)
     elif isinstance(e, Ite):
         cv = _lit_value(e.cond)
         if cv is not None:
@@ -143,8 +155,7 @@ class _Compiler:
         ts = TransitionSystem(node, inputs, self.state, self.defined,
                               init, self.trans, self.def_eqs,
                               self.assumptions, self.properties, [])
-        _propagate_constants(ts)
-        _lower_nonlinear(ts)
+        _simplify(ts)
         ts.extern_symbols = _collect_externs(ts, self.tp)
         return ts
 
@@ -202,26 +213,26 @@ class _Compiler:
         self.def_eqs.extend(late)
 
 
-def _propagate_constants(ts: TransitionSystem) -> None:
-    """Bind defined variables whose equations fold to literals or to bare
-    variables, then substitute them everywhere, folding every formula.
-    Keeps products like gain*dt linear. Each definition is folded once,
-    after the definitions it reads, so an alias binds to the end of its
-    chain; aliases leave the definitions and the defined variables."""
+def _simplify(ts: TransitionSystem) -> None:
+    """Bind each defined variable whose equation folds to a literal or to
+    a bare variable, substituting and folding every formula once. Each
+    definition is folded after the definitions it reads, so an alias
+    binds to the end of its chain and products like gain*dt stay linear.
+    Bound variables leave the definitions and the defined variables."""
     bound: dict[str, Expr] = {}
-    folded: list[tuple[str, Expr]] = []
+    kept: list[tuple[str, Expr]] = []
     for name, rhs in ts.definitions:
-        e = fold_consts(_subst(rhs, bound))
+        e = _fold(_subst(rhs, bound))
         if isinstance(e, Var) or _lit_value(e) is not None:
             bound[name] = e
-        if not isinstance(e, Var):
-            folded.append((name, e))
-    ts.definitions = folded
+        else:
+            kept.append((name, e))
+    ts.definitions = kept
     ts.defined_vars = [(n, ty) for n, ty in ts.defined_vars
-                       if not isinstance(bound.get(n), Var)]
+                       if n not in bound]
 
     def apply(e: Expr) -> Expr:
-        return fold_consts(_subst(e, bound))
+        return _fold(_subst(e, bound))
 
     ts.trans = [(n, apply(rhs)) for n, rhs in ts.trans]
     ts.assumptions = [apply(a) for a in ts.assumptions]
@@ -231,36 +242,6 @@ def _propagate_constants(ts: TransitionSystem) -> None:
 
 def _subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
     return map_vars(e, lambda v: mapping.get(v.name, v))
-
-
-def _lower_nonlinear(ts: TransitionSystem) -> None:
-    def lower(e: Expr) -> Expr:
-        e = rebuild(e, lower)
-        if not isinstance(e, Binary):
-            return e
-        left, right = e.left, e.right
-        if e.op == "*" and _lit_value(left) is None \
-                and _lit_value(right) is None:
-            name = "_nlmul_int" if e.ty is Type.INT else "_nlmul_real"
-            return Call(name, [left, right], pos=e.pos, ty=e.ty,
-                        is_extern=True)
-        if e.op == "/":
-            dv = _lit_value(right)
-            if dv is None:
-                return Call("_nldiv_real", [left, right], pos=e.pos,
-                            ty=Type.REAL, is_extern=True)
-            if dv == 0:
-                raise LangError("compile", "division by constant zero",
-                                e.pos)
-            recip = RealLit(Fraction(1) / Fraction(dv), ty=Type.REAL)
-            return Binary("*", left, recip, pos=e.pos, ty=Type.REAL)
-        return e
-
-    ts.definitions = [(n, lower(rhs)) for n, rhs in ts.definitions]
-    ts.trans = [(n, lower(rhs)) for n, rhs in ts.trans]
-    ts.assumptions = [lower(a) for a in ts.assumptions]
-    ts.init = [lower(f) for f in ts.init]
-    ts.properties = [(pid, lower(f)) for pid, f in ts.properties]
 
 
 _NL_SIGS = {

@@ -535,6 +535,27 @@ def test_safety_case_malformed_input_is_a_failure(capsys, tmp_path):
         assert err.startswith("synkit: " + message)
 
 
+def test_safety_case_malformed_pattern_is_a_failure(capsys, tmp_path):
+    p = tmp_path / "pattern.json"
+    for doc in ([], {"nodes": 5}, {"nodes": [5]}, {"nodes": [], "links": [5]},
+                {"nodes": [{"role": "goal", "kind": "Goal", "text": 5}]}):
+        p.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "safety-case", "generate", "--synthetic",
+                           "3", "--pattern", str(p))
+        assert rc == 1 and out == ""
+        assert err.startswith("synkit: bad pattern JSON: ")
+
+
+def test_safety_case_too_deeply_nested_json_is_bad_json(capsys, tmp_path):
+    # deeper than the JSON decoder nests on any supported Python
+    n = 10_000
+    p = tmp_path / "deep.json"
+    p.write_text('{"id": "R", "text": "", "children": [' * n + "]}" * n)
+    rc, out, err = run(capsys, "safety-case", "metrics", str(p))
+    assert rc == 2 and out == ""
+    assert err == f"synkit: {p}: bad JSON: nested too deeply\n"
+
+
 # --- bench ----------------------------------------------------------------------
 
 def test_bench_run_report(capsys):

@@ -529,6 +529,66 @@ def test_instantiation_is_linear_on_a_deep_chain(monkeypatch):
     assert g.elements["strategy:R0"].metadata["label"] == LABEL_FORMAL_COMP
 
 
+def test_deep_requirement_chain_needs_no_recursion():
+    # the chain's nodes are never compared or printed: the dataclass
+    # __eq__ and __repr__ recurse
+    n = 5000
+    root, results = synthetic_requirements(n, 1)
+    g = instantiate_pattern(DEFAULT_PATTERN, root, results)
+    assert count_law(DEFAULT_PATTERN, root, results) == len(g) == 3 * n + 1
+    assert g.roots == ("goal:REQ-000",)
+    assert g.elements["strategy:REQ-000"].metadata["label"] \
+        == LABEL_FORMAL_COMP
+    # elements in preorder; each requirement's links after its subtree's
+    assert list(g.elements)[:3] == [
+        "goal:REQ-000", "strategy:REQ-000", "context:REQ-000"]
+    assert g.links[0].src == f"goal:REQ-{n - 1:03d}"
+    assert g.links[-1].src == "strategy:REQ-000"
+
+    obj = {"id": f"R{n - 1}", "text": ""}
+    for i in reversed(range(n - 1)):
+        obj = {"id": f"R{i}", "text": "", "children": [obj]}
+    (read,) = requirements_from_json(obj)
+    assert [r.id for r in read.walk()] == [f"R{i}" for i in range(n)]
+
+
+_GOAL = {"role": "goal", "kind": "Goal", "text": "{id}"}
+_LINK = {"kind": "SupportedBy", "from": "goal", "to": "child-goal"}
+
+_BAD_PATTERNS = [
+    ([], "pattern .* is not an object"),
+    ({"nodes": 5}, "nodes is not a list"),
+    ({"nodes": [5]}, "nodes entry 5 is not an object"),
+    ({"nodes": [], "links": [5]}, "links entry 5 is not an object"),
+    ({"nodes": [], "links": {}}, "links is not a list"),
+    ({"nodes": [dict(_GOAL, text=5)]}, "text 5 is not a string"),
+    ({"nodes": [dict(_GOAL, role=["goal"])]}, "role .* is not a string"),
+    ({"nodes": [dict(_GOAL, kind=7)]}, "kind 7 is not a string"),
+    ({"nodes": [dict(_GOAL, per=None)]}, "per None is not a string"),
+    ({"nodes": [_GOAL], "links": [dict(_LINK, kind=1)]},
+     "kind 1 is not a string"),
+    ({"nodes": [_GOAL], "links": [dict(_LINK, **{"from": 2})]},
+     "from 2 is not a string"),
+    ({"nodes": [_GOAL], "links": [dict(_LINK, to=["goal"])]},
+     "to .* is not a string"),
+]
+
+
+@pytest.mark.parametrize("obj, message", _BAD_PATTERNS)
+def test_pattern_json_of_the_wrong_shape_is_rejected(obj, message):
+    with pytest.raises(SafetyCaseError, match="^bad pattern JSON: " + message):
+        sc.pattern_from_json_obj(obj)
+
+
+def test_pattern_json_reads_the_default_pattern():
+    obj = {"name": DEFAULT_PATTERN.name,
+           "nodes": [{"role": n.role, "kind": n.kind.value, "text": n.text,
+                      "per": n.per} for n in DEFAULT_PATTERN.nodes],
+           "links": [{"kind": l.kind.value, "from": l.src, "to": l.dst}
+                     for l in DEFAULT_PATTERN.links]}
+    assert sc.pattern_from_json_obj(obj) == DEFAULT_PATTERN
+
+
 # --- DOT export ----------------------------------------------------------------
 
 def test_dot_export_shapes():

@@ -63,8 +63,11 @@ tel
 """)
     ts = tsys.compile(tp, "Top")
     assert ts.extern_symbols == []
-    band_def = dict(ts.definitions)["Lim.band"]
-    assert band_def == RealLit(F(1, 5))
+    # band folds to a constant, which leaves the system like an alias
+    assert "Lim.band" not in dict(ts.defined_vars)
+    band = RealLit(F(1, 5))
+    assert ts.definitions == [
+        ("Lim.y", Ite(Binary(">", Var("u"), band), band, Var("u")))]
 
 
 def test_each_definition_is_substituted_and_folded_once(monkeypatch):
@@ -87,10 +90,11 @@ tel
         substituted.append(e), subst(e, mapping))[1])
     ts = tsys.compile(tp, "Chain")
     others = ts.trans + ts.assumptions + ts.init + ts.properties
-    assert len(substituted) == len(ts.definitions) + len(others) == 7
-    assert ts.definitions == [
-        ("d", IntLit(1)), ("c", IntLit(2)), ("b", IntLit(3)),
-        ("a", IntLit(4)), ("y", Binary("+", Var("x"), IntLit(4)))]
+    # five definitions, then the other formulas; the constants d, c, b
+    # and a leave the system
+    assert len(substituted) == 5 + len(others) == 7
+    assert ts.definitions == [("y", Binary("+", Var("x"), IntLit(4)))]
+    assert ts.defined_vars == [("y", Type.INT)]
 
 
 def test_definitions_follow_the_typechecker_schedule():
@@ -240,6 +244,44 @@ def test_shipped_systems_define_no_alias_and_read_only_their_variables(
                 assert not isinstance(v, Var) or v.name in known, \
                     (ts.node, v.name)
     assert all(compose.argument_holds(arg) for arg in args.values())
+
+
+def _is_literal(e: Expr) -> bool:
+    return isinstance(e, (BoolLit, IntLit, RealLit))
+
+
+def test_modeled_observers_compile_fully_simplified():
+    # what every layer below tsys relies on: no definition is a constant
+    # or an alias, and no formula holds a literal left to fold or a
+    # division or product of two signals left to lower
+    bench = load_benchmark()
+    modeled = [s for s in bench.specs if s.modeled]
+    assert len(modeled) == 17
+    systems = []
+    for spec in modeled:
+        systems.append(tsys.compile(bench.tp, spec.observer_node))
+        contracts = bench.contracts.get(spec.id, [])
+        if contracts:
+            abs_tp = compose.abstract_with_contracts(
+                bench.tp, spec.observer_node, contracts)
+            systems.append(tsys.compile(abs_tp, spec.observer_node))
+        systems += [tsys.compile(bench.tp, c.node) for c in contracts]
+    for ts in systems:
+        assert [n for n, rhs in ts.definitions
+                if isinstance(rhs, Var) or _is_literal(rhs)] == []
+        assert sorted(n for n, _ in ts.definitions) == \
+            sorted(n for n, _ in ts.defined_vars)
+        for f in ([rhs for _, rhs in ts.definitions + ts.trans]
+                  + ts.assumptions + ts.init + [p for _, p in ts.properties]):
+            for e in walk(f):
+                if isinstance(e, Unary):
+                    assert not _is_literal(e.operand), (ts.node, e)
+                if isinstance(e, Binary):
+                    assert not (_is_literal(e.left)
+                                and _is_literal(e.right)), (ts.node, e)
+                    assert e.op != "/", (ts.node, e)
+                    assert e.op != "*" or _is_literal(e.left) \
+                        or _is_literal(e.right), (ts.node, e)
 
 
 # independent formula evaluator for the bisimulation check ---------------
