@@ -85,7 +85,12 @@ def _load_program(path: str):
 
 def _emit(cfg: argparse.Namespace, obj: dict, text_lines) -> None:
     if cfg.fmt == "json":
-        print(json.dumps(obj, indent=2))
+        try:
+            text = json.dumps(obj, indent=2)
+        except RecursionError as exc:
+            raise _Failure("cannot write the report: nested too deeply",
+                           EXIT_FAIL) from exc
+        print(text)
     else:
         for line in text_lines(obj):
             print(line)
@@ -325,7 +330,11 @@ def cmd_safety_case(cfg: argparse.Namespace) -> int:
             raise _Failure(str(exc), EXIT_FAIL) from exc
 
     if cfg.action == "generate":
-        payload = sc.graph_to_json(g)
+        try:
+            payload = sc.graph_to_json(g)
+        except RecursionError as exc:
+            raise _Failure("cannot write the case: metadata nested too "
+                           "deeply", EXIT_FAIL) from exc
         if cfg.out:
             _write(cfg.out, payload + "\n")
             m = sc.metrics(g)

@@ -543,9 +543,9 @@ def verify_all(tasks: Sequence[tuple[TransitionSystem, str]],
                replays: Optional[dict[str, Replayer]] = None
                ) -> dict[str, VerifyResult]:
     """kinduction over each (system, property) task, one after another;
-    results keyed by property id in task order. A language error or a
-    solver failure is an Unknown result; a KeyError or ValueError from
-    kinduction is an InternalError."""
+    results keyed by property id in task order. kinduction answers
+    Unknown for a solver failure itself; a LangError, KeyError or
+    ValueError out of it is a bug, raised as an InternalError."""
     ids = [prop for _, prop in tasks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate property ids in task list")
@@ -555,9 +555,7 @@ def verify_all(tasks: Sequence[tuple[TransitionSystem, str]],
         try:
             results[prop] = kinduction(ts, prop, cfg,
                                        replay=replays.get(prop))
-        except (LangError, SolverFailure) as e:
-            results[prop] = Unknown(UnknownReason.SOLVER_ERROR, str(e))
-        except (KeyError, ValueError) as e:
+        except (LangError, KeyError, ValueError) as e:
             raise InternalError(
                 f"verifying {prop} raised {e!r}") from e
     return results

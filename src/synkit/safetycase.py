@@ -21,7 +21,8 @@ import enum
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Union)
 
 __all__ = [
     "Kind", "LinkKind", "GsnElement", "GsnLink", "GsnGraph",
@@ -98,9 +99,9 @@ class GsnGraph:
     only enforces id uniqueness; structural health is ``validate``'s
     job, so defective graphs can be loaded and diagnosed.
 
-    Links are fixed at construction and indexed by source, so
-    ``out_links`` costs the out-degree of one element, not a scan of
-    every link; every walk over the argument goes through it."""
+    Links are fixed at construction.  ``supported_by`` maps each element
+    to its SupportedBy targets in link order, dangling targets kept; it
+    is the one index, and every walk over the argument reads it."""
 
     def __init__(self, elements: Iterable[GsnElement] = (),
                  links: Iterable[GsnLink] = (),
@@ -112,29 +113,16 @@ class GsnGraph:
             self.elements[el.id] = el
         self.links: tuple[GsnLink, ...] = tuple(links)
         self.roots: tuple[str, ...] = tuple(roots)
-        self._out: dict[str, list[GsnLink]] = {}
+        self.supported_by: dict[str, list[str]] = {}
         for l in self.links:
-            self._out.setdefault(l.src, []).append(l)
+            if l.kind is LinkKind.SUPPORTED_BY:
+                self.supported_by.setdefault(l.src, []).append(l.dst)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def by_kind(self, kind: Kind) -> list[GsnElement]:
         return [e for e in self.elements.values() if e.kind is kind]
-
-    def out_links(self, eid: str,
-                  kind: Optional[LinkKind] = None) -> list[GsnLink]:
-        """Links leaving eid, optionally of one kind, in link order."""
-        return [l for l in self._out.get(eid, ())
-                if kind is None or l.kind is kind]
-
-    def solutions_of(self, goal_id: str) -> list[GsnElement]:
-        out = []
-        for l in self.out_links(goal_id, LinkKind.SUPPORTED_BY):
-            el = self.elements.get(l.dst)
-            if el is not None and el.kind is Kind.SOLUTION:
-                out.append(el)
-        return out
 
     def support_closure(self, *starts: str) -> list[str]:
         """Ids reachable from the starts along SupportedBy edges, starts
@@ -144,10 +132,10 @@ class GsnGraph:
         seen_set = set(seen)
         i = 0
         while i < len(seen):
-            for l in self.out_links(seen[i], LinkKind.SUPPORTED_BY):
-                if l.dst not in seen_set and l.dst in self.elements:
-                    seen_set.add(l.dst)
-                    seen.append(l.dst)
+            for dst in self.supported_by.get(seen[i], ()):
+                if dst not in seen_set and dst in self.elements:
+                    seen_set.add(dst)
+                    seen.append(dst)
             i += 1
         return seen
 
@@ -545,8 +533,42 @@ def _link_kind_defects(g: GsnGraph) -> list[Defect]:
 
 
 def _support_children(g: GsnGraph, eid: str) -> list[str]:
-    return [l.dst for l in g.out_links(eid, LinkKind.SUPPORTED_BY)
-            if l.dst in g.elements]
+    return [c for c in g.supported_by.get(eid, ()) if c in g.elements]
+
+
+def _support_walk(g: GsnGraph, starts: Iterable[str]
+                  ) -> Iterator[tuple[str, Optional[list[str]]]]:
+    """Depth-first walk along SupportedBy from each start in turn, each
+    element entered once and starts that name no element skipped.
+    Yields (id, children) as an element's walk ends, children being its
+    existing SupportedBy targets in link order, and (id, None) for each
+    edge back onto the current path, when the walk meets it.  Iterative,
+    so a deep argument needs no recursion."""
+    entered: set[str] = set()
+    on_path: set[str] = set()
+
+    def enter(eid: str) -> tuple[str, list[str], Iterator[str]]:
+        entered.add(eid)
+        on_path.add(eid)
+        kids = _support_children(g, eid)
+        return eid, kids, iter(kids)
+
+    for start in starts:
+        if start in entered or start not in g.elements:
+            continue
+        stack = [enter(start)]
+        while stack:
+            eid, kids, todo = stack[-1]
+            for nxt in todo:
+                if nxt in on_path:
+                    yield nxt, None
+                elif nxt not in entered:
+                    stack.append(enter(nxt))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(eid)
+                yield eid, kids
 
 
 def validate(g: GsnGraph) -> list[Defect]:
@@ -554,37 +576,15 @@ def validate(g: GsnGraph) -> list[Defect]:
     endpoints), SupportedBy cycles, undeveloped goals, and elements no
     root can reach.  Defects are data, not exceptions."""
     out = _link_kind_defects(g)
-
-    # SupportedBy cycles via iterative three-color DFS
-    color: dict[str, int] = {}
-    for start in g.elements:
-        if color.get(start):
-            continue
-        color[start] = 1
-        # frames: [node, children, next child index]
-        stack = [[start, _support_children(g, start), 0]]
-        while stack:
-            frame = stack[-1]
-            node, succ, i = frame
-            if i == len(succ):
-                color[node] = 2
-                stack.pop()
-                continue
-            frame[2] = i + 1
-            nxt = succ[i]
-            if color.get(nxt) == 1:
-                out.append(Defect("cycle", nxt,
-                                  "SupportedBy cycle through this "
-                                  "element"))
-            elif not color.get(nxt):
-                color[nxt] = 1
-                stack.append([nxt, _support_children(g, nxt), 0])
+    for eid, kids in _support_walk(g, g.elements):
+        if kids is None:
+            out.append(Defect("cycle", eid,
+                              "SupportedBy cycle through this element"))
 
     for el in g.elements.values():
-        if el.kind is Kind.GOAL:
-            if not g.out_links(el.id, LinkKind.SUPPORTED_BY):
-                out.append(Defect("undeveloped-goal", el.id,
-                                  "goal has no support and no solution"))
+        if el.kind is Kind.GOAL and el.id not in g.supported_by:
+            out.append(Defect("undeveloped-goal", el.id,
+                              "goal has no support and no solution"))
 
     reach: set[str] = set()
     for r in g.roots:
@@ -621,17 +621,14 @@ def check_leaf_support(g: GsnGraph, root: str) -> LeafSupport:
     goals = [i for i in closure if g.elements[i].kind is Kind.GOAL]
 
     def has_child_goal(gid: str) -> bool:
-        for l in g.out_links(gid, LinkKind.SUPPORTED_BY):
-            nxt = g.elements.get(l.dst)
-            if nxt is None:
-                continue
-            if nxt.kind is Kind.GOAL:
+        for c in _support_children(g, gid):
+            kind = g.elements[c].kind
+            if kind is Kind.GOAL:
                 return True
-            if nxt.kind is Kind.STRATEGY:
-                if any(g.elements.get(m.dst) is not None
-                       and g.elements[m.dst].kind is Kind.GOAL
-                       for m in g.out_links(nxt.id, LinkKind.SUPPORTED_BY)):
-                    return True
+            if kind is Kind.STRATEGY and any(
+                    g.elements[m].kind is Kind.GOAL
+                    for m in _support_children(g, c)):
+                return True
         return False
 
     formal: list[str] = []
@@ -640,7 +637,8 @@ def check_leaf_support(g: GsnGraph, root: str) -> LeafSupport:
     for gid in goals:
         if has_child_goal(gid):
             continue
-        sols = g.solutions_of(gid)
+        sols = [g.elements[c] for c in _support_children(g, gid)
+                if g.elements[c].kind is Kind.SOLUTION]
         if any(s.metadata.get("formalized") is True for s in sols):
             formal.append(gid)
         elif sols:
@@ -677,44 +675,6 @@ def query(g: GsnGraph,
     return out
 
 
-def _support_depths(g: GsnGraph) -> Iterable[int]:
-    """Longest SupportedBy path (in edges) below each root that exists.
-
-    An explicit-stack DFS with a memo shared across roots.  A child
-    already on the current path counts 0 (the cycle guard; validate
-    reports the cycle), and a node's depth is memoized when its walk
-    ends, so on a cyclic graph the value depends on the path that
-    reached the node first, exactly as a recursive walk would give."""
-    memo: dict[str, int] = {}
-    for root in g.roots:
-        if root not in g.elements:
-            continue
-        if root not in memo:
-            on_path = {root}
-            # frames: [node, children, next child index, best so far]
-            stack = [[root, _support_children(g, root), 0, 0]]
-            while stack:
-                frame = stack[-1]
-                node, succ, i, best = frame
-                if i == len(succ):
-                    memo[node] = best
-                    on_path.remove(node)
-                    stack.pop()
-                    if stack:
-                        stack[-1][3] = max(stack[-1][3], 1 + best)
-                    continue
-                frame[2] = i + 1
-                nxt = succ[i]
-                if nxt in memo:
-                    frame[3] = max(best, 1 + memo[nxt])
-                elif nxt in on_path:
-                    frame[3] = max(best, 1)
-                else:
-                    on_path.add(nxt)
-                    stack.append([nxt, _support_children(g, nxt), 0, 0])
-        yield memo[root]
-
-
 def metrics(g: GsnGraph) -> dict:
     """Counts per kind, total, longest SupportedBy path from a root (in
     edges), undeveloped goal count, and the fraction of solutions that
@@ -725,11 +685,15 @@ def metrics(g: GsnGraph) -> dict:
     for el in g.elements.values():
         counts[el.kind.value] += 1
 
-    max_depth = max(_support_depths(g), default=0)
+    # a child still on the path, the far end of a cycle, counts 0
+    depth: dict[str, int] = {}
+    for eid, kids in _support_walk(g, g.roots):
+        if kids is not None:
+            depth[eid] = max((1 + depth.get(c, 0) for c in kids), default=0)
+    max_depth = max((depth[r] for r in g.roots if r in depth), default=0)
     undeveloped = sum(
         1 for el in g.elements.values()
-        if el.kind is Kind.GOAL
-        and not g.out_links(el.id, LinkKind.SUPPORTED_BY))
+        if el.kind is Kind.GOAL and el.id not in g.supported_by)
     sols = g.by_kind(Kind.SOLUTION)
     formal = sum(1 for s in sols if s.metadata.get("formalized") is True)
     return {
@@ -773,19 +737,10 @@ def _json_key(k) -> str:
                     f"not {k.__class__.__name__}")
 
 
-def _json_object(o: Mapping, level: int) -> str:
-    if not o:
-        return "{}"
-    pad = "\n" + "  " * (level + 1)
-    return ("{" + pad + ("," + pad).join(
-        _json_key(k) + ": " + _json_value(v, level + 1)
-        for k, v in o.items())
-        + "\n" + "  " * level + "}")
-
-
 def _json_value(o, level: int) -> str:
     """o as json.dumps(o, indent=2) writes it when it sits at the given
-    nesting level, in the same order of type tests."""
+    nesting level, in the same order of type tests.  One call per level
+    of nesting, as in the standard encoder, so it nests as deep."""
     if isinstance(o, str):
         return _quote(o)
     if o is None:
@@ -798,17 +753,23 @@ def _json_value(o, level: int) -> str:
         return int.__repr__(o)
     if isinstance(o, float):
         return _json_float(o)
+    parts = []
     if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        pad = "\n" + "  " * (level + 1)
-        return ("[" + pad + ("," + pad).join(
-            _json_value(v, level + 1) for v in o)
-            + "\n" + "  " * level + "]")
-    if isinstance(o, dict):
-        return _json_object(o, level)
-    raise TypeError(f"Object of type {o.__class__.__name__} "
-                    "is not JSON serializable")
+        brackets = "[]"
+        for v in o:
+            parts.append(_json_value(v, level + 1))
+    elif isinstance(o, dict):
+        brackets = "{}"
+        for k, v in o.items():
+            parts.append(_json_key(k) + ": " + _json_value(v, level + 1))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        "is not JSON serializable")
+    if not parts:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return (brackets[0] + pad + ("," + pad).join(parts)
+            + "\n" + "  " * level + brackets[1])
 
 
 def _json_items(items: list[str]) -> str:
@@ -824,7 +785,7 @@ def graph_to_json(g: GsnGraph) -> str:
     elements = [
         f'\n    {{\n      "id": {q(e.id)},\n      "kind": '
         f'{q(e.kind._value_)},\n      "text": {q(e.text)},\n      '
-        f'"metadata": {_json_object(e.metadata, 3)}\n    }}'
+        f'"metadata": {_json_value(dict(e.metadata), 3)}\n    }}'
         for e in g.elements.values()]
     links = [
         f'\n    {{\n      "kind": {q(l.kind._value_)},\n      "from": '

@@ -556,6 +556,25 @@ def test_safety_case_too_deeply_nested_json_is_bad_json(capsys, tmp_path):
     assert err == f"synkit: {p}: bad JSON: nested too deeply\n"
 
 
+def test_safety_case_generate_writes_deep_metadata(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text('{"id": "R", "text": "t", "metadata": '
+                 + '{"k": ' * 400 + "0" + "}" * 400 + "}")
+    rc, out, _ = run(capsys, "safety-case", "generate", str(p))
+    assert rc == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    # deeper than the writers nest: the decoder refuses it first on some
+    # Pythons, the writers on others; either way a message, no traceback
+    n = 1200
+    p.write_text('{"id": "R", "text": "t", "metadata": '
+                 + '{"k": ' * n + "0" + "}" * n + "}")
+    for argv in (["generate", str(p)], ["query", str(p), "--json"]):
+        rc, out, err = run(capsys, "safety-case", *argv)
+        assert rc in (1, 2) and out == ""
+        assert err.startswith("synkit: ")
+        assert err.endswith("nested too deeply\n")
+
+
 # --- bench ----------------------------------------------------------------------
 
 def test_bench_run_report(capsys):

@@ -554,6 +554,18 @@ def test_verify_all_stray_key_error_is_internal_error(monkeypatch):
         verify_all([(ts, "p")], CFG)
 
 
+def test_verify_all_stray_lang_error_is_internal_error(monkeypatch):
+    # a compiled system raises no LangError, so one out of kinduction is
+    # a bug, not an Unknown verdict
+    def stray(*args, **kwargs):
+        raise LangError("compile", "stray")
+
+    monkeypatch.setattr(core, "_base_case", stray)
+    _, ts = _ts(TOGGLE, "Toggle")
+    with pytest.raises(InternalError):
+        verify_all([(ts, "p")], CFG)
+
+
 def test_houdini_stray_value_error_is_internal_error(monkeypatch):
     # only the deadline, an unknown answer and solver failure mean "no
     # invariants"; any other ValueError out of Houdini is a bug

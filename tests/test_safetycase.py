@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections.abc import Mapping
 from time import perf_counter
 
 import pytest
@@ -466,6 +467,16 @@ def test_graph_json_is_the_standard_encoders_text(g):
     assert again.links == g.links and again.roots == g.roots
 
 
+def test_deep_metadata_is_the_standard_encoders_text():
+    # one call per level of nesting, as in the standard encoder, so the
+    # writer nests as deep as json.dumps does
+    meta = {}
+    for _ in range(400):
+        meta = {"k": meta}
+    g = GsnGraph([GsnElement("g", Kind.GOAL, "deep", meta)], roots=["g"])
+    assert graph_to_json(g) == parent_json(g)
+
+
 def test_requirements_json_round_trip():
     root, res = g120_tree()
     baked = RequirementNode(
@@ -622,12 +633,35 @@ def test_dot_export_refuses_defective_links():
 
 # --- the link index against a full scan -----------------------------------------
 
-class _ScanGraph(GsnGraph):
-    """Reference graph: out_links scans every link, as before the index."""
+class _LinkScan(Mapping):
+    """Each element's SupportedBy targets, found by a scan of every link
+    on each lookup; an element with none is not a key."""
 
-    def out_links(self, eid, kind=None):
-        return [l for l in self.links
-                if l.src == eid and (kind is None or l.kind is kind)]
+    def __init__(self, links):
+        self.links = links
+
+    def __getitem__(self, eid):
+        targets = [l.dst for l in self.links
+                   if l.src == eid and l.kind is LinkKind.SUPPORTED_BY]
+        if not targets:
+            raise KeyError(eid)
+        return targets
+
+    def __iter__(self):
+        return iter(dict.fromkeys(
+            l.src for l in self.links if l.kind is LinkKind.SUPPORTED_BY))
+
+    def __len__(self):
+        return len(list(iter(self)))
+
+
+class _ScanGraph(GsnGraph):
+    """Reference graph: SupportedBy targets come from a scan of every
+    link, as before the index."""
+
+    def __init__(self, elements, links, roots):
+        super().__init__(elements, links, roots)
+        self.supported_by = _LinkScan(self.links)
 
 
 def _recursive_max_depth(g):
@@ -641,9 +675,9 @@ def _recursive_max_depth(g):
         if eid in trail:
             return 0
         best = 0
-        for l in g.out_links(eid, LinkKind.SUPPORTED_BY):
-            if l.dst in g.elements:
-                best = max(best, 1 + depth(l.dst, trail | {eid}))
+        for dst in g.supported_by.get(eid, ()):
+            if dst in g.elements:
+                best = max(best, 1 + depth(dst, trail | {eid}))
         memo[eid] = best
         return best
 
@@ -667,8 +701,8 @@ def _rescan_cycle_defects(g):
                 if color.get(node) == 2:
                     continue
                 color[node] = 1
-            succ = [l.dst for l in g.out_links(node, LinkKind.SUPPORTED_BY)
-                    if l.dst in g.elements]
+            succ = [dst for dst in g.supported_by.get(node, ())
+                    if dst in g.elements]
             if i < len(succ):
                 stack.append((node, i + 1))
                 nxt = succ[i]
@@ -709,9 +743,9 @@ def test_link_index_matches_a_full_scan(graph):
     elements, links, roots = graph
     g = GsnGraph(elements, links, roots)
     ref = _ScanGraph(elements, links, roots)
+    # targets in link order, dangling ones kept, ghost sources included
+    assert g.supported_by == dict(ref.supported_by)
     for eid in _IDS + _GHOSTS:
-        for kind in (None, *LinkKind):
-            assert g.out_links(eid, kind) == ref.out_links(eid, kind)
         assert g.support_closure(eid) == ref.support_closure(eid)
         assert query(g, related_to=eid) == query(ref, related_to=eid)
     assert query(g, related_to="") == query(ref, related_to="")
