@@ -223,11 +223,48 @@ def load_expected() -> dict:
 def _parse_value(text: str, ty: Type):
     if ty is Type.BOOL:
         if text not in ("true", "false"):
-            raise BenchmarkError(f"bad bool literal {text!r}")
+            raise ValueError(f"bad bool literal {text!r}")
         return text == "true"
     if ty is Type.INT:
         return int(text)
     return Fraction(text)
+
+
+def _literals(texts) -> list[str]:
+    if not isinstance(texts, list) or not all(isinstance(t, str)
+                                              for t in texts):
+        raise ValueError("not a list of literal strings")
+    return texts
+
+
+def _driver_pool(spec: dict, ty: Type) -> tuple[list, Optional[int]]:
+    """The pool and scale of one sampled driver entry; ValueError for an
+    entry of the wrong shape."""
+    if "choice" in spec:
+        pool = [_parse_value(t, ty) for t in _literals(spec["choice"])]
+        scale = None
+        if ty is Type.REAL:
+            scale = lcm(*(v.denominator for v in pool))
+            pool = [v.numerator * (scale // v.denominator) for v in pool]
+        return pool, scale
+    if "uniform" not in spec:
+        raise ValueError("unknown driver form")
+    if ty is not Type.REAL:
+        raise ValueError("uniform pools are real")
+    uniform = spec["uniform"]
+    if not isinstance(uniform, list) or len(uniform) != 3:
+        raise ValueError("uniform takes [low, high, denominator]")
+    lo, hi = _literals(uniform[:2])
+    den = uniform[2]
+    if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+        raise ValueError(f"denominator {den!r} is not a positive integer")
+    lo_n = Fraction(lo) * den
+    hi_n = Fraction(hi) * den
+    if lo_n.denominator != 1 or hi_n.denominator != 1:
+        raise ValueError(f"bounds do not land on the 1/{den} grid")
+    pool = list(range(int(lo_n), int(hi_n) + 1))
+    g = gcd(den, *pool)
+    return [i // g for i in pool], den // g
 
 
 def _compile_driver(driver: dict, types: dict[str, Type]):
@@ -241,37 +278,28 @@ def _compile_driver(driver: dict, types: dict[str, Type]):
     samplers: list[tuple[str, list, Optional[int]]] = []
     copies: list[tuple[str, str]] = []
     for name, spec in driver.items():
+        if name not in types:
+            raise BenchmarkError(f"{name}: not an input of the observer")
+        if not isinstance(spec, dict):
+            raise BenchmarkError(f"{name}: driver entry {spec!r} is not "
+                                 "an object")
         if "copy" in spec:
             copies.append((name, spec["copy"]))
             continue
-        ty = types[name]
-        if "choice" in spec:
-            pool = [_parse_value(t, ty) for t in spec["choice"]]
-            scale = None
-            if ty is Type.REAL:
-                scale = lcm(*(v.denominator for v in pool))
-                pool = [v.numerator * (scale // v.denominator) for v in pool]
-        elif "uniform" in spec:
-            if ty is not Type.REAL:
-                raise BenchmarkError(f"{name}: uniform pools are real")
-            lo, hi, den = spec["uniform"]
-            lo_n = Fraction(lo) * den
-            hi_n = Fraction(hi) * den
-            if lo_n.denominator != 1 or hi_n.denominator != 1:
-                raise BenchmarkError(
-                    f"{name}: uniform bounds do not land on the 1/{den} grid")
-            pool = list(range(int(lo_n), int(hi_n) + 1))
-            g = gcd(den, *pool)
-            pool = [i // g for i in pool]
-            scale = den // g
-        else:
-            raise BenchmarkError(f"{name}: unknown driver form {spec}")
+        try:
+            pool, scale = _driver_pool(spec, types[name])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BenchmarkError(
+                f"{name}: bad driver entry {spec}: {exc}") from exc
         if not pool:
             raise BenchmarkError(f"{name}: empty driver pool")
         samplers.append((name, pool, scale))
     for name, src in copies:
         if not any(n == src for n, _, _ in samplers):
             raise BenchmarkError(f"{name}: copy source {src!r} not sampled")
+    missing = [name for name in types if name not in driver]
+    if missing:
+        raise BenchmarkError(f"no driver entry for {', '.join(missing)}")
     return samplers, copies
 
 
@@ -310,50 +338,33 @@ def driver_harness(tp: TypedProgram, spec: PropertySpec,
     the pools are built to meet the observer's environment asserts, so a
     broken assert means the data is wrong and raises BenchmarkError.
 
-    A run reads ``Random(seed).getrandbits`` exactly as ``Random.choice``
-    does: for a pool of n values, k = n.bit_length() bits, drawn again
-    while the result is n or more, then that index.  This is the body of
-    CPython's ``Random._randbelow_with_getrandbits``, which ``choice``
-    calls on 3.10 to 3.13, so a seed gives the inputs that ``sample_step``
-    draws.  A pool of one value is drawn too, as ``choice`` draws it, or
-    every later draw would shift."""
+    The whole run is the compiled system's ``campaign``, one generated
+    loop per observer that draws the inputs, runs the step body and
+    checks the properties (``engine.codegen.compile_system``).  It draws
+    from ``Random(seed).getrandbits`` as ``Random.choice`` does, so a
+    seed gives the inputs that ``sample_step`` draws."""
     if spec.driver is None:
         raise BenchmarkError(f"{spec.id}: not a modeled property")
     ts = tsys.compile(tp, spec.observer_node)
-    samplers, copies = _compile_driver(spec.driver, dict(ts.input_vars))
+    try:
+        samplers, copies = _compile_driver(spec.driver, dict(ts.input_vars))
+    except BenchmarkError as exc:
+        raise BenchmarkError(f"{spec.id}: {exc}") from exc
     scales = {name: scale for name, _, scale in samplers
               if scale is not None}
     scales.update((name, scales[src]) for name, src in copies
                   if src in scales)
-    cs = compile_system(ts, externs, input_scales=scales)
-    at = {name: i for i, name in enumerate(cs.input_names)}
-    draws = [(at[name], pool, len(pool), len(pool).bit_length())
-             for name, pool, _ in samplers]
-    links = [(at[name], at[src]) for name, src in copies]
+    cs = compile_system(ts, externs, input_scales=scales,
+                        pools=[(name, pool) for name, pool, _ in samplers],
+                        links=copies)
 
     def run(steps: int, seed: int) -> DriverRun:
-        bits = random.Random(seed).getrandbits
-        step = cs.step
-        buf = [None] * len(cs.input_names)
-        state = cs.default_state
-        violations: list[tuple[int, str]] = []
-        for t in range(steps):
-            for i, pool, n, k in draws:
-                r = bits(k)
-                while r >= n:
-                    r = bits(k)
-                buf[i] = pool[r]
-            for i, j in links:
-                buf[i] = buf[j]
-            state, asm_ok, props, _ = step(state, tuple(buf))
-            if not asm_ok:
-                raise BenchmarkError(
-                    f"{spec.id}: driver violated an environment assert at "
-                    f"step {t}")
-            if not all(props):
-                violations.extend((t, pid)
-                                  for pid, val in zip(cs.prop_ids, props)
-                                  if val is False)
+        violations, breach, _ = cs.campaign(
+            steps, random.Random(seed).getrandbits)
+        if breach is not None:
+            raise BenchmarkError(
+                f"{spec.id}: driver violated an environment assert at "
+                f"step {breach}")
         return DriverRun(list(cs.prop_ids), steps, violations)
 
     return run

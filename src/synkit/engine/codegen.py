@@ -40,17 +40,28 @@ back as ints. A growing state comes back as its pair (m, e), a growing
 definition as its mantissa, with the step's exponent after the last
 definition. ``CompiledSystem.decode`` turns state and definitions back
 into public values, where every Real value is a Fraction.
+
+Given the pools its inputs are drawn from, the system also gets a
+``campaign``: the same step body, emitted inside one generated loop, as
+a Lustre compiler emits a node's step inside its main loop. Each
+instant draws every input from its pool by the rule ``Random.choice``
+uses (emitted by ``_campaign``), runs the definitions, checks the
+assumptions and each property in place, and stores the next state into
+the locals the body reads, so no tuple is built between instants.
+``benchlib.driver_harness`` runs its random drivers this way.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
-                    RealLit, Type, Unary, Var)
+                    RealLit, Type, Unary, Var, walk)
 from ..tsys import INIT_FLAG, TransitionSystem
 
 _TYPE_DEFAULT = {Type.BOOL: False, Type.INT: 0, Type.REAL: Fraction(0)}
@@ -84,6 +95,11 @@ class CompiledSystem:
     # Real signals held as an int m meaning m / (D * 2**e), by name: a
     # state as the pair (m, e), a definition with the step's e
     growing: dict[str, int] = field(default_factory=dict)
+    # campaign(steps, bits) -> (violations, breach, S'): steps instants
+    # from the default state, each input drawn from its pool by bits;
+    # violations are (step, property id) pairs, breach is the step whose
+    # assumptions failed, which ends the run, or None; see compile_system
+    campaign: Optional[Callable[[int, Callable[[int], int]], tuple]] = None
 
     def __post_init__(self):
         self._state_scales = [self._scale(n) for n in self.state_names]
@@ -431,14 +447,33 @@ def _analyse_scales(ts: TransitionSystem, slot: dict[str, str],
             return scales, grows
 
 
+def _tuple(items: list[str]) -> str:
+    return f"({', '.join(items)}{',' if items else ''})"
+
+
+def _indent(code: list[str], spaces: int) -> list[str]:
+    return [" " * spaces + c for c in code]
+
+
+# a call in generated text: a name or a subscript right before "("
+_CALL = re.compile(r"[\w\]]\(")
+
+
 def compile_system(ts: TransitionSystem,
                    externs: Optional[dict[str, Callable]] = None,
-                   input_scales: Optional[dict[str, int]] = None
+                   input_scales: Optional[dict[str, int]] = None,
+                   pools: Optional[Sequence[tuple[str, Sequence]]] = None,
+                   links: Sequence[tuple[str, str]] = ()
                    ) -> CompiledSystem:
     """Build the executable form of ts. Extern symbols need concrete
     callables; the nonlinear-residue symbols get theirs automatically.
     input_scales gives, for Real inputs whose values are all multiples of
-    1/D, that D; step then takes those inputs as the int value*D."""
+    1/D, that D; step then takes those inputs as the int value*D.
+
+    pools, when given, also builds ``campaign``: (input, pool) pairs in
+    the order the inputs are drawn, each pool holding the compiled
+    values its input is drawn from, and links pairs every other input
+    with the drawn input whose value it copies at the same instant."""
     table = dict(NONLINEAR_EVAL)
     table.update(externs or {})
     for name, _, _ in ts.extern_symbols:
@@ -457,6 +492,14 @@ def compile_system(ts: TransitionSystem,
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise LangError("compile",
                             f"scale of {n} is not a positive integer")
+    if pools is not None:
+        drawn = [n for n, _ in pools]
+        if sorted(drawn + [n for n, _ in links]) != sorted(input_names) \
+                or not {src for _, src in links} <= set(drawn) \
+                or not all(pool for _, pool in pools):
+            raise LangError("compile", "pools and links must give each "
+                            "input once, each pool non-empty and each "
+                            "link a drawn source")
     slot: dict[str, str] = {}
     for i, n in enumerate(state_names):
         slot[n] = f"s{i}"
@@ -467,32 +510,21 @@ def compile_system(ts: TransitionSystem,
 
     scales, grows = _analyse_scales(ts, slot, types, input_scales)
     em = _Emitter(slot, types, scales, grows)
-    # a growing state is the pair (m, e_i); the step shifts every one to
+    # a growing state is the pair (m, e_i); each step shifts every one to
     # the largest exponent, e
-    unpack = []
-    if state_names:
-        pattern = ", ".join(f"({slot[n]}, e{i})" if n in grows else slot[n]
-                            for i, n in enumerate(state_names))
-        unpack.append(f"    {pattern}, = S")
+    state = [f"({slot[n]}, e{i})" if n in grows else slot[n]
+             for i, n in enumerate(state_names)]
     growing_state = [i for i, n in enumerate(state_names) if n in grows]
+    align = []
     if len(growing_state) == 1:
-        unpack.append(f"    e = e{growing_state[0]}")
+        align.append(f"e = e{growing_state[0]}")
     elif growing_state:
-        exps = ", ".join(f"e{i}" for i in growing_state)
-        unpack.append(f"    e = max({exps})")
-        unpack += [f"    if e{i} < e: s{i} <<= e - e{i}"
-                   for i in growing_state]
-    lines = ["def _make(C, E, Fraction, _norm):", "  def _step(S, I):"]
-    lines += ["  " + u for u in unpack]
-    if input_names:
-        lines.append(f"      {', '.join(slot[n] for n in input_names)}, = I")
-    for name, rhs in ts.definitions:
-        lines.append(f"      {slot[name]} = {em.emit(rhs).text}")
-    asm = " and ".join(f"({em.emit(a).text})" for a in ts.assumptions) \
-        or "True"
-    lines.append(f"      asm = {asm}")
-    props = ", ".join(em.emit(f).text for _, f in ts.properties)
-    lines.append(f"      props = ({props}{',' if props else ''})")
+        align.append(f"e = max({', '.join(f'e{i}' for i in growing_state)})")
+        align += [f"if e{i} < e: s{i} <<= e - e{i}" for i in growing_state]
+    body = [f"{slot[name]} = {em.emit(rhs).text}"
+            for name, rhs in ts.definitions]
+    asm = " and ".join(f"({em.emit(a).text})" for a in ts.assumptions)
+    props = [em.emit(f).text for _, f in ts.properties]
     nxt = {}
     for name, rhs in ts.trans:
         c = em.emit(rhs)
@@ -509,12 +541,28 @@ def compile_system(ts: TransitionSystem,
             nxt[name] = f"_norm({text}, {exp})"
         else:
             nxt[name] = em.rescale(c, scales[name])
-    nexts = ", ".join(nxt[n] for n in state_names)
-    lines.append(f"      nxt = ({nexts}{',' if nexts else ''})")
-    defs = ", ".join([slot[n] for n in defined_names]
-                     + (["e"] if grows else []))
-    lines.append(
-        f"      return nxt, asm, props, ({defs}{',' if defs else ''})")
+    # a next-state text with a call that several states share is
+    # computed once, into a local n<j>
+    repeated = Counter(nxt.values())
+    shared: dict[str, str] = {}
+    for text in nxt.values():
+        if repeated[text] > 1 and _CALL.search(text) and text not in shared:
+            shared[text] = f"n{len(shared)}"
+    value = {n: shared.get(text, text) for n, text in nxt.items()}
+    defs = [slot[n] for n in defined_names] + (["e"] if grows else [])
+    unpack = _indent(([f"{', '.join(state)}, = S"] if state else [])
+                     + align, 6)
+    lines = ["def _make(C, E, Fraction, _norm, P, S0):", "  def _step(S, I):"]
+    lines += unpack
+    if input_names:
+        lines.append(f"      {', '.join(slot[n] for n in input_names)}, = I")
+    lines += _indent(body, 6)
+    lines.append(f"      asm = {asm or 'True'}")
+    lines.append(f"      props = {_tuple(props)}")
+    lines += _indent([f"{local} = {text}"
+                      for text, local in shared.items()], 6)
+    nexts = _tuple([value[n] for n in state_names])
+    lines.append(f"      return {nexts}, asm, props, {_tuple(defs)}")
 
     init_em = _Emitter({n: slot[n] for n in state_names}, types, scales,
                        grows)
@@ -522,13 +570,15 @@ def compile_system(ts: TransitionSystem,
     init_body = " and ".join(f"({init_em.emit(f).text})" for f in ts.init) \
         or "True"
     lines.append("  def _init_ok(S):")
-    lines += ["  " + u for u in unpack]
+    lines += unpack
     lines.append(f"      return {init_body}")
-    lines.append("  return _step, _init_ok")
 
-    ns: dict = {}
-    exec("\n".join(lines), ns)
-    step, init_ok = ns["_make"](tuple(em.consts), table, Fraction, _norm)
+    if pools is None:
+        lines.append("  return _step, _init_ok, None")
+    else:
+        lines += _campaign(ts, slot, pools, links, state, align, body, asm,
+                           props, shared, value)
+        lines.append("  return _step, _init_ok, _run")
 
     kept = {n: d for n, d in scales.items()
             if d is not None and n not in grows}
@@ -537,9 +587,74 @@ def compile_system(ts: TransitionSystem,
         else (0, 0) if n in grows
         else 0 if n in kept else _TYPE_DEFAULT[ty]
         for n, ty in ts.state_vars)
+    ns: dict = {}
+    exec("\n".join(lines), ns)
+    step, init_ok, campaign = ns["_make"](
+        tuple(em.consts), table, Fraction, _norm,
+        tuple(pool for _, pool in pools or ()), default)
     return CompiledSystem(
         ts=ts, input_names=input_names, state_names=state_names,
         defined_names=defined_names,
         prop_ids=[pid for pid, _ in ts.properties],
         default_state=default, step=step, init_ok=init_ok, scales=kept,
-        growing={n: scales[n] for n in grows})
+        growing={n: scales[n] for n in grows}, campaign=campaign)
+
+
+def _campaign(ts: TransitionSystem, slot: dict[str, str],
+              pools: Sequence[tuple[str, Sequence]],
+              links: Sequence[tuple[str, str]], state: list[str],
+              align: list[str], body: list[str], asm: str,
+              props: list[str], shared: dict[str, str],
+              value: dict[str, str]) -> list[str]:
+    """Lines of ``_run(steps, bits)``: the step body of ``_step`` in a
+    loop that draws its inputs and keeps the state in locals.
+
+    An input drawn from a pool of n values takes k = n.bit_length() bits
+    from ``bits``, drawn again while the result is n or more, then that
+    index: the body of CPython's ``Random._randbelow_with_getrandbits``,
+    which ``Random.choice`` calls on 3.10 to 3.13. So with ``bits`` a
+    ``Random(seed).getrandbits``, a run draws what ``choice`` would draw
+    from each pool in the same order; a pool of one value is drawn too,
+    as ``choice`` draws it, or every later draw would shift."""
+    pool_of = {n: f"p{i}" for i, (n, _) in enumerate(pools)}
+    loop = list(align)
+    for name, pool in pools:
+        n = len(pool)
+        k = n.bit_length()
+        loop += [f"r = bits({k})", f"while r >= {n}: r = bits({k})",
+                 f"{slot[name]} = {pool_of[name]}[r]"]
+    loop += [f"{slot[name]} = {slot[src]}" for name, src in links]
+    loop += body
+    if asm:
+        loop.append(f"ok = {asm}")
+    loop += [f"if not {text}: V.append((t, {pid!r}))"
+             for (pid, _), text in zip(ts.properties, props)]
+    loop += [f"{local} = {text}" for text, local in shared.items()]
+    # a next-state value that reads the state is taken before any state
+    # is stored
+    state_names = [n for n, _ in ts.state_vars]
+    reads = set(state_names)
+    trans = dict(ts.trans)
+    bound = set(shared.values())
+    stores = []
+    for target, name in zip(state, state_names):
+        v = value[name]
+        if v not in bound and any(isinstance(x, Var) and x.name in reads
+                                  for x in walk(trans[name])):
+            local = f"n{len(bound)}"
+            bound.add(local)
+            loop.append(f"{local} = {v}")
+            v = local
+        stores.append(f"{target} = {v}")
+    loop += stores
+    if asm:
+        loop.append(f"if not ok: return V, t, {_tuple(state)}")
+    lines = ["  def _run(steps, bits):"]
+    if state:
+        lines.append(f"      {', '.join(state)}, = S0")
+    if pools:
+        lines.append(f"      {', '.join(pool_of[n] for n, _ in pools)}, = P")
+    lines += ["      V = []", "      for t in range(steps):"]
+    lines += _indent(loop, 10)
+    lines.append(f"      return V, None, {_tuple(state)}")
+    return lines

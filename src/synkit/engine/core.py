@@ -370,10 +370,16 @@ def simulate_system(ts: TransitionSystem, steps: int,
     assumptions; the run ends at the first instant where no draw does,
     so every row is reachable. Rows map every system variable to its
     value."""
+    return _simulate(ts, steps, (seed,))
+
+
+def _simulate(ts: TransitionSystem, steps: int,
+              seeds: Sequence[int]) -> list[dict[str, Value]]:
+    """The rows of simulate_system for each seed in turn, from one
+    compiled system."""
     types = ts.var_types()
     reals = {n: _SIM_SCALE for n, ty in ts.input_vars if ty is Type.REAL}
     cs = compile_system(ts, input_scales=reals)
-    rng = random.Random(seed)
 
     def sample(name: str) -> tuple[Value, Value]:
         """A public input value and its compiled form."""
@@ -388,22 +394,25 @@ def simulate_system(ts: TransitionSystem, steps: int,
         return Fraction(n, d), n * (_SIM_SCALE // d)
 
     rows: list[dict[str, Value]] = []
-    state = cs.default_state
-    for _ in range(steps):
-        for _ in range(_SIM_RETRIES):
-            drawn = [sample(n) for n in cs.input_names]
-            s2, asm, _, defs = cs.step(state, tuple(c for _, c in drawn))
-            if asm:
+    for seed in seeds:
+        rng = random.Random(seed)
+        state = cs.default_state
+        for _ in range(steps):
+            for _ in range(_SIM_RETRIES):
+                drawn = [sample(n) for n in cs.input_names]
+                s2, asm, _, defs = cs.step(state,
+                                           tuple(c for _, c in drawn))
+                if asm:
+                    break
+            else:
                 break
-        else:
-            break
-        public_state, public_defs = cs.decode(state, defs)
-        row: dict[str, Value] = {}
-        row.update(zip(cs.state_names, public_state))
-        row.update(zip(cs.input_names, (v for v, _ in drawn)))
-        row.update(zip(cs.defined_names, public_defs))
-        rows.append(row)
-        state = s2
+            public_state, public_defs = cs.decode(state, defs)
+            row: dict[str, Value] = {}
+            row.update(zip(cs.state_names, public_state))
+            row.update(zip(cs.input_names, (v for v, _ in drawn)))
+            row.update(zip(cs.defined_names, public_defs))
+            rows.append(row)
+            state = s2
     return rows
 
 
@@ -526,9 +535,7 @@ def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
 def _mine_invariants_for(ts: TransitionSystem, cfg: EngineConfig,
                          deadline: _Deadline) -> list[Expr]:
     try:
-        rows = []
-        for seed in range(5):
-            rows.extend(simulate_system(ts, steps=60, seed=seed))
+        rows = _simulate(ts, steps=60, seeds=range(5))
     except (LangError, ZeroDivisionError):
         return []  # no concrete semantics for some extern; skip mining
     if not rows:

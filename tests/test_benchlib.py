@@ -369,6 +369,32 @@ def test_driver_refuses_an_empty_pool(bench, pool):
         driver_harness(bench.tp, replace(g120, driver=bad))(1, 0)
 
 
+@pytest.mark.parametrize("pool", [{"choice": ["abc"]},
+                                  {"uniform": ["0.0", "1.0"]},
+                                  {"choice": "0.0"},
+                                  {"choice": [0.5]},
+                                  {"uniform": ["0.0", "1.0", 0]},
+                                  {"choice": ["1/0"]},
+                                  {"nearest": ["0.0"]}])
+def test_driver_refuses_a_malformed_entry(bench, pool):
+    g120 = bench.spec("G-120")
+    bad = dict(g120.driver, FPain=pool)
+    with pytest.raises(BenchmarkError,
+                       match="^G-120: FPain: bad driver entry"):
+        driver_harness(bench.tp, replace(g120, driver=bad))
+
+
+def test_driver_must_cover_exactly_the_inputs(bench):
+    g120 = bench.spec("G-120")
+    extra = dict(g120.driver, Stray={"choice": ["0.0"]})
+    with pytest.raises(BenchmarkError, match="^G-120: Stray: not an input"):
+        driver_harness(bench.tp, replace(g120, driver=extra))
+    short = {n: d for n, d in g120.driver.items() if n != "FPain"}
+    with pytest.raises(BenchmarkError,
+                       match="^G-120: no driver entry for FPain$"):
+        driver_harness(bench.tp, replace(g120, driver=short))
+
+
 def test_driver_runs_are_reproducible(bench):
     tp = bench.tp
     s = bench.spec("G-250")

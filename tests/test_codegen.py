@@ -4,10 +4,12 @@ The compiled observers hold each Real signal whose denominator is fixed
 as a plain int, and each one on a loop that multiplies its denominator
 by a power of two as an int mantissa with a power-of-two exponent; these
 tests hold them against the interpreter step by step, pin the driver
-harness's results, and check that every Real value that leaves the
-compiled system is an exact Fraction.
+harness's results, hold the harness's generated campaign loop against a
+reference loop of sample_step draws and step calls, and check that every
+Real value that leaves the compiled system is an exact Fraction.
 """
 
+import dis
 import hashlib
 import random
 from dataclasses import replace
@@ -17,11 +19,11 @@ from functools import partial
 import pytest
 
 from synkit import interp, tsys
-from synkit.benchlib import driver_harness, load_benchmark
+from synkit.benchlib import BenchmarkError, driver_harness, load_benchmark
 from synkit.benchlib import loader
 from synkit.engine import compile_system, core, simulate_system
 from synkit.interp import Trace
-from synkit.lang import Type, instance_names, parse, typecheck
+from synkit.lang import LangError, Type, Var, instance_names, parse, typecheck
 
 MODELED = ("G-250", "G-110", "G-120", "G-130", "G-140", "G-150", "G-170",
            "G-180", "G-100", "G-200", "G-210", "G-220", "G-230", "G-240",
@@ -33,33 +35,66 @@ def bench():
     return load_benchmark()
 
 
-def _harness_calls(monkeypatch, tp, spec, steps, seed):
-    """Run the driver harness and capture the system it compiled and each
-    (inputs, step result) it saw, in compiled form."""
+def _harness_system(monkeypatch, tp, spec):
+    """The driver harness for spec and the system it compiled."""
     seen = {}
     compile_system_ = loader.compile_system
 
     def recording(*args, **kwargs):
-        cs = compile_system_(*args, **kwargs)
-        step, calls = cs.step, []
-
-        def record(state, inp):
-            out = step(state, inp)
-            calls.append((inp, out))
-            return out
-
-        cs.step = record
-        seen["cs"], seen["calls"] = cs, calls
-        return cs
+        seen["cs"] = compile_system_(*args, **kwargs)
+        return seen["cs"]
 
     monkeypatch.setattr(loader, "compile_system", recording)
-    run = driver_harness(tp, spec)(steps, seed)
-    return seen["cs"], seen["calls"], run
+    run = driver_harness(tp, spec)
+    return seen["cs"], run
 
 
-def _public_inputs(cs, inp):
-    return tuple(F(v, cs.scales[n]) if n in cs.scales else v
-                 for n, v in zip(cs.input_names, inp))
+def _compiled_inputs(cs, row):
+    """A row of public driver values as the step function takes it."""
+    out = []
+    for n in cs.input_names:
+        v = row[n]
+        if n in cs.scales:
+            v *= cs.scales[n]
+            assert v.denominator == 1, (n, row[n])
+            v = v.numerator
+        out.append(v)
+    return tuple(out)
+
+
+def _reference_runs(cs, draw, steps):
+    """What ``campaign(k, ...)`` must return for k = 1..steps, from
+    ``cs.step`` on the rows ``draw()`` gives in turn: the violations, the
+    breach step and the final state after each k, until a breach."""
+    state, violations, out = cs.default_state, [], []
+    for t in range(steps):
+        state, asm, props, _ = cs.step(state, _compiled_inputs(cs, draw()))
+        violations += [(t, pid) for pid, val in zip(cs.prop_ids, props)
+                       if val is False]
+        out.append((list(violations), None if asm else t, state))
+        if not asm:
+            break
+    return out
+
+
+def _assert_campaign_matches(cs, draw_from, seed, steps):
+    """The campaign's result and its use of the generator, at every step
+    count 1..steps, against the reference loop on the rows draw_from(rng)
+    draws from Random(seed)."""
+    ref = random.Random(seed)
+    want = _reference_runs(cs, lambda: draw_from(ref), steps)
+    # the generator after the reference's k-th draw
+    states = []
+    rng = random.Random(seed)
+    for _ in want:
+        draw_from(rng)
+        states.append(rng.getstate())
+    for k, (expect, after) in enumerate(zip(want, states), 1):
+        rng = random.Random(seed)
+        got = cs.campaign(k, rng.getrandbits)
+        assert got == expect, (k, got, expect)
+        assert rng.getstate() == after, k
+    return want
 
 
 def _interp_state(tp, st, prefix=""):
@@ -80,23 +115,29 @@ def test_modeled_ids_are_the_catalog(bench):
 def test_scaled_observer_matches_interpreter(monkeypatch, bench, pid):
     """Assumption flag, properties, defined signals and state of the
     harness's compiled observer, decoded, against the interpreter at
-    every step of a driver run."""
+    every step of a driver run drawn by sample_step."""
     steps = 500
     spec = bench.spec(pid)
     node = spec.observer_node
-    cs, calls, run = _harness_calls(monkeypatch, bench.tp, spec, steps,
-                                    seed=MODELED.index(pid) + 11)
-    assert run.ok and len(calls) == steps
+    seed = MODELED.index(pid) + 11
+    cs, run = _harness_system(monkeypatch, bench.tp, spec)
+    assert run(steps, seed).ok
     assert cs.scales, "nothing was compiled to integers"
-    inputs = [_public_inputs(cs, inp) for inp, _ in calls]
+    types = dict(cs.ts.input_vars)
+    rng = random.Random(seed)
+    inputs, outs, state = [], [], cs.default_state
+    for _ in range(steps):
+        row = loader.sample_step(spec.driver, types, rng)
+        inputs.append(tuple(row[n] for n in cs.input_names))
+        outs.append(cs.step(state, _compiled_inputs(cs, row)))
+        state = outs[-1][0]
     trace = Trace({n: [row[i] for row in inputs]
                    for i, n in enumerate(cs.input_names)})
     sim = interp.simulate(bench.tp, node, trace, steps, deep=True)
     reals = {n for n, ty in cs.ts.var_types().items() if ty is Type.REAL}
     compiled = {n: [] for n in cs.defined_names}
     st = interp.init_state(bench.tp, node)
-    for t, ((_, (nxt, asm, props, defs)), row) in enumerate(
-            zip(calls, inputs)):
+    for t, ((nxt, asm, props, defs), row) in enumerate(zip(outs, inputs)):
         assert asm == sim.assertion_ok[t], (pid, t)
         for prop, val in zip(cs.prop_ids, props):
             assert val == sim.signals[prop][t], (pid, t, prop)
@@ -156,52 +197,64 @@ def test_driver_runs_are_pinned(bench, pid, seed, steps, count, first,
 
 @pytest.mark.parametrize("pid", ["G-200", "G-100"])
 def test_growing_loops_step_without_fractions(monkeypatch, bench, pid):
-    """The harness's step for the altitude and speed loops builds and
-    reads no Fraction: every Real is a scaled or a growing int."""
-    seen = {}
-    compile_system_ = loader.compile_system
-
-    def recording(*args, **kwargs):
-        seen["cs"] = compile_system_(*args, **kwargs)
-        return seen["cs"]
-
-    monkeypatch.setattr(loader, "compile_system", recording)
-    driver_harness(bench.tp, bench.spec(pid))
-    cs = seen["cs"]
+    """The harness's step and campaign for the altitude and speed loops
+    build and read no Fraction: every Real is a scaled or a growing int."""
+    cs, _ = _harness_system(monkeypatch, bench.tp, bench.spec(pid))
     assert cs.growing
     reals = {n for n, ty in cs.ts.var_types().items() if ty is Type.REAL}
     assert reals == set(cs.scales) | set(cs.growing)
     # Fraction and the Fraction constants C are free names of the step
     # exactly when its text uses them
     assert not {"Fraction", "C"} & set(cs.step.__code__.co_freevars)
+    assert not {"Fraction", "C"} & set(cs.campaign.__code__.co_freevars)
+
+
+@pytest.mark.parametrize("pid", ["G-200", "G-100"])
+def test_shared_next_state_is_normalised_once(monkeypatch, bench, pid):
+    """Both growing states of these loops take the same next value, so
+    the step and the campaign each call _norm once per instant."""
+    cs, _ = _harness_system(monkeypatch, bench.tp, bench.spec(pid))
+    state = cs.campaign(50, random.Random(0).getrandbits)[2]
+    grown = [v for n, v in zip(cs.state_names, state) if n in cs.growing]
+    assert len(grown) == 2 and len(set(grown)) == 1
+    for fn in (cs.step, cs.campaign):
+        calls = [i for i in dis.get_instructions(fn) if i.argval == "_norm"]
+        assert len(calls) == 1, fn
 
 
 @pytest.mark.parametrize("pid", MODELED)
 def test_harness_inputs_are_sample_step_draws(monkeypatch, bench, pid):
-    """The harness's inline draws from getrandbits are the draws of
-    sample_step, which goes through Random.choice."""
+    """The harness's campaign draws what sample_step draws, through
+    Random.choice, and steps as cs.step does on those draws: its result
+    and its use of getrandbits match a reference loop at every step count
+    up to 100, and the harness reports the campaign's violations."""
     spec = bench.spec(pid)
-    cs, calls, _ = _harness_calls(monkeypatch, bench.tp, spec, 500, seed=9)
-    assert len(calls) == 500
+    cs, run = _harness_system(monkeypatch, bench.tp, spec)
     types = dict(cs.ts.input_vars)
-    rng = random.Random(9)
-    for inp, _ in calls:
-        row = loader.sample_step(spec.driver, types, rng)
-        want = tuple(row[n] for n in cs.input_names)
-        got = _public_inputs(cs, inp)
-        assert got == want
-        assert [type(v) for v in got] == [type(v) for v in want]
+    want = _assert_campaign_matches(
+        cs, lambda rng: loader.sample_step(spec.driver, types, rng), 9, 100)
+    assert len(want) == 100
+    assert run(100, 9).violations == want[-1][0]
 
 
 # pools of 1, 2, 4, 5 and 8 values and a copy: a power of two takes
 # k = n.bit_length() bits, one more than it needs, so its draws are
-# rejected most often, and a pool of one value still spends a draw
+# rejected most often, and a pool of one value still spends a draw; the
+# state holds each input's last value, so it shows every draw
 DRAW_SIZES = """\
 node Draws(one: real; two: bool; four: int; five: real; eight: real;
-           same: real) returns (ok: bool);
+           same: real)
+returns (ok: bool; p1: real; p2: bool; p4: int; p5: real; p8: real;
+         ps: real);
 let
   ok = (same = eight) and (one = 0.5) and (four >= -3) and
        (five >= 0.0) and (five <= 1.0);
+  p1 = 0.0 -> pre one;
+  p2 = false -> pre two;
+  p4 = 0 -> pre four;
+  p5 = 0.0 -> pre five;
+  p8 = 0.0 -> pre eight;
+  ps = 0.0 -> pre same;
   --!PROPERTY: ok = true;
 tel
 """
@@ -214,23 +267,124 @@ DRAW_DRIVER = {"one": {"choice": ["0.5"]},
                "same": {"copy": "eight"}}
 
 
+def _spec_of(node, driver):
+    return loader.PropertySpec(
+        id=node, prose="", node_under_test=node, observer_node=node,
+        assumptions_used=(), expected_class=loader.ExpectedClass.DIRECT,
+        driver=driver)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 9, 123])
 def test_harness_draws_are_choice_draws_on_each_pool_size(monkeypatch, seed):
     tp = typecheck(parse(DRAW_SIZES))
-    spec = loader.PropertySpec(
-        id="Draws", prose="", node_under_test="Draws", observer_node="Draws",
-        assumptions_used=(), expected_class=loader.ExpectedClass.DIRECT,
-        driver=DRAW_DRIVER)
-    cs, calls, run = _harness_calls(monkeypatch, tp, spec, 400, seed)
-    assert run.ok and len(calls) == 400
+    cs, run = _harness_system(monkeypatch, tp, _spec_of("Draws", DRAW_DRIVER))
+    assert run(400, seed).ok
     types = dict(cs.ts.input_vars)
+    want = _assert_campaign_matches(
+        cs, lambda rng: _reference_row(DRAW_DRIVER, types, rng), seed, 120)
+    # which input each state holds; every input is held
+    held = {n: rhs.name for n, rhs in cs.ts.trans if isinstance(rhs, Var)}
+    assert sorted(held.values()) == sorted(cs.input_names)
+    # the campaign's final state after k steps holds the k-th draws
     ref = random.Random(seed)
-    for inp, _ in calls:
-        want = _reference_row(DRAW_DRIVER, types, ref)
-        got = _public_inputs(cs, inp)
-        assert got == tuple(want[n] for n in cs.input_names)
-        assert [type(v) for v in got] == \
-            [type(want[n]) for n in cs.input_names]
+    for _, _, final in want:
+        row = _reference_row(DRAW_DRIVER, types, ref)
+        state, _ = cs.decode(final, ())
+        got = {held[n]: v for n, v in zip(cs.state_names, state)
+               if n in held}
+        assert got == row
+        assert {n: type(v) for n, v in got.items()} == \
+            {n: type(v) for n, v in row.items()}
+
+
+BREACH = """\
+node Breach(x: real; b: bool) returns (ok: bool; px: real);
+let
+  assert x < 0.75;
+  ok = b;
+  px = 0.0 -> pre x;
+  --!PROPERTY: ok = true;
+tel
+"""
+BREACH_DRIVER = {"x": {"uniform": ["0.0", "1.0", 4]},
+                 "b": {"choice": ["true", "true", "false"]}}
+
+
+def test_campaign_reports_violations_and_breaches(monkeypatch, bench):
+    """A run with violations, and runs that breach an assert: the
+    campaign stops after the breaching instant, as the reference loop
+    does, and the harness names that instant."""
+    cs, _ = _harness_system(monkeypatch, bench.tp, _spec(bench, "G-180-raw"))
+    types = dict(cs.ts.input_vars)
+    want = _assert_campaign_matches(
+        cs, lambda rng: loader.sample_step(bench.spec("G-180").driver,
+                                           types, rng), 3, 80)
+    assert want[-1][0][:3] == [(20, "Obs"), (65, "Obs"), (68, "Obs")]
+    tp = typecheck(parse(BREACH))
+    cs, run = _harness_system(monkeypatch, tp,
+                              _spec_of("Breach", BREACH_DRIVER))
+    types = dict(cs.ts.input_vars)
+    breaches = set()
+    for seed in range(8):
+        want = _assert_campaign_matches(
+            cs, lambda rng: _reference_row(BREACH_DRIVER, types, rng),
+            seed, 30)
+        violations, breach, state = want[-1]
+        assert breach == len(want) - 1 and breach is not None
+        assert cs.campaign(30, random.Random(seed).getrandbits) == want[-1]
+        with pytest.raises(BenchmarkError, match=f"at step {breach}$"):
+            run(30, seed)
+        breaches.add(breach)
+    assert len(breaches) > 1
+
+
+# delay lines: c's state is stored from b's, which is b's own state read
+# three instants late, and g and h grow on a loop through both
+DELAYS = """\
+node Delays(x: int; y: real)
+returns (ok: bool; a: int; b: int; c: int; g: real; h: real);
+let
+  a = pre (pre x);
+  b = pre (pre (pre x));
+  c = 0 -> pre b;
+  g = 0.0 -> 0.5 * pre h + y;
+  h = 0.0 -> pre g;
+  ok = true -> (a = b or c <> 7);
+  --!PROPERTY: ok = true;
+tel
+"""
+DELAYS_DRIVER = {"x": {"choice": ["7", "7", "0", "-2"]},
+                 "y": {"uniform": ["-1.0", "1.0", 8]}}
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_campaign_reads_the_state_before_storing_it(monkeypatch, seed):
+    tp = typecheck(parse(DELAYS))
+    cs, run = _harness_system(monkeypatch, tp,
+                              _spec_of("Delays", DELAYS_DRIVER))
+    assert cs.growing
+    types = dict(cs.ts.input_vars)
+    want = _assert_campaign_matches(
+        cs, lambda rng: _reference_row(DELAYS_DRIVER, types, rng), seed, 40)
+    assert want[-1][0] and run(40, seed).violations == want[-1][0]
+
+
+@pytest.mark.parametrize("pools,links", [
+    ([("x", [1, 2])], []),                       # y not drawn nor copied
+    ([("x", []), ("y", [0])], []),               # an empty pool never ends
+    ([("x", [1])], [("y", "z")]),                # a link from no input
+    ([("x", [1]), ("y", [0]), ("y", [1])], []),  # y drawn twice
+])
+def test_campaign_needs_each_input_once(pools, links):
+    _, ts = _ts("""
+node Two(x: int; y: int) returns (ok: bool);
+let
+  ok = x >= y;
+  --!PROPERTY: ok = true;
+tel
+""", "Two")
+    with pytest.raises(LangError, match="pools and links"):
+        compile_system(ts, pools=pools, links=links)
 
 
 def _reference_row(driver, types, rng):

@@ -468,6 +468,32 @@ def test_generate_invariants_interval_shape():
     assert "0.0 <= z5 and z5 <= 3.0" in texts
 
 
+def test_mining_compiles_the_system_once(monkeypatch):
+    """Invariant mining simulates five seeds on one compiled system, and
+    mines the rows simulate_system gives for each seed."""
+    _, ts = _ts(SAT_CHAIN, "Chain")
+    want = [r for s in range(5) for r in simulate_system(ts, 60, seed=s)]
+    compiled, mined = [], []
+    compile_system_ = core.compile_system
+    generate_invariants_ = core.generate_invariants
+
+    def counting(*args, **kwargs):
+        compiled.append(args[0])
+        return compile_system_(*args, **kwargs)
+
+    def capturing(ts, rows, *args):
+        mined.append(rows)
+        return generate_invariants_(ts, rows, *args)
+
+    monkeypatch.setattr(core, "compile_system", counting)
+    monkeypatch.setattr(core, "generate_invariants", capturing)
+    r = kinduction(ts, "ok", EngineConfig(k_max=3, timeout=120,
+                                          use_invariants=True))
+    assert isinstance(r, Valid)
+    assert compiled == [ts]
+    assert mined == [want] and len(want) == 300
+
+
 def test_generate_invariants_requires_rows():
     _, ts = _ts(SAT_CHAIN, "Chain")
     with pytest.raises(ValueError):
