@@ -45,7 +45,8 @@ Given the pools its inputs are drawn from, the system also gets a
 ``campaign``: the same step body, emitted inside one generated loop, as
 a Lustre compiler emits a node's step inside its main loop. Each
 instant draws every input from its pool by the rule ``Random.choice``
-uses (emitted by ``_campaign``), runs the definitions, checks the
+uses (emitted by ``_campaign``), runs the definitions that a property,
+an assumption or the next state reads (``tsys.cone``), checks the
 assumptions and each property in place, and stores the next state into
 the locals the body reads, so no tuple is built between instants.
 ``benchlib.driver_harness`` runs its random drivers this way.
@@ -62,7 +63,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
                     RealLit, Type, Unary, Var, walk)
-from ..tsys import INIT_FLAG, TransitionSystem
+from ..tsys import INIT_FLAG, TransitionSystem, cone
 
 _TYPE_DEFAULT = {Type.BOOL: False, Type.INT: 0, Type.REAL: Fraction(0)}
 
@@ -576,7 +577,14 @@ def compile_system(ts: TransitionSystem,
     if pools is None:
         lines.append("  return _step, _init_ok, None")
     else:
-        lines += _campaign(ts, slot, pools, links, state, align, body, asm,
+        # the campaign returns no definitions, so it computes only those
+        # that a property, an assumption or a next-state value reads
+        live = {n for n, _ in cone(ts, [*(f for _, f in ts.properties),
+                                        *(rhs for _, rhs in ts.trans)]
+                                   ).definitions}
+        used = [line for (n, _), line in zip(ts.definitions, body)
+                if n in live]
+        lines += _campaign(ts, slot, pools, links, state, align, used, asm,
                            props, shared, value)
         lines.append("  return _step, _init_ok, _run")
 
@@ -606,8 +614,9 @@ def _campaign(ts: TransitionSystem, slot: dict[str, str],
               align: list[str], body: list[str], asm: str,
               props: list[str], shared: dict[str, str],
               value: dict[str, str]) -> list[str]:
-    """Lines of ``_run(steps, bits)``: the step body of ``_step`` in a
-    loop that draws its inputs and keeps the state in locals.
+    """Lines of ``_run(steps, bits)``: the lines of ``body``, the step
+    body of ``_step`` less the definitions that nothing reads, in a loop
+    that draws its inputs and keeps the state in locals.
 
     An input drawn from a pool of n values takes k = n.bit_length() bits
     from ``bits``, drawn again while the result is n or more, then that

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 from ..interp import Trace, Value
 from ..lang import Binary, Expr, LangError, Type, Var, pretty_expr
 from ..smt import SmtSession, SolverFailure
-from ..tsys import TransitionSystem, literal
+from ..tsys import TransitionSystem, cone, literal
 from .codegen import CompiledSystem, compile_system
 from .encode import Unroller, logic_for
 
@@ -228,13 +228,13 @@ def _base_case(unr: _Unrolling, prop: Expr, n: int,
 def bmc(ts: TransitionSystem, prop_id: str, k: int, cfg: EngineConfig,
         replay: Optional[Replayer] = None) -> VerifyResult:
     """Search for an assumption-satisfying path of length <= k ending in
-    a property violation, in one conversation whose queries each push
-    the initial condition. Falsified carries the shortest such path;
-    Unknown(KMaxReached) means clean up to k."""
+    a property violation, in one conversation over the property's cone
+    whose queries each push the initial condition. Falsified carries the
+    shortest such path; Unknown(KMaxReached) means clean up to k."""
     prop = ts.property_formula(prop_id)
     deadline = _Deadline(cfg.timeout)
     try:
-        with _Unrolling(Unroller(ts), cfg) as unr:
+        with _Unrolling(Unroller(cone(ts, [prop])), cfg) as unr:
             for n in range(k + 1):
                 if deadline.expired:
                     return Unknown(UnknownReason.TIMEOUT,
@@ -249,7 +249,8 @@ def bmc(ts: TransitionSystem, prop_id: str, k: int, cfg: EngineConfig,
 
 def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
                replay: Optional[Replayer] = None) -> VerifyResult:
-    """k-induction sweep for k = 1..k_max over one conversation. At each
+    """k-induction sweep for k = 1..k_max over one conversation, over
+    the cone of the property and its invariants. At each
     k the base queries, which push the initial condition, check that no
     path from an initial state violates the property up to depth k; the
     step query then pushes the property at the instants before k and its
@@ -259,7 +260,7 @@ def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
     invs = (_mine_invariants_for(ts, cfg, deadline) if cfg.use_invariants
             else [])
     inv_texts = tuple(pretty_expr(e) for e in invs)
-    un = Unroller(ts)
+    un = Unroller(cone(ts, [prop, *invs]))
     clean = -1  # base queries clean up to this depth
     try:
         with _Unrolling(un, cfg, invs) as unr:

@@ -9,6 +9,12 @@ are definitions, not assertions: each defined variable of instant t is
 sent as `(define-fun v@t () Sort e)`, and each state variable of instant
 t+1 as the `define-fun` of its transition from instant t. Assertions
 carry the assumptions, invariants, initial condition and goals.
+
+`bmc` and `kinduction` unroll the cone of influence of the property and
+its invariants (`tsys.cone`), so only the states and definitions that
+those, the assumptions or the initial condition read are sent; every
+input is still declared, so a trace carries every input. Houdini
+unrolls the whole system.
 """
 
 from __future__ import annotations
@@ -41,6 +47,28 @@ def logic_for(ts: TransitionSystem) -> str:
     return "QF_" + body
 
 
+def _template(e: Expr) -> str:
+    """A ``str.format`` template of e's text whose one field is the
+    instant. The quoting of ``v@t`` does not depend on the digits of t,
+    so ``v@0`` decides it."""
+    names: list[str] = []
+
+    def mark(name: str) -> str:
+        names.append(name)
+        return "\0"
+
+    def esc(text: str) -> str:
+        return text.replace("{", "{{").replace("}", "}}")
+
+    first, *rest = to_sexpr(e, mark).split("\0")
+    out = [esc(first)]
+    for name, text in zip(names, rest):
+        plain = sym(f"{name}@0") == f"{name}@0"
+        stamp = f"{esc(name)}@{{0}}"
+        out.append((stamp if plain else f"|{stamp}|") + esc(text))
+    return "".join(out)
+
+
 class Unroller:
     """The SMT-LIB text of a transition system, instant by instant. A
     session is sent instant t as ``declare_step(t)``, then
@@ -52,12 +80,19 @@ class Unroller:
         self.types = ts.var_types()
         self._inputs = [n for n, _ in ts.input_vars]
         self._states = [n for n, _ in ts.state_vars]
+        # id(e) -> (e, template); holding e keeps its id from being reused
+        self._templates: dict[int, tuple[Expr, str]] = {}
 
     def at(self, name: str, t: int) -> str:
         return sym(f"{name}@{t}")
 
     def formula(self, e: Expr, t: int) -> str:
-        return to_sexpr(e, lambda name: self.at(name, t))
+        """The text of e at instant t, as ``to_sexpr`` renders it. Each
+        formula is rendered once, into a template that takes the instant."""
+        hit = self._templates.get(id(e))
+        if hit is None or hit[0] is not e:
+            hit = self._templates[id(e)] = (e, _template(e))
+        return hit[1].format(t)
 
     def declare_externs(self, s: SmtSession) -> None:
         for name, params, ret in self.ts.extern_symbols:

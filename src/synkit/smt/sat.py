@@ -17,6 +17,12 @@ own, and a level is left empty when its literal already holds. A
 falsified assumption answers unsat for that call only; the clauses
 learned on the way stay, since they follow from the clauses alone.
 Only a conflict at level 0 makes the clause set itself unsat (`ok`).
+
+Decisions follow VSIDS activity, and among variables of equal activity
+the newest is decided first: in an incremental check that is the newest
+instant and its goal, before the older variables that earlier checks
+have settled (Strichman, "Tuning SAT checkers for Bounded Model
+Checking", CAV 2000).
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class CDCL:
         self.activity: list[float] = []
         self.var_inc = 1.0
         self.phase: list[bool] = []
-        self.heap: list[tuple[float, int]] = []
+        self.heap: list[tuple[float, int]] = []  # (-activity, -var)
         self.ok = True
         self.conflicts = 0
 
@@ -76,7 +82,7 @@ class CDCL:
         self.phase.append(False)
         self.watches.append([])
         self.watches.append([])
-        heapq.heappush(self.heap, (0.0, v))
+        heapq.heappush(self.heap, (0.0, -v))
         return v
 
     def value(self, lit: int) -> int:
@@ -180,7 +186,7 @@ class CDCL:
         for lit in reversed(self.trail[bound:]):
             self.assign[lit >> 1] = -1
             heapq.heappush(self.heap,
-                           (-self.activity[lit >> 1], lit >> 1))
+                           (-self.activity[lit >> 1], -(lit >> 1)))
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = min(self.qhead, len(self.trail))
@@ -195,7 +201,7 @@ class CDCL:
             for i in range(len(self.activity)):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
-        heapq.heappush(self.heap, (-self.activity[v], v))
+        heapq.heappush(self.heap, (-self.activity[v], -v))
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         cur_level = len(self.trail_lim)
@@ -266,10 +272,11 @@ class CDCL:
     # main loop ------------------------------------------------------------
 
     def _decide(self) -> None:
-        """Decide an unassigned variable; one must exist. Each has an
-        entry on the heap: new_var and cancel_until push one."""
+        """Decide the unassigned variable of highest activity, the newest
+        among equals; one must exist. Each has an entry on the heap:
+        new_var and cancel_until push one."""
         while True:
-            _, v = heapq.heappop(self.heap)
+            v = -heapq.heappop(self.heap)[1]
             if self.assign[v] < 0:
                 self.trail_lim.append(len(self.trail))
                 self._enqueue((v << 1) | (0 if self.phase[v] else 1), -1)

@@ -26,9 +26,9 @@ the reciprocal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .interp import Value
 from .lang import (Arrow, Binary, BoolLit, Call, Expr, IntLit, Ite,
@@ -130,6 +130,32 @@ def _fold(e: Expr) -> Expr:
         if cv is not None:
             return e.then if cv else e.orelse
     return e
+
+
+def cone(ts: TransitionSystem, roots: Iterable[Expr]) -> TransitionSystem:
+    """The system cut to the cone of influence of the roots (Clarke,
+    Grumberg & Peled, *Model Checking*, 1999): the state and defined
+    variables that the roots, the assumptions or the initial condition
+    read, directly or through definitions and transitions. Every input,
+    assumption, init conjunct, property and extern symbol is kept; the
+    definitions and transitions keep their order."""
+    rhs = dict(ts.definitions)
+    rhs.update(ts.trans)
+    seen: set[str] = set()
+    todo = [*roots, *ts.assumptions, *ts.init]
+    while todo:
+        for sub in walk(todo.pop()):
+            if isinstance(sub, Var) and sub.name not in seen:
+                seen.add(sub.name)
+                if sub.name in rhs:
+                    todo.append(rhs[sub.name])
+
+    def keep(pairs):
+        return [p for p in pairs if p[0] in seen]
+
+    return replace(ts, state_vars=keep(ts.state_vars),
+                   defined_vars=keep(ts.defined_vars),
+                   trans=keep(ts.trans), definitions=keep(ts.definitions))
 
 
 # compilation --------------------------------------------------------------

@@ -23,7 +23,8 @@ from synkit.benchlib import BenchmarkError, driver_harness, load_benchmark
 from synkit.benchlib import loader
 from synkit.engine import compile_system, core, simulate_system
 from synkit.interp import Trace
-from synkit.lang import LangError, Type, Var, instance_names, parse, typecheck
+from synkit.lang import (LangError, Type, Var, instance_names, parse,
+                         typecheck, walk)
 
 MODELED = ("G-250", "G-110", "G-120", "G-130", "G-140", "G-150", "G-170",
            "G-180", "G-100", "G-200", "G-210", "G-220", "G-230", "G-240",
@@ -193,6 +194,38 @@ def test_driver_runs_are_pinned(bench, pid, seed, steps, count, first,
     assert r.violations[:3] == first
     got = hashlib.sha256(repr(r.violations).encode()).hexdigest()[:16]
     assert got == digest
+
+
+def test_campaign_skips_dead_definitions(monkeypatch, bench):
+    """The campaign assigns only the definitions that a property, an
+    assumption or a next-state value reads, by a rescan of every
+    definition to a fixpoint; the step still returns them all."""
+    cs, run = _harness_system(monkeypatch, bench.tp, bench.spec("G-170"))
+    ts = cs.ts
+
+    def names(e):
+        return {x.name for x in walk(e) if isinstance(x, Var)}
+
+    live = set().union(*map(names, [f for _, f in ts.properties]
+                            + [rhs for _, rhs in ts.trans]
+                            + ts.assumptions + ts.init))
+    while True:
+        more = set().union(set(), *(names(rhs) for n, rhs in ts.definitions
+                                    if n in live)) - live
+        if not more:
+            break
+        live |= more
+    slots = {n: f"d{i}" for i, n in enumerate(cs.defined_names)}
+    dead = {slots[n] for n in slots if n not in live}
+    assert len(dead) == 4 and len(slots) == 15
+    assigned = set(cs.campaign.__code__.co_varnames)
+    assert not dead & assigned
+    assert set(slots.values()) - dead <= assigned
+    out = cs.step(cs.default_state, _compiled_inputs(
+        cs, loader.sample_step(bench.spec("G-170").driver,
+                               dict(ts.input_vars), random.Random(1))))
+    assert len(out[3]) == len(slots)
+    assert run(200, 3).ok
 
 
 @pytest.mark.parametrize("pid", ["G-200", "G-100"])

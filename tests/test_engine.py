@@ -15,9 +15,10 @@ from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
                            simulate_system, verify_all)
 from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
-from synkit.lang import LangError, Var, parse, pretty_expr, typecheck
+from synkit.lang import (Binary, IntLit, LangError, Type, Var, parse,
+                         pretty_expr, typecheck)
 from synkit.smt import SmtSession
-from synkit.smt.sexpr import parse_all
+from synkit.smt.sexpr import format_atom, parse_all
 
 from _random_systems import random_bool_system
 
@@ -808,6 +809,15 @@ def _send_instants(un, s, n):
         un.assert_instant(s, t)
 
 
+def _sent_lines(monkeypatch):
+    sent = []
+    send = SmtSession.send
+    monkeypatch.setattr(SmtSession, "send",
+                        lambda self, line: (sent.append(line),
+                                            send(self, line))[1])
+    return sent
+
+
 ALIAS_NAMES = ("v", "w", "Id.a", "Id.b")
 
 
@@ -818,11 +828,7 @@ def test_alias_chain_declares_and_asserts_only_its_representative(
     assert [n for n, _ in ts.definitions] == ["y", "ok"]
     assert [n for n, _ in ts.defined_vars] == ["ok", "y"]
     assert dict(ts.trans)["_pre0"] == Var("x")
-    sent = []
-    send = SmtSession.send
-    monkeypatch.setattr(SmtSession, "send",
-                        lambda self, line: (sent.append(line),
-                                            send(self, line))[1])
+    sent = _sent_lines(monkeypatch)
     un = Unroller(ts)
     with SmtSession() as s:
         _send_instants(un, s, 2)
@@ -866,18 +872,81 @@ def test_aliases_read_through_their_representative():
         assert un.decode_inputs(values) == Trace({"x": [5, -2]})
 
 
-def test_kinduction_sends_every_equation_as_a_definition(monkeypatch):
-    ts = tsys.compile(load_benchmark().tp, "G120")
-    sent = []
-    send = SmtSession.send
-    monkeypatch.setattr(SmtSession, "send",
-                        lambda self, line: (sent.append(line),
-                                            send(self, line))[1])
-    assert kinduction(ts, "Obs", EngineConfig(k_max=2)) == Valid(1)
+def _sexpr_at(e, t):
+    return tsys.to_sexpr(e, lambda n: format_atom(f"{n}@{t}"))
+
+
+def test_unroller_renders_each_catalog_formula_as_to_sexpr():
+    bench = load_benchmark()
+    nodes = {s.observer_node for s in bench.specs if s.modeled}
+    assert len(nodes) == 17
+    count = 0
+    for node in sorted(nodes):
+        ts = tsys.compile(bench.tp, node)
+        un = Unroller(ts)
+        formulas = ([rhs for _, rhs in ts.definitions + ts.trans]
+                    + ts.assumptions + ts.init
+                    + [f for _, f in ts.properties])
+        for e in formulas:
+            for t in range(4):
+                assert un.formula(e, t) == _sexpr_at(e, t), (node, t)
+                count += 1
+    assert count == 1616
+
+
+def test_unroller_renders_quoted_names_as_to_sexpr():
+    odd = Binary("and", Var("a b", ty=Type.BOOL),
+                 Binary(">", Var("{x}|", ty=Type.INT), IntLit(1, ty=Type.INT),
+                        ty=Type.BOOL), ty=Type.BOOL)
+    _, ts = _ts(COUNTER, "Counter")
     un = Unroller(ts)
-    defined = {n for n, _ in ts.definitions}
-    states = {n for n, _ in ts.state_vars}
+    for t in (0, 1, 12):
+        assert un.formula(odd, t) == _sexpr_at(odd, t)
+    assert un.formula(odd, 3) == "(and |a b@3| (> |{x}|@3| 1))"
+
+
+def test_unroller_template_cache_follows_the_expression_not_its_id():
+    """Each expression is rendered afresh though an expression freed
+    before it may have had the same id, as Houdini's dropped candidates
+    are."""
+    _, ts = _ts(COUNTER, "Counter")
+    un = Unroller(ts)
+    for i in range(200):
+        e = Binary("<=", Var("c", ty=Type.INT), IntLit(i, ty=Type.INT),
+                   ty=Type.BOOL)
+        assert un.formula(e, 2) == f"(<= c@2 {i})"
+        del e
+
+
+def _scan_cone(ts, roots):
+    """The state and defined variables that the roots, the assumptions
+    and the init conjuncts read, by rescanning every equation until no
+    name is added; names are read off each formula's SMT-LIB text."""
+    def names(e):
+        found = []
+        tsys.to_sexpr(e, lambda n: found.append(n) or n)
+        return set(found)
+
+    eqs = ts.definitions + ts.trans
+    live = set().union(*map(names, [*roots, *ts.assumptions, *ts.init]))
+    while True:
+        more = set().union(set(), *(names(rhs) for n, rhs in eqs
+                                    if n in live)) - live
+        if not more:
+            return live
+        live |= more
+
+
+def test_kinduction_sends_the_cone_of_the_property(monkeypatch):
+    ts = tsys.compile(load_benchmark().tp, "G120")
+    sent = _sent_lines(monkeypatch)
+    assert kinduction(ts, "Obs", EngineConfig(k_max=2)) == Valid(1)
+    live = _scan_cone(ts, [ts.property_formula("Obs")])
+    defined = {n for n, _ in ts.definitions} & live
+    states = {n for n, _ in ts.state_vars} & live
     inputs = {n for n, _ in ts.input_vars}
+    dead = ({n for n, _ in ts.definitions + ts.state_vars} - live)
+    assert defined and states and dead
     kinds = {}
     for line in sent:
         (sx,) = parse_all(line)
@@ -896,3 +965,39 @@ def test_kinduction_sends_every_equation_as_a_definition(monkeypatch):
     assert kinds["define-fun"] == (
         {(n, t) for n in defined for t in range(depth + 1)}
         | {(n, t) for n in states for t in range(1, depth + 1)})
+    for name in dead:
+        assert not any(f"{name}@" in line for line in sent), name
+
+
+def test_an_assumption_outside_the_cone_is_still_sent(monkeypatch):
+    tp, ts = _ts("""
+node Top(x: int; y: int) returns (ok: bool);
+var z, w: int;
+let
+  z = y + 1;
+  w = y - 1;
+  assert z > 0;
+  ok = x > 0 or x <= 0;
+  --!PROPERTY: ok = true;
+tel
+""", "Top")
+    assert {n for n, _ in ts.definitions} == {"z", "w", "ok"}
+    sent = _sent_lines(monkeypatch)
+    assert kinduction(ts, "ok", EngineConfig(k_max=1)) == Valid(1)
+    assert "(declare-const y@0 Int)" in sent
+    assert "(define-fun z@0 () Int (+ y@0 1))" in sent
+    assert "(assert (> z@0 0))" in sent
+    assert not any("w@" in line for line in sent)
+
+
+def test_bmc_trace_carries_every_input():
+    tp = load_benchmark().tp
+    ts = tsys.compile(tp, "G180Raw")
+    # the cone reads only some of the inputs
+    assert {n for n, _ in ts.input_vars} - _scan_cone(
+        ts, [ts.property_formula("Obs")])
+    r = bmc(ts, "Obs", 6, CFG)
+    assert isinstance(r, Falsified)
+    assert list(r.trace.signals) == [n for n, _ in ts.input_vars]
+    assert all(len(v) == r.step + 1 for v in r.trace.signals.values())
+    assert make_replayer(tp, "G180Raw", "Obs")(r.trace, r.step)

@@ -117,6 +117,18 @@ def test_sat_simple():
     assert s.value(2) == 1  # b must be true
 
 
+def test_sat_decides_the_newest_of_equal_activity_first():
+    s = _cnf_solve([], 4)
+    assert s.solve() == "sat"
+    assert [lit >> 1 for lit in s.trail] == [3, 2, 1, 0]
+    s.new_var()  # a later solve decides the variable it adds first
+    assert s.solve() == "sat"
+    assert [lit >> 1 for lit in s.trail] == [4, 3, 2, 1, 0]
+    s._bump(1)  # activity still comes before age
+    assert s.solve() == "sat"
+    assert [lit >> 1 for lit in s.trail] == [1, 4, 3, 2, 0]
+
+
 def test_sat_pigeonhole_3_into_2():
     # p[i][j]: pigeon i sits in hole j
     s = sat.CDCL()
