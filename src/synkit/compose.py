@@ -214,7 +214,9 @@ class _Abstraction:
 
 def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
               inject_assumes: Sequence[tuple[str, Expr]] = (),
-              inject_props: Sequence[tuple[str, Expr]] = ()) -> _Abstraction:
+              inject_props: Sequence[tuple[str, Expr]] = (),
+              cg: Optional[Mapping[str, Sequence[str]]] = None
+              ) -> _Abstraction:
     """Build the contract abstraction rooted at a node.
 
     Contracted callees lose their bodies: each output is driven by a fresh
@@ -222,9 +224,11 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
     thread up through intermediate callers to the root. Assumptions of a
     contracted callee become properties at its call site; that site must be
     in the root node itself, since properties elsewhere are invisible.
+    cg is tp's call_graph, for a caller that has already built it.
     """
     root_info = tp.info(root)
-    cg = call_graph(tp)
+    if cg is None:
+        cg = call_graph(tp)
     reachable = _reachable(cg, root)
     by_node: dict[str, Contract] = {}
     keep = set(reachable)
@@ -383,8 +387,9 @@ def _system_results(tp: TypedProgram, top_node: str, top_property: str,
                     contracts: Sequence[Contract], cfg: EngineConfig
                     ) -> tuple[VerifyResult, dict[str, VerifyResult],
                                list[_Obligation]]:
-    check_noncircular(contracts, call_graph(tp))
-    abs_ = _abstract(tp, top_node, contracts)
+    cg = call_graph(tp)
+    check_noncircular(contracts, cg)
+    abs_ = _abstract(tp, top_node, contracts, cg=cg)
     ts = tsys.compile(abs_.tp, top_node)
     ts.property_formula(top_property)  # unknown property: fail fast
     tasks = [(ts, top_property)]

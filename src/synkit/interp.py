@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .lang import (Arrow, Binary, BoolLit, Call, Expr, IntLit, Ite,
-                   NodeInfo, Pre, RealLit, Type, TypedProgram, Unary, Var,
-                   walk)
+                   NodeInfo, Pre, RealLit, Type, TypedProgram, Unary, Var)
 from .lang.typecheck import instance_names
 
 Value = Union[bool, int, Fraction]
@@ -151,20 +150,7 @@ class _Eval:
         self.externs = externs or {}
         self.warnings = warnings
         self._child_assert_failed = False
-        self._pre_sites: dict[str, list[Pre]] = {}
         self._inst_names: dict[str, dict[int, str]] = {}
-
-    def pre_sites(self, info: NodeInfo) -> list[Pre]:
-        sites = self._pre_sites.get(info.decl.name)
-        if sites is None:
-            sites = []
-            roots = [eq.rhs for eq in info.decl.equations]
-            roots += list(info.decl.assertions)
-            for root in roots:
-                sites.extend(s for s in walk(root) if isinstance(s, Pre))
-            sites.sort(key=lambda s: s.site)
-            self._pre_sites[info.decl.name] = sites
-        return sites
 
     def inst_names(self, info: NodeInfo) -> dict[int, str]:
         names = self._inst_names.get(info.decl.name)
@@ -207,7 +193,7 @@ class _Eval:
                 assertion_ok = False
 
         # state update: every Pre site stores its operand's current value
-        for site in self.pre_sites(info):
+        for site in info.pres:
             st.pre_vals[site.site] = self._eval(site.operand, ctx)
         for i in range(len(st.arrow_first)):
             st.arrow_first[i] = False

@@ -1,12 +1,15 @@
 """Syntax tree for the synchronous dataflow language.
 
 Nodes compare structurally: positions, inferred types, and site indices
-are excluded from equality so that parse(pretty(p)) == p can hold.
+are excluded from equality so that parse(pretty(p)) == p can hold.  The
+parser leaves ty unset and site at -1; the typechecker fills both in on
+the typed copy it builds, numbering each Pre, Arrow and node-call site in
+the same pass that infers its type (see lang.typecheck).
 
-children() and rebuild() are the one place that knows each variant's
-subexpressions and the fields a copy keeps (pos, ty, site, is_extern).
-Tree transforms handle their own cases and hand every other node to
-rebuild().
+children(), rebuild() and walk() are the one place that knows each
+variant's subexpressions and the fields a copy keeps (pos, ty, site,
+is_extern): each looks the node's class up in its own table.  Tree
+transforms handle their own cases and hand every other node to rebuild().
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 
 class Type(Enum):
@@ -125,7 +128,6 @@ class Call(Expr):
 
 
 Literal = Union[BoolLit, IntLit, RealLit]
-_LEAVES = (BoolLit, IntLit, RealLit, Var)
 
 
 @dataclass
@@ -182,48 +184,93 @@ class Program:
         return [n.name for n in self.nodes]
 
 
+def _leaf(e: Expr) -> tuple[Expr, ...]:
+    return ()
+
+
+def _same(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    return e
+
+
+# One table per helper, keyed by the exact variant class, so each helper
+# makes one dictionary lookup per node.  Together they are the one place
+# that knows each variant's subexpressions; every variant is a key of all
+# three, and a class that is not a variant raises TypeError.
+_CHILDREN: dict[type, Callable[[Expr], tuple[Expr, ...]]] = {
+    BoolLit: _leaf, IntLit: _leaf, RealLit: _leaf, Var: _leaf,
+    Unary: lambda e: (e.operand,),
+    Pre: lambda e: (e.operand,),
+    Binary: lambda e: (e.left, e.right),
+    Arrow: lambda e: (e.left, e.right),
+    Ite: lambda e: (e.cond, e.then, e.orelse),
+    Call: lambda e: tuple(e.args),
+}
+
+# children right to left, as walk pushes them; None for a leaf, which
+# walk then skips without a call
+_PUSH: dict[type, Optional[Callable[[Expr], Sequence[Expr]]]] = {
+    BoolLit: None, IntLit: None, RealLit: None, Var: None,
+    Unary: lambda e: (e.operand,),
+    Pre: lambda e: (e.operand,),
+    Binary: lambda e: (e.right, e.left),
+    Arrow: lambda e: (e.right, e.left),
+    Ite: lambda e: (e.orelse, e.then, e.cond),
+    Call: lambda e: e.args[::-1],
+}
+
+_REBUILD: dict[type, Callable[[Expr, Callable[[Expr], Expr]], Expr]] = {
+    BoolLit: _same, IntLit: _same, RealLit: _same, Var: _same,
+    Unary: lambda e, fn: Unary(e.op, fn(e.operand), pos=e.pos, ty=e.ty),
+    Binary: lambda e, fn: Binary(e.op, fn(e.left), fn(e.right), pos=e.pos,
+                                 ty=e.ty),
+    Ite: lambda e, fn: Ite(fn(e.cond), fn(e.then), fn(e.orelse), pos=e.pos,
+                           ty=e.ty),
+    Pre: lambda e, fn: Pre(fn(e.operand), pos=e.pos, ty=e.ty, site=e.site),
+    Arrow: lambda e, fn: Arrow(fn(e.left), fn(e.right), pos=e.pos, ty=e.ty,
+                               site=e.site),
+    Call: lambda e, fn: Call(e.callee, [fn(a) for a in e.args], pos=e.pos,
+                             ty=e.ty, site=e.site, is_extern=e.is_extern),
+}
+
+
+def _not_a_variant(e: object) -> TypeError:
+    return TypeError(f"{type(e).__name__} is not an expression variant "
+                     f"of synkit.lang.ast")
+
+
 def children(e: Expr) -> tuple[Expr, ...]:
     """Direct subexpressions of e, left to right; () for leaves."""
-    if isinstance(e, _LEAVES):  # first: most nodes of a tree are leaves
-        return ()
-    if isinstance(e, (Unary, Pre)):
-        return (e.operand,)
-    if isinstance(e, (Binary, Arrow)):
-        return (e.left, e.right)
-    if isinstance(e, Ite):
-        return (e.cond, e.then, e.orelse)
-    if isinstance(e, Call):
-        return tuple(e.args)
-    return ()
+    try:
+        get = _CHILDREN[type(e)]
+    except KeyError:
+        raise _not_a_variant(e) from None
+    return get(e)
 
 
 def rebuild(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     """A new composite node with fn applied to each direct subexpression,
     left to right, keeping pos, ty, site and is_extern. Literals and
     variables come back unchanged."""
-    if isinstance(e, _LEAVES):
-        return e
-    if isinstance(e, Unary):
-        return Unary(e.op, fn(e.operand), pos=e.pos, ty=e.ty)
-    if isinstance(e, Binary):
-        return Binary(e.op, fn(e.left), fn(e.right), pos=e.pos, ty=e.ty)
-    if isinstance(e, Ite):
-        return Ite(fn(e.cond), fn(e.then), fn(e.orelse), pos=e.pos, ty=e.ty)
-    if isinstance(e, Pre):
-        return Pre(fn(e.operand), pos=e.pos, ty=e.ty, site=e.site)
-    if isinstance(e, Arrow):
-        return Arrow(fn(e.left), fn(e.right), pos=e.pos, ty=e.ty,
-                     site=e.site)
-    if isinstance(e, Call):
-        return Call(e.callee, [fn(a) for a in e.args], pos=e.pos, ty=e.ty,
-                    site=e.site, is_extern=e.is_extern)
-    return e
+    try:
+        make = _REBUILD[type(e)]
+    except KeyError:
+        raise _not_a_variant(e) from None
+    return make(e, fn)
 
 
-def walk(e: Expr):
-    """Yield e and all subexpressions, preorder."""
+def walk(e: Expr) -> Iterator[Expr]:
+    """Yield e and all subexpressions, preorder.
+
+    A generator, so a caller that stops early (any(), next()) walks no
+    further; on the catalog it also beat building a list of the nodes.
+    """
     stack = [e]
     while stack:
         cur = stack.pop()
         yield cur
-        stack.extend(reversed(children(cur)))
+        try:
+            push = _PUSH[type(cur)]
+        except KeyError:
+            raise _not_a_variant(cur) from None
+        if push is not None:
+            stack.extend(push(cur))

@@ -9,6 +9,15 @@ interpreter's NodeState and the compiler's state variables: they are
 assigned per node in source order (equations first, then assertions,
 preorder within an expression).
 
+Inference is the one pass over each expression.  While _infer builds the
+typed copy it also numbers each Pre, Arrow and node-call site, taking the
+number before it visits the operands, so the numbering is preorder; it
+collects the Pre and call nodes for NodeInfo in site order, and it records
+the signals each equation reads at the same instant (every Var outside a
+pre subtree), which the schedule orders by.  The call order is built from
+NodeInfo.calls once every node has been checked, so a program that is
+both ill-typed and recursive reports its type error.
+
 The causality check yields each node's schedule, its equations with
 every one after the equations whose signals it reads at the same
 instant.  The schedule is the one causal order: the interpreter runs
@@ -26,7 +35,7 @@ from typing import Callable, Iterable, Optional, TypeVar
 
 from .ast import (Arrow, Binary, BoolLit, Call, Equation, Expr, ExternDecl,
                   IntLit, Ite, NodeDecl, Pre, Program, RealLit, Type, Unary,
-                  Var, children, walk)
+                  Var)
 from .errors import LangError
 
 _NUMERIC = (Type.INT, Type.REAL)
@@ -78,9 +87,13 @@ class NodeInfo:
     decl: NodeDecl
     env: dict[str, Type]
     schedule: list[Equation]  # the causal order, see the module docstring
-    n_pre: int = 0
+    pres: list[Pre] = field(default_factory=list)  # in site order
     n_arrow: int = 0
     calls: list[Call] = field(default_factory=list)  # in site order
+
+    @property
+    def n_pre(self) -> int:
+        return len(self.pres)
 
 
 @dataclass
@@ -107,10 +120,7 @@ def type_expression(tp: TypedProgram, env: dict[str, Type], e: Expr,
 
     Calls resolve against tp's nodes/externs. Used for contract formulas.
     """
-    checker = _Checker(tp.program)
-    typed = checker.infer(e, env, expected)
-    _assign_sites([typed])
-    return typed
+    return _Checker(tp.program).infer(e, env, expected)
 
 
 class _Checker:
@@ -131,33 +141,24 @@ class _Checker:
                 raise LangError("multiple-definition",
                                 f"extern {ex.name!r} collides with a node", ex.pos)
             self.externs[ex.name] = ex
+        # what _infer records, per node (see the module docstring)
+        self.pres: list[Pre] = []
+        self.n_arrow = 0
+        self.calls: list[Call] = []
+        self.reads: set[str] = set()
 
     def run(self) -> TypedProgram:
-        order = self._call_order()
-        infos: dict[str, NodeInfo] = {}
-        typed_nodes: dict[str, NodeDecl] = {}
-        for n in self.p.nodes:
-            info = self._check_node(n)
-            infos[n.name] = info
-            typed_nodes[n.name] = info.decl
-        typed = Program([typed_nodes[n.name] for n in self.p.nodes],
-                        list(self.p.externs))
-        return TypedProgram(typed, infos, dict(self.externs), order)
-
-    # call graph ---------------------------------------------------------
-
-    def _call_order(self) -> list[str]:
-        callees: dict[str, list[str]] = {}
-        for n in self.p.nodes:
-            roots = [eq.rhs for eq in n.equations] + n.assertions
-            callees[n.name] = sorted({
-                sub.callee for root in roots for sub in walk(root)
-                if isinstance(sub, Call) and sub.callee in self.node_sigs})
+        infos = {n.name: self._check_node(n) for n in self.p.nodes}
+        callees = {name: sorted({c.callee for c in info.calls})
+                   for name, info in infos.items()}
         try:
-            return dependency_order(callees, callees.__getitem__)
+            order = dependency_order(callees, callees.__getitem__)
         except Cycle as c:
             raise LangError("recursion",
                             f"recursive node calls: {c}") from None
+        typed = Program([info.decl for info in infos.values()],
+                        list(self.p.externs))
+        return TypedProgram(typed, infos, dict(self.externs), order)
 
     # per-node checking ---------------------------------------------------
 
@@ -172,8 +173,10 @@ class _Checker:
         inputs = {vd.name for vd in n.inputs}
         must_define = [vd.name for vd in n.outputs + n.locals]
 
+        self.pres, self.n_arrow, self.calls = [], 0, []
         defined: dict[str, Equation] = {}
         typed_eqs: list[Equation] = []
+        reads: list[set[str]] = []
         for eq in n.equations:
             for t in eq.targets:
                 if t not in env:
@@ -186,7 +189,9 @@ class _Checker:
                 if t in defined:
                     raise LangError("multiple-definition",
                                     f"signal {t!r} defined twice", eq.pos)
+            self.reads = set()
             typed_eqs.append(self._type_equation(n, env, eq))
+            reads.append(self.reads)
             for t in eq.targets:
                 defined[t] = eq
         for name in must_define:
@@ -195,9 +200,8 @@ class _Checker:
                                 f"signal {name!r} has no defining equation "
                                 f"in node {n.name!r}", n.pos)
 
-        typed_asserts = []
-        for a in n.assertions:
-            typed_asserts.append(self.infer(a, env, Type.BOOL))
+        self.reads = set()  # an assertion's reads order nothing
+        typed_asserts = [self.infer(a, env, Type.BOOL) for a in n.assertions]
         for prop in n.properties:
             if prop not in env or prop in inputs:
                 raise LangError("undefined",
@@ -210,10 +214,8 @@ class _Checker:
         decl = NodeDecl(n.name, list(n.inputs), list(n.outputs),
                         list(n.locals), typed_eqs, typed_asserts,
                         list(n.properties), pos=n.pos)
-        schedule = self._schedule(decl)
-        n_pre, n_arrow, calls = _assign_sites(
-            [eq.rhs for eq in decl.equations] + decl.assertions)
-        return NodeInfo(decl, env, schedule, n_pre, n_arrow, calls)
+        return NodeInfo(decl, env, self._schedule(decl, reads), self.pres,
+                        self.n_arrow, self.calls)
 
     def _type_equation(self, n: NodeDecl, env: dict[str, Type],
                        eq: Equation) -> Equation:
@@ -249,6 +251,14 @@ class _Checker:
 
     def _infer(self, e: Expr, env: dict[str, Type],
                expected: Optional[Type]) -> Expr:
+        # the most frequent variants first
+        if isinstance(e, Var):
+            if e.name not in env:
+                raise LangError("undefined", f"undefined signal {e.name!r}", e.pos)
+            self.reads.add(e.name)
+            return Var(e.name, pos=e.pos, ty=env[e.name])
+        if isinstance(e, Binary):
+            return self._infer_binary(e, env, expected)
         if isinstance(e, BoolLit):
             return BoolLit(e.value, pos=e.pos, ty=Type.BOOL)
         if isinstance(e, IntLit):
@@ -257,10 +267,6 @@ class _Checker:
             return IntLit(e.value, pos=e.pos, ty=Type.INT)
         if isinstance(e, RealLit):
             return RealLit(e.value, pos=e.pos, ty=Type.REAL)
-        if isinstance(e, Var):
-            if e.name not in env:
-                raise LangError("undefined", f"undefined signal {e.name!r}", e.pos)
-            return Var(e.name, pos=e.pos, ty=env[e.name])
         if isinstance(e, Unary):
             if e.op == "not":
                 opnd = self.infer(e.operand, env, Type.BOOL)
@@ -271,8 +277,6 @@ class _Checker:
                 raise LangError("type", f"unary '-' needs int or real, got "
                                 f"{opnd.ty}", e.pos)
             return Unary("-", opnd, pos=e.pos, ty=opnd.ty)
-        if isinstance(e, Binary):
-            return self._infer_binary(e, env, expected)
         if isinstance(e, Ite):
             cond = self.infer(e.cond, env, Type.BOOL)
             then = self._infer(e.then, env, expected)
@@ -280,13 +284,21 @@ class _Checker:
             then, orelse = self._join(then, orelse, e)
             return Ite(cond, then, orelse, pos=e.pos, ty=then.ty)
         if isinstance(e, Arrow):
+            site = self.n_arrow
+            self.n_arrow += 1
             left = self._infer(e.left, env, expected)
             right = self._infer(e.right, env, expected)
             left, right = self._join(left, right, e)
-            return Arrow(left, right, pos=e.pos, ty=left.ty)
+            return Arrow(left, right, pos=e.pos, ty=left.ty, site=site)
         if isinstance(e, Pre):
+            site = len(self.pres)
+            self.pres.append(e)  # holds the site until the copy exists
+            now, self.reads = self.reads, set()  # pre reads the past
             opnd = self._infer(e.operand, env, expected)
-            return Pre(opnd, pos=e.pos, ty=opnd.ty)
+            self.reads = now
+            pre = self.pres[site] = Pre(opnd, pos=e.pos, ty=opnd.ty,
+                                        site=site)
+            return pre
         if isinstance(e, Call):
             return self._type_call(e, env, multi_ok=False)
         raise LangError("type", f"unsupported expression {type(e).__name__}", e.pos)
@@ -356,23 +368,31 @@ class _Checker:
             raise LangError("type", f"multi-output call to {e.callee!r} must "
                             "be the sole right-hand side of a tuple equation",
                             e.pos)
+        site = -1
+        if not is_extern:
+            site = len(self.calls)
+            self.calls.append(e)  # holds the site until the copy exists
         args = [self.infer(a, env, p.type) for a, p in zip(e.args, params)]
         ty = outs[0].type if len(outs) == 1 else None
-        call = Call(e.callee, args, pos=e.pos, ty=ty)
-        call.is_extern = is_extern
+        call = Call(e.callee, args, pos=e.pos, ty=ty, site=site,
+                    is_extern=is_extern)
+        if not is_extern:
+            self.calls[site] = call
         return call
 
     # causality -------------------------------------------------------------
 
-    def _schedule(self, n: NodeDecl) -> list[Equation]:
+    def _schedule(self, n: NodeDecl,
+                  reads: list[set[str]]) -> list[Equation]:
+        """reads[i]: the signals n.equations[i] reads at the same instant."""
         def_of = {t: eq for eq in n.equations for t in eq.targets}
-        reads: dict[str, list[str]] = {}
-        for eq in n.equations:
-            deps = sorted(d for d in _current_deps(eq.rhs) if d in def_of)
+        deps: dict[str, list[str]] = {}
+        for eq, names in zip(n.equations, reads):
+            now = sorted(d for d in names if d in def_of)
             for t in eq.targets:
-                reads[t] = deps
+                deps[t] = now
         try:
-            order = dependency_order(def_of, reads.__getitem__)
+            order = dependency_order(def_of, deps.__getitem__)
         except Cycle as c:
             raise LangError("causality", f"causality cycle through {c}",
                             def_of[c.path[0]].pos) from None
@@ -398,34 +418,3 @@ def instance_names(info: NodeInfo) -> dict[int, str]:
             seen[c.callee] = seen.get(c.callee, 0) + 1
             names[c.site] = f"{c.callee}{seen[c.callee]}"
     return names
-
-
-def _current_deps(e: Expr) -> set[str]:
-    """Signals read at the current instant (Pre subtrees excluded)."""
-    if isinstance(e, Pre):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    deps: set[str] = set()
-    for c in children(e):
-        deps |= _current_deps(c)
-    return deps
-
-
-def _assign_sites(exprs: list[Expr]) -> tuple[int, int, list[Call]]:
-    """Number Pre, Arrow and node-call sites across exprs in preorder."""
-    n_pre = 0
-    n_arrow = 0
-    calls: list[Call] = []
-    for root in exprs:
-        for sub in walk(root):
-            if isinstance(sub, Pre):
-                sub.site = n_pre
-                n_pre += 1
-            elif isinstance(sub, Arrow):
-                sub.site = n_arrow
-                n_arrow += 1
-            elif isinstance(sub, Call) and not sub.is_extern:
-                sub.site = len(calls)
-                calls.append(sub)
-    return n_pre, n_arrow, calls

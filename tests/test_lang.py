@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synkit.lang import (Arrow, Binary, BoolLit, Call, Equation, IntLit,
+from synkit.lang import ast as lang_ast
+from synkit.lang import (Arrow, Binary, BoolLit, Call, Equation, Expr, IntLit,
                          Ite, LangError, Pos, Pre, Program, RealLit, Type,
                          Unary, Var, children, parse, parse_expression,
                          pretty, pretty_expr, real_text, rebuild,
@@ -296,6 +297,21 @@ let y = A(x); tel
     assert exc.value.message == "recursive node calls: A -> B -> A"
 
 
+def test_type_error_reported_before_recursion():
+    # the call order is built from the checked nodes' calls, so a node
+    # that does not typecheck is reported before any cycle through it
+    src = """
+node A(x : bool) returns (y : bool);
+let y = B(x) and 1; tel
+node B(x : bool) returns (y : bool);
+let y = A(x); tel
+"""
+    with pytest.raises(LangError) as exc:
+        typecheck(parse(src))
+    assert exc.value.kind == "type"
+    assert exc.value.message == "expected bool, got int"
+
+
 def test_call_order_is_callees_first():
     src = """
 node Top(x : int) returns (y : int);
@@ -396,6 +412,31 @@ def test_walk_is_preorder():
     assert [label(x) for x in walk(e)] == [
         "Ite", "Var:a", "Unary:-", "Var:b", "Call:f", "Arrow", "Pre",
         "Var:c", "Binary:+", "Var:d", "IntLit:1", "IntLit:2"]
+
+
+def test_every_variant_has_a_row_in_each_dispatch_table():
+    variants = {c for c in Expr.__subclasses__()
+                if c.__module__ == lang_ast.__name__}
+    assert len(variants) == 10
+    for table in (lang_ast._CHILDREN, lang_ast._PUSH, lang_ast._REBUILD):
+        assert set(table) == variants
+
+
+def test_foreign_node_is_a_type_error_naming_its_class():
+    class Foreign:
+        pos = Pos(1, 1)
+
+    class SubVar(Var):  # the tables are keyed by the exact class
+        pass
+
+    for odd in (Foreign(), SubVar("x")):
+        name = type(odd).__name__
+        for use in (children, lambda e: rebuild(e, lambda x: x),
+                    lambda e: list(walk(e)),
+                    lambda e: list(walk(Unary("-", e)))):
+            with pytest.raises(TypeError, match=f"^{name} is not an "
+                               "expression variant"):
+                use(odd)
 
 
 # round-trip property: generate ASTs, print, reparse, compare -----------
