@@ -20,7 +20,7 @@ from . import tsys
 from .compose import (CompositionalArgument, argument_holds,
                       argument_report, build_argument, contract_from_text)
 from .engine import (EngineConfig, Falsified, Valid, exhaustive_search,
-                     kinduction, make_replayer, verdict_row, verify_all)
+                     make_replayer, verdict_row, verify_all)
 from .interp import InterpError, Trace, simulate
 from .lang import LangError, parse, typecheck
 
@@ -161,17 +161,23 @@ def _compositional_verify(cfg: argparse.Namespace, tp) -> int:
     spec = _load_json(cfg.compositional)
     try:
         top = spec["top"]
+        node, prop = top["node"], top["property"]
+        declared = tp.info(node).decl.properties
         contracts = [
             contract_from_text(
                 tp, c["node"],
                 assumptions=list(c.get("assumptions", {}).items()),
                 guarantees=list(c.get("guarantees", {}).items()))
             for c in spec["contracts"]]
-        arg = build_argument(tp, top["node"], top["property"], contracts,
-                             _engine_config(cfg))
     except (AttributeError, KeyError, TypeError) as exc:
         raise _Failure(f"{cfg.compositional}: bad contract spec: {exc}",
                        EXIT_USAGE) from exc
+    except LangError as exc:
+        raise _Failure(str(exc), EXIT_FAIL) from exc
+    if prop not in declared:  # before any proof runs
+        raise _Failure(f"unknown property {prop}", EXIT_FAIL)
+    try:
+        arg = build_argument(tp, node, prop, contracts, _engine_config(cfg))
     except LangError as exc:
         raise _Failure(str(exc), EXIT_FAIL) from exc
     report = argument_report(arg)
@@ -449,8 +455,7 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
                 for gid, res in arg.component_results[node].items()]
         else:
             ts = tsys.compile(bench.tp, spec.observer_node)
-            res = kinduction(ts, "Obs", ecfg)
-            row.update(verdict_row(res))
+            row.update(verdict_row(verify_all([(ts, "Obs")], ecfg)["Obs"]))
         row["seconds"] = round(time.perf_counter() - t0, 4)
         rows.append(row)
         if row["verdict"] != "valid":

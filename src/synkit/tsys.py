@@ -22,10 +22,19 @@ products of two non-constant terms become _nlmul_int/_nlmul_real
 applications, division by a non-constant becomes _nldiv_real, and
 division by a nonzero constant is lowered to exact multiplication by
 the reciprocal.
+
+After inlining, each formula is copied once, in one walk (_fold) that
+substitutes the bound constants and aliases, folds, lowers the
+nonlinear residue and collects the extern symbols the copy calls. As
+in the interpreter, an if whose condition folds to a literal is
+replaced by its taken branch without folding the other, so a division
+by a constant zero in a discarded branch is not an error, and an
+extern called only there is not declared.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -91,45 +100,66 @@ def literal(v: Value, ty: Type) -> Expr:
     return RealLit(Fraction(v), ty=Type.REAL)
 
 
-def _fold(e: Expr) -> Expr:
-    """Bottom-up constant folding, exact and without reassociation, and
-    the lowering of nonlinear residue that the module docstring states."""
-    e = rebuild(e, _fold)
-    if isinstance(e, Unary):
-        v = _lit_value(e.operand)
-        if v is not None:
-            return literal((not v) if e.op == "not" else -v, e.ty)
-    elif isinstance(e, Binary):
-        if e.op == "/":
-            dv = _lit_value(e.right)
-            if dv is None:
-                return Call("_nldiv_real", [e.left, e.right], pos=e.pos,
-                            ty=Type.REAL, is_extern=True)
-            if dv == 0:
-                raise LangError("compile", "division by constant zero", e.pos)
-            recip = RealLit(Fraction(1) / Fraction(dv), ty=Type.REAL)
-            e = Binary("*", e.left, recip, pos=e.pos, ty=Type.REAL)
-        a, b = _lit_value(e.left), _lit_value(e.right)
-        if a is not None and b is not None:
-            table = {
-                "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-                "=": lambda: a == b, "<>": lambda: a != b,
-                "<": lambda: a < b, "<=": lambda: a <= b,
-                ">": lambda: a > b, ">=": lambda: a >= b,
-                "and": lambda: bool(a) and bool(b),
-                "or": lambda: bool(a) or bool(b),
-                "=>": lambda: (not a) or bool(b),
-            }
-            return literal(table[e.op](), e.ty)
-        if e.op == "*" and a is None and b is None:
-            name = "_nlmul_int" if e.ty is Type.INT else "_nlmul_real"
-            return Call(name, [e.left, e.right], pos=e.pos, ty=e.ty,
-                        is_extern=True)
-    elif isinstance(e, Ite):
-        cv = _lit_value(e.cond)
-        if cv is not None:
-            return e.then if cv else e.orelse
-    return e
+_BINARY: dict[str, Callable[[Value, Value], Value]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "=": operator.eq, "<>": operator.ne,
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "and": lambda a, b: bool(a) and bool(b),
+    "or": lambda a, b: bool(a) or bool(b),
+    "=>": lambda a, b: (not a) or bool(b),
+}
+
+
+def _fold(e: Expr, bound: dict[str, Expr], externs: set[str]) -> Expr:
+    """A copy of e with each bound variable replaced by its value, folded
+    bottom-up, exactly and without reassociation, with the nonlinear
+    residue lowered as the module docstring states. An if whose condition
+    folds to a literal becomes its taken branch, and only that branch is
+    folded. Each extern call the copy keeps or builds adds its callee to
+    externs."""
+    def go(e: Expr) -> Expr:
+        cls = type(e)
+        if cls is Var:
+            return bound.get(e.name, e)
+        if cls is Ite:
+            cond = go(e.cond)
+            cv = _lit_value(cond)
+            if cv is not None:
+                return go(e.then if cv else e.orelse)
+            return Ite(cond, go(e.then), go(e.orelse), pos=e.pos, ty=e.ty)
+        e = rebuild(e, go)
+        if cls is Unary:
+            v = _lit_value(e.operand)
+            if v is not None:
+                return literal((not v) if e.op == "not" else -v, e.ty)
+        elif cls is Binary:
+            if e.op == "/":
+                dv = _lit_value(e.right)
+                if dv is None:
+                    externs.add("_nldiv_real")
+                    return Call("_nldiv_real", [e.left, e.right], pos=e.pos,
+                                ty=Type.REAL, is_extern=True)
+                if dv == 0:
+                    raise LangError("compile", "division by constant zero",
+                                    e.pos)
+                recip = RealLit(Fraction(1) / Fraction(dv), ty=Type.REAL)
+                e = Binary("*", e.left, recip, pos=e.pos, ty=Type.REAL)
+            a, b = _lit_value(e.left), _lit_value(e.right)
+            if a is not None and b is not None:
+                return literal(_BINARY[e.op](a, b), e.ty)
+            if e.op == "*" and a is None and b is None:
+                name = "_nlmul_int" if e.ty is Type.INT else "_nlmul_real"
+                externs.add(name)
+                return Call(name, [e.left, e.right], pos=e.pos, ty=e.ty,
+                            is_extern=True)
+        elif cls is Call:
+            if not e.is_extern:
+                raise LangError("compile", f"uninlined call {e.callee!r}")
+            externs.add(e.callee)
+        return e
+
+    return go(e)
 
 
 def cone(ts: TransitionSystem, roots: Iterable[Expr]) -> TransitionSystem:
@@ -181,8 +211,7 @@ class _Compiler:
         ts = TransitionSystem(node, inputs, self.state, self.defined,
                               init, self.trans, self.def_eqs,
                               self.assumptions, self.properties, [])
-        _simplify(ts)
-        ts.extern_symbols = _collect_externs(ts, self.tp)
+        _simplify(ts, self.tp)
         return ts
 
     def _inline(self, info, prefix: str,
@@ -239,16 +268,27 @@ class _Compiler:
         self.def_eqs.extend(late)
 
 
-def _simplify(ts: TransitionSystem) -> None:
-    """Bind each defined variable whose equation folds to a literal or to
-    a bare variable, substituting and folding every formula once. Each
-    definition is folded after the definitions it reads, so an alias
-    binds to the end of its chain and products like gain*dt stay linear.
-    Bound variables leave the definitions and the defined variables."""
+_NL_SIGS = {
+    "_nlmul_int": ((Type.INT, Type.INT), Type.INT),
+    "_nlmul_real": ((Type.REAL, Type.REAL), Type.REAL),
+    "_nldiv_real": ((Type.REAL, Type.REAL), Type.REAL),
+}
+
+
+def _simplify(ts: TransitionSystem, tp: TypedProgram) -> None:
+    """Fold every formula once, in one walk that also substitutes the
+    bound variables and finds the extern calls (_fold). A defined variable
+    whose equation folds to a literal or to a bare variable is bound to
+    it. Each definition is folded after the definitions it reads, so an
+    alias binds to the end of its chain and products like gain*dt stay
+    linear. Bound variables leave the definitions and the defined
+    variables; the extern calls the folded formulas make become the
+    system's extern symbols, sorted by name."""
     bound: dict[str, Expr] = {}
+    externs: set[str] = set()
     kept: list[tuple[str, Expr]] = []
     for name, rhs in ts.definitions:
-        e = _fold(_subst(rhs, bound))
+        e = _fold(rhs, bound, externs)
         if isinstance(e, Var) or _lit_value(e) is not None:
             bound[name] = e
         else:
@@ -258,46 +298,20 @@ def _simplify(ts: TransitionSystem) -> None:
                        if n not in bound]
 
     def apply(e: Expr) -> Expr:
-        return _fold(_subst(e, bound))
+        return _fold(e, bound, externs)
 
     ts.trans = [(n, apply(rhs)) for n, rhs in ts.trans]
     ts.assumptions = [apply(a) for a in ts.assumptions]
     ts.init = [apply(f) for f in ts.init]
     ts.properties = [(pid, apply(f)) for pid, f in ts.properties]
 
+    def signature(name: str) -> tuple[tuple[Type, ...], Type]:
+        if name in _NL_SIGS:
+            return _NL_SIGS[name]
+        ex = tp.externs[name]
+        return tuple(p.type for p in ex.params), ex.ret.type
 
-def _subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    return map_vars(e, lambda v: mapping.get(v.name, v))
-
-
-_NL_SIGS = {
-    "_nlmul_int": ((Type.INT, Type.INT), Type.INT),
-    "_nlmul_real": ((Type.REAL, Type.REAL), Type.REAL),
-    "_nldiv_real": ((Type.REAL, Type.REAL), Type.REAL),
-}
-
-
-def _collect_externs(ts: TransitionSystem,
-                     tp: TypedProgram) -> list[tuple[str, tuple[Type, ...],
-                                                     Type]]:
-    found: dict[str, tuple[tuple[Type, ...], Type]] = {}
-    formulas = ([rhs for _, rhs in ts.definitions]
-                + [rhs for _, rhs in ts.trans]
-                + ts.assumptions + ts.init
-                + [f for _, f in ts.properties])
-    for f in formulas:
-        for sub in walk(f):
-            if isinstance(sub, Call):
-                if not sub.is_extern:
-                    raise LangError("compile",
-                                    f"uninlined call {sub.callee!r}")
-                if sub.callee in _NL_SIGS:
-                    found[sub.callee] = _NL_SIGS[sub.callee]
-                else:
-                    ex = tp.externs[sub.callee]
-                    found[sub.callee] = (tuple(p.type for p in ex.params),
-                                         ex.ret.type)
-    return [(n,) + found[n] for n in sorted(found)]
+    ts.extern_symbols = [(n,) + signature(n) for n in sorted(externs)]
 
 
 def compile(tp: TypedProgram, node: str) -> TransitionSystem:  # noqa: A001

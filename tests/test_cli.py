@@ -8,8 +8,10 @@ import pytest
 
 import jsonschema
 
+from synkit import compose
+from synkit.benchlib import load_benchmark
 from synkit.cli import _engine_config, main, parse_args
-from synkit.engine import EngineConfig
+from synkit.engine import EngineConfig, InternalError, core
 from synkit.lang import parse_expression
 
 COUNTER = """\
@@ -355,6 +357,53 @@ def test_verify_compositional_spec_formulas_must_be_an_object(
                        "--compositional", str(cpath))
     assert rc == 2 and out == ""
     assert err.startswith(f"synkit: {cpath}: bad contract spec")
+
+
+def test_verify_compositional_unknown_property_fails_before_any_proof(
+        capsys, two_stage, tmp_path, monkeypatch):
+    proved = []
+    monkeypatch.setattr(compose, "check_component",
+                        lambda tp, c, cfg=None: proved.append(c.node))
+    spec = {"top": {"node": "Obs1", "property": "nope"},
+            "contracts": [{"node": "Acc", "guarantees": {"G": "y <= 1.0"}}]}
+    cpath = tmp_path / "contracts.json"
+    cpath.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "verify", two_stage,
+                       "--compositional", str(cpath))
+    # as `verify --prop nope` reports it, and no component was proved
+    assert (rc, out, err) == (1, "", "synkit: unknown property nope\n")
+    assert proved == []
+
+
+def test_verify_compositional_error_while_proving_is_not_a_spec_error(
+        capsys, two_stage, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken abstraction")
+
+    monkeypatch.setattr(compose, "_abstract", broken)
+    spec = {"top": {"node": "Obs1", "property": "ok"},
+            "contracts": [{"node": "Acc", "guarantees": {"G": "y <= 1.0"}}]}
+    cpath = tmp_path / "contracts.json"
+    cpath.write_text(json.dumps(spec))
+    with pytest.raises(TypeError, match="broken abstraction"):
+        main(["verify", two_stage, "--compositional", str(cpath)])
+
+
+def test_bench_run_engine_error_in_a_direct_row_is_an_internal_error(
+        monkeypatch):
+    bench = load_benchmark()
+    direct = {s.observer_node for s in bench.specs
+              if s.modeled and s.id not in bench.contracts}
+    kinduction = core.kinduction
+
+    def failing(ts, prop, cfg, **kwargs):
+        if ts.node in direct:
+            raise ValueError("engine bug")
+        return kinduction(ts, prop, cfg, **kwargs)
+
+    monkeypatch.setattr(core, "kinduction", failing)
+    with pytest.raises(InternalError, match="engine bug"):
+        main(["bench", "run"])
 
 
 # --- safety-case ----------------------------------------------------------------

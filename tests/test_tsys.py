@@ -84,15 +84,15 @@ let
   d = 1;
 tel
 """)
-    substituted = []
-    subst = tsys._subst
-    monkeypatch.setattr(tsys, "_subst", lambda e, mapping: (
-        substituted.append(e), subst(e, mapping))[1])
+    folded = []
+    fold = tsys._fold
+    monkeypatch.setattr(tsys, "_fold", lambda e, bound, externs: (
+        folded.append(e), fold(e, bound, externs))[1])
     ts = tsys.compile(tp, "Chain")
     others = ts.trans + ts.assumptions + ts.init + ts.properties
     # five definitions, then the other formulas; the constants d, c, b
     # and a leave the system
-    assert len(substituted) == 5 + len(others) == 7
+    assert len(folded) == 5 + len(others) == 7
     assert ts.definitions == [("y", Binary("+", Var("x"), IntLit(4)))]
     assert ts.defined_vars == [("y", Type.INT)]
 
@@ -155,6 +155,58 @@ def test_division_forms():
     with pytest.raises(LangError) as exc:
         tsys.compile(tp, "D")
     assert "zero" in str(exc.value)
+
+
+def test_division_by_constant_zero_in_a_discarded_branch_compiles():
+    # as in the interpreter, a constant condition keeps only its taken
+    # branch, and the discarded one is never folded
+    tp = build("node D(x : real) returns (y : real); "
+               "let y = if true then x else x / 0.0; tel")
+    ts = tsys.compile(tp, "D")
+    assert ts.definitions == [] and ts.defined_vars == []
+    assert ts.extern_symbols == []
+
+
+def test_extern_called_only_in_a_discarded_branch_is_not_declared():
+    tp = build("""
+extern sine(x : real) returns (y : real);
+node N(x : real) returns (y : real);
+let y = if 1 > 2 then sine(x) else x * x + sine(2.0 * x); tel
+""")
+    ts = tsys.compile(tp, "N")
+    assert [name for name, _, _ in ts.extern_symbols] == [
+        "_nlmul_real", "sine"]
+    tp = build("""
+extern sine(x : real) returns (y : real);
+node N(x : real) returns (y : real);
+let y = if 1 < 2 then x else sine(x); tel
+""")
+    assert tsys.compile(tp, "N").extern_symbols == []
+
+
+def test_compile_copies_each_formula_only_in_its_fold(monkeypatch):
+    # after inlining, _fold is the one walk over each formula: nothing in
+    # compile walks or substitutes a formula besides it
+    def no_walk(*args):
+        raise AssertionError("compile walked a formula outside _fold")
+
+    monkeypatch.setattr(tsys, "walk", no_walk)
+    monkeypatch.setattr(tsys, "map_vars", no_walk)
+    folded, inlined = [], []
+    fold, simplify = tsys._fold, tsys._simplify
+    monkeypatch.setattr(tsys, "_fold", lambda e, bound, externs: (
+        folded.append(e), fold(e, bound, externs))[1])
+    monkeypatch.setattr(tsys, "_simplify", lambda ts, tp: (
+        inlined.append([rhs for _, rhs in ts.definitions + ts.trans]
+                       + ts.assumptions + ts.init
+                       + [f for _, f in ts.properties]),
+        simplify(ts, tp))[1])
+    bench = load_benchmark()
+    for spec in bench.specs:
+        if spec.modeled:
+            folded.clear()
+            tsys.compile(bench.tp, spec.observer_node)
+            assert [id(f) for f in folded] == [id(f) for f in inlined[-1]]
 
 
 def test_declared_extern_carried_through():
