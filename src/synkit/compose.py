@@ -196,6 +196,17 @@ def _san(fid: str) -> str:
     return re.sub(r"\W", "_", fid)
 
 
+def _fresh(base: str, taken: set[str]) -> str:
+    """The first of base, base_2, base_3, ... not in taken, added to it:
+    two ids that differ only in non-word characters get two names."""
+    name, n = base, 1
+    while name in taken:
+        n += 1
+        name = f"{base}_{n}"
+    taken.add(name)
+    return name
+
+
 @dataclass
 class _Obligation:
     prop_id: str     # property name installed on the root
@@ -265,6 +276,7 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
         extra_loc: list[VarDecl] = []
         extra_eqs: list[Equation] = []
         extra_props: list[str] = []
+        checks: set[str] = set()
 
         def fix(e: Expr) -> Expr:
             c = rebuild(e, fix)
@@ -286,7 +298,7 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
                 params = tp.info(c.callee).decl.inputs
                 sub = {p.name: a for p, a in zip(params, c.args)}
                 for aid, a in ct.assumptions:
-                    pid = _ASMCHK + inst + "__" + _san(aid)
+                    pid = _fresh(_ASMCHK + inst + "__" + _san(aid), checks)
                     extra_loc.append(VarDecl(pid, Type.BOOL))
                     extra_eqs.append(Equation(
                         [pid], tsys.map_vars(a, lambda v: sub.get(v.name, v))))
@@ -303,12 +315,7 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
             asserts += [a for _, a in inject_assumes]
             taken = set(props) | {v.name for v in d.declared()}
             for gid, g in inject_props:
-                pid = base = "g_" + _san(gid)
-                n = 1
-                while pid in taken:
-                    n += 1
-                    pid = f"{base}_{n}"
-                taken.add(pid)
+                pid = _fresh("g_" + _san(gid), taken)
                 extra_loc.append(VarDecl(pid, Type.BOOL))
                 extra_eqs.append(Equation([pid], g))
                 props.append(pid)

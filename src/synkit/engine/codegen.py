@@ -39,7 +39,10 @@ is passed as the int value*D, and scaled state and definitions come
 back as ints. A growing state comes back as its pair (m, e), a growing
 definition as its mantissa, with the step's exponent after the last
 definition. ``CompiledSystem.decode`` turns state and definitions back
-into public values, where every Real value is a Fraction.
+into public values, where every Real value is a Fraction. The initial
+condition is the `_init` flag of `tsys`, so nothing is compiled for it:
+``default_state`` sets the flag, and ``exhaustive_search`` starts from
+the states where it is set.
 
 Given the pools its inputs are drawn from, the system also gets a
 ``campaign``: the same step body, emitted inside one generated loop, as
@@ -90,7 +93,6 @@ class CompiledSystem:
     # step(S, I) -> (S', assumptions_ok, props, defs), all compiled values;
     # when a signal grows, defs ends with the step's exponent e
     step: Callable[[tuple, tuple], tuple]
-    init_ok: Callable[[tuple], bool]
     # Real signals held as the int value*D, by name; the rest are plain
     scales: dict[str, int] = field(default_factory=dict)
     # Real signals held as an int m meaning m / (D * 2**e), by name: a
@@ -121,12 +123,6 @@ class CompiledSystem:
                     _decode(defs[:-1], self._def_scales, defs[-1]))
         return (_decode(state, self._state_scales),
                 _decode(defs, self._def_scales))
-
-    def bool_inputs_only(self) -> bool:
-        return all(ty is Type.BOOL for _, ty in self.ts.input_vars)
-
-    def bool_state_only(self) -> bool:
-        return all(ty is Type.BOOL for _, ty in self.ts.state_vars)
 
 
 def _decode(values: tuple, scales: list[Optional[tuple[int, bool]]],
@@ -551,10 +547,9 @@ def compile_system(ts: TransitionSystem,
             shared[text] = f"n{len(shared)}"
     value = {n: shared.get(text, text) for n, text in nxt.items()}
     defs = [slot[n] for n in defined_names] + (["e"] if grows else [])
-    unpack = _indent(([f"{', '.join(state)}, = S"] if state else [])
-                     + align, 6)
     lines = ["def _make(C, E, Fraction, _norm, P, S0):", "  def _step(S, I):"]
-    lines += unpack
+    lines += _indent(([f"{', '.join(state)}, = S"] if state else [])
+                     + align, 6)
     if input_names:
         lines.append(f"      {', '.join(slot[n] for n in input_names)}, = I")
     lines += _indent(body, 6)
@@ -565,17 +560,8 @@ def compile_system(ts: TransitionSystem,
     nexts = _tuple([value[n] for n in state_names])
     lines.append(f"      return {nexts}, asm, props, {_tuple(defs)}")
 
-    init_em = _Emitter({n: slot[n] for n in state_names}, types, scales,
-                       grows)
-    init_em.consts = em.consts
-    init_body = " and ".join(f"({init_em.emit(f).text})" for f in ts.init) \
-        or "True"
-    lines.append("  def _init_ok(S):")
-    lines += unpack
-    lines.append(f"      return {init_body}")
-
     if pools is None:
-        lines.append("  return _step, _init_ok, None")
+        lines.append("  return _step, None")
     else:
         # the campaign returns no definitions, so it computes only those
         # that a property, an assumption or a next-state value reads
@@ -586,7 +572,7 @@ def compile_system(ts: TransitionSystem,
                 if n in live]
         lines += _campaign(ts, slot, pools, links, state, align, used, asm,
                            props, shared, value)
-        lines.append("  return _step, _init_ok, _run")
+        lines.append("  return _step, _run")
 
     kept = {n: d for n, d in scales.items()
             if d is not None and n not in grows}
@@ -597,14 +583,14 @@ def compile_system(ts: TransitionSystem,
         for n, ty in ts.state_vars)
     ns: dict = {}
     exec("\n".join(lines), ns)
-    step, init_ok, campaign = ns["_make"](
+    step, campaign = ns["_make"](
         tuple(em.consts), table, Fraction, _norm,
         tuple(pool for _, pool in pools or ()), default)
     return CompiledSystem(
         ts=ts, input_names=input_names, state_names=state_names,
         defined_names=defined_names,
         prop_ids=[pid for pid, _ in ts.properties],
-        default_state=default, step=step, init_ok=init_ok, scales=kept,
+        default_state=default, step=step, scales=kept,
         growing={n: scales[n] for n in grows}, campaign=campaign)
 
 

@@ -24,10 +24,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from ..interp import Trace, Value
-from ..lang import Binary, Expr, LangError, Type, Var, pretty_expr
+from ..interp import Trace
+from ..lang import Binary, Expr, LangError, Type, Value, Var, pretty_expr
 from ..smt import SmtSession, SolverFailure
-from ..tsys import TransitionSystem, cone, literal
+from ..tsys import INIT_FLAG, TransitionSystem, cone, literal
 from .codegen import CompiledSystem, compile_system
 from .encode import Unroller, logic_for
 
@@ -298,9 +298,10 @@ def exhaustive_search(ts: TransitionSystem, prop_id: str,
     for systems whose inputs and state are all boolean; any other system
     is a ValueError. Shortest violations are found level by level, so
     the verdicts agree with bmc exactly. At a fixpoint the result is
-    Valid; a clean search to max_depth is Unknown(KMaxReached)."""
+    Valid; a clean search to max_depth is Unknown(KMaxReached). The
+    search starts from the states whose `_init` bit is set."""
     cs = compile_system(ts)
-    if not (cs.bool_inputs_only() and cs.bool_state_only()):
+    if any(ty is not Type.BOOL for _, ty in ts.input_vars + ts.state_vars):
         raise ValueError(
             "exhaustive search needs boolean inputs and state")
     if len(cs.state_names) > _SEARCH_STATE_BITS:
@@ -310,9 +311,10 @@ def exhaustive_search(ts: TransitionSystem, prop_id: str,
     p = cs.prop_ids.index(prop_id)
     inputs = list(itertools.product((False, True),
                                     repeat=len(cs.input_names)))
+    init = cs.state_names.index(INIT_FLAG)
     level = [s for s in itertools.product((False, True),
                                           repeat=len(cs.state_names))
-             if cs.init_ok(s)]
+             if s[init]]
     level.sort(key=lambda s: s != cs.default_state)  # defaults first
     visited = set(level)
     parent: dict[tuple, tuple] = {}

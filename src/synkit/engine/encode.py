@@ -2,19 +2,23 @@
 
 Each variable v at instant t becomes the solver symbol `v@t`. One
 Unroller owns the text generation; a session is fed whole instants at a
-time, so the base and step queries of a check share one unrolling.
+time, so the base and step queries of a check share one unrolling. This
+module is the one renderer of formula text: each formula is written
+once, in one recursive pass, as a template that takes the instant.
 
 Only inputs, and state variables at instant 0, are declared. Equations
 are definitions, not assertions: each defined variable of instant t is
 sent as `(define-fun v@t () Sort e)`, and each state variable of instant
 t+1 as the `define-fun` of its transition from instant t. Assertions
-carry the assumptions, invariants, initial condition and goals.
+carry the assumptions, invariants, initial condition and goals. The
+initial condition is the `_init` flag of `tsys`, sent as
+`(assert _init@0)`.
 
 `bmc` and `kinduction` unroll the cone of influence of the property and
 its invariants (`tsys.cone`), so only the states and definitions that
-those, the assumptions or the initial condition read are sent; every
-input is still declared, so a trace carries every input. Houdini
-unrolls the whole system.
+those, the assumptions or `_init` read are sent; every input is still
+declared, so a trace carries every input. Houdini unrolls the whole
+system.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ..interp import Trace, Value
-from ..lang import Expr, Type
+from ..interp import Trace
+from ..lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
+                    RealLit, Type, Unary, Value, Var)
 from ..smt import SmtSession
-from ..smt.sexpr import format_atom as sym
-from ..tsys import TransitionSystem, to_sexpr
+from ..smt.sexpr import format_atom as sym, format_number
+from ..tsys import INIT_FLAG, TransitionSystem
 
 _SORT = {Type.BOOL: "Bool", Type.INT: "Int", Type.REAL: "Real"}
 _VALUE = {Type.BOOL: bool, Type.INT: int, Type.REAL: Fraction}
@@ -47,26 +52,39 @@ def logic_for(ts: TransitionSystem) -> str:
     return "QF_" + body
 
 
+def _esc(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
 def _template(e: Expr) -> str:
-    """A ``str.format`` template of e's text whose one field is the
-    instant. The quoting of ``v@t`` does not depend on the digits of t,
-    so ``v@0`` decides it."""
-    names: list[str] = []
-
-    def mark(name: str) -> str:
-        names.append(name)
-        return "\0"
-
-    def esc(text: str) -> str:
-        return text.replace("{", "{{").replace("}", "}}")
-
-    first, *rest = to_sexpr(e, mark).split("\0")
-    out = [esc(first)]
-    for name, text in zip(names, rest):
-        plain = sym(f"{name}@0") == f"{name}@0"
-        stamp = f"{esc(name)}@{{0}}"
-        out.append((stamp if plain else f"|{stamp}|") + esc(text))
-    return "".join(out)
+    """A ``str.format`` template of e's SMT-LIB text whose one field is
+    the instant: a variable v is written ``v@{0}``, quoted when ``v@0``
+    would be (the digits of the instant do not change the quoting), and
+    braces in names and callees are doubled."""
+    cls = type(e)
+    if cls is Var:
+        stamp = f"{_esc(e.name)}@{{0}}"
+        plain = f"{e.name}@0"
+        return stamp if sym(plain) == plain else f"|{stamp}|"
+    if cls is Binary:
+        lhs, rhs = _template(e.left), _template(e.right)
+        if e.op == "<>":
+            return f"(not (= {lhs} {rhs}))"
+        return f"({e.op} {lhs} {rhs})"
+    if cls is BoolLit:
+        return "true" if e.value else "false"
+    if cls is IntLit or cls is RealLit:
+        return format_number(e.value, cls is RealLit)
+    if cls is Unary:
+        inner = _template(e.operand)
+        return f"(not {inner})" if e.op == "not" else f"(- {inner})"
+    if cls is Ite:
+        return (f"(ite {_template(e.cond)} {_template(e.then)} "
+                f"{_template(e.orelse)})")
+    if cls is Call:
+        args = " ".join(map(_template, e.args))
+        return f"({_esc(e.callee)} {args})"
+    raise LangError("compile", f"cannot render {cls.__name__}")
 
 
 class Unroller:
@@ -87,8 +105,8 @@ class Unroller:
         return sym(f"{name}@{t}")
 
     def formula(self, e: Expr, t: int) -> str:
-        """The text of e at instant t, as ``to_sexpr`` renders it. Each
-        formula is rendered once, into a template that takes the instant."""
+        """The SMT-LIB text of e at instant t. Each formula is rendered
+        once, into a template that takes the instant."""
         hit = self._templates.get(id(e))
         if hit is None or hit[0] is not e:
             hit = self._templates[id(e)] = (e, _template(e))
@@ -105,8 +123,7 @@ class Unroller:
             s.declare_const(f"{name}@{t}", _SORT[self.types[name]])
 
     def assert_init(self, s: SmtSession) -> None:
-        for f in self.ts.init:
-            s.assert_text(self.formula(f, 0))
+        s.assert_text(self.at(INIT_FLAG, 0))
 
     def assert_instant(self, s: SmtSession, t: int) -> None:
         """Definitions and assumptions of instant t."""

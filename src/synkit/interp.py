@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .lang import (Arrow, Binary, BoolLit, Call, Expr, IntLit, Ite,
-                   NodeInfo, Pre, RealLit, Type, TypedProgram, Unary, Var)
+                   NodeInfo, Pre, RealLit, Type, TypedProgram, Unary, Value,
+                   Var)
 from .lang.typecheck import instance_names
 
-Value = Union[bool, int, Fraction]
 ExternFn = Callable[..., Value]
 
 
@@ -46,7 +46,10 @@ def _parse_cell(text: str) -> Value:
     if t == "false":
         return False
     if "/" in t or "." in t:
-        return Fraction(t)
+        try:
+            return Fraction(t)
+        except ZeroDivisionError:
+            raise InterpError(f"csv cell {t!r} divides by zero") from None
     return int(t)
 
 
@@ -83,6 +86,9 @@ class Trace:
             return cls()
         header = [h.strip() for h in lines[0].split(",")]
         cols: dict[str, list[Value]] = {h: [] for h in header}
+        if len(cols) != len(header):
+            twice = next(h for h in header if header.count(h) > 1)
+            raise InterpError(f"csv header repeats column {twice!r}")
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != len(header):

@@ -2,7 +2,8 @@
 
 from .ast import (Arrow, Binary, BoolLit, Call, Equation, Expr, ExternDecl,
                   IntLit, Ite, NodeDecl, Pos, Pre, Program, RealLit, Type,
-                  Unary, Var, VarDecl, children, rebuild, walk)
+                  Unary, Value, Var, VarDecl, children, rebuild,
+                  walk)
 from .errors import LangError
 from .lexer import tokenize
 from .parser import parse, parse_expression
@@ -13,8 +14,8 @@ from .typecheck import (NodeInfo, TypedProgram, instance_names,
 __all__ = [
     "Arrow", "Binary", "BoolLit", "Call", "Equation", "Expr", "ExternDecl",
     "IntLit", "Ite", "NodeDecl", "Pos", "Pre", "Program", "RealLit", "Type",
-    "Unary", "Var", "VarDecl", "children", "rebuild", "walk", "LangError",
-    "tokenize", "parse", "parse_expression", "pretty", "pretty_expr",
+    "Unary", "Value", "Var", "VarDecl", "children", "rebuild", "walk",
+    "LangError", "tokenize", "parse", "parse_expression", "pretty", "pretty_expr",
     "real_text", "NodeInfo", "TypedProgram", "instance_names",
     "type_expression", "typecheck",
 ]

@@ -29,6 +29,10 @@ class Type(Enum):
         return self.value
 
 
+# the value of a signal at one instant, of each Type in order
+Value = Union[bool, int, Fraction]
+
+
 @dataclass(frozen=True)
 class Pos:
     line: int

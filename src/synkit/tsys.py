@@ -6,9 +6,16 @@ are inlined in schedule order, the typechecker's causal order, so the
 definitions come each after the ones it reads. Each Pre site turns into
 a state variable `<prefix>._pre<i>` with a next-state equation; all
 Arrow sites share one global boolean state variable `_init` that is
-true exactly at the first instant. Step-0 Pre variables are left
-unconstrained: the symbolic system over-approximates the interpreter's
-default-value start, which keeps proofs sound for execution.
+true exactly at the first instant. That flag is the initial condition,
+and the only one: a system carries no init formulas, and its users
+start from the states where `_init` holds. Step-0 Pre variables are
+left unconstrained: the symbolic system over-approximates the
+interpreter's default-value start, which keeps proofs sound for
+execution.
+
+A transition system is only the model. Its formulas stay expression
+trees; `engine.encode` is the one place that renders them as SMT-LIB
+text.
 
 No definition is a bare variable or a literal. A definition that folds
 to a literal is a constant, and one that folds to a variable, such as
@@ -39,12 +46,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .interp import Value
 from .lang import (Arrow, Binary, BoolLit, Call, Expr, IntLit, Ite,
-                   LangError, Pre, RealLit, Type, TypedProgram, Unary, Var,
-                   rebuild, walk)
+                   LangError, Pre, RealLit, Type, TypedProgram, Unary, Value,
+                   Var, rebuild, walk)
 from .lang.typecheck import instance_names
-from .smt.sexpr import format_number
 
 INIT_FLAG = "_init"
 
@@ -55,7 +60,6 @@ class TransitionSystem:
     input_vars: list[tuple[str, Type]]
     state_vars: list[tuple[str, Type]]
     defined_vars: list[tuple[str, Type]]
-    init: list[Expr]  # conjuncts over step-0 variables
     trans: list[tuple[str, Expr]]  # state_var' = rhs(step i)
     # defined_var = rhs, every step; in schedule order; no rhs is a Var
     # or a literal
@@ -166,13 +170,13 @@ def cone(ts: TransitionSystem, roots: Iterable[Expr]) -> TransitionSystem:
     """The system cut to the cone of influence of the roots (Clarke,
     Grumberg & Peled, *Model Checking*, 1999): the state and defined
     variables that the roots, the assumptions or the initial condition
-    read, directly or through definitions and transitions. Every input,
-    assumption, init conjunct, property and extern symbol is kept; the
-    definitions and transitions keep their order."""
+    (the `_init` flag) read, directly or through definitions and
+    transitions. Every input, assumption, property and extern symbol is
+    kept; the definitions and transitions keep their order."""
     rhs = dict(ts.definitions)
     rhs.update(ts.trans)
     seen: set[str] = set()
-    todo = [*roots, *ts.assumptions, *ts.init]
+    todo = [*roots, *ts.assumptions, Var(INIT_FLAG, ty=Type.BOOL)]
     while todo:
         for sub in walk(todo.pop()):
             if isinstance(sub, Var) and sub.name not in seen:
@@ -207,9 +211,8 @@ class _Compiler:
         self._inline(top, "", None)
         for prop in top.decl.properties:
             self.properties.append((prop, Var(prop, ty=Type.BOOL)))
-        init = [Var(INIT_FLAG, ty=Type.BOOL)]
         ts = TransitionSystem(node, inputs, self.state, self.defined,
-                              init, self.trans, self.def_eqs,
+                              self.trans, self.def_eqs,
                               self.assumptions, self.properties, [])
         _simplify(ts, self.tp)
         return ts
@@ -302,7 +305,6 @@ def _simplify(ts: TransitionSystem, tp: TypedProgram) -> None:
 
     ts.trans = [(n, apply(rhs)) for n, rhs in ts.trans]
     ts.assumptions = [apply(a) for a in ts.assumptions]
-    ts.init = [apply(f) for f in ts.init]
     ts.properties = [(pid, apply(f)) for pid, f in ts.properties]
 
     def signature(name: str) -> tuple[tuple[Type, ...], Type]:
@@ -318,32 +320,3 @@ def compile(tp: TypedProgram, node: str) -> TransitionSystem:  # noqa: A001
     """Inline everything beneath node and emit its transition system."""
     tp.info(node)  # raises on unknown node
     return _Compiler(tp).compile(node)
-
-
-# SMT-LIB text ----------------------------------------------------------------
-
-def to_sexpr(e: Expr, var_fn: Callable[[str], str]) -> str:
-    """Render a formula as SMT-LIB2 text; var_fn maps variable names to
-    (already quoted/indexed) solver symbols."""
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, (IntLit, RealLit)):
-        return format_number(e.value, isinstance(e, RealLit))
-    if isinstance(e, Var):
-        return var_fn(e.name)
-    if isinstance(e, Unary):
-        inner = to_sexpr(e.operand, var_fn)
-        return f"(not {inner})" if e.op == "not" else f"(- {inner})"
-    if isinstance(e, Binary):
-        lhs = to_sexpr(e.left, var_fn)
-        rhs = to_sexpr(e.right, var_fn)
-        if e.op == "<>":
-            return f"(not (= {lhs} {rhs}))"
-        return f"({e.op} {lhs} {rhs})"
-    if isinstance(e, Ite):
-        return (f"(ite {to_sexpr(e.cond, var_fn)} "
-                f"{to_sexpr(e.then, var_fn)} {to_sexpr(e.orelse, var_fn)})")
-    if isinstance(e, Call):
-        args = " ".join(to_sexpr(a, var_fn) for a in e.args)
-        return f"({e.callee} {args})"
-    raise LangError("compile", f"cannot render {type(e).__name__}")

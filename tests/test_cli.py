@@ -170,10 +170,12 @@ def test_sim_unknown_node(capsys, counter):
     assert "Missing" in err
 
 
-@pytest.mark.parametrize("rows", ["set\ntrue,false\n", "set\nyes\n"])
+@pytest.mark.parametrize("rows", ["set\ntrue,false\n", "set\nyes\n",
+                                  "set\n1/0\n", "set,set\ntrue,false\n"])
 def test_sim_bad_trace_csv_is_usage_error_naming_the_file(capsys, latch,
                                                          tmp_path, rows):
-    # a row of the wrong width, and a cell that is no value
+    # a row of the wrong width, a cell that is no value, a zero
+    # denominator, and a repeated column (not merged into one list)
     p = tmp_path / "in.csv"
     p.write_text(rows)
     rc, out, err = run(capsys, "sim", latch, "Latch", "--trace", str(p))

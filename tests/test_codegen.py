@@ -208,7 +208,7 @@ def test_campaign_skips_dead_definitions(monkeypatch, bench):
 
     live = set().union(*map(names, [f for _, f in ts.properties]
                             + [rhs for _, rhs in ts.trans]
-                            + ts.assumptions + ts.init))
+                            + ts.assumptions))
     while True:
         more = set().union(set(), *(names(rhs) for n, rhs in ts.definitions
                                     if n in live)) - live

@@ -1,5 +1,7 @@
 """Contract checks, abstraction, and compositional system proofs."""
 
+from pathlib import Path
+
 import pytest
 
 from synkit import compose, tsys
@@ -27,6 +29,7 @@ from synkit.lang import (LangError, Pre, Type, parse, parse_expression,
 from synkit.lang.ast import Program
 
 CFG = EngineConfig(k_max=4)
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # Source needs an invariant (v >= 0) to prove anything downstream, and
 # Gain hides its offset in a state variable, so inlining either concrete
@@ -521,3 +524,22 @@ def test_report_marks_undischarged_assumption(pipeline):
     assert not argument_holds(arg)
     rep = argument_report(arg)
     assert rep["assumptions"][0]["note"] == "assumption not discharged"
+
+
+def test_assumption_ids_that_sanitize_alike_get_distinct_checks():
+    # A-1 and A_1 both sanitize to A_1; the second check takes a suffix,
+    # as a clashing guarantee property does
+    tp = typecheck(parse((DEMOS / "filter_chain.lus").read_text()))
+    filt = contract_from_text(tp, "Filt",
+                              assumptions={"A-1": "u >= 0.0",
+                                           "A_1": "u <= 10.0"},
+                              guarantees={"G": "y >= 0.0 and y <= 10.0"})
+    props = abstract_with_contracts(tp, "Chain", [filt]).program.node(
+        "Chain").properties
+    assert [p for p in props if p.startswith("_asmchk__Filt1__")] == [
+        "_asmchk__Filt1__A_1", "_asmchk__Filt1__A_1_2"]
+    arg = build_argument(tp, "Chain", "ok", [filt], EngineConfig(k_max=2))
+    assert argument_holds(arg)
+    assert len(arg.assumption_results) == 6
+    assert {k.split("@")[0] for k in arg.assumption_results} == {
+        "Filt.A-1", "Filt.A_1"}

@@ -15,10 +15,11 @@ from synkit.engine import (EngineConfig, Falsified, InternalError, Unknown,
                            simulate_system, verify_all)
 from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
-from synkit.lang import (Binary, IntLit, LangError, Type, Var, parse,
-                         pretty_expr, typecheck)
+from synkit.lang import (Binary, BoolLit, Call, IntLit, Ite, LangError,
+                         RealLit, Type, Unary, Var, parse, pretty_expr,
+                         typecheck)
 from synkit.smt import SmtSession
-from synkit.smt.sexpr import format_atom, parse_all
+from synkit.smt.sexpr import format_atom, format_number, parse_all
 
 from _random_systems import random_bool_system
 
@@ -872,8 +873,36 @@ def test_aliases_read_through_their_representative():
         assert un.decode_inputs(values) == Trace({"x": [5, -2]})
 
 
+def _to_sexpr(e, var_fn):
+    """The reference renderer of a formula as SMT-LIB text, one call per
+    node, with var_fn mapping each variable name to its solver symbol."""
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, (IntLit, RealLit)):
+        return format_number(e.value, isinstance(e, RealLit))
+    if isinstance(e, Var):
+        return var_fn(e.name)
+    if isinstance(e, Unary):
+        inner = _to_sexpr(e.operand, var_fn)
+        return f"(not {inner})" if e.op == "not" else f"(- {inner})"
+    if isinstance(e, Binary):
+        lhs = _to_sexpr(e.left, var_fn)
+        rhs = _to_sexpr(e.right, var_fn)
+        if e.op == "<>":
+            return f"(not (= {lhs} {rhs}))"
+        return f"({e.op} {lhs} {rhs})"
+    if isinstance(e, Ite):
+        return (f"(ite {_to_sexpr(e.cond, var_fn)} "
+                f"{_to_sexpr(e.then, var_fn)} "
+                f"{_to_sexpr(e.orelse, var_fn)})")
+    if isinstance(e, Call):
+        args = " ".join(_to_sexpr(a, var_fn) for a in e.args)
+        return f"({e.callee} {args})"
+    raise LangError("compile", f"cannot render {type(e).__name__}")
+
+
 def _sexpr_at(e, t):
-    return tsys.to_sexpr(e, lambda n: format_atom(f"{n}@{t}"))
+    return _to_sexpr(e, lambda n: format_atom(f"{n}@{t}"))
 
 
 def test_unroller_renders_each_catalog_formula_as_to_sexpr():
@@ -885,13 +914,12 @@ def test_unroller_renders_each_catalog_formula_as_to_sexpr():
         ts = tsys.compile(bench.tp, node)
         un = Unroller(ts)
         formulas = ([rhs for _, rhs in ts.definitions + ts.trans]
-                    + ts.assumptions + ts.init
-                    + [f for _, f in ts.properties])
+                    + ts.assumptions + [f for _, f in ts.properties])
         for e in formulas:
             for t in range(4):
                 assert un.formula(e, t) == _sexpr_at(e, t), (node, t)
                 count += 1
-    assert count == 1616
+    assert count == 1548
 
 
 def test_unroller_renders_quoted_names_as_to_sexpr():
@@ -920,15 +948,15 @@ def test_unroller_template_cache_follows_the_expression_not_its_id():
 
 def _scan_cone(ts, roots):
     """The state and defined variables that the roots, the assumptions
-    and the init conjuncts read, by rescanning every equation until no
-    name is added; names are read off each formula's SMT-LIB text."""
+    and the `_init` flag read, by rescanning every equation until no name
+    is added; names are read off each formula's SMT-LIB text."""
     def names(e):
         found = []
-        tsys.to_sexpr(e, lambda n: found.append(n) or n)
+        _to_sexpr(e, lambda n: found.append(n) or n)
         return set(found)
 
     eqs = ts.definitions + ts.trans
-    live = set().union(*map(names, [*roots, *ts.assumptions, *ts.init]))
+    live = {"_init"}.union(*map(names, [*roots, *ts.assumptions]))
     while True:
         more = set().union(set(), *(names(rhs) for n, rhs in eqs
                                     if n in live)) - live

@@ -2,20 +2,28 @@
 
 The bisimulation check at the bottom evaluates the compiled formulas
 with a small evaluator written here, independent of the interpreter's
-recursive-descent machinery, and confirms the interpreter's deep trace
-is a model of init, the definitions, and the transition relation.
+recursive-descent machinery, and confirms the interpreter's deep trace,
+from a state where `_init` holds, is a model of the definitions and the
+transition relation.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import synkit
 from synkit import compose, tsys
 from synkit.benchlib import load_benchmark
+from synkit.engine.encode import Unroller
 from synkit.interp import Trace, simulate
 from synkit.lang import (Binary, BoolLit, Call, Expr, IntLit, Ite, LangError,
                          RealLit, Type, Unary, Var, parse, typecheck, walk)
+from synkit.smt import SmtSession
 
 F = Fraction
 
@@ -32,7 +40,7 @@ tel
 """)
 
 
-def test_counter_system_shape():
+def test_counter_system_shape(monkeypatch):
     ts = tsys.compile(COUNTER, "Counter")
     assert ts.input_vars == [("reset", Type.BOOL)]
     assert ts.state_vars == [("_init", Type.BOOL), ("_pre0", Type.INT)]
@@ -40,11 +48,32 @@ def test_counter_system_shape():
     trans = dict(ts.trans)
     assert trans["_init"] == BoolLit(False)
     assert trans["_pre0"] == Var("c")
-    (init,) = ts.init
-    assert init == Var("_init")
     (def_c,) = ts.definitions
     assert def_c[0] == "c"
     assert isinstance(def_c[1], Ite) and def_c[1].cond == Var("_init")
+    # the initial condition is the _init flag, which the encoder asserts
+    sent = []
+    send = SmtSession.send
+    monkeypatch.setattr(SmtSession, "send", lambda self, line: (
+        sent.append(line), send(self, line))[1])
+    with SmtSession() as s:
+        Unroller(ts).assert_init(s)
+        assert sent == ["(assert _init@0)"]
+
+
+def test_importing_tsys_loads_no_solver_text_or_interpreter():
+    """The transition system is only the model: a fresh interpreter that
+    imports it loads the language front end, not the SMT-LIB layer or the
+    interpreter."""
+    src = str(Path(synkit.__file__).resolve().parent.parent)
+    code = ("import sys, synkit.tsys; print(*sorted(m for m in sys.modules "
+            "if m.startswith('synkit')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "synkit.tsys" in out and "synkit.lang" in out
+    assert [m for m in out
+            if m.startswith(("synkit.smt", "synkit.interp"))] == []
 
 
 def test_gain_times_step_staying_linear():
@@ -89,10 +118,10 @@ tel
     monkeypatch.setattr(tsys, "_fold", lambda e, bound, externs: (
         folded.append(e), fold(e, bound, externs))[1])
     ts = tsys.compile(tp, "Chain")
-    others = ts.trans + ts.assumptions + ts.init + ts.properties
+    others = ts.trans + ts.assumptions + ts.properties
     # five definitions, then the other formulas; the constants d, c, b
     # and a leave the system
-    assert len(folded) == 5 + len(others) == 7
+    assert len(folded) == 5 + len(others) == 6
     assert ts.definitions == [("y", Binary("+", Var("x"), IntLit(4)))]
     assert ts.defined_vars == [("y", Type.INT)]
 
@@ -198,8 +227,7 @@ def test_compile_copies_each_formula_only_in_its_fold(monkeypatch):
         folded.append(e), fold(e, bound, externs))[1])
     monkeypatch.setattr(tsys, "_simplify", lambda ts, tp: (
         inlined.append([rhs for _, rhs in ts.definitions + ts.trans]
-                       + ts.assumptions + ts.init
-                       + [f for _, f in ts.properties]),
+                       + ts.assumptions + [f for _, f in ts.properties]),
         simplify(ts, tp))[1])
     bench = load_benchmark()
     for spec in bench.specs:
@@ -291,7 +319,7 @@ def test_shipped_systems_define_no_alias_and_read_only_their_variables(
             sorted(n for n, _ in ts.defined_vars)
         known = ts.var_types()
         for f in ([rhs for _, rhs in ts.definitions + ts.trans]
-                  + ts.assumptions + ts.init + [p for _, p in ts.properties]):
+                  + ts.assumptions + [p for _, p in ts.properties]):
             for v in walk(f):
                 assert not isinstance(v, Var) or v.name in known, \
                     (ts.node, v.name)
@@ -324,7 +352,7 @@ def test_modeled_observers_compile_fully_simplified():
         assert sorted(n for n, _ in ts.definitions) == \
             sorted(n for n, _ in ts.defined_vars)
         for f in ([rhs for _, rhs in ts.definitions + ts.trans]
-                  + ts.assumptions + ts.init + [p for _, p in ts.properties]):
+                  + ts.assumptions + [p for _, p in ts.properties]):
             for e in walk(f):
                 if isinstance(e, Unary):
                     assert not _is_literal(e.operand), (ts.node, e)
@@ -443,8 +471,6 @@ def test_interpreter_trace_models_compiled_system(node, src):
             envs.append(env)
             state.append({name: ev(rhs, env) for name, rhs in ts.trans})
         for t, env in enumerate(envs):
-            if t == 0:
-                assert all(ev(f, env) for f in ts.init)
             for name, rhs in ts.definitions:
                 assert env[name] == ev(rhs, env), (trial, t, name)
             assumed = all(ev(a, env) for a in ts.assumptions)

@@ -81,8 +81,7 @@ def _ref_collect_externs(ts, tp):
     found = {}
     formulas = ([rhs for _, rhs in ts.definitions]
                 + [rhs for _, rhs in ts.trans]
-                + ts.assumptions + ts.init
-                + [f for _, f in ts.properties])
+                + ts.assumptions + [f for _, f in ts.properties])
     for f in formulas:
         for sub in walk(f):
             if isinstance(sub, Call):
@@ -115,7 +114,6 @@ def _ref_simplify(ts, tp):
 
     ts.trans = [(n, apply(rhs)) for n, rhs in ts.trans]
     ts.assumptions = [apply(a) for a in ts.assumptions]
-    ts.init = [apply(f) for f in ts.init]
     ts.properties = [(pid, apply(f)) for pid, f in ts.properties]
     ts.extern_symbols = _ref_collect_externs(ts, tp)
 
