@@ -21,7 +21,8 @@ from .compose import (CompositionalArgument, argument_holds,
                       argument_report, build_argument, contract_from_text)
 from .engine import (EngineConfig, Falsified, Valid, exhaustive_search,
                      make_replayer, verdict_row, verify_all)
-from .interp import InterpError, Trace, simulate
+from .interp import (InterpError, Trace, check_trace, signal_names,
+                     simulate)
 from .lang import LangError, parse, typecheck
 
 EXIT_OK = 0
@@ -127,9 +128,16 @@ def cmd_sim(cfg: argparse.Namespace) -> int:
     try:
         trace = Trace.from_csv(_read(cfg.trace_in)) if cfg.trace_in \
             else Trace()
+        n = cfg.steps if cfg.steps is not None else trace.length
+        if cfg.trace_in:
+            # a column sim would not write is a misspelling, not a signal
+            stray = sorted(set(trace.signals) - signal_names(tp, node))
+            if stray:
+                raise InterpError(f"column {stray[0]!r} names no signal "
+                                  f"of {node!r}")
+            check_trace(tp, node, trace, n)
     except (InterpError, ValueError) as exc:
         raise _Failure(f"{cfg.trace_in}: {exc}", EXIT_USAGE) from exc
-    n = cfg.steps if cfg.steps is not None else trace.length
     try:
         out = simulate(tp, node, trace, n, deep=cfg.deep)
     except (LangError, InterpError) as exc:
@@ -508,7 +516,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def engine_flags(p, k_max: Optional[int] = None):
         p.add_argument("--k-max", type=int, default=k_max)
-        p.add_argument("--timeout", type=float, default=None)
+        p.add_argument("--timeout", type=float, default=None,
+                       help=f"seconds per check (default "
+                            f"{EngineConfig.timeout:g}), read before each "
+                            "solver query; a query already running is not "
+                            "interrupted")
         p.add_argument("--solver-cmd", default=None,
                        help="SMT solver command, run as a child process "
                             "(default: SOLVER_CMD env, then z3; with "

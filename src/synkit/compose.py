@@ -45,7 +45,6 @@ __all__ = [
     "Contract",
     "CompositionalArgument",
     "contract_from_text",
-    "call_graph",
     "check_noncircular",
     "abstract_with_contracts",
     "check_component",
@@ -131,19 +130,6 @@ def contract_from_text(tp: TypedProgram, node: str,
                     build(_items(guarantees), io_env, "guarantee"))
 
 
-def call_graph(tp: TypedProgram) -> dict[str, list[str]]:
-    """Direct node-to-node call edges, extern calls excluded."""
-    out: dict[str, list[str]] = {}
-    for name in tp.program.node_names():
-        info = tp.info(name)
-        seen: list[str] = []
-        for c in info.calls:
-            if not c.is_extern and c.callee not in seen:
-                seen.append(c.callee)
-        out[name] = seen
-    return out
-
-
 def _reachable(cg: Mapping[str, Sequence[str]], root: str) -> set[str]:
     seen = {root}
     work = [root]
@@ -225,8 +211,7 @@ class _Abstraction:
 
 def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
               inject_assumes: Sequence[tuple[str, Expr]] = (),
-              inject_props: Sequence[tuple[str, Expr]] = (),
-              cg: Optional[Mapping[str, Sequence[str]]] = None
+              inject_props: Sequence[tuple[str, Expr]] = ()
               ) -> _Abstraction:
     """Build the contract abstraction rooted at a node.
 
@@ -235,12 +220,9 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
     thread up through intermediate callers to the root. Assumptions of a
     contracted callee become properties at its call site; that site must be
     in the root node itself, since properties elsewhere are invisible.
-    cg is tp's call_graph, for a caller that has already built it.
     """
-    root_info = tp.info(root)
-    if cg is None:
-        cg = call_graph(tp)
-    reachable = _reachable(cg, root)
+    tp.info(root)  # an unknown root gets its own error
+    reachable = _reachable(tp.callees, root)
     by_node: dict[str, Contract] = {}
     keep = set(reachable)
     for c in contracts:
@@ -256,12 +238,24 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
                             f"contracted node {c.node!r} is not called from "
                             f"{root!r}")
         by_node[c.node] = c
-        for _, f in (*c.assumptions, *c.guarantees):
-            for callee in _called_nodes(f):
-                keep |= _reachable(cg, callee)
-    for _, f in (*inject_assumes, *inject_props):
-        for callee in _called_nodes(f):
-            keep |= _reachable(cg, callee)
+    # a formula keeps its calls as written, so what it calls must keep
+    # its interface: no contracted node may sit in a callee's call tree
+    injected = Contract(root, tuple(inject_assumes), tuple(inject_props))
+    for c in (*contracts, injected):
+        for kind, pairs in (("assumption", c.assumptions),
+                            ("guarantee", c.guarantees)):
+            for fid, f in pairs:
+                for callee in sorted(_called_nodes(f)):
+                    below = _reachable(tp.callees, callee)
+                    hit = sorted(below & by_node.keys())
+                    if hit:
+                        raise LangError(
+                            "compose",
+                            f"{kind} {fid!r} of {c.node!r} calls "
+                            f"{callee!r}, whose call tree holds contracted "
+                            f"node {hit[0]!r}; a contract formula cannot "
+                            "call an abstracted node")
+                    keep |= below
 
     added: dict[str, list[VarDecl]] = {}
     rebuilt: dict[str, NodeDecl] = {}
@@ -394,9 +388,8 @@ def _system_results(tp: TypedProgram, top_node: str, top_property: str,
                     contracts: Sequence[Contract], cfg: EngineConfig
                     ) -> tuple[VerifyResult, dict[str, VerifyResult],
                                list[_Obligation]]:
-    cg = call_graph(tp)
-    check_noncircular(contracts, cg)
-    abs_ = _abstract(tp, top_node, contracts, cg=cg)
+    check_noncircular(contracts, tp.callees)
+    abs_ = _abstract(tp, top_node, contracts)
     ts = tsys.compile(abs_.tp, top_node)
     ts.property_formula(top_property)  # unknown property: fail fast
     tasks = [(ts, top_property)]

@@ -8,10 +8,12 @@ solver in process), configured by ``EngineConfig``; and
 and state are all boolean, which needs no solver and no configuration.
 A check talks to the solver in one conversation over one unrolling
 from any state, which grows instant by instant; each query pushes its
-goals, and a base query the initial condition too. Optional template
-invariants (mined from simulation, proved by Houdini-style iterative
-weakening over the same kind of unrolling) strengthen the induction
-step.
+goals, and a base query the initial condition too. Every unrolling is
+a cone of influence (`tsys.cone`). Optional template invariants (mined
+from simulation, proved by Houdini-style iterative weakening over the
+same kind of unrolling) strengthen the induction step. A check's
+deadline, `EngineConfig.timeout` seconds from its start, is read before
+each query is sent; a query already running is not interrupted.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ class InternalError(Exception):
     the engine turns it into a result."""
 
 
-class _HoudiniGaveUp(Exception):
-    """Houdini ran out of time or the solver answered unknown: no
-    invariants, not a bug."""
+class _GaveUp(Exception):
+    """The check's deadline passed before a query, or Houdini's solver
+    answered unknown: an Unknown verdict or no invariants, not a bug."""
 
 
 class UnknownReason(Enum):
@@ -139,11 +141,13 @@ class _Unrolling:
     BMC 2003). The bundled solver keeps one SAT core and
     tableau for the conversation: each instant is encoded once, each
     defined name is expanded where it is used, and the clauses learned
-    by one query serve the next."""
+    by one query serve the next. The check's deadline is read here, and
+    only here: before each query sends anything."""
 
-    def __init__(self, un: Unroller, cfg: EngineConfig,
+    def __init__(self, un: Unroller, cfg: EngineConfig, deadline: _Deadline,
                  invs: Sequence[Expr] = ()):
         self.un = un
+        self.deadline = deadline
         self.invs = list(invs)
         self.depth = -1  # last instant asserted
         self.session = SmtSession(cfg.solver_command)
@@ -176,9 +180,12 @@ class _Unrolling:
               *, init: bool = False) -> Union[str, list[Value]]:
         """Check the unrolling up to instant n together with the goals,
         and the initial condition when init: 'unsat', 'unknown', or on
-        'sat' the model's values of the terms to read, in order. The
-        unrolling must not be deeper than n, since the assumptions of a
-        later instant could rule out paths that end at n."""
+        'sat' the model's values of the terms to read, in order. Raises
+        _GaveUp once the deadline has passed. The unrolling must not be
+        deeper than n, since the assumptions of a later instant could rule
+        out paths that end at n."""
+        if self.deadline.expired:
+            raise _GaveUp(f"deadline passed before the query at depth {n}")
         if self.depth > n:
             raise InternalError(
                 f"query at depth {n} on an unrolling {self.depth} deep")
@@ -232,16 +239,15 @@ def bmc(ts: TransitionSystem, prop_id: str, k: int, cfg: EngineConfig,
     whose queries each push the initial condition. Falsified carries the
     shortest such path; Unknown(KMaxReached) means clean up to k."""
     prop = ts.property_formula(prop_id)
-    deadline = _Deadline(cfg.timeout)
     try:
-        with _Unrolling(Unroller(cone(ts, [prop])), cfg) as unr:
+        with _Unrolling(Unroller(cone(ts, [prop])), cfg,
+                        _Deadline(cfg.timeout)) as unr:
             for n in range(k + 1):
-                if deadline.expired:
-                    return Unknown(UnknownReason.TIMEOUT,
-                                   f"timed out before depth {n}")
                 verdict = _base_case(unr, prop, n, replay)
                 if verdict is not None:
                     return verdict
+    except _GaveUp as e:
+        return Unknown(UnknownReason.TIMEOUT, str(e))
     except SolverFailure as e:
         return Unknown(UnknownReason.SOLVER_ERROR, str(e))
     return Unknown(UnknownReason.KMAX_REACHED, f"no violation within {k}")
@@ -261,25 +267,21 @@ def kinduction(ts: TransitionSystem, prop_id: str, cfg: EngineConfig,
             else [])
     inv_texts = tuple(pretty_expr(e) for e in invs)
     un = Unroller(cone(ts, [prop, *invs]))
-    clean = -1  # base queries clean up to this depth
     try:
-        with _Unrolling(un, cfg, invs) as unr:
+        with _Unrolling(un, cfg, deadline, invs) as unr:
             for k in range(1, cfg.k_max + 1):
-                for n in range(clean + 1, k + 1):
-                    if deadline.expired:
-                        return Unknown(UnknownReason.TIMEOUT,
-                                       f"timed out in base at depth {n}")
+                # the base queries of depths 0 and 1 come at k = 1; each
+                # later k adds its own depth
+                for n in range(0 if k == 1 else k, k + 1):
                     verdict = _base_case(unr, prop, n, replay)
                     if verdict is not None:
                         return verdict
-                    clean = n
-                if deadline.expired:
-                    return Unknown(UnknownReason.TIMEOUT,
-                                   f"timed out before step check k={k}")
                 goals = [un.formula(prop, t) for t in range(k)]
                 goals.append(f"(not {un.formula(prop, k)})")
                 if unr.query(k, goals) == "unsat":
                     return Valid(k, inv_texts)
+    except _GaveUp as e:
+        return Unknown(UnknownReason.TIMEOUT, str(e))
     except SolverFailure as e:
         return Unknown(UnknownReason.SOLVER_ERROR, str(e))
     return Unknown(UnknownReason.KMAX_REACHED,
@@ -468,9 +470,10 @@ def generate_invariants(ts: TransitionSystem,
                         cfg: EngineConfig,
                         deadline: Optional[_Deadline] = None) -> list[Expr]:
     """Template candidates that survive the simulation rows, then a
-    joint 2-induction proof with iterative removal. The deadline, an
-    unknown answer and solver failure degrade to no invariants; a model
-    that violates no candidate is an InternalError."""
+    joint 2-induction proof with iterative removal over the candidates'
+    cone, which keeps every assumption. The deadline, an unknown answer
+    and solver failure degrade to no invariants; a model that violates
+    no candidate is an InternalError."""
     if not sim_rows:
         raise ValueError("need at least one simulation row")
     alive = _mine_candidates(ts, sim_rows)
@@ -478,15 +481,14 @@ def generate_invariants(ts: TransitionSystem,
         return []
     if deadline is None:
         deadline = _Deadline(cfg.timeout)
-    un = Unroller(ts)
     try:
-        return _houdini(un, alive, cfg, deadline)
-    except (SolverFailure, _HoudiniGaveUp):
+        with _Unrolling(Unroller(cone(ts, alive)), cfg, deadline) as unr:
+            return _houdini(unr, alive)
+    except (SolverFailure, _GaveUp):
         return []
 
 
-def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
-             deadline: _Deadline) -> list[Expr]:
+def _houdini(unr: _Unrolling, alive: list[Expr]) -> list[Expr]:
     """The largest subset of the candidates that holds jointly at depths
     below k from the initial states and is k-inductive, by iterative
     removal over one conversation. Base queries, which push the initial
@@ -496,8 +498,8 @@ def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
     instants before k with a violation of one at k, until no candidate
     is violated. Each sat query reads the alive candidates' values in
     its model to choose which to drop; the invariants rest only on the
-    last, unsat, query."""
-    k = _HOUDINI_K
+    last, unsat, query. An unknown answer raises _GaveUp."""
+    k, un = _HOUDINI_K, unr.un
 
     def drop_violated(t: int, held: Sequence[str] = (),
                       init: bool = False) -> bool:
@@ -510,7 +512,7 @@ def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
         if holds == "unsat":
             return False
         if holds == "unknown":
-            raise _HoudiniGaveUp("solver unknown")
+            raise _GaveUp(f"solver answered unknown at depth {t}")
         kept = [c for c, ok in zip(alive, holds) if ok]
         if len(kept) == len(alive):
             raise InternalError(
@@ -519,19 +521,12 @@ def _houdini(un: Unroller, alive: list[Expr], cfg: EngineConfig,
         alive[:] = kept
         return True
 
-    with _Unrolling(un, cfg) as unr:
-        for d in range(k):
-            while alive:
-                if deadline.expired:
-                    raise _HoudiniGaveUp("deadline")
-                if not drop_violated(d, init=True):
-                    break
-        while alive:
-            if deadline.expired:
-                raise _HoudiniGaveUp("deadline")
-            held = [un.formula(c, t) for t in range(k) for c in alive]
-            if not drop_violated(k, held):
-                break
+    for d in range(k):
+        while alive and drop_violated(d, init=True):
+            pass
+    while alive and drop_violated(
+            k, [un.formula(c, t) for t in range(k) for c in alive]):
+        pass
     return alive
 
 

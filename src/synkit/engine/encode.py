@@ -15,10 +15,11 @@ initial condition is the `_init` flag of `tsys`, sent as
 `(assert _init@0)`.
 
 `bmc` and `kinduction` unroll the cone of influence of the property and
-its invariants (`tsys.cone`), so only the states and definitions that
-those, the assumptions or `_init` read are sent; every input is still
-declared, so a trace carries every input. Houdini unrolls the whole
-system.
+its invariants (`tsys.cone`), and Houdini the cone of its candidates, so
+only the states and definitions that those, the assumptions or `_init`
+read are sent; every input is still declared, so a trace carries every
+input. The engine reads a check's deadline before each query, so no
+text here is sent after it has passed.
 """
 
 from __future__ import annotations

@@ -350,6 +350,29 @@ def step(tp: TypedProgram, node: str, state: NodeState,
     return new_state, outputs, ok
 
 
+def signal_names(tp: TypedProgram, node: str) -> set[str]:
+    """Every signal simulate logs for the node, assertion_ok aside: its
+    inputs, outputs and locals, and with deep=True those of each called
+    instance under its dotted path."""
+    info = tp.info(node)
+    names = {vd.name for vd in info.decl.declared()}
+    for site, inst in instance_names(info).items():
+        names |= {f"{inst}.{name}"
+                  for name in signal_names(tp, info.calls[site].callee)}
+    return names
+
+
+def check_trace(tp: TypedProgram, node: str, trace: Trace, n: int) -> None:
+    """Raise InterpError unless the trace holds at least n values of each
+    input of the node."""
+    for vd in tp.info(node).decl.inputs:
+        if vd.name not in trace.signals:
+            raise InterpError(f"input trace lacks {vd.name!r}")
+        if len(trace.signals[vd.name]) < n:
+            raise InterpError(f"input trace too short for {vd.name!r}: "
+                              f"{len(trace.signals[vd.name])} < {n}")
+
+
 def simulate(tp: TypedProgram, node: str, input_trace: Trace, n: int, *,
              externs: Optional[dict[str, ExternFn]] = None,
              deep: bool = False) -> Trace:
@@ -358,13 +381,8 @@ def simulate(tp: TypedProgram, node: str, input_trace: Trace, n: int, *,
     With deep=True, signals of called instances are logged too, under
     dotted instance paths matching the symbolic compiler's namespacing.
     """
+    check_trace(tp, node, input_trace, n)
     info = tp.info(node)
-    for vd in info.decl.inputs:
-        if vd.name not in input_trace.signals:
-            raise InterpError(f"input trace lacks {vd.name!r}")
-        if len(input_trace.signals[vd.name]) < n:
-            raise InterpError(f"input trace too short for {vd.name!r}: "
-                              f"{len(input_trace.signals[vd.name])} < {n}")
     warnings: list[str] = []
     ev = _Eval(tp, externs, warnings)
     st = init_state(tp, node)

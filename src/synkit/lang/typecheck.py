@@ -102,6 +102,7 @@ class TypedProgram:
     nodes: dict[str, NodeInfo]
     externs: dict[str, ExternDecl]
     order: list[str]  # call-graph topological order, callees first
+    callees: dict[str, list[str]]  # each node's called nodes, sorted
 
     def info(self, name: str) -> NodeInfo:
         if name not in self.nodes:
@@ -158,7 +159,8 @@ class _Checker:
                             f"recursive node calls: {c}") from None
         typed = Program([info.decl for info in infos.values()],
                         list(self.p.externs))
-        return TypedProgram(typed, infos, dict(self.externs), order)
+        return TypedProgram(typed, infos, dict(self.externs), order,
+                            callees)
 
     # per-node checking ---------------------------------------------------
 

@@ -170,17 +170,40 @@ def test_sim_unknown_node(capsys, counter):
     assert "Missing" in err
 
 
-@pytest.mark.parametrize("rows", ["set\ntrue,false\n", "set\nyes\n",
-                                  "set\n1/0\n", "set,set\ntrue,false\n"])
+@pytest.mark.parametrize("rows,steps", [
+    pytest.param(rows, steps, id=rows) for rows, steps in [
+        ("set\ntrue,false\n", ()), ("set\nyes\n", ()), ("set\n1/0\n", ()),
+        ("set,set\ntrue,false\n", ()), ("set,clear\ntrue,false\n", ()),
+        ("sett\ntrue\n", ()), ("set\ntrue\n", ("-n", "2"))]])
 def test_sim_bad_trace_csv_is_usage_error_naming_the_file(capsys, latch,
-                                                         tmp_path, rows):
+                                                         tmp_path, rows,
+                                                         steps):
     # a row of the wrong width, a cell that is no value, a zero
-    # denominator, and a repeated column (not merged into one list)
+    # denominator, a repeated column (not merged into one list), a column
+    # that names no signal of the node, a missing input, and a trace
+    # shorter than the steps asked for
     p = tmp_path / "in.csv"
     p.write_text(rows)
-    rc, out, err = run(capsys, "sim", latch, "Latch", "--trace", str(p))
+    rc, out, err = run(capsys, "sim", latch, "Latch", "--trace", str(p),
+                       *steps)
     assert rc == 2 and out == ""
     assert err.startswith(f"synkit: {p}: ")
+
+
+def test_sim_deep_output_replays_to_itself(capsys, two_stage, tmp_path):
+    # every column sim writes, the instance paths of --deep and
+    # assertion_ok included, is one it reads back
+    inputs = tmp_path / "x.csv"
+    inputs.write_text("x\n0.5\n0.75\n-2.0\n1/4\n")
+    deep = tmp_path / "deep.csv"
+    rc, _, _ = run(capsys, "sim", two_stage, "Obs1", "--deep",
+                   "--trace", str(inputs), "--out", str(deep))
+    assert rc == 0
+    assert "Acc.Sat.y" in deep.read_text().splitlines()[0]
+    rc, out, err = run(capsys, "sim", two_stage, "Obs1", "--deep",
+                       "--trace", str(deep))
+    assert (rc, err) == (0, "")
+    assert out == deep.read_text()
 
 
 def test_sim_negative_steps_is_usage_error(capsys, counter):

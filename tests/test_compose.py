@@ -11,7 +11,6 @@ from synkit.compose import (
     argument_holds,
     argument_report,
     build_argument,
-    call_graph,
     check_component,
     check_noncircular,
     check_system,
@@ -350,6 +349,62 @@ tel
     assert "discharged" in e.value.message
 
 
+# Top calls Wrap, Wrap calls Leaf; Id reaches no other node
+CALL_IN_FORMULA = """
+node Leaf(u: int) returns (w: int);
+let
+  w = u + 1;
+tel
+
+node Wrap(u: int) returns (w: int);
+let
+  w = Leaf(u);
+tel
+
+node Id(u: int) returns (w: int);
+let
+  w = u;
+tel
+
+node Other(u: int) returns (w: int);
+let
+  w = u + 1;
+tel
+
+node Top(x: int) returns (ok: bool);
+var a, b: int;
+let
+  a = Wrap(x);
+  b = Other(x);
+  ok = b > x;
+  --!PROPERTY: ok = true;
+tel
+"""
+
+
+@pytest.mark.parametrize("callee", ["Wrap", "Leaf"])
+def test_contract_formula_cannot_call_into_the_abstraction(callee):
+    # the abstraction widens Leaf, and Wrap above it, with oracle inputs,
+    # which a call inside a contract formula does not pass
+    tp = typecheck(parse(CALL_IN_FORMULA))
+    leaf = contract_from_text(tp, "Leaf", guarantees={"GL": "w > u"})
+    other = contract_from_text(tp, "Other",
+                               guarantees={"GO": f"{callee}(u) > u"})
+    for check in (check_system, build_argument):
+        with pytest.raises(LangError) as e:
+            check(tp, "Top", "ok", [leaf, other], CFG)
+        assert e.value.kind == "compose"
+        for name in ("'GO'", "'Other'", repr(callee), "'Leaf'"):
+            assert name in e.value.message
+
+
+def test_contract_formula_may_call_a_node_outside_the_abstraction():
+    tp = typecheck(parse(CALL_IN_FORMULA))
+    leaf = contract_from_text(tp, "Leaf", guarantees={"GL": "w > u"})
+    other = contract_from_text(tp, "Other", guarantees={"GO": "w > Id(u)"})
+    assert check_system(tp, "Top", "ok", [leaf, other], CFG) == Valid(k=1)
+
+
 def test_concrete_runs_satisfy_contract_formulas(pipeline):
     # every concrete execution is a behavior the abstraction admits: the
     # guarantees hold on the real components, checked here by simulation
@@ -425,7 +480,7 @@ def test_system_monotone_under_extra_guarantee(pipeline):
 
 def test_noncircular_tree_shape_ok(pipeline):
     cs, cg = contracts_for(pipeline)
-    check_noncircular([cs, cg], call_graph(pipeline))
+    check_noncircular([cs, cg], pipeline.callees)
 
 
 def test_noncircular_rejects_mutual_assumptions():

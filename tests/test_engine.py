@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -278,8 +279,53 @@ def test_each_check_holds_its_sessions_and_closes_them(sessions, check,
 def test_timeout_reported():
     _, ts = _ts(SAT_CHAIN, "Chain")
     cfg = EngineConfig(k_max=20, timeout=1e-9)
-    r = kinduction(ts, "ok", cfg)
-    assert isinstance(r, Unknown) and r.reason is UnknownReason.TIMEOUT
+    for r in (kinduction(ts, "ok", cfg), bmc(ts, "ok", 20, cfg)):
+        assert isinstance(r, Unknown) and r.reason is UnknownReason.TIMEOUT
+    assert generate_invariants(ts, simulate_system(ts, 60, seed=0),
+                               cfg) == []
+
+
+def _counted_check_sat(monkeypatch, answer):
+    """Patch SmtSession.check_sat to count its calls; answer(n, reply)
+    gives the reply of the n-th call, from the solver's."""
+    calls = []
+    check_sat = SmtSession.check_sat
+
+    def counted(self):
+        calls.append(None)
+        return answer(len(calls), check_sat(self))
+
+    monkeypatch.setattr(SmtSession, "check_sat", counted)
+    return calls
+
+
+def test_deadline_passing_between_queries_stops_at_the_next(monkeypatch):
+    # the clock jumps past the deadline during the second query, the base
+    # query at depth 1, so the step query of k = 1 is never sent
+    now = [0.0]
+    monkeypatch.setattr(core, "time",
+                        SimpleNamespace(monotonic=lambda: now[0]))
+
+    def answer(n, reply):
+        if n == 2:
+            now[0] = 1000.0
+        return reply
+
+    calls = _counted_check_sat(monkeypatch, answer)
+    _, ts = _ts(SAT_CHAIN, "Chain")
+    r = kinduction(ts, "ok", EngineConfig(k_max=20, timeout=100))
+    assert r == Unknown(UnknownReason.TIMEOUT,
+                        "deadline passed before the query at depth 1")
+    assert len(calls) == 2
+
+
+def test_unknown_step_query_moves_on_to_the_next_k(monkeypatch):
+    # base 0, base 1, then the step query of k = 1 answers unknown
+    calls = _counted_check_sat(
+        monkeypatch, lambda n, reply: "unknown" if n == 3 else reply)
+    _, ts = _ts(TOGGLE, "Toggle")
+    assert kinduction(ts, "p", CFG) == Valid(k=2)
+    assert len(calls) == 5
 
 
 def test_solver_launch_failure_reported():
