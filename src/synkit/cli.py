@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from . import safetycase as sc
 from . import tsys
-from .compose import (CompositionalArgument, argument_holds,
-                      argument_report, build_argument, contract_from_text)
+from .compose import (argument_holds, argument_report, build_argument,
+                      contract_from_text)
 from .engine import (EngineConfig, Falsified, Valid, exhaustive_search,
                      make_replayer, verdict_row, verify_all)
 from .interp import (InterpError, Trace, check_trace, signal_names,
@@ -125,6 +125,9 @@ def cmd_sim(cfg: argparse.Namespace) -> int:
         raise _Failure("need --steps or an input --trace", EXIT_USAGE)
     if (cfg.steps or 0) < 0:
         raise _Failure(f"--steps {cfg.steps} is negative", EXIT_USAGE)
+    if not cfg.trace_in and tp.info(node).decl.inputs:
+        raise _Failure(f"{node!r} has inputs: give them as an input "
+                       "--trace", EXIT_USAGE)
     try:
         trace = Trace.from_csv(_read(cfg.trace_in)) if cfg.trace_in \
             else Trace()
@@ -418,20 +421,6 @@ def cmd_safety_case(cfg: argparse.Namespace) -> int:
 
 # --- bench -------------------------------------------------------------------
 
-def _first_failure(arg: CompositionalArgument) -> str:
-    """The first sub-verdict of a compositional argument that is not
-    Valid, components before assumptions, in report order."""
-    subs = [(f"guarantee {node}.{gid}", res)
-            for node in sorted(arg.component_results)
-            for gid, res in arg.component_results[node].items()]
-    subs += [(f"assumption {key}", arg.assumption_results[key])
-             for key in sorted(arg.assumption_results)]
-    what, res = next((w, r) for w, r in subs if not isinstance(r, Valid))
-    if isinstance(res, Falsified):
-        return f"{what} falsified at step {res.step}"
-    return f"{what} unknown ({res.reason.value})"
-
-
 def cmd_bench(cfg: argparse.Namespace) -> int:
     from .benchlib import load_benchmark
 
@@ -450,11 +439,11 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
         if spec.id in bench.contracts:
             arg = build_argument(bench.tp, spec.observer_node, "Obs",
                                  bench.contracts[spec.id], ecfg)
-            if (isinstance(arg.system_result, Valid)
-                    and not argument_holds(arg)):
+            failed = arg.first_failure()
+            if isinstance(arg.system_result, Valid) and failed:
                 # a sub-obligation failed: the system's k backs nothing
                 row.update(verdict="unknown", reason="SubObligationFailed",
-                           detail=_first_failure(arg))
+                           detail=failed)
             else:
                 row.update(verdict_row(arg.system_result))
             row["components"] = [

@@ -10,7 +10,13 @@ re-verified as properties of the abstraction, so an undischarged assumption
 blocks the argument.
 
 Contracts live outside the source language (they come from manifests, not
-node syntax) and must form an acyclic dependency relation.
+node syntax) and must form an acyclic dependency relation. `_abstract` is
+the one place that decides whether a contract set is admissible, and
+`check_system` and `build_argument` build and check the system abstraction
+before any proof runs, so a bad contract set fails before the first solver
+session. `CompositionalArgument.first_failure` is the one place that
+decides which sub-verdict an argument fails on, and `argument_holds` reads
+it.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from . import tsys
-from .engine import (EngineConfig, Valid, VerifyResult, verdict_row,
-                     verify_all)
+from .engine import (EngineConfig, Falsified, Valid, VerifyResult,
+                     verdict_row, verify_all)
 from .lang import (
     Call,
     Equation,
@@ -86,6 +92,21 @@ class CompositionalArgument:
     assumption_results: dict[str, VerifyResult]
     system_result: VerifyResult
 
+    def first_failure(self) -> Optional[str]:
+        """The first sub-verdict that is not Valid, components in node
+        order before assumptions in key order, or None when all hold."""
+        subs = [(f"guarantee {node}.{gid}", res)
+                for node in sorted(self.component_results)
+                for gid, res in self.component_results[node].items()]
+        subs += [(f"assumption {key}", self.assumption_results[key])
+                 for key in sorted(self.assumption_results)]
+        for what, res in subs:
+            if isinstance(res, Falsified):
+                return f"{what} falsified at step {res.step}"
+            if not isinstance(res, Valid):
+                return f"{what} unknown ({res.reason.value})"
+        return None
+
 
 _Pairs = Union[Mapping[str, str], Sequence[tuple[str, str]]]
 
@@ -130,17 +151,6 @@ def contract_from_text(tp: TypedProgram, node: str,
                     build(_items(guarantees), io_env, "guarantee"))
 
 
-def _reachable(cg: Mapping[str, Sequence[str]], root: str) -> set[str]:
-    seen = {root}
-    work = [root]
-    while work:
-        for callee in cg.get(work.pop(), ()):
-            if callee not in seen:
-                seen.add(callee)
-                work.append(callee)
-    return seen
-
-
 def check_noncircular(contracts: Sequence[Contract],
                       cg: Mapping[str, Sequence[str]]) -> None:
     """Reject circular contract dependencies.
@@ -156,15 +166,11 @@ def check_noncircular(contracts: Sequence[Contract],
         dup = next(n for n in nodes if nodes.count(n) > 1)
         raise LangError("compose", f"two contracts given for node {dup!r}")
     by_node = {c.node: c for c in contracts}
-    edges: dict[str, list[str]] = {n: [] for n in nodes}
+    edges: dict[str, list[str]] = {}
     for a in nodes:
-        below = _reachable(cg, a)
-        for b in nodes:
-            if b == a:
-                continue
-            if b in below or by_node[a].assumptions:
-                edges[a].append(b)
-
+        below = set(dependency_order([a], cg.__getitem__))
+        edges[a] = [b for b in nodes if b != a
+                    and (b in below or by_node[a].assumptions)]
     try:
         dependency_order(nodes, edges.__getitem__)
     except Cycle as c:
@@ -220,24 +226,23 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
     thread up through intermediate callers to the root. Assumptions of a
     contracted callee become properties at its call site; that site must be
     in the root node itself, since properties elsewhere are invisible.
+    Every `compose` error a contract set can raise is raised here.
     """
     tp.info(root)  # an unknown root gets its own error
-    reachable = _reachable(tp.callees, root)
-    by_node: dict[str, Contract] = {}
-    keep = set(reachable)
+    reachable = set(dependency_order([root], tp.callees.__getitem__))
     for c in contracts:
         if c.node == root:
             raise LangError("compose",
                             f"cannot abstract the root node {c.node!r}")
-        if c.node in by_node:
-            raise LangError("compose",
-                            f"two contracts given for node {c.node!r}")
         if c.node not in reachable:
             tp.info(c.node)  # unknown node gets its own error
             raise LangError("compose",
                             f"contracted node {c.node!r} is not called from "
                             f"{root!r}")
-        by_node[c.node] = c
+    # every contracted node is now known, so it has call-graph entries
+    check_noncircular(contracts, tp.callees)
+    by_node = {c.node: c for c in contracts}
+    keep = set(reachable)
     # a formula keeps its calls as written, so what it calls must keep
     # its interface: no contracted node may sit in a callee's call tree
     injected = Contract(root, tuple(inject_assumes), tuple(inject_props))
@@ -246,7 +251,8 @@ def _abstract(tp: TypedProgram, root: str, contracts: Sequence[Contract],
                             ("guarantee", c.guarantees)):
             for fid, f in pairs:
                 for callee in sorted(_called_nodes(f)):
-                    below = _reachable(tp.callees, callee)
+                    below = set(dependency_order(
+                        [callee], tp.callees.__getitem__))
                     hit = sorted(below & by_node.keys())
                     if hit:
                         raise LangError(
@@ -361,7 +367,8 @@ def abstract_with_contracts(tp: TypedProgram, top_node: str,
     Every output of a contracted node becomes a fresh input of the
     abstraction, constrained only by the guarantees (installed as
     assertions). Uncontracted callees keep their bodies. With no contracts
-    the program comes back unchanged apart from retypechecking.
+    the program comes back unchanged apart from retypechecking. Refuses
+    the contract sets `check_system` refuses.
     """
     return _abstract(tp, top_node, contracts).tp
 
@@ -384,19 +391,15 @@ def check_component(tp: TypedProgram, contract: Contract,
     return {abs_.guarantee_props[pid]: res for pid, res in results.items()}
 
 
-def _system_results(tp: TypedProgram, top_node: str, top_property: str,
-                    contracts: Sequence[Contract], cfg: EngineConfig
-                    ) -> tuple[VerifyResult, dict[str, VerifyResult],
-                               list[_Obligation]]:
-    check_noncircular(contracts, tp.callees)
+def _system(tp: TypedProgram, top_node: str, top_property: str,
+            contracts: Sequence[Contract]) -> tuple[list, list[_Obligation]]:
+    """Build and check the system abstraction, and list its proof tasks:
+    the top property, then each assumption obligation. Proves nothing."""
     abs_ = _abstract(tp, top_node, contracts)
     ts = tsys.compile(abs_.tp, top_node)
     ts.property_formula(top_property)  # unknown property: fail fast
-    tasks = [(ts, top_property)]
-    tasks += [(ts, o.prop_id) for o in abs_.obligations]
-    results = verify_all(tasks, cfg)
-    asm = {o.prop_id: results[o.prop_id] for o in abs_.obligations}
-    return results[top_property], asm, abs_.obligations
+    tasks = [(ts, top_property)] + [(ts, o.prop_id) for o in abs_.obligations]
+    return tasks, abs_.obligations
 
 
 def check_system(tp: TypedProgram, top_node: str, top_property: str,
@@ -405,17 +408,17 @@ def check_system(tp: TypedProgram, top_node: str, top_property: str,
     """Verify the top property on the contract abstraction.
 
     Assumptions of contracted components are discharged alongside: if one
-    fails, its result is returned instead of the top property's, so an
-    undischarged assumption can never be mistaken for a proof. Refuses to
-    run on circular contract sets.
+    fails, the first failing one in obligation order is returned instead
+    of the top property's result, so an undischarged assumption can never
+    be mistaken for a proof. Refuses to run on inadmissible contract sets,
+    circular ones included.
     """
-    cfg = cfg or EngineConfig()
-    top, asm, obligations = _system_results(tp, top_node, top_property,
-                                            contracts, cfg)
+    tasks, obligations = _system(tp, top_node, top_property, contracts)
+    results = verify_all(tasks, cfg or EngineConfig())
+    top = results[top_property]
     if isinstance(top, Valid):
-        for o in obligations:
-            if not isinstance(asm[o.prop_id], Valid):
-                return asm[o.prop_id]
+        return next((results[o.prop_id] for o in obligations
+                     if not isinstance(results[o.prop_id], Valid)), top)
     return top
 
 
@@ -423,30 +426,30 @@ def build_argument(tp: TypedProgram, top_node: str, top_property: str,
                    contracts: Sequence[Contract],
                    cfg: Optional[EngineConfig] = None
                    ) -> CompositionalArgument:
-    """Run every piece of the compositional proof and collect verdicts."""
+    """Run every piece of the compositional proof and collect verdicts:
+    the system abstraction is built and checked first (a component's adds
+    nothing it has not typed), then components are proved, then the
+    system."""
     cfg = cfg or EngineConfig()
+    tasks, obligations = _system(tp, top_node, top_property, contracts)
     component_results = {c.node: check_component(tp, c, cfg)
                          for c in contracts}
-    top, asm, obligations = _system_results(tp, top_node, top_property,
-                                            contracts, cfg)
+    results = verify_all(tasks, cfg)
     labeled: dict[str, VerifyResult] = {}
     for o in obligations:
         key = f"{o.node}.{o.assumption}"
         if key in labeled:
             key = f"{o.node}.{o.assumption}@{o.instance}"
-        labeled[key] = asm[o.prop_id]
+        labeled[key] = results[o.prop_id]
     return CompositionalArgument(top_node, top_property, tuple(contracts),
-                                 component_results, labeled, top)
+                                 component_results, labeled,
+                                 results[top_property])
 
 
 def argument_holds(arg: CompositionalArgument) -> bool:
     """True when the system check and every sub-verdict came back Valid."""
-    if not isinstance(arg.system_result, Valid):
-        return False
-    for per_node in arg.component_results.values():
-        if not all(isinstance(r, Valid) for r in per_node.values()):
-            return False
-    return all(isinstance(r, Valid) for r in arg.assumption_results.values())
+    return (isinstance(arg.system_result, Valid)
+            and arg.first_failure() is None)
 
 
 def argument_report(arg: CompositionalArgument) -> dict:

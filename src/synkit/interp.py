@@ -364,13 +364,19 @@ def signal_names(tp: TypedProgram, node: str) -> set[str]:
 
 def check_trace(tp: TypedProgram, node: str, trace: Trace, n: int) -> None:
     """Raise InterpError unless the trace holds at least n values of each
-    input of the node."""
+    input of the node, each of the input's type."""
     for vd in tp.info(node).decl.inputs:
         if vd.name not in trace.signals:
             raise InterpError(f"input trace lacks {vd.name!r}")
-        if len(trace.signals[vd.name]) < n:
+        col = trace.signals[vd.name]
+        if len(col) < n:
             raise InterpError(f"input trace too short for {vd.name!r}: "
-                              f"{len(trace.signals[vd.name])} < {n}")
+                              f"{len(col)} < {n}")
+        for t in range(n):
+            try:
+                _check_value(col[t], vd.type, vd.name)
+            except InterpError as err:
+                raise InterpError(err.message, step=t) from None
 
 
 def simulate(tp: TypedProgram, node: str, input_trace: Trace, n: int, *,

@@ -184,9 +184,6 @@ class Program:
                 return n
         raise KeyError(f"unknown node {name!r}")
 
-    def node_names(self) -> list[str]:
-        return [n.name for n in self.nodes]
-
 
 def _leaf(e: Expr) -> tuple[Expr, ...]:
     return ()

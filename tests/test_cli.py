@@ -171,23 +171,33 @@ def test_sim_unknown_node(capsys, counter):
 
 
 @pytest.mark.parametrize("rows,steps", [
-    pytest.param(rows, steps, id=rows) for rows, steps in [
+    pytest.param(rows, steps, id=str(rows)) for rows, steps in [
         ("set\ntrue,false\n", ()), ("set\nyes\n", ()), ("set\n1/0\n", ()),
         ("set,set\ntrue,false\n", ()), ("set,clear\ntrue,false\n", ()),
-        ("sett\ntrue\n", ()), ("set\ntrue\n", ("-n", "2"))]])
+        ("sett\ntrue\n", ()), ("set\ntrue\n", ("-n", "2")),
+        ("set\ntrue\n5\n", ()), (None, ("-n", "3"))]])
 def test_sim_bad_trace_csv_is_usage_error_naming_the_file(capsys, latch,
                                                          tmp_path, rows,
                                                          steps):
     # a row of the wrong width, a cell that is no value, a zero
     # denominator, a repeated column (not merged into one list), a column
-    # that names no signal of the node, a missing input, and a trace
-    # shorter than the steps asked for
+    # that names no signal of the node, a missing input, a trace shorter
+    # than the steps asked for, a cell of the wrong type, and no trace at
+    # all for a node with inputs
     p = tmp_path / "in.csv"
-    p.write_text(rows)
-    rc, out, err = run(capsys, "sim", latch, "Latch", "--trace", str(p),
-                       *steps)
+    trace = ()
+    if rows is not None:
+        p.write_text(rows)
+        trace = ("--trace", str(p))
+    rc, out, err = run(capsys, "sim", latch, "Latch", *trace, *steps)
     assert rc == 2 and out == ""
-    assert err.startswith(f"synkit: {p}: ")
+    if rows is None:
+        assert err == "synkit: 'Latch' has inputs: give them as an input " \
+                      "--trace\n"
+    else:
+        assert err.startswith(f"synkit: {p}: ")
+    if rows == "set\ntrue\n5\n":
+        assert err == f"synkit: {p}: step 1: 'set' expects bool, got int\n"
 
 
 def test_sim_deep_output_replays_to_itself(capsys, two_stage, tmp_path):
@@ -385,19 +395,17 @@ def test_verify_compositional_spec_formulas_must_be_an_object(
 
 
 def test_verify_compositional_unknown_property_fails_before_any_proof(
-        capsys, two_stage, tmp_path, monkeypatch):
-    proved = []
-    monkeypatch.setattr(compose, "check_component",
-                        lambda tp, c, cfg=None: proved.append(c.node))
+        capsys, two_stage, tmp_path, sessions):
     spec = {"top": {"node": "Obs1", "property": "nope"},
             "contracts": [{"node": "Acc", "guarantees": {"G": "y <= 1.0"}}]}
     cpath = tmp_path / "contracts.json"
     cpath.write_text(json.dumps(spec))
     rc, out, err = run(capsys, "verify", two_stage,
                        "--compositional", str(cpath))
-    # as `verify --prop nope` reports it, and no component was proved
+    # as `verify --prop nope` reports it, and no solver session opened
     assert (rc, out, err) == (1, "", "synkit: unknown property nope\n")
-    assert proved == []
+    opened, _ = sessions
+    assert opened == []
 
 
 def test_verify_compositional_error_while_proving_is_not_a_spec_error(

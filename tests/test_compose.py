@@ -6,6 +6,7 @@ import pytest
 
 from synkit import compose, tsys
 from synkit.compose import (
+    CompositionalArgument,
     Contract,
     abstract_with_contracts,
     argument_holds,
@@ -20,9 +21,11 @@ from synkit.engine import (
     EngineConfig,
     Falsified,
     Unknown,
+    UnknownReason,
     Valid,
     simulate_system,
 )
+from synkit.interp import Trace
 from synkit.lang import (LangError, Pre, Type, parse, parse_expression,
                          pretty, type_expression, typecheck, walk)
 from synkit.lang.ast import Program
@@ -476,6 +479,33 @@ def test_system_monotone_under_extra_guarantee(pipeline):
     assert isinstance(res, Valid)
 
 
+def test_system_returns_the_first_failing_assumption_in_obligation_order():
+    # A1 fails at step 3 and A2 at step 2: the first obligation wins, not
+    # the earliest counterexample
+    tp = typecheck(parse("""
+node Use(u: int) returns (w: int);
+let
+  w = u;
+tel
+
+node Top() returns (ok: bool);
+var c, w: int;
+let
+  c = 0 -> ((pre c) + 1);
+  w = Use(c);
+  ok = true;
+  --!PROPERTY: ok = true;
+tel
+"""))
+    use = contract_from_text(tp, "Use", assumptions={"A1": "u <= 2",
+                                                     "A2": "u <= 1"})
+    res = check_system(tp, "Top", "ok", [use], CFG)
+    assert isinstance(res, Falsified) and res.step == 3
+    arg = build_argument(tp, "Top", "ok", [use], CFG)
+    assert [(k, r.step) for k, r in arg.assumption_results.items()] == [
+        ("Use.A1", 3), ("Use.A2", 2)]
+
+
 # -------------------------------------------------------------- circularity
 
 def test_noncircular_tree_shape_ok(pipeline):
@@ -538,6 +568,38 @@ tel
     assert "circular" in e.value.message
 
 
+def _rejected_sets():
+    """Contract sets that `compose` refuses, each with its program and
+    a word of the error."""
+    tp = typecheck(parse(CALL_IN_FORMULA))
+    leaf = contract_from_text(tp, "Leaf", guarantees={"GL": "w > u"})
+    other = contract_from_text(tp, "Other",
+                               guarantees={"GO": "Wrap(u) > u"})
+    yield ("formula calls into the abstraction", tp, "Top",
+           [leaf, other], "cannot call an abstracted node")
+    pipe = typecheck(parse(PIPELINE))
+    cs, cg = contracts_for(pipe)
+    yield ("two contracts for one node", pipe, "Top", [cs, cg, cs],
+           "two contracts given for node 'Source'")
+    source = contract_from_text(pipe, "Source", assumptions={"AS": "true"},
+                                guarantees={"GS": "v >= 0"})
+    yield ("mutual assumptions", pipe, "Top", [source, cg],
+           "circular contract dependency")
+
+
+@pytest.mark.parametrize("check", [check_system, build_argument])
+@pytest.mark.parametrize("why,tp,top,contracts,error", [
+    pytest.param(*case, id=case[0]) for case in _rejected_sets()])
+def test_rejected_contract_set_opens_no_solver_session(sessions, check, why,
+                                                      tp, top, contracts,
+                                                      error):
+    with pytest.raises(LangError) as e:
+        check(tp, top, "ok", contracts, CFG)
+    assert e.value.kind == "compose" and error in e.value.message
+    opened, _ = sessions
+    assert opened == []
+
+
 # ---------------------------------------------------------------- argument
 
 def test_build_argument_and_report(pipeline):
@@ -598,3 +660,26 @@ def test_assumption_ids_that_sanitize_alike_get_distinct_checks():
     assert len(arg.assumption_results) == 6
     assert {k.split("@")[0] for k in arg.assumption_results} == {
         "Filt.A-1", "Filt.A_1"}
+
+
+_V = Valid(k=1)
+_CEX = Falsified(Trace(), step=2)
+_TIMEOUT = Unknown(UnknownReason.TIMEOUT)
+
+
+@pytest.mark.parametrize("components,assumptions,failure", [
+    pytest.param({"B": {"G": _V}, "A": {"G1": _V, "G2": _CEX}},
+                 {"B.A": _CEX}, "guarantee A.G2 falsified at step 2",
+                 id="falsified guarantee"),
+    pytest.param({"B": {"G": _TIMEOUT}, "C": {"G": _CEX}}, {},
+                 "guarantee B.G unknown (Timeout)", id="unknown guarantee"),
+    pytest.param({"A": {"G": _V}}, {"B.A2": _CEX, "A.A1": _V},
+                 "assumption B.A2 falsified at step 2",
+                 id="falsified assumption"),
+    pytest.param({"A": {"G": _V}}, {"A.A1": _V}, None, id="none failing")])
+def test_first_failure_components_by_node_then_assumptions_by_key(
+        components, assumptions, failure):
+    arg = CompositionalArgument("Top", "ok", (), components, assumptions,
+                                _V)
+    assert arg.first_failure() == failure
+    assert argument_holds(arg) is (failure is None)

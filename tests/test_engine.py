@@ -231,25 +231,6 @@ def test_kinduction_kmax_exhaustion():
     assert r.reason is UnknownReason.KMAX_REACHED
 
 
-@pytest.fixture
-def sessions(monkeypatch):
-    """Solver sessions opened and closed while a test runs."""
-    opened, closed = [], set()
-    init, close = SmtSession.__init__, SmtSession.close
-
-    def counting_init(self, *args, **kwargs):
-        opened.append(self)
-        init(self, *args, **kwargs)
-
-    def counting_close(self):
-        closed.add(id(self))
-        close(self)
-
-    monkeypatch.setattr(SmtSession, "__init__", counting_init)
-    monkeypatch.setattr(SmtSession, "close", counting_close)
-    return opened, closed
-
-
 def _chain_invariants():
     _, ts = _ts(SAT_CHAIN, "Chain")
     return generate_invariants(ts, simulate_system(ts, 60, seed=0), CFG)

@@ -158,7 +158,7 @@ def assert_matches_reference(tp, node):
 def test_catalog_and_its_contract_abstractions_match_reference():
     bench = benchlib.load_benchmark()
     tp = bench.tp
-    for node in tp.program.node_names():
+    for node in [n.name for n in tp.program.nodes]:
         assert_matches_reference(tp, node)
     seen = 0
     for pid, full in sorted(bench.contracts.items()):
@@ -186,7 +186,7 @@ def test_demos_match_reference():
     assert paths
     for path in paths:
         tp = typecheck(parse(path.read_text()))
-        for node in tp.program.node_names():
+        for node in [n.name for n in tp.program.nodes]:
             assert_matches_reference(tp, node)
 
 

@@ -78,7 +78,7 @@ def _ref_schedule(decl):
 
 
 def _ref_order(program):
-    names = set(program.node_names())
+    names = {n.name for n in program.nodes}
     callees = {}
     for n in program.nodes:
         roots = [eq.rhs for eq in n.equations] + n.assertions
